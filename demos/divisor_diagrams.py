@@ -17,7 +17,7 @@ from nufact.divcalc import (
     apply_lifted,
     compose,
     compose_word,
-    enumerate_factorizations,
+    enumerate_factorizations_ex,
     is_realizable,
     render_svg,
 )
@@ -48,7 +48,7 @@ for text in ("2Q1", "2Q1+Q2", "7Q1+6Q2+8Q3"):
 
 # A divisor factors into single-label generators in many ways.
 target = cs.parse_divisor("3Q1+2Q2+Q3")
-words = enumerate_factorizations(cs, target, 5)
+words, _ = enumerate_factorizations_ex(cs, target, 5)
 print(f"\n{cs.format_divisor(target)} factors into {len(words)} words of length <= 5,")
 print("the two shortest being:")
 for w in words[:2]:

@@ -44,8 +44,8 @@ print(format_matrix(mul(Q2, Q1)))
 # The double left dual steps through the maximal ideals cyclically and fixes
 # the invertible radical J = Q1 n Q2 n Q3.
 J = intersect(intersect(Q1, Q2), Q3)
-print("\ntau(Q1) == Q2:", (tau_ideal(Q1) == Q2).all())
-print("tau(J) == J:", (tau_ideal(J) == J).all())
+print("\ntau(Q1) == Q2:", tau_ideal(Q1) == Q2)
+print("tau(J) == J:", tau_ideal(J) == J)
 
 # Divisors read off maximal chains reproduce the calculus:
 for name, A in [("Q1 Q2", mul(Q1, Q2)), ("Q2 Q1", mul(Q2, Q1)), ("J", J),

@@ -51,7 +51,8 @@ def cmd_zs_factor(args):
         "factorizations": [[zerosum.format_seq(p) for p in F] for F in facts],
         "lengths": sorted({len(F) for F in facts}),
     }
-    lines = [" * ".join(f"({p})" for p in F) or "(empty product)" for F in facts]
+    lines = [" * ".join(f"({p})" for p in F) or "(empty product)"
+             for F in payload["factorizations"]]
     return payload, "\n".join(lines)
 
 
@@ -209,12 +210,12 @@ def cmd_tring_mul(args):
     acc = A
     for text in args.matrices[1:]:
         acc = tring.mul(acc, tring.parse_matrix(text))
-    return {"result": acc.tolist()}, tring.format_matrix(acc)
+    return {"result": acc}, tring.format_matrix(acc)
 
 
 def cmd_tring_divisor(args):
     A = tring.parse_matrix(args.matrix)
-    cs = tring.cycle_structure(A.shape[0])
+    cs = tring.cycle_structure(len(A))
     D = tring.divisor_of(A)
     out = cs.format_divisor(D)
     return {"divisor": out}, out
@@ -223,7 +224,7 @@ def cmd_tring_divisor(args):
 def cmd_tring_tau(args):
     A = tring.parse_matrix(args.matrix)
     out = tring.tau_ideal(A)
-    return {"result": out.tolist()}, tring.format_matrix(out)
+    return {"result": out}, tring.format_matrix(out)
 
 
 def cmd_tring_oracle(args):

@@ -19,11 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .abelian import CapExceeded
+
 DEFAULT_WORD_CAP = 200_000
-
-
-class CapExceeded(ValueError):
-    """A factorization-word enumeration would exceed the configured cap."""
 
 
 class CycleStructure:
@@ -179,11 +177,6 @@ class LiftedPoint:
     level: int
 
 
-def tau(cs: CycleStructure, label: str) -> str:
-    """Successor of a label in its cycle."""
-    return cs.successor(label)
-
-
 def apply_lifted(cs: CycleStructure, D: Divisor, p: LiftedPoint) -> LiftedPoint:
     """Move (label, level) forward D(label) steps.
 
@@ -200,10 +193,6 @@ def apply_lifted(cs: CycleStructure, D: Divisor, p: LiftedPoint) -> LiftedPoint:
     return LiftedPoint(cyc[idx % l], p.level + idx // l)
 
 
-def landing_label(cs: CycleStructure, D: Divisor, label: str) -> str:
-    return apply_lifted(cs, D, LiftedPoint(label, 0)).label
-
-
 def compose(cs: CycleStructure, D: Divisor, E: Divisor) -> Divisor:
     """The divisor whose lifted map is (lift of E) after (lift of D).
 
@@ -216,7 +205,7 @@ def compose(cs: CycleStructure, D: Divisor, E: Divisor) -> Divisor:
     cs.check_divisor(E)
     counts: dict[str, int] = {}
     for label in cs.labels():
-        c = D.get(label) + E.get(landing_label(cs, D, label))
+        c = D.get(label) + E.get(apply_lifted(cs, D, LiftedPoint(label, 0)).label)
         if c:
             counts[label] = c
     out = Divisor(counts)
@@ -251,26 +240,17 @@ def default_max_len(cs: CycleStructure, D: Divisor) -> int:
     return D.total() + sum(len(cs.cycles[ci]) for ci in touched)
 
 
-def enumerate_factorizations(cs: CycleStructure, D: Divisor, max_len: int,
-                             cap: int | None = None):
-    """All words of labels, of length <= max_len, composing to D.
-
-    Results are sorted by length, then by label positions.  Raises on
-    non-realizable divisors, which admit no word at any length.
-    """
-    words, _ = enumerate_factorizations_ex(cs, D, max_len, cap=cap)
-    return words
-
-
 def enumerate_factorizations_ex(cs: CycleStructure, D: Divisor, max_len: int,
                                 cap: int | None = None):
-    """Like :func:`enumerate_factorizations` but also reports whether any
-    branch of the search ran into the length bound (so a larger bound could
-    reveal more words).
+    """All words of labels, of length <= max_len, composing to D, and
+    whether any branch of the search ran into the length bound (so a larger
+    bound could reveal more words).  Returns (words, truncated).
 
-    The number of words grows exponentially with max_len once idempotent
-    letters can repeat, so the enumeration aborts with :class:`CapExceeded`
-    beyond `cap` words (default 200000)."""
+    Words are sorted by length, then by label positions.  Raises on
+    non-realizable divisors, which admit no word at any length.  The number
+    of words grows exponentially with max_len once idempotent letters can
+    repeat, so the enumeration aborts with :class:`CapExceeded` beyond `cap`
+    words (default 200000)."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     if not is_realizable(cs, D):

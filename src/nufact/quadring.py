@@ -13,11 +13,9 @@ import math
 import re
 from dataclasses import dataclass
 
+from .abelian import CapExceeded
+
 DEFAULT_NORM_CAP = 10**6
-
-
-class CapExceeded(ValueError):
-    """A norm scan would exceed the configured cap."""
 
 
 @dataclass(frozen=True, order=True)

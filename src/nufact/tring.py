@@ -6,7 +6,8 @@ modules; the ring itself has valuation 0 on and below the diagonal and 1
 above.  Containment is entrywise comparison (larger exponents = smaller
 ideal), ideal multiplication is the min-plus matrix product, and intersection
 is the entrywise maximum.  The valuation picture is independent of the chosen
-DVR, so the uniformizer stays symbolic throughout.
+DVR, so the uniformizer stays symbolic throughout.  Matrices are tuples of
+rows of Python ints, so the arithmetic is exact at any size.
 
 Divisors of ideals are read off maximal chains of two-sided ideals and land
 in the cycle structure of the maximal ideals, whose successor map is the
@@ -16,115 +17,117 @@ against :mod:`nufact.divcalc`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
+from math import prod
+from operator import add, sub
 
-import numpy as np
-
+from .abelian import CapExceeded
 from .divcalc import CycleStructure, Divisor, compose, is_realizable
 
 DEFAULT_CANDIDATE_CAP = 5 * 10**6
 
-_divisor_cache: dict = {}
-_maxideal_cache: dict[int, list] = {}
+Matrix = tuple[tuple[int, ...], ...]
 
 
-class CapExceeded(ValueError):
-    """An ideal enumeration would exceed the configured candidate cap."""
-
-
-def _as_matrix(A) -> np.ndarray:
-    M = np.asarray(A, dtype=np.int64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+def _as_matrix(A) -> Matrix:
+    """Validate a matrix from outside the program: a non-empty square array
+    whose entries all have type int (bool, float and str are refused)."""
+    try:
+        M = tuple(map(tuple, A))
+    except TypeError:
+        raise ValueError("exponent matrix must be square") from None
+    if not M or set(map(len, M)) != {len(M)}:
         raise ValueError("exponent matrix must be square")
+    if set(map(type, itertools.chain.from_iterable(M))) != {int}:
+        bad = next(v for row in M for v in row if type(v) is not int)
+        raise ValueError(f"exponent matrix entries must be integers, got {bad!r}")
     return M
 
 
-def _key(A: np.ndarray) -> bytes:
-    return A.tobytes()
+def _pair(A, B) -> tuple[Matrix, Matrix]:
+    A, B = _as_matrix(A), _as_matrix(B)
+    if len(A) != len(B):
+        raise ValueError("size mismatch")
+    return A, B
 
 
-def ring_matrix(l: int) -> np.ndarray:
+def _geq(A: Matrix, B: Matrix) -> bool:
+    """Entrywise A >= B."""
+    return all(x >= y for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+
+
+def _bump(A: Matrix, i: int, j: int) -> Matrix:
+    """A with entry (i, j) raised by one."""
+    row = A[i]
+    return A[:i] + (row[:j] + (row[j] + 1,) + row[j + 1:],) + A[i + 1:]
+
+
+@functools.lru_cache(maxsize=16)
+def ring_matrix(l: int) -> Matrix:
     """The exponent matrix of T(l) itself: 0 on and below the diagonal, 1
     above.  Sizes l >= 2 only; a 1x1 "triangular" order is just the DVR and
     has none of the cycle structure this module studies."""
     if l < 2:
         raise ValueError("triangular order needs size l >= 2")
-    t = np.zeros((l, l), dtype=np.int64)
-    t[np.triu_indices(l, 1)] = 1
-    return t
+    return tuple(tuple(int(j > i) for j in range(l)) for i in range(l))
 
 
-def mul(A, B) -> np.ndarray:
-    """Min-plus product: c[i,k] = min_j (a[i,j] + b[j,k])."""
-    A, B = _as_matrix(A), _as_matrix(B)
-    if A.shape != B.shape:
-        raise ValueError("size mismatch")
-    return np.min(A[:, :, None] + B[None, :, :], axis=1)
+def mul(A, B) -> Matrix:
+    """Min-plus product: c[i][k] = min_j (a[i][j] + b[j][k])."""
+    A, B = _pair(A, B)
+    cols = tuple(zip(*B))
+    return tuple(tuple(min(map(add, row, col)) for col in cols) for row in A)
 
 
-def intersect(A, B) -> np.ndarray:
+def intersect(A, B) -> Matrix:
     """Ideal intersection: entrywise maximum of the exponents."""
-    A, B = _as_matrix(A), _as_matrix(B)
-    if A.shape != B.shape:
-        raise ValueError("size mismatch")
-    return np.maximum(A, B)
+    A, B = _pair(A, B)
+    return tuple(tuple(map(max, ra, rb)) for ra, rb in zip(A, B))
 
 
 def is_ideal(A) -> bool:
     """Two-sidedness: contains no entries below the ring's and is closed
     under multiplication by the ring on both sides."""
     A = _as_matrix(A)
-    t = ring_matrix(A.shape[0])
-    if not (A >= t).all():
-        return False
-    return (mul(t, A) >= A).all() and (mul(A, t) >= A).all()
+    t = ring_matrix(len(A))
+    return _geq(A, t) and _geq(mul(t, A), A) and _geq(mul(A, t), A)
 
 
-def contains(A, B) -> bool:
-    """Whether the ideal A contains the ideal B (exponents entrywise <=)."""
-    return (_as_matrix(A) <= _as_matrix(B)).all()
-
-
-def left_dual(A) -> np.ndarray:
+def left_dual(A) -> Matrix:
     """Largest fractional matrix X with X*A inside the ring:
-    x[i,j] = max_k (t[i,k] - a[j,k])."""
+    x[i][j] = max_k (t[i][k] - a[j][k])."""
     A = _as_matrix(A)
-    t = ring_matrix(A.shape[0])
-    return (t[:, None, :] - A[None, :, :]).max(axis=2)
+    t = ring_matrix(len(A))
+    return tuple(tuple(max(map(sub, trow, arow)) for arow in A) for trow in t)
 
 
-def double_dual(A) -> np.ndarray:
+def double_dual(A) -> Matrix:
     """The double left dual; a bijection on nonzero ideals whose restriction
     to maximal ideals is the cycle successor."""
     return left_dual(left_dual(A))
 
 
-def maximal_ideals(l: int) -> list[np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def maximal_ideals(l: int) -> tuple[Matrix, ...]:
     """The l maximal ideals, ordered so that the double dual steps through
-    the list cyclically.
+    them cyclically.
 
     Each maximal ideal raises exactly one diagonal entry of the ring matrix
     to 1; the orbit of the double dual fixes which bump gets which position.
-    The list starts at the bump of the last diagonal entry, matching the
+    The tuple starts at the bump of the last diagonal entry, matching the
     usual presentation for l = 3.
     """
-    if l not in _maxideal_cache:
-        t = ring_matrix(l)
-        bumps = []
-        for d in range(l):
-            Q = t.copy()
-            Q[d, d] = 1
-            bumps.append(Q)
-        order = [bumps[l - 1]]
-        for _ in range(l - 1):
-            order.append(double_dual(order[-1]))
-        seen = {_key(Q) for Q in order}
-        if seen != {_key(Q) for Q in bumps} or _key(double_dual(order[-1])) != _key(order[0]):
-            raise RuntimeError("double dual does not cycle through the diagonal bumps")
-        _maxideal_cache[l] = order
-    return [Q.copy() for Q in _maxideal_cache[l]]
+    t = ring_matrix(l)
+    bumps = [_bump(t, d, d) for d in range(l)]
+    order = [bumps[l - 1]]
+    for _ in range(l - 1):
+        order.append(double_dual(order[-1]))
+    if set(order) != set(bumps) or double_dual(order[-1]) != order[0]:
+        raise RuntimeError("double dual does not cycle through the diagonal bumps")
+    return tuple(order)
 
 
 def cycle_structure(l: int) -> CycleStructure:
@@ -132,29 +135,52 @@ def cycle_structure(l: int) -> CycleStructure:
     return CycleStructure([[f"Q{i + 1}" for i in range(l)]])
 
 
-def tau_ideal(A) -> np.ndarray:
+def tau_ideal(A) -> Matrix:
     """Double dual restricted to (and validated on) ideals."""
-    A = _as_matrix(A)
     if not is_ideal(A):
         raise ValueError("not an integral ideal")
     return double_dual(A)
 
 
-def _bump_candidates(e: np.ndarray, a: np.ndarray) -> list[tuple[int, int]]:
+def _bump_candidates(e: Matrix, a: Matrix) -> list[tuple[int, int]]:
     """Positions where raising e by one step stays an ideal inside the box
     toward a.  These are exactly the covers of e above a: all maximal chains
     of ideals step one valuation unit at a time."""
-    out = []
-    l = e.shape[0]
-    for i in range(l):
-        for j in range(l):
-            if e[i, j] >= a[i, j]:
-                continue
-            f = e.copy()
-            f[i, j] += 1
-            if is_ideal(f):
-                out.append((i, j))
-    return out
+    l = len(e)
+    return [(i, j) for i in range(l) for j in range(l)
+            if e[i][j] < a[i][j] and is_ideal(_bump(e, i, j))]
+
+
+def _chain_divisor(A: Matrix, rng: random.Random | None) -> Divisor:
+    if not is_ideal(A):
+        raise ValueError("not an integral ideal")
+    l = len(A)
+    maxi = maximal_ideals(l)
+    labels = cycle_structure(l).labels()
+    counts: dict[str, int] = {}
+    e = ring_matrix(l)
+    while e != A:
+        candidates = _bump_candidates(e, A)
+        if not candidates:
+            raise RuntimeError("no maximal ideal step found; chain search is broken")
+        if rng is None:
+            i, j = candidates[0]  # positions enumerated in lex order
+        else:
+            i, j = candidates[rng.randrange(len(candidates))]
+        f = _bump(e, i, j)
+        hits = [idx for idx, Q in enumerate(maxi) if _geq(mul(Q, e), f)]
+        if len(hits) != 1:
+            raise RuntimeError(
+                f"chain step admits {len(hits)} maximal ideals; expected exactly one")
+        label = labels[hits[0]]
+        counts[label] = counts.get(label, 0) + 1
+        e = f
+    return Divisor(counts)
+
+
+@functools.lru_cache(maxsize=4096)
+def _lex_chain_divisor(A: Matrix) -> Divisor:
+    return _chain_divisor(A, None)
 
 
 def divisor_of(A, rng: random.Random | None = None) -> Divisor:
@@ -167,66 +193,51 @@ def divisor_of(A, rng: random.Random | None = None) -> Divisor:
     the candidates, which exercises the chain-independence of the result.
     """
     A = _as_matrix(A)
-    l = A.shape[0]
-    cache_key = (l, _key(A))
-    if rng is None and cache_key in _divisor_cache:
-        return _divisor_cache[cache_key]
-    if not is_ideal(A):
-        raise ValueError("not an integral ideal")
-    maxi = maximal_ideals(l)
-    labels = cycle_structure(l).labels()
-    counts: dict[str, int] = {}
-    e = ring_matrix(l)
-    while not np.array_equal(e, A):
-        candidates = _bump_candidates(e, A)
-        if not candidates:
-            raise RuntimeError("no maximal ideal step found; chain search is broken")
-        if rng is None:
-            i, j = candidates[0]  # positions enumerated in lex order
-        else:
-            i, j = candidates[rng.randrange(len(candidates))]
-        f = e.copy()
-        f[i, j] += 1
-        hits = [idx for idx, Q in enumerate(maxi) if (mul(Q, e) >= f).all()]
-        if len(hits) != 1:
-            raise RuntimeError(
-                f"chain step admits {len(hits)} maximal ideals; expected exactly one")
-        label = labels[hits[0]]
-        counts[label] = counts.get(label, 0) + 1
-        e = f
-    D = Divisor(counts)
-    if rng is None:
-        _divisor_cache[cache_key] = D
-    return D
+    return _lex_chain_divisor(A) if rng is None else _chain_divisor(A, rng)
 
 
-def enumerate_ideals(l: int, max_exp: int, cap: int | None = None) -> list[np.ndarray]:
+def enumerate_ideals(l: int, max_exp: int, cap: int | None = None) -> list[Matrix]:
     """All integral ideals with every entry at most max(max_exp, ring entry),
-    in lexicographic order of the exponent rows."""
+    in lexicographic order of the exponent rows.
+
+    A depth-first fill in row-major order: each new cell's value range is
+    cut down by the closure inequalities t[i][j] + a[j][k] >= a[i][k] and
+    a[i][j] + t[j][k] >= a[i][k] against the cells already filled, so every
+    completed matrix is an ideal and no dead candidate is ever built.
+    """
     t = ring_matrix(l)
     limit = DEFAULT_CANDIDATE_CAP if cap is None else cap
-    ranges = [range(t[i, j], max(t[i, j], max_exp) + 1)
-              for i in range(l) for j in range(l)]
-    total = 1
-    for r in ranges:
-        total *= len(r)
+    top = [[max(t[i][j], max_exp) for j in range(l)] for i in range(l)]
+    total = prod(top[i][j] - t[i][j] + 1 for i in range(l) for j in range(l))
     if total > limit:
         raise CapExceeded(f"{total} candidate matrices exceed cap {limit}")
 
+    a = [[0] * l for _ in range(l)]
+
+    def values(pos: int) -> range:
+        p, q = divmod(pos, l)
+        lo = max([t[p][q]]
+                 + [a[i][q] - t[i][p] for i in range(p)]
+                 + [a[p][k] - t[q][k] for k in range(q)])
+        hi = min([top[p][q]]
+                 + [t[p][j] + a[j][q] for j in range(p)]
+                 + [a[p][j] + t[j][q] for j in range(q)])
+        return range(lo, hi + 1)
+
     out = []
-    chunk = 200_000
-    it = itertools.product(*ranges)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            break
-        M = np.array(block, dtype=np.int64).reshape(len(block), l, l)
-        ok = (M >= t).all(axis=(1, 2))
-        left = np.min(t[None, :, :, None] + M[:, None, :, :], axis=2)
-        ok &= (left >= M).all(axis=(1, 2))
-        right = np.min(M[:, :, :, None] + t[None, None, :, :], axis=2)
-        ok &= (right >= M).all(axis=(1, 2))
-        out.extend(M[ok])
+    stack = [iter(values(0))]
+    while stack:
+        pos = len(stack) - 1
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        p, q = divmod(pos, l)
+        a[p][q] = v
+        if pos + 1 == l * l:
+            out.append(tuple(map(tuple, a)))
+        else:
+            stack.append(iter(values(pos + 1)))
     return out
 
 
@@ -274,7 +285,7 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
             want = comp(cs, DA, DB)
             if got != want:
                 bad = {
-                    "A": A.tolist(), "B": B.tolist(),
+                    "A": A, "B": B,
                     "divisor_of_product": cs.format_divisor(got),
                     "composed": cs.format_divisor(want),
                 }
@@ -287,9 +298,8 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     seen: dict = {}
     bad = None
     for A, DA in zip(corpus, divisors):
-        if DA in seen and not np.array_equal(seen[DA], A):
-            bad = {"A": seen[DA].tolist(), "B": A.tolist(),
-                   "divisor": cs.format_divisor(DA)}
+        if DA in seen and seen[DA] != A:
+            bad = {"A": seen[DA], "B": A, "divisor": cs.format_divisor(DA)}
             break
         seen[DA] = A
     record("injectivity", bad is None, bad)
@@ -299,7 +309,7 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     bad = None
     for A, DA in zip(corpus, divisors):
         if not is_realizable(cs, DA):
-            bad = {"A": A.tolist(), "divisor": cs.format_divisor(DA)}
+            bad = {"A": A, "divisor": cs.format_divisor(DA)}
             break
     attained = set(divisors)
     if bad is None and max_exp >= 1:
@@ -319,7 +329,7 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
         base = divisor_of(A)
         alt = divisor_of(A, rng=rng)
         if alt != base:
-            bad = {"A": A.tolist(), "expected": cs.format_divisor(base),
+            bad = {"A": A, "expected": cs.format_divisor(base),
                    "got": cs.format_divisor(alt)}
             break
     record("chain_independence", bad is None, bad)
@@ -331,7 +341,7 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
 # ----------------------------------------------------------------------
 # matrix I/O: JSON rows for machine use, the bracket style for humans
 
-def parse_matrix(text: str) -> np.ndarray:
+def parse_matrix(text: str) -> Matrix:
     try:
         rows = json.loads(text)
     except json.JSONDecodeError:
@@ -341,7 +351,6 @@ def parse_matrix(text: str) -> np.ndarray:
 
 def format_matrix(A) -> str:
     """Bracket style with D / (pi^k) entries, one row per line."""
-    A = _as_matrix(A)
 
     def entry(v: int) -> str:
         if v == 0:
@@ -350,7 +359,7 @@ def format_matrix(A) -> str:
             return "(pi)"
         return f"(pi^{v})"
 
-    cells = [[entry(int(v)) for v in row] for row in A]
+    cells = [[entry(v) for v in row] for row in _as_matrix(A)]
     width = max(len(c) for row in cells for c in row)
     lines = ["[ " + "  ".join(c.ljust(width) for c in row) + " ]" for row in cells]
     return "\n".join(lines)

@@ -12,6 +12,7 @@ sequences up to length 24, groups up to order 64 by default.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -25,9 +26,6 @@ from .abelian import (
 
 DEFAULT_SEQ_CAP = 24
 DEFAULT_GROUP_CAP = 64
-
-_davenport_cache: dict[tuple, int] = {}
-_atoms_cache: dict[tuple, tuple] = {}
 
 
 class ZSeq:
@@ -225,12 +223,14 @@ def davenport(G: FinAbGroup, cap: int | None = None) -> int:
     limit = DEFAULT_GROUP_CAP if cap is None else cap
     if G.order > limit:
         raise CapExceeded(f"group order {G.order} exceeds cap {limit}")
-    key = G.moduli
-    if key not in _davenport_cache:
-        coords = [e.coords for e in enumerate_elements(G)]
-        found = _minimal_sequences(G, coords, G.order)
-        _davenport_cache[key] = max(S.length for S in found)
-    return _davenport_cache[key]
+    return _davenport(G.moduli)
+
+
+@functools.lru_cache(maxsize=64)
+def _davenport(moduli: tuple) -> int:
+    G = FinAbGroup(moduli)
+    coords = [e.coords for e in enumerate_elements(G)]
+    return max(S.length for S in _minimal_sequences(G, coords, G.order))
 
 
 def atoms(G0, group: FinAbGroup | None = None, cap: int | None = None) -> list[ZSeq]:
@@ -247,12 +247,13 @@ def atoms(G0, group: FinAbGroup | None = None, cap: int | None = None) -> list[Z
     limit = DEFAULT_GROUP_CAP if cap is None else cap
     if group.order > limit or len(G0) > limit:
         raise CapExceeded(f"group of order {group.order} exceeds cap {limit}")
-    coords = sorted({e.coords for e in G0})
-    key = (group.moduli, tuple(coords))
-    if key not in _atoms_cache:
-        bound = davenport(group, cap=cap)
-        _atoms_cache[key] = tuple(_minimal_sequences(group, coords, bound))
-    return list(_atoms_cache[key])
+    return list(_atoms(group.moduli, tuple(sorted({e.coords for e in G0}))))
+
+
+@functools.lru_cache(maxsize=4096)
+def _atoms(moduli: tuple, coords: tuple) -> tuple:
+    G = FinAbGroup(moduli)
+    return tuple(_minimal_sequences(G, list(coords), _davenport(moduli)))
 
 
 def factorizations(S: ZSeq, cap: int | None = None) -> list[ZFactorization]:

@@ -61,6 +61,14 @@ def test_enumerate_cap():
         enumerate_elements(make_group([100, 100]), cap=5000)
 
 
+def test_one_cap_error_type():
+    from nufact import abelian, divcalc, quadring, tring, zerosum
+
+    assert abelian.CapExceeded is divcalc.CapExceeded is quadring.CapExceeded \
+        is tring.CapExceeded is zerosum.CapExceeded
+    assert issubclass(CapExceeded, ValueError)
+
+
 def test_text_syntax_round_trip():
     G = FinAbGroup.from_text("2x4")
     assert G.moduli == (2, 4)

@@ -7,8 +7,6 @@ import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-import numpy as np
-
 from nufact import abelian, divcalc, quadring, quatcheck, tring, zerosum
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -97,7 +95,7 @@ def test_criterion_5_divisor_calculus():
     assert divcalc.compose_word(cs, ["Q1", "Q2", "Q1"]) == divcalc.compose(cs, Q1, Q2)
     assert divcalc.compose_word(cs, ["Q1", "Q2", "Q3"]) == cs.parse_divisor("3Q1+2Q2+Q3")
 
-    words = divcalc.enumerate_factorizations(cs, cs.parse_divisor("3Q1+2Q2+Q3"), 5)
+    words, _ = divcalc.enumerate_factorizations_ex(cs, cs.parse_divisor("3Q1+2Q2+Q3"), 5)
     assert ["Q1", "Q2", "Q3"] in words
     assert ["Q2", "Q1", "Q3", "Q2", "Q3"] in words
 
@@ -128,7 +126,7 @@ def test_criterion_6_oracle_equivalence():
     seen = {}
     for A in corpus2:
         D = tring.divisor_of(A)
-        assert D not in seen or np.array_equal(seen[D], A)
+        assert D not in seen or seen[D] == A
         seen[D] = A
     assert len(seen) == len(corpus2)
 
@@ -143,9 +141,9 @@ def test_criterion_6_oracle_equivalence():
 
     # (d) the tau cycle on maximal ideals
     Q1, Q2, Q3 = tring.maximal_ideals(3)
-    assert np.array_equal(tring.tau_ideal(Q1), Q2)
-    assert np.array_equal(tring.tau_ideal(Q2), Q3)
-    assert np.array_equal(tring.tau_ideal(Q3), Q1)
+    assert tring.tau_ideal(Q1) == Q2
+    assert tring.tau_ideal(Q2) == Q3
+    assert tring.tau_ideal(Q3) == Q1
     report(6, f"T(3) oracle: homomorphism on {len(corpus3)}^2 pairs, injectivity on "
               f"{len(corpus2)} ideals, realizability image exact, tau 3-cycle")
 

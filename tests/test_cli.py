@@ -18,6 +18,12 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def test_zs_factor_human_output(capsys):
+    code, out, _ = run(capsys, "zs", "factor", "--group", "3", "--seq", "1^3 2^3")
+    assert code == 0
+    assert out == "(1^3) * (2^3)\n(1 2) * (1 2) * (1 2)\n"
+
+
 def test_zs_lengths_worked_example(capsys):
     code, out, _ = run(capsys, "zs", "lengths", "--group", "3", "--seq", "1^3 2^3")
     assert code == 0
@@ -101,6 +107,29 @@ def test_tring_commands(capsys):
     assert payload["divisor"] == "Q1+Q2+Q3"
     payload = run_json(capsys, "tring", "tau", "[[0,1,1],[0,0,1],[0,0,1]]")
     assert payload["result"] == [[0, 1, 1], [0, 1, 1], [0, 0, 0]]
+
+
+def test_tring_mul_is_exact_beyond_int64(capsys):
+    big = "[[4611686018427387904,1],[0,0]]"
+    payload = run_json(capsys, "tring", "mul", big, big)
+    assert payload["result"] == [[1, 1], [0, 0]]
+    code, out, err = run(capsys, "tring", "mul", "[[9223372036854775808,1],[0,0]]")
+    assert code == 0 and "Traceback" not in err
+    assert out == "[ (pi^9223372036854775808)  (pi)                     ]\n" \
+                  "[ D                         D                        ]\n"
+    # the radical J of T(2) times pi^(2^63) is fixed by tau, like J itself
+    c = 2**63
+    shifted_j = [[c + 1, c + 1], [c, c + 1]]
+    payload = run_json(capsys, "tring", "tau", json.dumps(shifted_j))
+    assert payload["result"] == shifted_j
+
+
+def test_tring_refuses_non_integer_entries(capsys):
+    for entry in ("0.5", "true", '"1"'):
+        for command in ("mul", "divisor", "tau"):
+            code, out, err = run(capsys, "tring", command, f"[[{entry},1],[0,0]]")
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "integers" in err
 
 
 def test_tring_oracle(capsys):

@@ -12,11 +12,9 @@ from nufact.divcalc import (
     compose,
     compose_word,
     default_max_len,
-    enumerate_factorizations,
     enumerate_factorizations_ex,
     is_realizable,
     render_svg,
-    tau,
 )
 
 CS3 = CycleStructure.from_text("Q1>Q2>Q3")
@@ -34,11 +32,11 @@ def all_divisors(cs, max_count):
 
 
 def test_tau_examples():
-    assert tau(CS3, "Q1") == "Q2"
-    assert tau(MIXED, "P") == "P"
-    assert tau(CS3, tau(CS3, tau(CS3, "Q1"))) == "Q1"
+    assert CS3.successor("Q1") == "Q2"
+    assert MIXED.successor("P") == "P"
+    assert CS3.successor(CS3.successor(CS3.successor("Q1"))) == "Q1"
     with pytest.raises(ValueError):
-        tau(CS3, "R")
+        CS3.successor("R")
 
 
 def test_cycle_structure_rejects_duplicates():
@@ -126,7 +124,7 @@ def test_compose_with_full_cycle():
         right = compose(CS3, full, D)
         for p in CS3.labels():
             assert left.get(p) == D.get(p) + 1
-            assert right.get(p) == 1 + D.get(tau(CS3, p))
+            assert right.get(p) == 1 + D.get(CS3.successor(p))
 
 
 def test_realizability_examples():
@@ -169,7 +167,8 @@ def test_full_cycle_divisor():
 
 
 def test_enumerate_factorizations_fig2():
-    words = enumerate_factorizations(CS3, div("3Q1+2Q2+Q3"), 5)
+    words, truncated = enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 5)
+    assert truncated
     assert ["Q1", "Q2", "Q3"] in words
     assert ["Q2", "Q1", "Q3", "Q2", "Q3"] in words
     for w in words:
@@ -178,17 +177,17 @@ def test_enumerate_factorizations_fig2():
 
 
 def test_enumerate_factorizations_idempotent_letter():
-    words = enumerate_factorizations(CS3, div("Q1"), 3)
+    words, _ = enumerate_factorizations_ex(CS3, div("Q1"), 3)
     assert ["Q1"] in words and ["Q1", "Q1"] in words
 
 
 def test_enumerate_factorizations_zero_divisor():
-    assert enumerate_factorizations(CS3, CS3.zero(), 4) == [[]]
+    assert enumerate_factorizations_ex(CS3, CS3.zero(), 4) == ([[]], False)
 
 
 def test_enumerate_factorizations_rejects_unrealizable():
     with pytest.raises(ValueError):
-        enumerate_factorizations(CS3, div("2Q1"), 6)
+        enumerate_factorizations_ex(CS3, div("2Q1"), 6)
 
 
 def test_enumerate_factorizations_truncation_flag():
@@ -201,8 +200,9 @@ def test_enumerate_factorizations_truncation_flag():
 def test_enumerate_factorizations_word_cap():
     # word counts explode with the budget once idempotents can repeat
     with pytest.raises(CapExceeded):
-        enumerate_factorizations(CS3, div("3Q1+2Q2+Q3"), 9, cap=1000)
-    assert len(enumerate_factorizations(CS3, div("3Q1+2Q2+Q3"), 9, cap=5000)) == 2754
+        enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 9, cap=1000)
+    words, _ = enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 9, cap=5000)
+    assert len(words) == 2754
 
 
 def test_default_max_len():
@@ -220,7 +220,7 @@ def test_multi_cycle_independence():
 
 def test_multi_cycle_factorization_words():
     target = MIXED.parse_divisor("Q1+P")
-    words = enumerate_factorizations(MIXED, target, 2)
+    words, _ = enumerate_factorizations_ex(MIXED, target, 2)
     assert ["Q1", "P"] in words and ["P", "Q1"] in words
     for w in words:
         assert compose_word(MIXED, w) == target
