@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = tr_sub.add_parser("mul", parents=[common], help="min-plus product of exponent matrices")
     p.add_argument("matrices", nargs="+", help="JSON rows, e.g. '[[0,1,1],[0,0,1],[0,0,1]]'")
     p.set_defaults(handler=cmd_tring_mul)
-    p = tr_sub.add_parser("divisor", parents=[common], help="divisor of an ideal via a maximal chain")
+    p = tr_sub.add_parser("divisor", parents=[common], help="divisor of an ideal (row sums of its exponent matrix)")
     p.add_argument("matrix")
     p.set_defaults(handler=cmd_tring_divisor)
     p = tr_sub.add_parser("tau", parents=[common], help="double left dual of an ideal")

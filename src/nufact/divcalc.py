@@ -258,32 +258,51 @@ def enumerate_factorizations_ex(cs: CycleStructure, D: Divisor, max_len: int,
     limit = DEFAULT_WORD_CAP if cap is None else cap
     labels = cs.labels()
     indicators = {p: cs.indicator(p) for p in labels}
-    memo: dict = {}
-    truncated = [False]
+    moves: dict = {}
 
-    def completions(partial: Divisor, budget: int):
-        key = (partial, budget)
-        if key in memo:
-            return memo[key]
-        words = [()] if partial == D else []
-        if budget > 0:
-            for q in labels:
-                nxt = compose(cs, partial, indicators[q])
-                if nxt.pointwise_le(D):
-                    words.extend((q,) + w for w in completions(nxt, budget - 1))
-                    if len(words) > limit:
-                        raise CapExceeded(
-                            f"more than {limit} words compose to the divisor "
-                            f"within length {max_len}; lower max_len or raise the cap")
-        elif partial != D:
-            truncated[0] = True
-        memo[key] = words
-        return words
+    def successors(partial: Divisor):
+        """(letter, next partial) for each letter that keeps partial <= D."""
+        if partial not in moves:
+            steps = ((q, compose(cs, partial, indicators[q])) for q in labels)
+            moves[partial] = [(q, nxt) for q, nxt in steps if nxt.pointwise_le(D)]
+        return moves[partial]
+
+    # levels[k]: the partial products reachable with k letters, that is the
+    # search states (partial, max_len - k).  Both passes below run level by
+    # level from the last one up, without recursion.
+    levels = [{cs.zero()}]
+    for _ in range(max_len):
+        levels.append({nxt for p in levels[-1] for _, nxt in successors(p)})
+    truncated = any(p != D for p in levels[-1])
+
+    # Every word of a state extends to a word of the root, so the root has
+    # the most words: check the cap on counts before building any word.
+    count = {p: int(p == D) for p in levels[max_len]}
+    for depth in range(max_len - 1, -1, -1):
+        count = {p: (p == D) + sum(count[nxt] for _, nxt in successors(p))
+                 for p in levels[depth]}
+    if count[cs.zero()] > limit:
+        raise CapExceeded(
+            f"more than {limit} words compose to the divisor "
+            f"within length {max_len}; lower max_len or raise the cap")
+
+    # words as linked (letter, rest) pairs: one letter more costs O(1)
+    words = {p: [()] * (p == D) for p in levels[max_len]}
+    for depth in range(max_len - 1, -1, -1):
+        words = {p: [()] * (p == D) + [(q, w) for q, nxt in successors(p) for w in words[nxt]]
+                 for p in levels[depth]}
+
+    def unlink(w) -> list[str]:
+        out = []
+        while w:
+            q, w = w
+            out.append(q)
+        return out
 
     order = {p: i for i, p in enumerate(labels)}
-    found = completions(cs.zero(), max_len)
-    found = sorted(found, key=lambda w: (len(w), [order[q] for q in w]))
-    return [list(w) for w in found], truncated[0]
+    found = sorted(map(unlink, words[cs.zero()]),
+                   key=lambda w: (len(w), [order[q] for q in w]))
+    return found, truncated
 
 
 # ----------------------------------------------------------------------

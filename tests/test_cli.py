@@ -71,6 +71,19 @@ def test_div_realizable_and_factor(capsys):
     assert ["Q2", "Q1", "Q3", "Q2", "Q3"] in payload["words"]
 
 
+def test_div_factor_long_bound_without_traceback(capsys):
+    # the word search runs level by level, so the length bound is not limited
+    # by the interpreter's recursion depth
+    code, out, err = run(capsys, "div", "factor", "--cycles", "Q1>Q2>Q3",
+                         "3Q1+2Q2+Q3", "--max-len", "2000")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error: more than 200000 words")
+    # J = Q1 n Q2 n Q3 is no product of maximal ideals: 2000 levels searched
+    payload = run_json(capsys, "div", "factor", "--cycles", "Q1>Q2>Q3", "Q1+Q2+Q3",
+                       "--max-len", "2000")
+    assert payload["words"] == [] and payload["truncated"]
+
+
 def test_div_render_writes_svg(tmp_path, capsys):
     out_file = tmp_path / "diagram.svg"
     code, _, _ = run(capsys, "div", "render", "--cycles", "Q1>Q2>Q3",
@@ -122,6 +135,24 @@ def test_tring_mul_is_exact_beyond_int64(capsys):
     shifted_j = [[c + 1, c + 1], [c, c + 1]]
     payload = run_json(capsys, "tring", "tau", json.dumps(shifted_j))
     assert payload["result"] == shifted_j
+
+
+def test_tring_divisor_of_huge_entries(capsys):
+    # pi^c * T(3) is J^(3c), J = Q1 n Q2 n Q3 of divisor Q1+Q2+Q3, so pi^c
+    # times an ideal adds 3c at every label: answered without walking the
+    # 3c-per-row chain steps
+    for c in (10**6, 2**70):
+        pi_c_q1 = [[c, c + 1, c + 1], [c, c, c + 1], [c, c, c + 1]]
+        payload = run_json(capsys, "tring", "divisor", json.dumps(pi_c_q1))
+        assert payload["divisor"] == f"{3 * c + 1}Q1+{3 * c}Q2+{3 * c}Q3"
+    pi_c_q1q2 = [[c, c + 1, c + 1]] * 3
+    payload = run_json(capsys, "tring", "divisor", json.dumps(pi_c_q1q2))
+    assert payload["divisor"] == f"{3 * c + 2}Q1+{3 * c + 1}Q2+{3 * c}Q3"
+
+
+def test_tring_divisor_refuses_non_ideal(capsys):
+    code, out, err = run(capsys, "tring", "divisor", "[[0,1,1],[0,0,1],[1,0,0]]")
+    assert (code, out, err) == (1, "", "error: not an integral ideal\n")
 
 
 def test_tring_refuses_non_integer_entries(capsys):

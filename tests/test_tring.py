@@ -10,6 +10,8 @@ import pytest
 from nufact.divcalc import compose, is_realizable
 from nufact.tring import (
     CapExceeded,
+    _chain_divisor,
+    _row_labels,
     cycle_structure,
     divisor_of,
     double_dual,
@@ -197,7 +199,25 @@ def test_chain_independence_randomized():
     corpus = enumerate_ideals(3, 2)
     for _ in range(60):
         A = corpus[rng.randrange(len(corpus))]
-        assert divisor_of(A, rng=rng) == divisor_of(A)
+        assert _chain_divisor(A, rng) == divisor_of(A)
+
+
+@pytest.mark.parametrize("l, max_exp", [(2, 12), (3, 4), (4, 2)])
+def test_row_sum_divisor_matches_lex_chain_walk(l, max_exp):
+    for A in enumerate_ideals(l, max_exp):
+        assert _chain_divisor(A, None) == divisor_of(A)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+def test_row_labels_are_the_diagonal_bumps(l):
+    t = ring_matrix(l)
+    labels = cycle_structure(l).labels()
+    for i, label in enumerate(_row_labels(l)):
+        bump = tuple(tuple(v + (r == c == i) for c, v in enumerate(row))
+                     for r, row in enumerate(t))
+        assert maximal_ideals(l)[labels.index(label)] == bump
+    # the double dual orders the bumps from the last diagonal entry up
+    assert _row_labels(l) == tuple(f"Q{l - i}" for i in range(l))
 
 
 def test_oracle_report_default_passes():
