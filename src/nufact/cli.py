@@ -256,18 +256,18 @@ def _common_flags() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the top level gets flag actions of its own: argparse shares action
+    # objects with every parser built from the same parent, so these
+    # defaults would otherwise replace the leaves' SUPPRESS
     parser = argparse.ArgumentParser(
         prog="nufact",
         description="factorization workbench: zero-sum sequences, quadratic "
                     "and quaternion orders, divisor calculus",
         epilog="arguments starting with '-' (e.g. the quaternion '-1-i-k') "
                "must follow a '--' separator",
+        parents=[_common_flags()],
     )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--cap", type=int, default=None,
-                        help="override enumeration caps (group order, sequence length, norms)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property checks")
+    parser.set_defaults(json=False, cap=None, seed=0)
     common = _common_flags()
     sub = parser.add_subparsers(dest="command", required=True)
 

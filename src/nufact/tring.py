@@ -164,7 +164,8 @@ def _chain_divisor(A: Matrix, rng: random.Random | None) -> Divisor:
     next link.  With rng=None every step takes the lexicographically least
     cover; an rng picks uniformly among the covers.  The test oracle for
     divisor_of; its cost grows with the entries of A."""
-    if not is_ideal(A):
+    A = _as_matrix(A)
+    if not _is_ideal(A):
         raise ValueError("not an integral ideal")
     l = len(A)
     maxi = maximal_ideals(l)
@@ -180,7 +181,7 @@ def _chain_divisor(A: Matrix, rng: random.Random | None) -> Divisor:
         else:
             i, j = candidates[rng.randrange(len(candidates))]
         f = _bump(e, i, j)
-        hits = [idx for idx, Q in enumerate(maxi) if _geq(mul(Q, e), f)]
+        hits = [idx for idx, Q in enumerate(maxi) if _geq(_mul(Q, e), f)]
         if len(hits) != 1:
             raise RuntimeError(
                 f"chain step admits {len(hits)} maximal ideals; expected exactly one")

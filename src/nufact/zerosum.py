@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import Counter
 
 from .abelian import (
     CapExceeded,
@@ -114,19 +114,6 @@ class ZSeq:
         return f"ZSeq({format_seq(self)!r})"
 
 
-@dataclass(frozen=True)
-class ZFactorization:
-    """A multiset of atoms whose concatenation is the factored sequence."""
-
-    parts: tuple
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-
 def seq_sum(S: ZSeq) -> GroupElement:
     """Sum of all entries of S (with multiplicity) in the parent group."""
     moduli = S.group.moduli
@@ -178,67 +165,17 @@ def _vec_add(a, b, moduli):
     return tuple((x + y) % n for x, y, n in zip(a, b, moduli))
 
 
-def _minimal_sequences(group: FinAbGroup, coords: list[tuple], max_len: int) -> list[ZSeq]:
-    """All minimal zero-sum multisets over the given coordinate tuples,
-    of length <= max_len.
-
-    Depth-first search over non-decreasing element sequences.  Along a branch
-    no non-empty sub-multiset may sum to zero; under that invariant a branch
-    whose running total hits zero is automatically a minimal zero-sum
-    sequence, and nothing beyond it can be.
-    """
-    moduli = group.moduli
-    zero = (0,) * len(moduli)
-    out: list[ZSeq] = []
-
-    def extend(start: int, chosen: list, total: tuple, sums: frozenset):
-        for i in range(start, len(coords)):
-            g = coords[i]
-            new_total = _vec_add(total, g, moduli)
-            if new_total == zero:
-                out.append(ZSeq.from_elements(
-                    group, [GroupElement(group, c) for c in chosen + [g]]))
-                continue
-            if len(chosen) + 1 >= max_len:
-                continue
-            new_sums = sums | {g} | {_vec_add(s, g, moduli) for s in sums}
-            if zero in new_sums:
-                continue
-            chosen.append(g)
-            extend(i, chosen, new_total, new_sums)
-            chosen.pop()
-
-    extend(0, [], zero, frozenset())
-    out.sort(key=lambda S: (S.length, S.expanded()))
-    return out
-
-
 def davenport(G: FinAbGroup, cap: int | None = None) -> int:
-    """Maximum length of a minimal zero-sum sequence over all of G.
-
-    Computed by exhaustive search; a minimal zero-sum sequence has pairwise
-    distinct partial sums, so none is longer than |G| and the search depth
-    |G| is complete.
-    """
+    """Maximum length of a minimal zero-sum sequence over all of G: the
+    length of the last (longest) atom over the whole group."""
     limit = DEFAULT_GROUP_CAP if cap is None else cap
     if G.order > limit:
         raise CapExceeded(f"group order {G.order} exceeds cap {limit}")
-    return _davenport(G.moduli)
-
-
-@functools.lru_cache(maxsize=64)
-def _davenport(moduli: tuple) -> int:
-    G = FinAbGroup(moduli)
-    coords = [e.coords for e in enumerate_elements(G)]
-    return max(S.length for S in _minimal_sequences(G, coords, G.order))
+    return _atoms(G.moduli, tuple(e.coords for e in enumerate_elements(G)))[-1].length
 
 
 def atoms(G0, group: FinAbGroup | None = None, cap: int | None = None) -> list[ZSeq]:
-    """All minimal zero-sum sequences over the set G0, in canonical order.
-
-    The search depth is the Davenport constant of the parent group, so the
-    list is complete.
-    """
+    """All minimal zero-sum sequences over the set G0, in canonical order."""
     G0 = list(G0)
     if group is None:
         if not G0:
@@ -252,16 +189,46 @@ def atoms(G0, group: FinAbGroup | None = None, cap: int | None = None) -> list[Z
 
 @functools.lru_cache(maxsize=4096)
 def _atoms(moduli: tuple, coords: tuple) -> tuple:
+    """All minimal zero-sum multisets over the sorted coordinate tuples,
+    shortest first, then in canonical order.
+
+    Depth-first search over non-decreasing element sequences.  Along a branch
+    no non-empty sub-multiset may sum to zero; under that invariant a branch
+    whose running total hits zero is automatically a minimal zero-sum
+    sequence, and nothing beyond it can be.  The invariant also bounds the
+    depth: a zero-sum free sequence is shorter than the Davenport constant.
+    """
     G = FinAbGroup(moduli)
-    return tuple(_minimal_sequences(G, list(coords), _davenport(moduli)))
+    zero = (0,) * len(moduli)
+    out: list[ZSeq] = []
+
+    def extend(start: int, chosen: list, total: tuple, sums: frozenset):
+        for i in range(start, len(coords)):
+            g = coords[i]
+            new_total = _vec_add(total, g, moduli)
+            if new_total == zero:
+                out.append(ZSeq(G, Counter(chosen + [g])))
+                continue
+            new_sums = sums | {g} | {_vec_add(s, g, moduli) for s in sums}
+            if zero in new_sums:
+                continue
+            chosen.append(g)
+            extend(i, chosen, new_total, new_sums)
+            chosen.pop()
+
+    extend(0, [], zero, frozenset())
+    out.sort(key=lambda S: (S.length, S.expanded()))
+    return tuple(out)
 
 
-def factorizations(S: ZSeq, cap: int | None = None) -> list[ZFactorization]:
-    """All factorizations of S into minimal zero-sum sequences.
+def factorizations(S: ZSeq, cap: int | None = None) -> list[tuple[ZSeq, ...]]:
+    """All factorizations of S into minimal zero-sum sequences, each a tuple
+    of atoms.
 
     Each factorization is a multiset of atoms, listed exactly once: parts are
     generated in non-decreasing canonical order, and the next part always
-    consumes the smallest remaining element.
+    consumes the smallest remaining element.  The search keeps an explicit
+    stack, so the length of S is not limited by the recursion depth.
     """
     limit = DEFAULT_SEQ_CAP if cap is None else cap
     if S.length > limit:
@@ -271,12 +238,13 @@ def factorizations(S: ZSeq, cap: int | None = None) -> list[ZFactorization]:
     candidates = atoms(S.support(), group=S.group)
     candidates.sort(key=lambda A: A.expanded())
 
-    results: list[ZFactorization] = []
-
-    def rec(remaining: dict, min_index: int, parts: list):
+    results: list[tuple[ZSeq, ...]] = []
+    stack = [(dict(S.counts), 0, ())]
+    while stack:
+        remaining, min_index, parts = stack.pop()
         if not remaining:
-            results.append(ZFactorization(tuple(parts)))
-            return
+            results.append(parts)
+            continue
         g = min(remaining)
         for idx in range(min_index, len(candidates)):
             A = candidates[idx]
@@ -289,12 +257,9 @@ def factorizations(S: ZSeq, cap: int | None = None) -> list[ZFactorization]:
                 rest[c] -= m
                 if rest[c] == 0:
                     del rest[c]
-            parts.append(A)
-            rec(rest, idx, parts)
-            parts.pop()
+            stack.append((rest, idx, parts + (A,)))
 
-    rec(dict(S.counts), 0, [])
-    results.sort(key=lambda F: (len(F.parts), [P.expanded() for P in F.parts]))
+    results.sort(key=lambda F: (len(F), [P.expanded() for P in F]))
     return results
 
 
@@ -329,7 +294,7 @@ def half_factorial_witness(G0, max_len: int, group: FinAbGroup | None = None,
                 total = _vec_add(total, c, moduli)
             if total != zero:
                 continue
-            S = ZSeq.from_elements(group, [GroupElement(group, c) for c in combo])
+            S = ZSeq(group, Counter(combo))
             if len(length_set(S, cap=cap)) > 1:
                 return S
     return None

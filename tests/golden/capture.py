@@ -1,7 +1,7 @@
 """Capture the `--json` stdout pinned by tests/test_golden.py.
 
-Writes tring.json next to this file: each command's name, argv and exact
-stdout.  Recapture only for an intended output change:
+Writes tring.json and zs.json next to this file: each command's name, argv
+and exact stdout.  Recapture only for an intended output change:
 
     PYTHONPATH=src python tests/golden/capture.py
 """
@@ -16,15 +16,21 @@ import sys
 from nufact import tring
 from nufact.cli import main
 
-OUT = pathlib.Path(__file__).resolve().parent / "tring.json"
+HERE = pathlib.Path(__file__).resolve().parent
 
 ORACLE_SIZES = [(3, 2), (2, 10), (4, 1)]
 # (ring size, number of maximal-ideal factors, word seed)
 DEEP_PRODUCTS = [(3, 90, 3), (4, 60, 4), (5, 40, 5)]
 
+ZS_GROUPS = ["1", "2", "3", "4", "5", "6", "7", "8", "10", "12",
+             "2x2", "2x4", "3x3", "2x2x2", "2x2x2x2"]
+# (cyclic modulus, sequence length, seed) for `zs factor` and `zs lengths`
+ZS_FACTOR_SEQS = [(3, 9, 1), (4, 10, 2), (6, 10, 3), (12, 10, 4), (16, 10, 5)]
+ZS_LENGTH_SEQS = [(3, 18, 11), (4, 18, 12), (6, 18, 13), (12, 16, 14), (16, 16, 15)]
 
-def argvs():
-    """(name, argv) of every pinned command."""
+
+def tring_argvs():
+    """(name, argv) of every pinned `tring` command."""
     out = [(f"oracle-{l}-{e}",
             ["--json", "tring", "oracle", "--size", str(l), "--max-exp", str(e)])
            for l, e in ORACLE_SIZES]
@@ -41,15 +47,46 @@ def argvs():
     return out
 
 
+def zero_sum_text(n: int, length: int, seed: int) -> str:
+    """A seeded zero-sum sequence over Z/n: length - 1 random entries and
+    the one entry that closes the sum."""
+    rng = random.Random(seed)
+    entries = [rng.randrange(n) for _ in range(length - 1)]
+    entries.append(-sum(entries) % n)
+    return " ".join(str(x) for x in sorted(entries))
+
+
+def zs_argvs():
+    """(name, argv) of every pinned `zs` command."""
+    out = []
+    for g in ZS_GROUPS:
+        out.append((f"atoms-{g}", ["--json", "zs", "atoms", "--group", g]))
+        out.append((f"davenport-{g}", ["--json", "zs", "davenport", "--group", g]))
+    for cmd, seqs in (("factor", ZS_FACTOR_SEQS), ("lengths", ZS_LENGTH_SEQS)):
+        for n, length, seed in seqs:
+            out.append((f"{cmd}-{n}-{length}-seed{seed}",
+                        ["--json", "zs", cmd, "--group", str(n),
+                         "--seq", zero_sum_text(n, length, seed)]))
+    out.append(("hfwitness-readme",
+                ["--json", "zs", "hfwitness", "--group", "4", "--max-len", "8"]))
+    out.append(("atoms-12-elements",
+                ["--json", "zs", "atoms", "--group", "12", "--elements", "1 5 7"]))
+    return out
+
+
+GOLDEN_FILES = {"tring.json": tring_argvs, "zs.json": zs_argvs}
+
+
 def capture():
-    cases = []
-    for name, argv in argvs():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            if main(argv) != 0:
-                sys.exit(f"capture failed: {argv}")
-        cases.append({"name": name, "argv": argv, "stdout": buf.getvalue()})
-    OUT.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
+    for filename, argvs in GOLDEN_FILES.items():
+        cases = []
+        for name, argv in argvs():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                if main(argv) != 0:
+                    sys.exit(f"capture failed: {argv}")
+            cases.append({"name": name, "argv": argv, "stdout": buf.getvalue()})
+        (HERE / filename).write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

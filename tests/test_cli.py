@@ -56,6 +56,32 @@ def test_zs_hfwitness(capsys):
     assert payload["witness"] is not None and len(payload["lengths"]) > 1
 
 
+@pytest.mark.parametrize("command, length, factor_length", [
+    ("factor", 3000, 1500),
+    ("lengths", 2400, 1200),
+])
+def test_zs_long_sequence_without_traceback(capsys, command, length, factor_length):
+    # the factorization search keeps an explicit stack, so the sequence
+    # length is not limited by the interpreter's recursion depth
+    code, out, err = run(capsys, "--json", "zs", command, "--group", "2",
+                         "--seq", f"1^{length}", "--cap", "5000")
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["lengths"] == [factor_length]
+
+
+@pytest.mark.parametrize("argv, code, fragment", [
+    (["--cap", "2", "zs", "davenport", "--group", "3"], 1, "exceeds cap 2"),
+    (["zs", "davenport", "--group", "3", "--cap", "2"], 1, "exceeds cap 2"),
+    (["--seed", "5", "--json", "tring", "oracle", "--size", "2", "--max-exp", "1"],
+     0, '"seed": 5'),
+    (["tring", "oracle", "--size", "2", "--max-exp", "1", "--seed", "5", "--json"],
+     0, '"seed": 5'),
+])
+def test_common_flags_before_or_after_subcommand(capsys, argv, code, fragment):
+    got, out, err = run(capsys, *argv)
+    assert got == code and fragment in out + err
+
+
 def test_div_compose_worked_example(capsys):
     code, out, _ = run(capsys, "div", "compose", "--cycles", "Q1>Q2>Q3", "Q1", "Q2")
     assert code == 0

@@ -208,6 +208,17 @@ def test_row_sum_divisor_matches_lex_chain_walk(l, max_exp):
         assert _chain_divisor(A, None) == divisor_of(A)
 
 
+@pytest.mark.parametrize("A", [
+    [[0, 1], [0, 1]],
+    [[1, 1, 1], [0, 1, 1], [0, 0, 1]],
+    [[1, 1, 2], [1, 1, 2], [1, 1, 1]],
+])
+def test_chain_divisor_accepts_lists(A):
+    # the walk compares its links with A, so list input must be normalised
+    for rng in (None, random.Random(7)):
+        assert _chain_divisor(A, rng) == divisor_of(A)
+
+
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
 def test_row_labels_are_the_diagonal_bumps(l):
     t = ring_matrix(l)
