@@ -7,7 +7,9 @@ and the factorization combinatorics of that monoid (length sets in
 particular) model factorization in rings with the matching class group.
 
 Everything here is exhaustive search at desk scale, guarded by caps:
-sequences up to length 24, groups up to order 64 by default.
+sequences up to length 24, groups up to order 64 by default.  The Davenport
+constant comes from a breadth-first search over subset-sum sets, which a
+budget of work bounds as well: it finishes on every group of order up to 32.
 """
 
 from __future__ import annotations
@@ -15,17 +17,20 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
+from math import prod
 
 from .abelian import (
     CapExceeded,
     FinAbGroup,
     GroupElement,
-    enumerate_elements,
     format_element,
 )
 
 DEFAULT_SEQ_CAP = 24
 DEFAULT_GROUP_CAP = 64
+# subset-sum states one Davenport search may build, for groups up to order 64;
+# Z/32 needs 2.2 million
+DAVENPORT_BUDGET = 2_500_000
 
 
 class ZSeq:
@@ -166,12 +171,76 @@ def _vec_add(a, b, moduli):
 
 
 def davenport(G: FinAbGroup, cap: int | None = None) -> int:
-    """Maximum length of a minimal zero-sum sequence over all of G: the
-    length of the last (longest) atom over the whole group."""
+    """Maximum length D(G) of a minimal zero-sum sequence over all of G.
+
+    Breadth-first search over subset-sum sets: level k holds the distinct
+    sets Sigma(S) of non-empty subsequence sums of the zero-sum free
+    sequences S of length k.  S*g is zero-sum free iff S is, g != 0 and -g
+    is not in Sigma(S), and then Sigma(S*g) = Sigma(S) | {g} | (Sigma(S) + g).
+    So the next level depends on Sigma(S) alone, and D(G) is one more than
+    the last non-empty level.  Each set is one int, a bit per element.
+
+    Every subset-sum state built, duplicates included, counts against a
+    budget of DAVENPORT_BUDGET for groups up to order 64, proportionally
+    less beyond; past it the search stops with CapExceeded and its progress.
+    """
     limit = DEFAULT_GROUP_CAP if cap is None else cap
-    if G.order > limit:
-        raise CapExceeded(f"group order {G.order} exceeds cap {limit}")
-    return _atoms(G.moduli, tuple(e.coords for e in enumerate_elements(G)))[-1].length
+    order = G.order
+    if order > limit:
+        raise CapExceeded(f"group order {order} exceeds cap {limit}")
+    budget = DAVENPORT_BUDGET * 64 // max(order, 64)
+    # length 1 alone builds order - 1 states; refusing such a group here also
+    # spares the translation table, which grows as the square of the order
+    if order - 1 > budget:
+        raise CapExceeded(f"Davenport search over order {order} exceeds its budget: "
+                          f"length 1 alone needs {order - 1} of {budget} subset-sum states")
+    moves = _translations(G.moduli)
+    searched, length, level = 0, 0, {0}
+    while True:
+        nxt = set()
+        for M in level:
+            for bit, neg_bit, steps in moves:
+                if M & neg_bit:
+                    continue
+                searched += 1
+                if searched > budget:
+                    raise CapExceeded(
+                        f"Davenport search over order {order} exceeds its budget: "
+                        f"searched {budget} subset-sum states, reached length {length + 1}")
+                T = M
+                for up, above, down, below in steps:
+                    T = (T << up) & above | (T >> down) & below
+                nxt.add(M | bit | T)
+        if not nxt:
+            return length + 1
+        level = nxt
+        length += 1
+
+
+def _translations(moduli: tuple) -> list:
+    """(bit of g, bit of -g, steps) for each non-zero g of Z/n1 x ... x Z/nk.
+
+    The element x has bit index sum_i x_i * s_i with s_i = n_{i+1}*...*n_k,
+    so coordinate i runs in blocks of n_i * s_i bits.  Each step translates
+    one coordinate i by x_i != 0 within every block: positions with
+    coordinate >= x_i (the mask `above`) take the bits from x_i * s_i lower,
+    the others (`below`) wrap around from (n_i - x_i) * s_i higher.
+    """
+    order = prod(moduli)
+    strides = [prod(moduli[i + 1:]) for i in range(len(moduli))]
+    full = (1 << order) - 1
+    steps = []  # steps[i][x] translates coordinate i by x
+    for n, s in zip(moduli, strides):
+        block_starts = sum(1 << q for q in range(0, order, n * s))
+        below = [((1 << x * s) - 1) * block_starts for x in range(n)]
+        steps.append([(x * s, full ^ below[x], (n - x) * s, below[x]) for x in range(n)])
+    moves = []
+    for p, coords in enumerate(itertools.product(*(range(n) for n in moduli))):
+        if p:
+            neg = sum(-x % n * s for x, n, s in zip(coords, moduli, strides))
+            moves.append((1 << p, 1 << neg,
+                          tuple(steps[i][x] for i, x in enumerate(coords) if x)))
+    return moves
 
 
 def atoms(G0, group: FinAbGroup | None = None, cap: int | None = None) -> list[ZSeq]:
@@ -197,26 +266,24 @@ def _atoms(moduli: tuple, coords: tuple) -> tuple:
     whose running total hits zero is automatically a minimal zero-sum
     sequence, and nothing beyond it can be.  The invariant also bounds the
     depth: a zero-sum free sequence is shorter than the Davenport constant.
+    The search keeps an explicit stack of (first allowed index, sequence,
+    total, subset sums), so the depth is not limited by the recursion depth.
     """
     G = FinAbGroup(moduli)
     zero = (0,) * len(moduli)
     out: list[ZSeq] = []
-
-    def extend(start: int, chosen: list, total: tuple, sums: frozenset):
+    stack = [(0, (), zero, frozenset())]
+    while stack:
+        start, chosen, total, sums = stack.pop()
         for i in range(start, len(coords)):
             g = coords[i]
             new_total = _vec_add(total, g, moduli)
             if new_total == zero:
-                out.append(ZSeq(G, Counter(chosen + [g])))
+                out.append(ZSeq(G, Counter(chosen + (g,))))
                 continue
             new_sums = sums | {g} | {_vec_add(s, g, moduli) for s in sums}
-            if zero in new_sums:
-                continue
-            chosen.append(g)
-            extend(i, chosen, new_total, new_sums)
-            chosen.pop()
-
-    extend(0, [], zero, frozenset())
+            if zero not in new_sums:
+                stack.append((i, chosen + (g,), new_total, new_sums))
     out.sort(key=lambda S: (S.length, S.expanded()))
     return tuple(out)
 

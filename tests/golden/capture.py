@@ -24,6 +24,9 @@ DEEP_PRODUCTS = [(3, 90, 3), (4, 60, 4), (5, 40, 5)]
 
 ZS_GROUPS = ["1", "2", "3", "4", "5", "6", "7", "8", "10", "12",
              "2x2", "2x4", "3x3", "2x2x2", "2x2x2x2"]
+# larger groups pinned for `zs davenport` only
+DAVENPORT_GROUPS = ["16", "18", "2x8", "4x4", "3x6", "2x2x4", "24", "3x3x3",
+                    "2x2x2x2x2"]
 # (cyclic modulus, sequence length, seed) for `zs factor` and `zs lengths`
 ZS_FACTOR_SEQS = [(3, 9, 1), (4, 10, 2), (6, 10, 3), (12, 10, 4), (16, 10, 5)]
 ZS_LENGTH_SEQS = [(3, 18, 11), (4, 18, 12), (6, 18, 13), (12, 16, 14), (16, 16, 15)]
@@ -61,6 +64,8 @@ def zs_argvs():
     out = []
     for g in ZS_GROUPS:
         out.append((f"atoms-{g}", ["--json", "zs", "atoms", "--group", g]))
+        out.append((f"davenport-{g}", ["--json", "zs", "davenport", "--group", g]))
+    for g in DAVENPORT_GROUPS:
         out.append((f"davenport-{g}", ["--json", "zs", "davenport", "--group", g]))
     for cmd, seqs in (("factor", ZS_FACTOR_SEQS), ("lengths", ZS_LENGTH_SEQS)):
         for n, length, seed in seqs:

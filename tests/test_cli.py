@@ -1,4 +1,6 @@
 import json
+import re
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -67,6 +69,24 @@ def test_zs_long_sequence_without_traceback(capsys, command, length, factor_leng
                          "--seq", f"1^{length}", "--cap", "5000")
     assert code == 0 and "Traceback" not in err
     assert json.loads(out)["lengths"] == [factor_length]
+
+
+def test_zs_atoms_deep_without_traceback(capsys):
+    # the atom search keeps an explicit stack: its one atom here has 1200 entries
+    code, out, err = run(capsys, "zs", "atoms", "--group", "1200", "--elements", "1",
+                         "--cap", "2000")
+    assert code == 0 and "Traceback" not in err
+    assert out == "1^1200\n"
+
+
+def test_zs_davenport_stops_at_its_state_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "zs", "davenport", "--group", "1200", "--cap", "2000")
+    assert time.perf_counter() - start < 10
+    assert code == 1 and out == "" and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert re.search(r"searched \d+ subset-sum states, reached length \d+$", lines[0])
 
 
 @pytest.mark.parametrize("argv, code, fragment", [

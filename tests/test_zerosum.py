@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nufact import zerosum
 from nufact.abelian import CapExceeded, enumerate_elements, make_group
 from nufact.zerosum import (
     ZSeq,
+    _atoms,
     atoms,
     concat,
     davenport,
@@ -126,6 +128,42 @@ def test_davenport_cyclic(n):
     assert davenport(make_group([n])) == n
 
 
+# every finite abelian group of order <= 16, in invariant factor form
+GROUPS_UP_TO_16 = [[n] for n in range(1, 17)] + [
+    [2, 2], [2, 4], [2, 2, 2], [3, 3], [2, 6],
+    [2, 8], [4, 4], [2, 2, 4], [2, 2, 2, 2]]
+
+
+@pytest.mark.parametrize("moduli", GROUPS_UP_TO_16, ids=lambda m: "x".join(map(str, m)))
+def test_davenport_matches_the_atom_search(moduli):
+    G = make_group(moduli)
+    coords = tuple(e.coords for e in enumerate_elements(G))
+    assert davenport(G) == _atoms(G.moduli, coords)[-1].length
+
+
+@pytest.mark.parametrize("moduli", [
+    [18], [20], [24], [3, 6], [2, 12], [3, 9], [3, 3, 3],
+    [2, 2, 2, 2, 2], [2, 2, 2, 2, 2, 2]], ids=lambda m: "x".join(map(str, m)))
+def test_davenport_equals_d_star(moduli):
+    # D*(G) = 1 + sum(n_i - 1) equals D(G) for p-groups and groups of rank
+    # <= 2 (Olson 1969; Geroldinger-Halter-Koch 2006, ch. 5)
+    assert davenport(make_group(moduli)) == 1 + sum(n - 1 for n in moduli)
+
+
+def test_davenport_state_budget(monkeypatch):
+    # Z/16 has more than 2000 distinct subset-sum states; Z/8 has fewer
+    monkeypatch.setattr(zerosum, "DAVENPORT_BUDGET", 2000)
+    with pytest.raises(CapExceeded, match=r"searched 2000 subset-sum states, "
+                                          r"reached length \d+$"):
+        davenport(make_group([16]))
+    assert davenport(make_group([8])) == 8
+    # beyond order 64 the budget shrinks in proportion to the order; a group
+    # whose length-1 level alone is over budget is refused before any work
+    monkeypatch.undo()
+    with pytest.raises(CapExceeded, match="length 1 alone needs 999999"):
+        davenport(make_group([10**6]), cap=10**6)
+
+
 @pytest.mark.parametrize("moduli", [[3], [4], [2, 2], [5], [2, 4]])
 def test_atoms_match_brute_force(moduli):
     G = make_group(moduli)
@@ -139,7 +177,9 @@ def test_atoms_match_brute_force(moduli):
 
 def test_atoms_cap():
     with pytest.raises(CapExceeded):
-        atoms(enumerate_elements(make_group([65]), cap=100))
+        atoms(enumerate_elements(make_group([65])))  # default cap: order 64
+    with pytest.raises(CapExceeded):
+        atoms(enumerate_elements(make_group([10])), cap=5)
 
 
 def test_factorizations_of_the_worked_example():
