@@ -42,10 +42,6 @@ class FinAbGroup:
     def order(self) -> int:
         return prod(self.moduli)
 
-    @property
-    def rank(self) -> int:
-        return len(self.moduli)
-
     def element(self, coords) -> "GroupElement":
         """Build an element, reducing each coordinate mod its modulus."""
         coords = tuple(int(c) for c in coords)

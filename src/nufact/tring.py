@@ -271,7 +271,7 @@ def enumerate_ideals(l: int, max_exp: int, cap: int | None = None) -> list[Matri
 # cross-validation of the divisor calculus against this oracle
 
 def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
-                  chain_trials: int = 20, compose_fn=None) -> dict:
+                  chain_trials: int = 20, compose_fn=None, cap: int | None = None) -> dict:
     """Exhaustively compare the abstract divisor composition with actual
     ideal arithmetic in T(l).
 
@@ -280,14 +280,15 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     divisor_of; realizability of every attained divisor plus attainment of
     every realizable divisor with counts <= max_exp - 1; and agreement of
     divisor_of with the labels read off random maximal chains.  compose_fn
-    substitutes for the divisor composition (a hook for negative controls).
+    substitutes for the divisor composition (a hook for negative controls);
+    cap is the candidate cap of enumerate_ideals.
 
     Returns a report dict with one pass/fail entry per property and a
     counterexample for every failure.
     """
     cs = cycle_structure(l)
     comp = compose_fn if compose_fn is not None else compose
-    corpus = enumerate_ideals(l, max_exp)
+    corpus = enumerate_ideals(l, max_exp, cap=cap)
     divisors = [divisor_of(A) for A in corpus]
     report: dict = {
         "ring_size": l,

@@ -7,9 +7,10 @@ and the factorization combinatorics of that monoid (length sets in
 particular) model factorization in rings with the matching class group.
 
 Everything here is exhaustive search at desk scale, guarded by caps:
-sequences up to length 24, groups up to order 64 by default.  The Davenport
-constant comes from a breadth-first search over subset-sum sets, which a
-budget of work bounds as well: it finishes on every group of order up to 32.
+sequences up to length 24, groups up to order 64 by default.  The atoms and
+the Davenport constant come from searches over subset-sum bitmasks, which
+budgets of work bound as well: they finish on every group of order up to 26
+and 32 respectively.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from .abelian import (
 
 DEFAULT_SEQ_CAP = 24
 DEFAULT_GROUP_CAP = 64
-# subset-sum states one Davenport search may build, for groups up to order 64;
-# Z/32 needs 2.2 million
+# subset-sum states one search may build, for groups up to order 64; the
+# Davenport search on Z/32 needs 2.2 million, the atom search on Z/26 0.26 million
 DAVENPORT_BUDGET = 2_500_000
+ATOM_BUDGET = 300_000
 
 
 class ZSeq:
@@ -72,16 +74,6 @@ class ZSeq:
 
     def support(self) -> list[GroupElement]:
         return [GroupElement(self.group, c) for c in self.counts]
-
-    def multiplicity(self, e: GroupElement) -> int:
-        return self.counts.get(e.coords, 0)
-
-    def elements(self) -> list[GroupElement]:
-        """The entries with multiplicity, in non-decreasing order."""
-        out = []
-        for c, m in self.counts.items():
-            out.extend([GroupElement(self.group, c)] * m)
-        return out
 
     def expanded(self) -> tuple:
         """Coordinate tuples with multiplicity; the canonical sort key."""
@@ -166,10 +158,6 @@ def is_minimal_zero_sum(S: ZSeq) -> bool:
     return reach.get(zero, 0) == 2
 
 
-def _vec_add(a, b, moduli):
-    return tuple((x + y) % n for x, y, n in zip(a, b, moduli))
-
-
 def davenport(G: FinAbGroup, cap: int | None = None) -> int:
     """Maximum length D(G) of a minimal zero-sum sequence over all of G.
 
@@ -180,21 +168,17 @@ def davenport(G: FinAbGroup, cap: int | None = None) -> int:
     So the next level depends on Sigma(S) alone, and D(G) is one more than
     the last non-empty level.  Each set is one int, a bit per element.
 
-    Every subset-sum state built, duplicates included, counts against a
-    budget of DAVENPORT_BUDGET for groups up to order 64, proportionally
-    less beyond; past it the search stops with CapExceeded and its progress.
+    Every subset-sum state built, duplicates included, counts against the
+    budget of DAVENPORT_BUDGET (see _budget); past it the search stops with
+    CapExceeded and its progress.
     """
     limit = DEFAULT_GROUP_CAP if cap is None else cap
     order = G.order
     if order > limit:
         raise CapExceeded(f"group order {order} exceeds cap {limit}")
-    budget = DAVENPORT_BUDGET * 64 // max(order, 64)
-    # length 1 alone builds order - 1 states; refusing such a group here also
-    # spares the translation table, which grows as the square of the order
-    if order - 1 > budget:
-        raise CapExceeded(f"Davenport search over order {order} exceeds its budget: "
-                          f"length 1 alone needs {order - 1} of {budget} subset-sum states")
-    moves = _translations(G.moduli)
+    budget = _budget(DAVENPORT_BUDGET, order, "Davenport search", order - 1)
+    nonzero = itertools.islice(itertools.product(*map(range, G.moduli)), 1, None)
+    moves = _translations(G.moduli, nonzero)
     searched, length, level = 0, 0, {0}
     while True:
         nxt = set()
@@ -217,29 +201,41 @@ def davenport(G: FinAbGroup, cap: int | None = None) -> int:
         length += 1
 
 
-def _translations(moduli: tuple) -> list:
-    """(bit of g, bit of -g, steps) for each non-zero g of Z/n1 x ... x Z/nk.
+def _budget(base: int, order: int, search: str, first_level: int) -> int:
+    """States a search over this order may build: base up to order 64, and
+    base * 64 / order beyond, so the masks held take about as much memory.  A
+    search whose length 1 alone is over budget is refused before any work."""
+    budget = base * 64 // max(order, 64)
+    if first_level > budget:
+        raise CapExceeded(f"{search} over order {order} exceeds its budget: "
+                          f"length 1 alone needs {first_level} of {budget} subset-sum states")
+    return budget
+
+
+def _translations(moduli: tuple, coords) -> list:
+    """(bit of g, bit of -g, steps) for each g in coords, of Z/n1 x ... x Z/nk.
 
     The element x has bit index sum_i x_i * s_i with s_i = n_{i+1}*...*n_k,
     so coordinate i runs in blocks of n_i * s_i bits.  Each step translates
     one coordinate i by x_i != 0 within every block: positions with
     coordinate >= x_i (the mask `above`) take the bits from x_i * s_i lower,
-    the others (`below`) wrap around from (n_i - x_i) * s_i higher.
+    the others (`below`) wrap around from (n_i - x_i) * s_i higher.  Steps
+    are built only for coordinate values that occur, once each.
     """
     order = prod(moduli)
     strides = [prod(moduli[i + 1:]) for i in range(len(moduli))]
-    full = (1 << order) - 1
-    steps = []  # steps[i][x] translates coordinate i by x
-    for n, s in zip(moduli, strides):
-        block_starts = sum(1 << q for q in range(0, order, n * s))
-        below = [((1 << x * s) - 1) * block_starts for x in range(n)]
-        steps.append([(x * s, full ^ below[x], (n - x) * s, below[x]) for x in range(n)])
+
+    @functools.cache
+    def step(i, x):  # translates coordinate i by x
+        n, s = moduli[i], strides[i]
+        below = ((1 << x * s) - 1) * sum(1 << q for q in range(0, order, n * s))
+        return x * s, ((1 << order) - 1) ^ below, (n - x) * s, below
+
     moves = []
-    for p, coords in enumerate(itertools.product(*(range(n) for n in moduli))):
-        if p:
-            neg = sum(-x % n * s for x, n, s in zip(coords, moduli, strides))
-            moves.append((1 << p, 1 << neg,
-                          tuple(steps[i][x] for i, x in enumerate(coords) if x)))
+    for g in coords:
+        p = sum(x * s for x, s in zip(g, strides))
+        neg = sum(-x % n * s for x, n, s in zip(g, moduli, strides))
+        moves.append((1 << p, 1 << neg, tuple(step(i, x) for i, x in enumerate(g) if x)))
     return moves
 
 
@@ -261,31 +257,40 @@ def _atoms(moduli: tuple, coords: tuple) -> tuple:
     """All minimal zero-sum multisets over the sorted coordinate tuples,
     shortest first, then in canonical order.
 
-    Depth-first search over non-decreasing element sequences.  Along a branch
-    no non-empty sub-multiset may sum to zero; under that invariant a branch
-    whose running total hits zero is automatically a minimal zero-sum
-    sequence, and nothing beyond it can be.  The invariant also bounds the
-    depth: a zero-sum free sequence is shorter than the Davenport constant.
-    The search keeps an explicit stack of (first allowed index, sequence,
-    total, subset sums), so the depth is not limited by the recursion depth.
+    Depth-first search, on davenport's bitmasks, over non-decreasing zero-sum
+    free sequences S of non-zero elements: S*g is zero-sum free iff -g is not
+    in Sigma(S), and a minimal zero-sum sequence if -g is the total of S.  An
+    explicit stack of (first allowed index, S, bit of its total, Sigma(S))
+    keeps the depth free of the recursion limit.  Each state built counts
+    against ATOM_BUDGET (see _budget); past it CapExceeded gives the progress.
     """
     G = FinAbGroup(moduli)
-    zero = (0,) * len(moduli)
     out: list[ZSeq] = []
-    stack = [(0, (), zero, frozenset())]
+    if coords and not any(coords[0]):
+        out.append(ZSeq(G, {coords[0]: 1}))
+        coords = coords[1:]
+    budget = _budget(ATOM_BUDGET, G.order, "atom search", len(coords))
+    moves = _translations(moduli, coords)
+    searched = 0
+    stack = [(0, (), 1, 0)]
     while stack:
-        start, chosen, total, sums = stack.pop()
+        start, chosen, total, M = stack.pop()
         for i in range(start, len(coords)):
-            g = coords[i]
-            new_total = _vec_add(total, g, moduli)
-            if new_total == zero:
-                out.append(ZSeq(G, Counter(chosen + (g,))))
+            bit, neg_bit, steps = moves[i]
+            if M & neg_bit:
+                if neg_bit == total:
+                    out.append(ZSeq(G, Counter(chosen + (coords[i],))))
                 continue
-            new_sums = sums | {g} | {_vec_add(s, g, moduli) for s in sums}
-            if zero not in new_sums:
-                stack.append((i, chosen + (g,), new_total, new_sums))
-    out.sort(key=lambda S: (S.length, S.expanded()))
-    return tuple(out)
+            searched += 1
+            if searched > budget:
+                raise CapExceeded(f"atom search over order {G.order} exceeds its budget: "
+                                  f"searched {budget} subset-sum states, found {len(out)} atoms")
+            T, t = M, total
+            for up, above, down, below in steps:
+                T = (T << up) & above | (T >> down) & below
+                t = (t << up) & above | (t >> down) & below
+            stack.append((i, chosen + (coords[i],), t, M | bit | T))
+    return tuple(sorted(out, key=lambda S: (S.length, S.expanded())))
 
 
 def factorizations(S: ZSeq, cap: int | None = None) -> list[tuple[ZSeq, ...]]:
@@ -302,8 +307,7 @@ def factorizations(S: ZSeq, cap: int | None = None) -> list[tuple[ZSeq, ...]]:
         raise CapExceeded(f"sequence length {S.length} exceeds cap {limit}")
     if not is_zero_sum(S):
         raise ValueError("sequence is not zero-sum")
-    candidates = atoms(S.support(), group=S.group)
-    candidates.sort(key=lambda A: A.expanded())
+    candidates = sorted(_atoms(S.group.moduli, tuple(S.counts)), key=ZSeq.expanded)
 
     results: list[tuple[ZSeq, ...]] = []
     stack = [(dict(S.counts), 0, ())]
@@ -351,15 +355,13 @@ def half_factorial_witness(G0, max_len: int, group: FinAbGroup | None = None,
     limit = DEFAULT_SEQ_CAP if cap is None else cap
     if max_len > limit:
         raise CapExceeded(f"max_len {max_len} exceeds sequence cap {limit}")
+    group_limit = DEFAULT_GROUP_CAP if cap is None else cap
+    if group.order > group_limit:
+        raise CapExceeded(f"group of order {group.order} exceeds cap {group_limit}")
     coords = sorted({e.coords for e in G0})
-    moduli = group.moduli
-    zero = (0,) * len(moduli)
     for L in range(1, max_len + 1):
         for combo in itertools.combinations_with_replacement(coords, L):
-            total = zero
-            for c in combo:
-                total = _vec_add(total, c, moduli)
-            if total != zero:
+            if any(sum(column) % n for column, n in zip(zip(*combo), group.moduli)):
                 continue
             S = ZSeq(group, Counter(combo))
             if len(length_set(S, cap=cap)) > 1:

@@ -27,6 +27,11 @@ ZS_GROUPS = ["1", "2", "3", "4", "5", "6", "7", "8", "10", "12",
 # larger groups pinned for `zs davenport` only
 DAVENPORT_GROUPS = ["16", "18", "2x8", "4x4", "3x6", "2x2x4", "24", "3x3x3",
                     "2x2x2x2x2"]
+# larger groups pinned for `zs atoms`; 4x2 keeps its moduli out of
+# invariant-factor order
+ATOMS_GROUPS = ["16", "18", "20", "24", "2x8", "4x4", "3x6", "2x2x4", "4x2", "3x2x2"]
+# (group, ground set) for `zs atoms --elements`
+ATOMS_ELEMENTS = [("24", "0 1 5 7 11"), ("64", "1 63 8")]
 # (cyclic modulus, sequence length, seed) for `zs factor` and `zs lengths`
 ZS_FACTOR_SEQS = [(3, 9, 1), (4, 10, 2), (6, 10, 3), (12, 10, 4), (16, 10, 5)]
 ZS_LENGTH_SEQS = [(3, 18, 11), (4, 18, 12), (6, 18, 13), (12, 16, 14), (16, 16, 15)]
@@ -67,6 +72,11 @@ def zs_argvs():
         out.append((f"davenport-{g}", ["--json", "zs", "davenport", "--group", g]))
     for g in DAVENPORT_GROUPS:
         out.append((f"davenport-{g}", ["--json", "zs", "davenport", "--group", g]))
+    for g in ATOMS_GROUPS:
+        out.append((f"atoms-{g}", ["--json", "zs", "atoms", "--group", g]))
+    for g, elements in ATOMS_ELEMENTS:
+        out.append((f"atoms-{g}-elements",
+                    ["--json", "zs", "atoms", "--group", g, "--elements", elements]))
     for cmd, seqs in (("factor", ZS_FACTOR_SEQS), ("lengths", ZS_LENGTH_SEQS)):
         for n, length, seed in seqs:
             out.append((f"{cmd}-{n}-{length}-seed{seed}",

@@ -71,12 +71,30 @@ def test_zs_long_sequence_without_traceback(capsys, command, length, factor_leng
     assert json.loads(out)["lengths"] == [factor_length]
 
 
+def test_zs_lengths_over_a_group_above_the_order_cap(capsys):
+    # the order cap bounds `zs atoms`; the factorization search is bounded by
+    # --cap on the sequence length and by the budget of its atom search
+    code, out, err = run(capsys, "zs", "lengths", "--group", "100", "--seq", "1^100",
+                         "--cap", "200")
+    assert (code, out, err) == (0, "{1}\n", "")
+
+
 def test_zs_atoms_deep_without_traceback(capsys):
     # the atom search keeps an explicit stack: its one atom here has 1200 entries
     code, out, err = run(capsys, "zs", "atoms", "--group", "1200", "--elements", "1",
                          "--cap", "2000")
     assert code == 0 and "Traceback" not in err
     assert out == "1^1200\n"
+
+
+def test_zs_atoms_stops_at_its_state_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "zs", "atoms", "--group", "64")
+    assert time.perf_counter() - start < 10
+    assert code == 1 and out == "" and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert re.search(r"searched \d+ subset-sum states, found \d+ atoms$", lines[0])
 
 
 def test_zs_davenport_stops_at_its_state_budget(capsys):
@@ -96,6 +114,7 @@ def test_zs_davenport_stops_at_its_state_budget(capsys):
      0, '"seed": 5'),
     (["tring", "oracle", "--size", "2", "--max-exp", "1", "--seed", "5", "--json"],
      0, '"seed": 5'),
+    (["tring", "oracle", "--size", "2", "--max-exp", "1", "--cap", "1"], 1, "exceed cap 1"),
 ])
 def test_common_flags_before_or_after_subcommand(capsys, argv, code, fragment):
     got, out, err = run(capsys, *argv)

@@ -8,11 +8,13 @@ exact stdout it gave when captured by `golden/capture.py`.
   divisors in it were read off lexicographic chain walks, so they pin any
   other way of computing them.
 - `zs.json`: `zs atoms` and `zs davenport` on fifteen small groups, `zs
-  davenport` on nine larger ones (up to order 32), `zs factor` and `zs
-  lengths` on seeded zero-sum sequences over cyclic groups, the README `zs
-  hfwitness` example and `zs atoms` on a restricted ground set.  The
-  Davenport constants in it were read off the atom search, so they pin the
-  subset-sum-state search that replaced it.
+  davenport` on nine larger ones (up to order 32), `zs atoms` on ten larger
+  ones (up to order 24) and on ground sets in Z/24 and Z/64, `zs factor` and
+  `zs lengths` on seeded zero-sum sequences over cyclic groups, the README
+  `zs hfwitness` example and `zs atoms` on a restricted ground set.  The
+  Davenport constants and the atoms in it were read off an atom search over
+  sets of coordinate tuples, so they pin the bitmask searches that replaced
+  it.
 """
 
 import json
@@ -31,7 +33,7 @@ def test_golden_covers_every_command():
     assert [c["name"] for c in TRING] == [
         "oracle-3-2", "oracle-2-10", "oracle-4-1", "divisor-readme",
         "divisor-T3-product-90", "divisor-T4-product-60", "divisor-T5-product-40"]
-    assert len(ZS) == 51
+    assert len(ZS) == 63
     assert [c["name"] for c in ZS][-2:] == ["hfwitness-readme", "atoms-12-elements"]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,52 @@ def test_davenport_state_budget(monkeypatch):
         davenport(make_group([10**6]), cap=10**6)
 
 
+def test_atoms_state_budget(monkeypatch):
+    # the atom search builds 7235 subset-sum states on Z/16 and 145 on Z/8
+    _atoms.cache_clear()
+    monkeypatch.setattr(zerosum, "ATOM_BUDGET", 1000)
+    with pytest.raises(CapExceeded, match=r"searched 1000 subset-sum states, "
+                                          r"found \d+ atoms$"):
+        atoms(enumerate_elements(make_group([16])))
+    assert len(atoms(enumerate_elements(make_group([8])))) == 65
+    # beyond order 64 the budget shrinks in proportion to the order; a search
+    # whose length 1 alone is over it is refused before any work
+    monkeypatch.undo()
+    G = make_group([10**8])
+    with pytest.raises(CapExceeded, match="length 1 alone needs 1 of 0"):
+        atoms([G.element([1])], cap=10**8)
+
+
+def translate(mask, steps):
+    for up, above, down, below in steps:
+        mask = (mask << up) & above | (mask >> down) & below
+    return mask
+
+
+@pytest.mark.parametrize("moduli", [[1], [6], [4, 2], [3, 3], [2, 2, 2], [2, 3, 4]],
+                         ids=lambda m: "x".join(map(str, m)))
+def test_translation_table_adds_coordinatewise(moduli):
+    # davenport and the atom search share this table, so it gets an oracle of
+    # its own: bit p stands for the p-th element in lexicographic order
+    elements = list(itertools.product(*map(range, moduli)))
+    place = {x: p for p, x in enumerate(elements)}
+
+    def plus(x, g):
+        return tuple((a + b) % n for a, b, n in zip(x, g, moduli))
+
+    rng = random.Random(len(elements))
+    moves = zerosum._translations(tuple(moduli), elements)
+    for g, (bit, neg_bit, steps) in zip(elements, moves):
+        assert bit == 1 << place[g]
+        assert neg_bit == 1 << place[tuple(-a % n for a, n in zip(g, moduli))]
+        for x in elements:
+            assert translate(1 << place[x], steps) == 1 << place[plus(x, g)]
+        for _ in range(5):
+            xs = rng.sample(elements, rng.randint(0, len(elements)))
+            assert (translate(sum(1 << place[x] for x in xs), steps)
+                    == sum(1 << place[plus(x, g)] for x in xs))
+
+
 @pytest.mark.parametrize("moduli", [[3], [4], [2, 2], [5], [2, 4]])
 def test_atoms_match_brute_force(moduli):
     G = make_group(moduli)
@@ -266,6 +313,12 @@ def test_half_factorial_witness_examples():
 def test_half_factorial_witness_cap():
     with pytest.raises(CapExceeded):
         half_factorial_witness(enumerate_elements(Z3), 30)
+    # each zero-sum candidate runs an atom search, which has no order cap of
+    # its own, so the group order is capped here: 64 by default, or cap=
+    Z100 = make_group([100])
+    with pytest.raises(CapExceeded, match="group of order 100 exceeds cap 64"):
+        half_factorial_witness(enumerate_elements(Z100), 2)
+    assert half_factorial_witness([Z100.element([1]), Z100.element([99])], 4, cap=100) is None
 
 
 # ---------------------------------------------------------------- properties
