@@ -13,7 +13,6 @@ import pathlib
 
 from nufact.divcalc import (
     CycleStructure,
-    LiftedPoint,
     apply_lifted,
     compose,
     compose_word,
@@ -34,12 +33,12 @@ print("Q1 o Q2 o Q1 =", cs.format_divisor(compose_word(cs, ["Q1", "Q2", "Q1"])),
       " (absorbing: equals Q1 o Q2)")
 
 # The lifted map of 2Q1+Q3 moves each point forward by its count; Q3 wraps
-# to the next level of the covering space.
+# to the next level of the covering space.  A point is (label index, level).
 D = cs.parse_divisor("2Q1+Q3")
-for label in cs.labels():
-    image = apply_lifted(cs, D, LiftedPoint(label, 0))
-    print(f"lift of {cs.format_divisor(D)} sends ({label},0) to "
-          f"({image.label},{image.level})")
+labels = cs.labels()
+for i, label in enumerate(labels):
+    j, level = apply_lifted(cs, D, (i, 0))
+    print(f"lift of {cs.format_divisor(D)} sends ({label},0) to ({labels[j]},{level})")
 
 # Realizable divisors are exactly those whose counts drop by at most one
 # along the cycle; 2Q1 alone has no ideal behind it.
@@ -60,5 +59,5 @@ for text in ("Q1", "Q1+Q2+Q3", "7Q1+6Q2+8Q3"):
     path.write_text(render_svg(cs, cs.parse_divisor(text)))
     print("wrote", path.name)
 word_path = OUT / "word_Q1_Q2_Q3.svg"
-word_path.write_text(render_svg(cs, ["Q1", "Q2", "Q3"]))
+word_path.write_text(render_svg(cs, word=["Q1", "Q2", "Q3"]))
 print("wrote", word_path.name)

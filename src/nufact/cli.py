@@ -10,6 +10,7 @@ values, caps), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -28,14 +29,26 @@ def _lengths_text(lengths) -> str:
     return "{" + ",".join(str(n) for n in sorted(lengths)) + "}"
 
 
+def _ground_set(args, G):
+    """The elements given by --elements, or else the whole group."""
+    if args.elements:
+        return zerosum.parse_seq(G, args.elements).support()
+    return _whole_group(G)
+
+
+def _whole_group(G):
+    """Every element of G, built from its coordinate tuples only once the
+    caller iterates, that is after the order cap has been checked."""
+    for coords in itertools.product(*map(range, G.moduli)):
+        yield G.element(coords)
+
+
 # ----------------------------------------------------------------------
 # zs: zero-sum sequence monoid
 
 def cmd_zs_atoms(args):
     G = _group(args)
-    elems = (zerosum.parse_seq(G, args.elements).support()
-             if args.elements else abelian.enumerate_elements(G, cap=args.cap))
-    atom_list = zerosum.atoms(elems, group=G, cap=args.cap)
+    atom_list = zerosum.atoms(_ground_set(args, G), group=G, cap=args.cap)
     payload = {"group": args.group, "atoms": [zerosum.format_seq(S) for S in atom_list]}
     human = "\n".join(payload["atoms"]) or "(no atoms)"
     return payload, human
@@ -71,9 +84,8 @@ def cmd_zs_davenport(args):
 
 def cmd_zs_hfwitness(args):
     G = _group(args)
-    elems = (zerosum.parse_seq(G, args.elements).support()
-             if args.elements else abelian.enumerate_elements(G, cap=args.cap))
-    W = zerosum.half_factorial_witness(elems, args.max_len, group=G, cap=args.cap)
+    W = zerosum.half_factorial_witness(_ground_set(args, G), args.max_len,
+                                       group=G, cap=args.cap)
     if W is None:
         payload = {"group": args.group, "max_len": args.max_len, "witness": None}
         return payload, f"no witness up to length {args.max_len}"
@@ -190,12 +202,13 @@ def cmd_div_render(args):
     if (args.divisor is None) == (args.word is None):
         raise ValueError("give exactly one of --divisor or --word")
     if args.divisor is not None:
-        target = cs.parse_divisor(args.divisor)
-        shape = cs.format_divisor(target)
+        D = cs.parse_divisor(args.divisor)
+        shape = cs.format_divisor(D)
+        svg = divcalc.render_svg(cs, D, cycle=args.cycle)
     else:
-        target = cs.parse_word(args.word)
-        shape = "*".join(target) or "(empty word)"
-    svg = divcalc.render_svg(cs, target, cycle=args.cycle)
+        word = cs.parse_word(args.word)
+        shape = "*".join(word) or "(empty word)"
+        svg = divcalc.render_svg(cs, cycle=args.cycle, word=word)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     payload = {"cycles": args.cycles, "target": shape, "out": args.out}
@@ -249,7 +262,8 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="machine-readable output")
     common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
-                        help="override enumeration caps (group order, sequence length, norms)")
+                        help="override enumeration caps (group order, sequence length, norms; "
+                             "for div factor, the letters of all words)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized property checks")
     return common

@@ -1,13 +1,20 @@
 """Divisor calculus for ideals whose maximal-ideal classes form finite cycles.
 
 A cycle structure is a partition of finitely many labels into cycles, each
-with a successor map.  A divisor assigns a nonnegative count to each label.
-Every divisor lifts to a self-map of the covering space (label, level): the
-point moves forward by the divisor's count at its label, in the total order
-that runs through each cycle once per level.  Composing those lifted maps
-induces a (non-commutative) composition of divisors, which is the operation
-mirroring ideal multiplication; it is computed here by a closed displacement
-formula and re-checked against the lifted maps on every call.
+with a successor map.  A divisor assigns a nonnegative count to each label:
+it is a plain tuple of counts in ``cs.labels()`` order.  Every divisor lifts
+to a self-map of the covering space of points (index, level), with index a
+label's position in ``cs.labels()``: the point moves forward by the
+divisor's count at its label, in the total order that runs through each
+cycle once per level.  Composing those lifted maps induces a
+(non-commutative) composition of divisors, which is the operation mirroring
+ideal multiplication; it is computed here by a closed displacement formula
+and re-checked against the lifted maps on every call.
+
+Label text is validated where it enters: `parse_divisor`, `parse_word` and
+`indicator`.  The functions that take a divisor (`compose`,
+`is_realizable`, `enumerate_factorizations_ex`, `render_svg`) refuse one of
+the wrong length.
 
 The module also decides realizability (which divisors arise from ideals),
 enumerates factorizations of a divisor into single-label generators, and
@@ -17,26 +24,37 @@ renders the standard cylinder diagrams as SVG.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import le
 
 from .abelian import CapExceeded
 
-DEFAULT_WORD_CAP = 200_000
+DEFAULT_LETTER_CAP = 2_000_000
 
 
 class CycleStructure:
-    """Disjoint cycles of distinct labels; successor steps cyclically."""
+    """Disjoint cycles of distinct labels; successor steps cyclically.
+
+    Labels are indexed in ``labels()`` order.  For each index, the tables
+    hold the index of its successor and the first index and length of its
+    cycle.
+    """
 
     def __init__(self, cycles):
         self.cycles = tuple(tuple(str(p) for p in c) for c in cycles)
         if any(not c for c in self.cycles):
             raise ValueError("empty cycle")
-        self._pos: dict[str, tuple[int, int]] = {}
-        for ci, cyc in enumerate(self.cycles):
+        self._index: dict[str, int] = {}
+        succ, start, length = [], [], []
+        for cyc in self.cycles:
+            first = len(succ)
             for pi, label in enumerate(cyc):
-                if label in self._pos:
+                if label in self._index:
                     raise ValueError(f"duplicate label {label!r}")
-                self._pos[label] = (ci, pi)
+                self._index[label] = first + pi
+                succ.append(first + (pi + 1) % len(cyc))
+            start += [first] * len(cyc)
+            length += [len(cyc)] * len(cyc)
+        self._succ, self._start, self._len = tuple(succ), tuple(start), tuple(length)
 
     @classmethod
     def from_text(cls, text: str) -> "CycleStructure":
@@ -52,66 +70,48 @@ class CycleStructure:
     def labels(self) -> list[str]:
         return [p for cyc in self.cycles for p in cyc]
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._pos
-
-    def position(self, label: str) -> tuple[int, int]:
+    def index(self, label: str) -> int:
+        """The position of a label in ``labels()``."""
         try:
-            return self._pos[label]
+            return self._index[label]
         except KeyError:
             raise ValueError(f"unknown maximal-ideal label {label!r}")
 
-    def cycle_of(self, label: str) -> tuple[str, ...]:
-        return self.cycles[self.position(label)[0]]
-
     def successor(self, label: str) -> str:
         """The next label in the cycle (the tau-orbit step)."""
-        ci, pi = self.position(label)
-        cyc = self.cycles[ci]
-        return cyc[(pi + 1) % len(cyc)]
+        return self.labels()[self._succ[self.index(label)]]
 
-    def zero(self) -> "Divisor":
-        return Divisor({})
+    def zero(self) -> tuple[int, ...]:
+        return (0,) * len(self._succ)
 
-    def indicator(self, label: str) -> "Divisor":
-        self.position(label)
-        return Divisor({label: 1})
+    def indicator(self, label: str) -> tuple[int, ...]:
+        i = self.index(label)
+        return tuple(int(j == i) for j in range(len(self._succ)))
 
-    def full_cycle_divisor(self, cycle_index: int) -> "Divisor":
+    def full_cycle_divisor(self, cycle_index: int) -> tuple[int, ...]:
         """Count 1 on every label of the chosen cycle (always realizable)."""
         if not 0 <= cycle_index < len(self.cycles):
             raise ValueError(f"no cycle with index {cycle_index}")
-        return Divisor({p: 1 for p in self.cycles[cycle_index]})
-
-    def check_divisor(self, D: "Divisor"):
-        for label in D.counts:
-            self.position(label)
+        first = self._index[self.cycles[cycle_index][0]]
+        return tuple(int(s == first) for s in self._start)
 
     # -- divisor text syntax: "2Q1+Q3", "Q2", "0" --------------------------
 
-    def parse_divisor(self, text: str) -> "Divisor":
+    def parse_divisor(self, text: str) -> tuple[int, ...]:
         s = text.replace(" ", "")
+        counts = [0] * len(self._succ)
         if s == "0":
-            return self.zero()
-        counts: dict[str, int] = {}
+            return tuple(counts)
         for term in s.split("+"):
             m = re.match(r"^(\d*)([A-Za-z]\w*)$", term)
             if not m:
                 raise ValueError(f"bad divisor term {term!r} in {text!r}")
-            count = int(m.group(1)) if m.group(1) else 1
-            label = m.group(2)
-            self.position(label)
-            counts[label] = counts.get(label, 0) + count
-        return Divisor(counts)
+            counts[self.index(m.group(2))] += int(m.group(1)) if m.group(1) else 1
+        return tuple(counts)
 
-    def format_divisor(self, D: "Divisor") -> str:
-        terms = []
-        for label in self.labels():
-            c = D.get(label)
-            if c == 1:
-                terms.append(label)
-            elif c > 1:
-                terms.append(f"{c}{label}")
+    def format_divisor(self, D) -> str:
+        terms = [label if c == 1 else f"{c}{label}"
+                 for label, c in zip(self.labels(), D, strict=True) if c]
         return "+".join(terms) if terms else "0"
 
     def parse_word(self, text: str) -> list[str]:
@@ -122,7 +122,7 @@ class CycleStructure:
             return []
         word = [p.strip() for p in s.split("*")]
         for label in word:
-            self.position(label)
+            self.index(label)
         return word
 
     def __repr__(self):
@@ -130,70 +130,27 @@ class CycleStructure:
         return f"CycleStructure({body!r})"
 
 
-class Divisor:
-    """Finitely supported nonnegative counts on labels.  Immutable."""
-
-    __slots__ = ("counts", "_key")
-
-    def __init__(self, counts: dict):
-        if any(c < 0 for c in counts.values()):
-            raise ValueError("negative count in divisor")
-        self.counts = {p: c for p, c in sorted(counts.items()) if c > 0}
-        self._key = tuple(self.counts.items())
-
-    def get(self, label: str) -> int:
-        return self.counts.get(label, 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def support(self) -> list[str]:
-        return list(self.counts)
-
-    def is_zero(self) -> bool:
-        return not self.counts
-
-    def pointwise_le(self, other: "Divisor") -> bool:
-        return all(other.get(p) >= c for p, c in self.counts.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, Divisor):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        body = "+".join(f"{c}{p}" if c > 1 else p for p, c in self._key) or "0"
-        return f"Divisor({body!r})"
+def _check_length(cs: CycleStructure, *divisors):
+    for D in divisors:
+        if len(D) != len(cs._succ):
+            raise ValueError(f"divisor has {len(D)} counts, "
+                             f"but the cycle structure has {len(cs._succ)} labels")
 
 
-@dataclass(frozen=True)
-class LiftedPoint:
-    """A point (label, level) of the covering space."""
+def apply_lifted(cs: CycleStructure, D, p: tuple[int, int]) -> tuple[int, int]:
+    """Move the point (index, level) forward D[index] steps.
 
-    label: str
-    level: int
-
-
-def apply_lifted(cs: CycleStructure, D: Divisor, p: LiftedPoint) -> LiftedPoint:
-    """Move (label, level) forward D(label) steps.
-
-    Within a cycle of length l, position i at level n sits at index
-    n*l + i; adding the step count and splitting off the new level is the
-    whole computation.  The map commutes with level shifts by construction.
+    Within a cycle of length l, position i at level n sits at n*l + i;
+    adding the step count and splitting off the new level is the whole
+    computation.  The map commutes with level shifts by construction.
     """
-    ci, pi = cs.position(p.label)
-    cs.check_divisor(D)
-    cyc = cs.cycles[ci]
-    l = len(cyc)
-    steps = D.get(p.label)
-    idx = pi + steps
-    return LiftedPoint(cyc[idx % l], p.level + idx // l)
+    i, level = p
+    first, l = cs._start[i], cs._len[i]
+    n = i - first + D[i]
+    return first + n % l, level + n // l
 
 
-def compose(cs: CycleStructure, D: Divisor, E: Divisor) -> Divisor:
+def compose(cs: CycleStructure, D, E) -> tuple[int, ...]:
     """The divisor whose lifted map is (lift of E) after (lift of D).
 
     Displacements add along the path, so the composite moves a point at P by
@@ -201,24 +158,17 @@ def compose(cs: CycleStructure, D: Divisor, E: Divisor) -> Divisor:
     verified against the two-step lifted map on every label rather than
     assumed.
     """
-    cs.check_divisor(D)
-    cs.check_divisor(E)
-    counts: dict[str, int] = {}
-    for label in cs.labels():
-        c = D.get(label) + E.get(apply_lifted(cs, D, LiftedPoint(label, 0)).label)
-        if c:
-            counts[label] = c
-    out = Divisor(counts)
-    for label in cs.labels():
-        p = LiftedPoint(label, 0)
-        two_step = apply_lifted(cs, E, apply_lifted(cs, D, p))
-        if apply_lifted(cs, out, p) != two_step:
+    _check_length(cs, D, E)
+    out = tuple(c + E[apply_lifted(cs, D, (i, 0))[0]] for i, c in enumerate(D))
+    for i in range(len(D)):
+        p = (i, 0)
+        if apply_lifted(cs, out, p) != apply_lifted(cs, E, apply_lifted(cs, D, p)):
             raise RuntimeError(
-                f"composition formula disagrees with lifted maps at {label!r}")
+                f"composition formula disagrees with lifted maps at {cs.labels()[i]!r}")
     return out
 
 
-def compose_word(cs: CycleStructure, word) -> Divisor:
+def compose_word(cs: CycleStructure, word) -> tuple[int, ...]:
     """Left-to-right composition of single-label divisors."""
     acc = cs.zero()
     for label in word:
@@ -226,21 +176,21 @@ def compose_word(cs: CycleStructure, word) -> Divisor:
     return acc
 
 
-def is_realizable(cs: CycleStructure, D: Divisor) -> bool:
+def is_realizable(cs: CycleStructure, D) -> bool:
     """Whether some ideal has divisor D: the count may drop by at most one
     along each tau step."""
-    cs.check_divisor(D)
-    return all(D.get(cs.successor(p)) >= c - 1 for p, c in D.counts.items())
+    _check_length(cs, D)
+    return all(D[s] >= c - 1 for s, c in zip(cs._succ, D))
 
 
-def default_max_len(cs: CycleStructure, D: Divisor) -> int:
+def default_max_len(cs: CycleStructure, D) -> int:
     """Heuristic word-length bound: total count plus the sizes of the cycles
     the divisor touches."""
-    touched = {cs.position(p)[0] for p in D.counts}
-    return D.total() + sum(len(cs.cycles[ci]) for ci in touched)
+    touched = {cs._start[i]: cs._len[i] for i, c in enumerate(D) if c}
+    return sum(D) + sum(touched.values())
 
 
-def enumerate_factorizations_ex(cs: CycleStructure, D: Divisor, max_len: int,
+def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int,
                                 cap: int | None = None):
     """All words of labels, of length <= max_len, composing to D, and
     whether any branch of the search ran into the length bound (so a larger
@@ -249,42 +199,49 @@ def enumerate_factorizations_ex(cs: CycleStructure, D: Divisor, max_len: int,
     Words are sorted by length, then by label positions.  Raises on
     non-realizable divisors, which admit no word at any length.  The number
     of words grows exponentially with max_len once idempotent letters can
-    repeat, so the enumeration aborts with :class:`CapExceeded` beyond `cap`
-    words (default 200000)."""
+    repeat, so the enumeration aborts with :class:`CapExceeded` when the
+    words would hold more than `cap` letters in all (default 2000000)."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     if not is_realizable(cs, D):
         raise ValueError("divisor is not realizable; it has no factorization")
-    limit = DEFAULT_WORD_CAP if cap is None else cap
+    limit = DEFAULT_LETTER_CAP if cap is None else cap
     labels = cs.labels()
-    indicators = {p: cs.indicator(p) for p in labels}
+    indicators = [cs.indicator(p) for p in labels]
+    zero = cs.zero()
     moves: dict = {}
 
-    def successors(partial: Divisor):
-        """(letter, next partial) for each letter that keeps partial <= D."""
+    def successors(partial):
+        """(letter index, next partial) for each letter that keeps
+        partial <= D."""
         if partial not in moves:
-            steps = ((q, compose(cs, partial, indicators[q])) for q in labels)
-            moves[partial] = [(q, nxt) for q, nxt in steps if nxt.pointwise_le(D)]
+            steps = ((q, compose(cs, partial, E)) for q, E in enumerate(indicators))
+            moves[partial] = [(q, nxt) for q, nxt in steps if all(map(le, nxt, D))]
         return moves[partial]
 
     # levels[k]: the partial products reachable with k letters, that is the
-    # search states (partial, max_len - k).  Both passes below run level by
+    # search states (partial, max_len - k).  The passes below run level by
     # level from the last one up, without recursion.
-    levels = [{cs.zero()}]
+    levels = [{zero}]
     for _ in range(max_len):
         levels.append({nxt for p in levels[-1] for _, nxt in successors(p)})
     truncated = any(p != D for p in levels[-1])
 
     # Every word of a state extends to a word of the root, so the root has
-    # the most words: check the cap on counts before building any word.
+    # the most words and letters: check the cap on the letter total before
+    # building any word.  A word through nxt has one letter more at p.
     count = {p: int(p == D) for p in levels[max_len]}
+    letters = dict.fromkeys(levels[max_len], 0)
     for depth in range(max_len - 1, -1, -1):
-        count = {p: (p == D) + sum(count[nxt] for _, nxt in successors(p))
-                 for p in levels[depth]}
-    if count[cs.zero()] > limit:
+        count, letters = (
+            {p: (p == D) + sum(count[nxt] for _, nxt in successors(p))
+             for p in levels[depth]},
+            {p: sum(letters[nxt] + count[nxt] for _, nxt in successors(p))
+             for p in levels[depth]})
+    if letters[zero] > limit:
         raise CapExceeded(
-            f"more than {limit} words compose to the divisor "
-            f"within length {max_len}; lower max_len or raise the cap")
+            f"more than {limit} letters in the words that compose to the "
+            f"divisor within length {max_len}; lower max_len or raise the cap")
 
     # words as linked (letter, rest) pairs: one letter more costs O(1)
     words = {p: [()] * (p == D) for p in levels[max_len]}
@@ -292,17 +249,15 @@ def enumerate_factorizations_ex(cs: CycleStructure, D: Divisor, max_len: int,
         words = {p: [()] * (p == D) + [(q, w) for q, nxt in successors(p) for w in words[nxt]]
                  for p in levels[depth]}
 
-    def unlink(w) -> list[str]:
+    def unlink(w) -> list[int]:
         out = []
         while w:
             q, w = w
             out.append(q)
         return out
 
-    order = {p: i for i, p in enumerate(labels)}
-    found = sorted(map(unlink, words[cs.zero()]),
-                   key=lambda w: (len(w), [order[q] for q in w]))
-    return found, truncated
+    found = sorted(map(unlink, words[zero]), key=lambda w: (len(w), w))
+    return [[labels[q] for q in w] for w in found], truncated
 
 
 # ----------------------------------------------------------------------
@@ -336,8 +291,9 @@ def _strand_segments(pos: int, steps: int, l: int):
     return pieces
 
 
-def render_svg(cs: CycleStructure, target, cycle: int | None = None) -> str:
-    """Render a divisor, or a word of labels, as glued cylinder panels.
+def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
+               word=None) -> str:
+    """Render a divisor D, or a word of labels, as glued cylinder panels.
 
     The cylinder is flattened to a rectangle: marked points sit on the left
     and right edges, and each strand moves forward by the divisor's count at
@@ -345,6 +301,8 @@ def render_svg(cs: CycleStructure, target, cycle: int | None = None) -> str:
     one panel per letter, glued left to right.  Only one cycle can be drawn;
     for a multi-cycle structure the cycle index must be given.
     """
+    if (D is None) == (word is None):
+        raise ValueError("give exactly one of a divisor or a word")
     if cycle is None:
         if len(cs.cycles) > 1:
             raise ValueError(
@@ -354,17 +312,18 @@ def render_svg(cs: CycleStructure, target, cycle: int | None = None) -> str:
         raise ValueError(f"no cycle with index {cycle}")
     cyc = cs.cycles[cycle]
     l = len(cyc)
+    first = cs.index(cyc[0])
 
-    if isinstance(target, Divisor):
-        cs.check_divisor(target)
-        stray = [p for p in target.counts if p not in cyc]
+    if word is None:
+        _check_length(cs, D)
+        stray = [p for p, c in zip(cs.labels(), D) if c and p not in cyc]
         if stray:
             raise ValueError(
                 f"divisor has support outside the drawn cycle: {stray}")
-        panels = [target]
-        titles = [cs.format_divisor(target)]
+        panels = [D]
+        titles = [cs.format_divisor(D)]
     else:
-        word = list(target)
+        word = list(word)
         for q in word:
             if q not in cyc:
                 raise ValueError(f"word letter {q!r} is not in the drawn cycle")
@@ -391,14 +350,14 @@ def render_svg(cs: CycleStructure, target, cycle: int | None = None) -> str:
         '.frame{fill:none;stroke:#444;stroke-width:1;}</style>'
     )
 
-    for t, D in enumerate(panels):
+    for t, P in enumerate(panels):
         x0 = _MARGIN_X + t * _PANEL_W
         x1 = x0 + _PANEL_W
-        out.append(f'<g class="panel" data-panel="{t}" data-divisor="{cs.format_divisor(D)}">')
+        out.append(f'<g class="panel" data-panel="{t}" data-divisor="{cs.format_divisor(P)}">')
         out.append(f'<rect class="frame" x="{x0}" y="{top}" width="{_PANEL_W}" '
                    f'height="{l * _ROW_H}"/>')
         for i, src in enumerate(cyc):
-            steps = D.get(src)
+            steps = P[first + i]
             dest = cyc[(i + steps) % l]
             winding = (i + steps) // l
             pieces = _strand_segments(i, steps, l)

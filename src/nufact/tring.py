@@ -11,9 +11,9 @@ rows of Python ints, so the arithmetic is exact at any size.
 
 Divisors of ideals count the steps of maximal chains of two-sided ideals by
 maximal ideal, which comes down to row sums of the exponent matrix; they
-land in the cycle structure of the maximal ideals, whose successor map is
-the double left dual.  Everything here is desk scale and exhaustively
-checkable against :mod:`nufact.divcalc`.
+are tuples of counts in the label order of the cycle structure of the
+maximal ideals, whose successor map is the double left dual.  Everything
+here is desk scale and exhaustively checkable against :mod:`nufact.divcalc`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import prod
 from operator import add, sub
 
 from .abelian import CapExceeded
-from .divcalc import CycleStructure, Divisor, compose, is_realizable
+from .divcalc import CycleStructure, compose, is_realizable
 
 DEFAULT_CANDIDATE_CAP = 5 * 10**6
 
@@ -158,7 +158,7 @@ def _bump_candidates(e: Matrix, a: Matrix) -> list[tuple[int, int]]:
             if e[i][j] < a[i][j] and is_ideal(_bump(e, i, j))]
 
 
-def _chain_divisor(A: Matrix, rng: random.Random | None) -> Divisor:
+def _chain_divisor(A: Matrix, rng: random.Random | None) -> tuple[int, ...]:
     """Walk a maximal chain of ideals from the ring down to A and record, for
     each step, the unique maximal ideal P with P * (previous link) inside the
     next link.  With rng=None every step takes the lexicographically least
@@ -169,8 +169,7 @@ def _chain_divisor(A: Matrix, rng: random.Random | None) -> Divisor:
         raise ValueError("not an integral ideal")
     l = len(A)
     maxi = maximal_ideals(l)
-    labels = cycle_structure(l).labels()
-    counts: dict[str, int] = {}
+    counts = [0] * l
     e = ring_matrix(l)
     while e != A:
         candidates = _bump_candidates(e, A)
@@ -185,25 +184,24 @@ def _chain_divisor(A: Matrix, rng: random.Random | None) -> Divisor:
         if len(hits) != 1:
             raise RuntimeError(
                 f"chain step admits {len(hits)} maximal ideals; expected exactly one")
-        label = labels[hits[0]]
-        counts[label] = counts.get(label, 0) + 1
+        counts[hits[0]] += 1
         e = f
-    return Divisor(counts)
+    return tuple(counts)
 
 
 @functools.lru_cache(maxsize=16)
-def _row_labels(l: int) -> tuple[str, ...]:
-    """For each row i, the label of the maximal ideal that raises diagonal
-    entry i of the ring matrix."""
+def _label_rows(l: int) -> tuple[int, ...]:
+    """For each label, in label order, the row whose diagonal entry its
+    maximal ideal raises in the ring matrix."""
     t = ring_matrix(l)
-    by_row = {next(i for i in range(l) if Q[i][i] != t[i][i]): label
-              for label, Q in zip(cycle_structure(l).labels(), maximal_ideals(l))}
-    return tuple(by_row[i] for i in range(l))
+    return tuple(next(i for i in range(l) if Q[i][i] != t[i][i])
+                 for Q in maximal_ideals(l))
 
 
-def divisor_of(A) -> Divisor:
-    """The divisor of an ideal A: the count at the label of P_i, the maximal
-    ideal raising diagonal entry i, is the row sum sum_j (a[i][j] - t[i][j]).
+def divisor_of(A) -> tuple[int, ...]:
+    """The divisor of an ideal A, as counts in label order: the count at the
+    label of P_i, the maximal ideal raising diagonal entry i, is the row sum
+    sum_j (a[i][j] - t[i][j]).
 
     This is what any maximal chain of ideals from the ring down to A records,
     one label per step: the unique maximal ideal P with P * (previous link)
@@ -218,8 +216,8 @@ def divisor_of(A) -> Divisor:
     if not _is_ideal(A):
         raise ValueError("not an integral ideal")
     l = len(A)
-    excess = map(sub, map(sum, A), map(sum, ring_matrix(l)))
-    return Divisor(dict(zip(_row_labels(l), excess)))
+    excess = tuple(map(sub, map(sum, A), map(sum, ring_matrix(l))))
+    return tuple(excess[i] for i in _label_rows(l))
 
 
 def enumerate_ideals(l: int, max_exp: int, cap: int | None = None) -> list[Matrix]:
@@ -348,9 +346,8 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     if bad is None and max_exp >= 1:
         bound = max_exp - 1
         for combo in itertools.product(range(bound + 1), repeat=l):
-            D = Divisor(dict(zip(cs.labels(), combo)))
-            if is_realizable(cs, D) and D not in attained:
-                bad = {"missing_divisor": cs.format_divisor(D)}
+            if is_realizable(cs, combo) and combo not in attained:
+                bad = {"missing_divisor": cs.format_divisor(combo)}
                 break
     record("realizability_image", bad is None, bad)
 

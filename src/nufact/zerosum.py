@@ -240,14 +240,17 @@ def _translations(moduli: tuple, coords) -> list:
 
 
 def atoms(G0, group: FinAbGroup | None = None, cap: int | None = None) -> list[ZSeq]:
-    """All minimal zero-sum sequences over the set G0, in canonical order."""
-    G0 = list(G0)
+    """All minimal zero-sum sequences over the set G0, in canonical order.
+
+    Given the group, the order cap is checked before G0 is read, so G0 may
+    lazily range over a group too large for the cap."""
     if group is None:
+        G0 = list(G0)
         if not G0:
             return []
         group = G0[0].group
     limit = DEFAULT_GROUP_CAP if cap is None else cap
-    if group.order > limit or len(G0) > limit:
+    if group.order > limit:
         raise CapExceeded(f"group of order {group.order} exceeds cap {limit}")
     return list(_atoms(group.moduli, tuple(sorted({e.coords for e in G0}))))
 
@@ -345,12 +348,13 @@ def half_factorial_witness(G0, max_len: int, group: FinAbGroup | None = None,
     not a singleton, or None if no such sequence exists up to that bound.
 
     Scans lengths in increasing order, so a returned witness is shortest
-    possible.
+    possible.  Given the group, the caps are checked before G0 is read, as
+    in `atoms`.
     """
-    G0 = list(G0)
-    if not G0:
-        return None
     if group is None:
+        G0 = list(G0)
+        if not G0:
+            return None
         group = G0[0].group
     limit = DEFAULT_SEQ_CAP if cap is None else cap
     if max_len > limit:

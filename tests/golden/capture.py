@@ -1,22 +1,33 @@
-"""Capture the `--json` stdout pinned by tests/test_golden.py.
+"""Capture the output pinned by tests/test_golden.py.
 
-Writes tring.json and zs.json next to this file: each command's name, argv
-and exact stdout.  Recapture only for an intended output change:
+Writes tring.json, zs.json, readme.json and div.json next to this file:
+each command's name, argv and exact stdout, and the text of every file the
+command writes into its working directory.  Also writes
+divisor_diagrams.out, the stdout of demos/divisor_diagrams.py.  Recapture
+only for an intended output change:
 
     PYTHONPATH=src python tests/golden/capture.py
 """
 
+import collections
 import contextlib
 import io
 import json
+import os
 import pathlib
 import random
+import runpy
+import shlex
+import shutil
 import sys
+import tempfile
 
 from nufact import tring
 from nufact.cli import main
 
 HERE = pathlib.Path(__file__).resolve().parent
+ROOT = HERE.parents[1]
+DEMO = ROOT / "demos" / "divisor_diagrams.py"
 
 ORACLE_SIZES = [(3, 2), (2, 10), (4, 1)]
 # (ring size, number of maximal-ideal factors, word seed)
@@ -89,19 +100,92 @@ def zs_argvs():
     return out
 
 
-GOLDEN_FILES = {"tring.json": tring_argvs, "zs.json": zs_argvs}
+def readme_argvs():
+    """(name, argv) of every `nufact` example in README.md, in human mode
+    and then with --json."""
+    out = []
+    seen = collections.Counter()
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("nufact "):
+            argv = shlex.split(line, comments=True)[1:]
+            seen[argv[0], argv[1]] += 1
+            name = f"{argv[0]}-{argv[1]}-{seen[argv[0], argv[1]]}"
+            out += [(name, argv), (f"{name}-json", ["--json"] + argv)]
+    return out
+
+
+# (cycles, seed) for `div factor` on a seeded realizable divisor
+DIV_FACTOR_SEEDS = [("Q1>Q2>Q3", 3), ("Q1>Q2>Q3", 4), ("Q1>Q2>Q3>Q4", 1),
+                    ("Q1>Q2>Q3>Q4", 7), ("Q1>Q2>Q3;P", 1), ("Q1>Q2>Q3;P", 7)]
+
+
+def realizable_divisor_text(cycles: str, seed: int) -> str:
+    """A seeded divisor with counts 0..2 whose count drops by at most one
+    along each cycle step, in the `2Q1+Q3` syntax."""
+    rng = random.Random(seed)
+    cycs = [c.split(">") for c in cycles.split(";")]
+    while True:
+        counts = [[rng.randrange(3) for _ in c] for c in cycs]
+        if all(c[(i + 1) % len(c)] >= c[i] - 1 for c in counts for i in range(len(c))):
+            break
+    terms = [f"{n}{p}" if n > 1 else p
+             for cyc, cc in zip(cycs, counts) for p, n in zip(cyc, cc) if n]
+    return "+".join(terms) or "0"
+
+
+def div_argvs():
+    """(name, argv) of every pinned `div factor` command, human and --json,
+    with the default length bound."""
+    out = []
+    for cycles, seed in DIV_FACTOR_SEEDS:
+        argv = ["div", "factor", "--cycles", cycles, realizable_divisor_text(cycles, seed)]
+        name = f"factor-{cycles}-seed{seed}"
+        out += [(name, argv), (f"{name}-json", ["--json"] + argv)]
+    return out
+
+
+GOLDEN_FILES = {"tring.json": tring_argvs, "zs.json": zs_argvs,
+                "readme.json": readme_argvs, "div.json": div_argvs}
+
+
+@contextlib.contextmanager
+def scratch_cwd():
+    """Run in a fresh empty directory, so written files can be read back."""
+    old = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield pathlib.Path(tmp)
+        finally:
+            os.chdir(old)
+
+
+def run_case(name, argv) -> dict:
+    buf = io.StringIO()
+    with scratch_cwd() as cwd, contextlib.redirect_stdout(buf):
+        if main(argv) != 0:
+            sys.exit(f"capture failed: {argv}")
+        files = {p.name: p.read_text(encoding="utf-8") for p in sorted(cwd.iterdir())}
+    case = {"name": name, "argv": argv, "stdout": buf.getvalue()}
+    if files:
+        case["files"] = files
+    return case
+
+
+def demo_stdout() -> str:
+    """The stdout of a copy of the diagram demo, which writes its SVG files
+    next to itself."""
+    buf = io.StringIO()
+    with scratch_cwd() as cwd, contextlib.redirect_stdout(buf):
+        runpy.run_path(shutil.copy(DEMO, cwd), run_name="__main__")
+    return buf.getvalue()
 
 
 def capture():
     for filename, argvs in GOLDEN_FILES.items():
-        cases = []
-        for name, argv in argvs():
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                if main(argv) != 0:
-                    sys.exit(f"capture failed: {argv}")
-            cases.append({"name": name, "argv": argv, "stdout": buf.getvalue()})
+        cases = [run_case(name, argv) for name, argv in argvs()]
         (HERE / filename).write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
+    (HERE / "divisor_diagrams.out").write_text(demo_stdout(), encoding="utf-8")
 
 
 if __name__ == "__main__":

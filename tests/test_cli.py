@@ -142,11 +142,42 @@ def test_div_factor_long_bound_without_traceback(capsys):
     code, out, err = run(capsys, "div", "factor", "--cycles", "Q1>Q2>Q3",
                          "3Q1+2Q2+Q3", "--max-len", "2000")
     assert code == 1 and out == "" and "Traceback" not in err
-    assert err.startswith("error: more than 200000 words")
+    assert err.startswith("error: more than 2000000 letters in the words")
     # J = Q1 n Q2 n Q3 is no product of maximal ideals: 2000 levels searched
     payload = run_json(capsys, "div", "factor", "--cycles", "Q1>Q2>Q3", "Q1+Q2+Q3",
                        "--max-len", "2000")
     assert payload["words"] == [] and payload["truncated"]
+
+
+def test_div_factor_cap_counts_letters(capsys):
+    # Q2 at length bound n has the words Q2^k, k = 1..n: n words, n(n+1)/2 letters
+    code, out, err = run(capsys, "div", "factor", "--cycles", "Q1>Q2>Q3", "Q2",
+                         "--max-len", "2000")
+    assert code == 1 and out == ""
+    assert err == ("error: more than 2000000 letters in the words that compose to the "
+                   "divisor within length 2000; lower max_len or raise the cap\n")
+    # n = 20: 210 letters, the exact boundary of --cap
+    code, _, err = run(capsys, "div", "factor", "--cycles", "Q1>Q2>Q3", "Q2",
+                       "--max-len", "20", "--cap", "209")
+    assert code == 1 and err.startswith("error: more than 209 letters")
+    payload = run_json(capsys, "div", "factor", "--cycles", "Q1>Q2>Q3", "Q2",
+                       "--max-len", "20", "--cap", "210")
+    assert payload["words"] == [["Q2"] * k for k in range(1, 21)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["zs", "atoms", "--group", "900000"],
+    ["zs", "hfwitness", "--group", "900000", "--max-len", "2"],
+])
+def test_zs_whole_group_checks_the_order_cap_first(argv, capsys, monkeypatch):
+    # without --elements the ground set is built only after the order cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole group was enumerated")
+
+    monkeypatch.setattr("nufact.abelian.enumerate_elements", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: group of order 900000 exceeds cap 64\n"
 
 
 def test_div_render_writes_svg(tmp_path, capsys):

@@ -6,8 +6,6 @@ import pytest
 from nufact.divcalc import (
     CapExceeded,
     CycleStructure,
-    Divisor,
-    LiftedPoint,
     apply_lifted,
     compose,
     compose_word,
@@ -26,9 +24,33 @@ def div(text, cs=CS3):
 
 
 def all_divisors(cs, max_count):
-    labels = cs.labels()
-    for combo in itertools.product(range(max_count + 1), repeat=len(labels)):
-        yield Divisor(dict(zip(labels, combo)))
+    return itertools.product(range(max_count + 1), repeat=len(cs.labels()))
+
+
+def test_divisor_is_a_count_tuple_in_label_order():
+    assert MIXED.labels() == ["Q1", "Q2", "Q3", "P"]
+    assert MIXED.parse_divisor("P+2Q1+Q1") == (3, 0, 0, 1)
+    assert MIXED.indicator("Q2") == (0, 1, 0, 0)
+    assert MIXED.zero() == (0, 0, 0, 0)
+    assert MIXED.full_cycle_divisor(1) == (0, 0, 0, 1)
+    assert MIXED.format_divisor((3, 0, 0, 1)) == "3Q1+P"
+    with pytest.raises(ValueError):
+        MIXED.indicator("R")
+    with pytest.raises(ValueError):
+        MIXED.parse_word("Q1*R")
+
+
+@pytest.mark.parametrize("call", [
+    lambda D: compose(CS3, D, CS3.zero()),
+    lambda D: compose(CS3, CS3.zero(), D),
+    lambda D: is_realizable(CS3, D),
+    lambda D: enumerate_factorizations_ex(CS3, D, 3),
+    lambda D: render_svg(CS3, D),
+])
+def test_divisor_of_wrong_length_is_refused(call):
+    for D in [(1, 0), (1, 0, 0, 0), ()]:
+        with pytest.raises(ValueError, match="counts, but the cycle structure has 3 labels"):
+            call(D)
 
 
 def test_tau_examples():
@@ -47,30 +69,38 @@ def test_cycle_structure_rejects_duplicates():
 
 
 def test_apply_lifted_worked_values():
+    # a point is (label index, level): Q1, Q2, Q3 are indices 0, 1, 2
     D = div("2Q1+Q3")
     for n in (-2, 0, 5):
-        assert apply_lifted(CS3, D, LiftedPoint("Q1", n)) == LiftedPoint("Q3", n)
-        assert apply_lifted(CS3, D, LiftedPoint("Q2", n)) == LiftedPoint("Q2", n)
-        assert apply_lifted(CS3, D, LiftedPoint("Q3", n)) == LiftedPoint("Q1", n + 1)
+        assert apply_lifted(CS3, D, (0, n)) == (2, n)
+        assert apply_lifted(CS3, D, (1, n)) == (1, n)
+        assert apply_lifted(CS3, D, (2, n)) == (0, n + 1)
 
 
 def test_apply_lifted_winding_example():
     D = div("4Q1")
-    assert apply_lifted(CS3, D, LiftedPoint("Q1", 0)) == LiftedPoint("Q2", 1)
+    assert apply_lifted(CS3, D, (0, 0)) == (1, 1)
 
 
 def test_apply_lifted_zero_divisor_is_identity():
-    for label in CS3.labels():
-        p = LiftedPoint(label, 3)
+    for i in range(3):
+        p = (i, 3)
         assert apply_lifted(CS3, CS3.zero(), p) == p
 
 
 def test_apply_lifted_level_equivariance():
     for D in all_divisors(CS3, 2):
-        for label in CS3.labels():
-            base = apply_lifted(CS3, D, LiftedPoint(label, 0))
-            shifted = apply_lifted(CS3, D, LiftedPoint(label, 7))
-            assert shifted == LiftedPoint(base.label, base.level + 7)
+        for i in range(3):
+            index, level = apply_lifted(CS3, D, (i, 0))
+            assert apply_lifted(CS3, D, (i, 7)) == (index, level + 7)
+
+
+def test_apply_lifted_stays_in_its_cycle():
+    # indices of the second cycle are offset by the first cycle's length
+    D = MIXED.parse_divisor("2Q1+Q3+3P")
+    assert apply_lifted(MIXED, D, (0, 0)) == (2, 0)
+    assert apply_lifted(MIXED, D, (2, 0)) == (0, 1)
+    assert apply_lifted(MIXED, D, (3, 1)) == (3, 4)
 
 
 def test_compose_worked_values():
@@ -88,9 +118,9 @@ def test_compose_matches_lifted_maps():
     for D in all_divisors(CS3, 2):
         for E in all_divisors(CS3, 2):
             C = compose(CS3, D, E)
-            for label in CS3.labels():
+            for i in range(3):
                 for level in range(-3, 4):
-                    p = LiftedPoint(label, level)
+                    p = (i, level)
                     assert apply_lifted(CS3, C, p) == \
                         apply_lifted(CS3, E, apply_lifted(CS3, D, p))
 
@@ -109,12 +139,13 @@ def test_indicators_idempotent_on_real_cycles():
     # idempotence needs a cycle of length >= 2; a 1-cycle label behaves like
     # a classical invertible prime, P o P = 2P
     for cs in (CS3, MIXED, CycleStructure.from_text("A>B")):
-        for label in cs.labels():
-            P = cs.indicator(label)
-            if len(cs.cycle_of(label)) >= 2:
-                assert compose(cs, P, P) == P
-            else:
-                assert compose(cs, P, P) == Divisor({label: 2})
+        for cyc in cs.cycles:
+            for label in cyc:
+                P = cs.indicator(label)
+                if len(cyc) >= 2:
+                    assert compose(cs, P, P) == P
+                else:
+                    assert compose(cs, P, P) == cs.parse_divisor(f"2{label}")
 
 
 def test_compose_with_full_cycle():
@@ -122,9 +153,9 @@ def test_compose_with_full_cycle():
     for D in all_divisors(CS3, 2):
         left = compose(CS3, D, full)
         right = compose(CS3, full, D)
-        for p in CS3.labels():
-            assert left.get(p) == D.get(p) + 1
-            assert right.get(p) == 1 + D.get(CS3.successor(p))
+        for i, p in enumerate(CS3.labels()):
+            assert left[i] == D[i] + 1
+            assert right[i] == 1 + D[CS3.index(CS3.successor(p))]
 
 
 def test_realizability_examples():
@@ -145,13 +176,12 @@ def test_realizable_iff_lifted_map_monotone():
     # the diagrammatic reading: strands never cross exactly for divisors
     # that come from ideals
     def window(cs):
-        pts = [LiftedPoint(p, n) for n in range(-2, 3) for p in cs.labels()]
+        pts = [(i, n) for n in range(-2, 3) for i in range(len(cs.labels()))]
         return pts  # listed in the total order (level, then position)
 
     def monotone(cs, D):
-        pts = window(cs)
-        images = [apply_lifted(cs, D, p) for p in pts]
-        keys = [(q.level, cs.position(q.label)[1]) for q in images]
+        images = [apply_lifted(cs, D, p) for p in window(cs)]
+        keys = [(level, i) for i, level in images]
         return all(a <= b for a, b in zip(keys, keys[1:]))
 
     for D in all_divisors(CS3, 3):
@@ -198,11 +228,13 @@ def test_enumerate_factorizations_truncation_flag():
 
 
 def test_enumerate_factorizations_word_cap():
-    # word counts explode with the budget once idempotents can repeat
-    with pytest.raises(CapExceeded):
-        enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 9, cap=1000)
-    words, _ = enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 9, cap=5000)
+    # word counts explode with the budget once idempotents can repeat; the
+    # cap bounds the letters of all words together: 2754 words, 23132 letters
+    with pytest.raises(CapExceeded, match="more than 23131 letters"):
+        enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 9, cap=23131)
+    words, _ = enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 9, cap=23132)
     assert len(words) == 2754
+    assert sum(map(len, words)) == 23132
 
 
 def test_default_max_len():
@@ -272,11 +304,19 @@ def test_render_windings():
 
 
 def test_render_word_panels():
-    svg = render_svg(CS3, ["Q1", "Q2", "Q3"])
+    svg = render_svg(CS3, word=["Q1", "Q2", "Q3"])
     root = ET.fromstring(svg)
     panels = root.findall(f".//{SVG_NS}g")
     assert len(panels) == 3
     assert len(strands(svg)) == 9
+
+
+def test_render_takes_exactly_one_of_divisor_or_word():
+    with pytest.raises(ValueError, match="exactly one"):
+        render_svg(CS3)
+    with pytest.raises(ValueError, match="exactly one"):
+        render_svg(CS3, div("Q1"), word=["Q1"])
+    assert render_svg(CS3, word=[]) == render_svg(CS3, CS3.zero())
 
 
 def test_render_multi_cycle_needs_selection():
@@ -286,3 +326,6 @@ def test_render_multi_cycle_needs_selection():
     assert len(strands(svg)) == 3
     with pytest.raises(ValueError):
         render_svg(MIXED, MIXED.parse_divisor("Q1+P"), cycle=0)
+    # the second cycle's counts sit after the first cycle's in the tuple
+    (strand,) = strands(render_svg(MIXED, MIXED.parse_divisor("2P"), cycle=1))
+    assert (strand.get("data-source"), strand.get("data-winding")) == ("P", "2")

@@ -1,7 +1,8 @@
-"""Byte-for-byte pins of the `--json` output of the CLI.
+"""Byte-for-byte pins of the output of the CLI and of the diagram demo.
 
-`golden/tring.json` and `golden/zs.json` hold each command's argv and the
-exact stdout it gave when captured by `golden/capture.py`.
+The JSON files in `golden/` hold each command's argv, the exact stdout it
+gave when captured by `golden/capture.py`, and the text of any file it
+wrote.
 
 - `tring.json`: `tring oracle` at three sizes, the README `tring divisor`
   example and `tring divisor` on three deep products of maximal ideals.  The
@@ -15,18 +16,35 @@ exact stdout it gave when captured by `golden/capture.py`.
   Davenport constants and the atoms in it were read off an atom search over
   sets of coordinate tuples, so they pin the bitmask searches that replaced
   it.
+- `readme.json`: every `nufact` example in README.md, in human mode and
+  with `--json`, and the SVG files the two `div render` examples write.
+- `div.json`: `div factor` with its default length bound on seeded
+  realizable divisors over a 3-cycle, a 4-cycle and a 3-cycle beside a
+  1-cycle, in human mode and with `--json`.
+- `divisor_diagrams.out`: the stdout of `demos/divisor_diagrams.py`.
+
+The README, `div` and demo pins were captured while divisors were still
+label-to-count maps, so they pin the count tuples that replaced them.
 """
 
 import json
 import pathlib
+import runpy
+import shutil
 
 import pytest
 
 from nufact.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
-TRING = json.loads((GOLDEN / "tring.json").read_text(encoding="utf-8"))
-ZS = json.loads((GOLDEN / "zs.json").read_text(encoding="utf-8"))
+DEMO = GOLDEN.parents[1] / "demos" / "divisor_diagrams.py"
+
+
+def load(name):
+    return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+
+
+TRING, ZS, README, DIV = map(load, ("tring.json", "zs.json", "readme.json", "div.json"))
 
 
 def test_golden_covers_every_command():
@@ -35,6 +53,11 @@ def test_golden_covers_every_command():
         "divisor-T3-product-90", "divisor-T4-product-60", "divisor-T5-product-40"]
     assert len(ZS) == 63
     assert [c["name"] for c in ZS][-2:] == ["hfwitness-readme", "atoms-12-elements"]
+    # 19 README examples, each in human mode and with --json
+    assert len(README) == 38
+    assert [c["name"] for c in README if "files" in c] == [
+        "div-render-1", "div-render-1-json", "div-render-2", "div-render-2-json"]
+    assert len(DIV) == 12
 
 
 @pytest.mark.parametrize("case", TRING, ids=lambda c: c["name"])
@@ -47,3 +70,37 @@ def test_tring_json_output_matches_golden(case, capsys):
 def test_zs_json_output_matches_golden(case, capsys):
     assert main(case["argv"]) == 0
     assert capsys.readouterr().out == case["stdout"]
+
+
+def check_case(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(case["argv"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
+    files = case.get("files", {})
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    for name, text in files.items():
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("case", README, ids=lambda c: c["name"])
+def test_readme_output_matches_golden(case, tmp_path, monkeypatch, capsys):
+    check_case(case, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("case", DIV, ids=lambda c: c["name"])
+def test_div_factor_output_matches_golden(case, tmp_path, monkeypatch, capsys):
+    check_case(case, tmp_path, monkeypatch, capsys)
+
+
+def test_divisor_diagrams_demo_output(tmp_path, capsys):
+    # a copy of the demo writes its SVG files next to itself, in tmp_path
+    runpy.run_path(shutil.copy(DEMO, tmp_path), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDEN / "divisor_diagrams.out").read_text(
+        encoding="utf-8")
+    assert sorted(p.name for p in tmp_path.glob("*.svg")) == [
+        "divisor_7Q1_6Q2_8Q3.svg", "divisor_Q1.svg", "divisor_Q1_Q2_Q3.svg",
+        "word_Q1_Q2_Q3.svg"]
+    # the demo draws the two README render examples too
+    svgs = {name: text for c in README for name, text in c.get("files", {}).items()}
+    assert (tmp_path / "divisor_7Q1_6Q2_8Q3.svg").read_text() == svgs["fig.svg"]
+    assert (tmp_path / "word_Q1_Q2_Q3.svg").read_text() == svgs["word.svg"]

@@ -11,7 +11,7 @@ from nufact.divcalc import compose, is_realizable
 from nufact.tring import (
     CapExceeded,
     _chain_divisor,
-    _row_labels,
+    _label_rows,
     cycle_structure,
     divisor_of,
     double_dual,
@@ -222,13 +222,15 @@ def test_chain_divisor_accepts_lists(A):
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
 def test_row_labels_are_the_diagonal_bumps(l):
     t = ring_matrix(l)
-    labels = cycle_structure(l).labels()
-    for i, label in enumerate(_row_labels(l)):
+    rows = _label_rows(l)
+    assert sorted(rows) == list(range(l))
+    for j, i in enumerate(rows):
         bump = tuple(tuple(v + (r == c == i) for c, v in enumerate(row))
                      for r, row in enumerate(t))
-        assert maximal_ideals(l)[labels.index(label)] == bump
-    # the double dual orders the bumps from the last diagonal entry up
-    assert _row_labels(l) == tuple(f"Q{l - i}" for i in range(l))
+        assert maximal_ideals(l)[j] == bump
+    # the double dual orders the bumps from the last diagonal entry up:
+    # label Q_k, at index k - 1, raises row l - k
+    assert rows == tuple(l - k for k in range(1, l + 1))
 
 
 def test_oracle_report_default_passes():
@@ -261,11 +263,7 @@ def test_tau_orbit_general_size(l):
 def test_oracle_report_negative_control():
     def corrupted(cs, D, E):
         good = compose(cs, D, E)
-        counts = dict(good.counts)
-        first = cs.labels()[0]
-        counts[first] = counts.get(first, 0) + 1
-        from nufact.divcalc import Divisor
-        return Divisor(counts)
+        return (good[0] + 1,) + good[1:]
 
     report = oracle_report(l=3, max_exp=1, compose_fn=corrupted)
     assert not report["all_pass"]
