@@ -4,7 +4,7 @@ One binary with a subcommand tree (zs / quad / quat / div / tring), sharing
 the text syntaxes of the library modules.  Every command emits human-readable
 text by default and a stable JSON document with --json; identical inputs give
 byte-identical output.  Exit codes: 0 success, 1 domain error (bad input
-values, caps), 2 usage error.
+values, caps, an --out file that cannot be written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -376,7 +376,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, human = args.handler(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:

@@ -29,6 +29,11 @@ from operator import le
 from .abelian import CapExceeded
 
 DEFAULT_LETTER_CAP = 2_000_000
+# search states (partial products, one per level they occur on) the word
+# search may visit; the letter cap then bounds the words built from them
+WORD_SEARCH_BUDGET = 200_000
+# total count of a divisor render_svg draws: a strand draws one piece per winding
+DRAWING_CAP = 10_000
 
 
 class CycleStructure:
@@ -200,7 +205,8 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int,
     non-realizable divisors, which admit no word at any length.  The number
     of words grows exponentially with max_len once idempotent letters can
     repeat, so the enumeration aborts with :class:`CapExceeded` when the
-    words would hold more than `cap` letters in all (default 2000000)."""
+    words would hold more than `cap` letters in all (default 2000000), and
+    when the search would visit more than WORD_SEARCH_BUDGET states."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     if not is_realizable(cs, D):
@@ -221,18 +227,26 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int,
 
     # levels[k]: the partial products reachable with k letters, that is the
     # search states (partial, max_len - k).  The passes below run level by
-    # level from the last one up, without recursion.
+    # level from the last one up, without recursion.  Past an empty level
+    # every level is empty, so the levels stop there.
     levels = [{zero}]
-    for _ in range(max_len):
+    visited = 1
+    while len(levels) <= max_len and levels[-1]:
         levels.append({nxt for p in levels[-1] for _, nxt in successors(p)})
+        visited += len(levels[-1])
+        if visited > WORD_SEARCH_BUDGET:
+            raise CapExceeded(
+                f"the word search exceeds its budget: visited {WORD_SEARCH_BUDGET} "
+                f"states, reached length {len(levels) - 1}")
     truncated = any(p != D for p in levels[-1])
 
     # Every word of a state extends to a word of the root, so the root has
     # the most words and letters: check the cap on the letter total before
     # building any word.  A word through nxt has one letter more at p.
-    count = {p: int(p == D) for p in levels[max_len]}
-    letters = dict.fromkeys(levels[max_len], 0)
-    for depth in range(max_len - 1, -1, -1):
+    last = len(levels) - 1
+    count = {p: int(p == D) for p in levels[last]}
+    letters = dict.fromkeys(levels[last], 0)
+    for depth in range(last - 1, -1, -1):
         count, letters = (
             {p: (p == D) + sum(count[nxt] for _, nxt in successors(p))
              for p in levels[depth]},
@@ -244,8 +258,8 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int,
             f"divisor within length {max_len}; lower max_len or raise the cap")
 
     # words as linked (letter, rest) pairs: one letter more costs O(1)
-    words = {p: [()] * (p == D) for p in levels[max_len]}
-    for depth in range(max_len - 1, -1, -1):
+    words = {p: [()] * (p == D) for p in levels[last]}
+    for depth in range(last - 1, -1, -1):
         words = {p: [()] * (p == D) + [(q, w) for q, nxt in successors(p) for w in words[nxt]]
                  for p in levels[depth]}
 
@@ -299,7 +313,8 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
     and right edges, and each strand moves forward by the divisor's count at
     its source, wrapping over the bottom edge once per winding.  Words render
     one panel per letter, glued left to right.  Only one cycle can be drawn;
-    for a multi-cycle structure the cycle index must be given.
+    for a multi-cycle structure the cycle index must be given.  A divisor
+    whose counts add up to more than DRAWING_CAP is refused.
     """
     if (D is None) == (word is None):
         raise ValueError("give exactly one of a divisor or a word")
@@ -320,6 +335,9 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
         if stray:
             raise ValueError(
                 f"divisor has support outside the drawn cycle: {stray}")
+        if sum(D) > DRAWING_CAP:
+            raise CapExceeded(f"divisor of total count {sum(D)} exceeds the drawing cap "
+                              f"{DRAWING_CAP}")
         panels = [D]
         titles = [cs.format_divisor(D)]
     else:

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .abelian import CapExceeded
 
 DEFAULT_NORM_CAP = 10**6
 
 
-@dataclass(frozen=True, order=True)
-class QuadInt:
-    """a + b*w with integer a, b."""
+class QuadInt(namedtuple("QuadInt", "a b")):
+    """a + b*w with integer a, b; ordered by (a, b)."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
     def __repr__(self):
         return f"QuadInt({format_quadint(self)})"

@@ -12,16 +12,14 @@ so there is no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class SqrtRat:
+class SqrtRat(namedtuple("SqrtRat", "u v")):
     """u + v*sqrt(3) with exact rational u, v."""
 
-    u: Fraction
-    v: Fraction
+    __slots__ = ()
 
     @classmethod
     def of(cls, u, v=0) -> "SqrtRat":
@@ -63,14 +61,10 @@ R1 = SqrtRat.of(1)
 SQRT3 = SqrtRat.of(0, 1)
 
 
-@dataclass(frozen=True)
-class QuatQ3:
+class QuatQ3(namedtuple("QuatQ3", "w x y z")):
     """w + x*i + y*j + z*k with SqrtRat components."""
 
-    w: SqrtRat
-    x: SqrtRat
-    y: SqrtRat
-    z: SqrtRat
+    __slots__ = ()
 
     @classmethod
     def of(cls, w=0, x=0, y=0, z=0) -> "QuatQ3":
@@ -158,10 +152,14 @@ def verify_identity(factors: list[QuatQ3], product: QuatQ3) -> bool:
 # expression syntax: "1-2i+k", "(1/2)-i+((r3-2)/2)k", with r3 = sqrt(3);
 # adjacency means multiplication, so "2i" is 2*i and "(r3+2)/2" a scalar.
 
+# the parser recurses a few calls deep per parenthesis; deeper nesting is refused
+MAX_NESTING = 100
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.toks = []
-        i = 0
+        i = depth = 0
         while i < len(text):
             ch = text[i]
             if ch.isspace():
@@ -179,6 +177,9 @@ class _Tokens:
                 self.toks.append(("unit", ch))
                 i += 1
             elif ch in "+-*/()":
+                depth += (ch == "(") - (ch == ")")
+                if depth > MAX_NESTING:
+                    raise ValueError(f"parentheses nested deeper than {MAX_NESTING}")
                 self.toks.append((ch, ch))
                 i += 1
             else:

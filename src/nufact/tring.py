@@ -29,6 +29,10 @@ from .abelian import CapExceeded
 from .divcalc import CycleStructure, compose, is_realizable
 
 DEFAULT_CANDIDATE_CAP = 5 * 10**6
+# the oracle's largest ring (T(32) with exponents <= 0 takes about 0.5 s)
+# and most chain walks (100 add about 2 s to T(6) with exponents <= 1)
+ORACLE_SIZE_CAP = 32
+CHAIN_TRIAL_CAP = 100
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -279,11 +283,16 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     every realizable divisor with counts <= max_exp - 1; and agreement of
     divisor_of with the labels read off random maximal chains.  compose_fn
     substitutes for the divisor composition (a hook for negative controls);
-    cap is the candidate cap of enumerate_ideals.
+    cap is the candidate cap of enumerate_ideals.  Sizes above
+    ORACLE_SIZE_CAP and more than CHAIN_TRIAL_CAP chain trials are refused.
 
     Returns a report dict with one pass/fail entry per property and a
     counterexample for every failure.
     """
+    if l > ORACLE_SIZE_CAP:
+        raise CapExceeded(f"size {l} exceeds the oracle's size cap {ORACLE_SIZE_CAP}")
+    if chain_trials > CHAIN_TRIAL_CAP:
+        raise CapExceeded(f"{chain_trials} chain trials exceed cap {CHAIN_TRIAL_CAP}")
     cs = cycle_structure(l)
     comp = compose_fn if compose_fn is not None else compose
     corpus = enumerate_ideals(l, max_exp, cap=cap)
@@ -374,7 +383,7 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
 def parse_matrix(text: str) -> Matrix:
     try:
         rows = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise ValueError(f"expected a JSON array of integer rows, got {text!r}")
     return _as_matrix(rows)
 

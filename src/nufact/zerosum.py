@@ -10,7 +10,8 @@ Everything here is exhaustive search at desk scale, guarded by caps:
 sequences up to length 24, groups up to order 64 by default.  The atoms and
 the Davenport constant come from searches over subset-sum bitmasks, which
 budgets of work bound as well: they finish on every group of order up to 26
-and 32 respectively.
+and 32 respectively.  The half-factoriality witness search has a budget of
+candidate sequences.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ DEFAULT_GROUP_CAP = 64
 # Davenport search on Z/32 needs 2.2 million, the atom search on Z/26 0.26 million
 DAVENPORT_BUDGET = 2_500_000
 ATOM_BUDGET = 300_000
+# candidate sequences the half-factoriality witness search may scan, for
+# groups up to order 64: at most about 3.3 s in process, over Z/17, Z/19, Z/23
+WITNESS_BUDGET = 50_000
 
 
 class ZSeq:
@@ -201,14 +205,15 @@ def davenport(G: FinAbGroup, cap: int | None = None) -> int:
         length += 1
 
 
-def _budget(base: int, order: int, search: str, first_level: int) -> int:
-    """States a search over this order may build: base up to order 64, and
-    base * 64 / order beyond, so the masks held take about as much memory.  A
+def _budget(base: int, order: int, search: str, first_level: int,
+            unit: str = "subset-sum states") -> int:
+    """Units of work a search over this order may do: base up to order 64,
+    and base * 64 / order beyond, where each unit works on wider masks.  A
     search whose length 1 alone is over budget is refused before any work."""
     budget = base * 64 // max(order, 64)
     if first_level > budget:
         raise CapExceeded(f"{search} over order {order} exceeds its budget: "
-                          f"length 1 alone needs {first_level} of {budget} subset-sum states")
+                          f"length 1 alone needs {first_level} of {budget} {unit}")
     return budget
 
 
@@ -349,7 +354,9 @@ def half_factorial_witness(G0, max_len: int, group: FinAbGroup | None = None,
 
     Scans lengths in increasing order, so a returned witness is shortest
     possible.  Given the group, the caps are checked before G0 is read, as
-    in `atoms`.
+    in `atoms`.  Every candidate sequence scanned counts against the budget
+    of WITNESS_BUDGET (see _budget); past it the search stops with
+    CapExceeded and its progress.
     """
     if group is None:
         G0 = list(G0)
@@ -363,8 +370,14 @@ def half_factorial_witness(G0, max_len: int, group: FinAbGroup | None = None,
     if group.order > group_limit:
         raise CapExceeded(f"group of order {group.order} exceeds cap {group_limit}")
     coords = sorted({e.coords for e in G0})
+    budget = _budget(WITNESS_BUDGET, group.order, "witness search", len(coords), "candidates")
+    scanned = 0
     for L in range(1, max_len + 1):
         for combo in itertools.combinations_with_replacement(coords, L):
+            scanned += 1
+            if scanned > budget:
+                raise CapExceeded(f"witness search over order {group.order} exceeds its budget: "
+                                  f"scanned {budget} candidates, reached length {L}")
             if any(sum(column) % n for column, n in zip(zip(*combo), group.moduli)):
                 continue
             S = ZSeq(group, Counter(combo))

@@ -107,6 +107,22 @@ def test_zs_davenport_stops_at_its_state_budget(capsys):
     assert re.search(r"searched \d+ subset-sum states, reached length \d+$", lines[0])
 
 
+@pytest.mark.parametrize("argv, progress", [
+    # the whole of Z/2000 is over the scaled budget at length 1 already
+    (["--group", "2000", "--max-len", "2", "--cap", "2000"],
+     r"length 1 alone needs 2000 of 1600 candidates$"),
+    (["--group", "64", "--max-len", "24"], r"scanned 50000 candidates, reached length 4$"),
+])
+def test_zs_hfwitness_stops_at_its_budget(capsys, argv, progress):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--json", "zs", "hfwitness", *argv)
+    assert time.perf_counter() - start < 10
+    assert code == 1 and out == "" and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: witness search over order ")
+    assert re.search(progress, lines[0])
+
+
 @pytest.mark.parametrize("argv, code, fragment", [
     (["--cap", "2", "zs", "davenport", "--group", "3"], 1, "exceeds cap 2"),
     (["zs", "davenport", "--group", "3", "--cap", "2"], 1, "exceeds cap 2"),
@@ -178,6 +194,40 @@ def test_zs_whole_group_checks_the_order_cap_first(argv, capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == "error: group of order 900000 exceeds cap 64\n"
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["div", "factor", "--cycles", "Q1", HUGE + "Q1"],
+     "the word search exceeds its budget: visited 200000 states, reached length 200000"),
+    (["div", "factor", "--cycles", "Q1>Q2>Q3", "Q2", "--max-len", HUGE],
+     "the word search exceeds its budget: visited 200000 states, reached length 200000"),
+    (["div", "render", "--cycles", "Q1>Q2>Q3", "--divisor", HUGE + "Q1", "--out", "fig.svg"],
+     f"divisor of total count {HUGE} exceeds the drawing cap 10000"),
+    (["div", "render", "--cycles", "Q1>Q2>Q3", "--divisor", "Q1", "--out", "missing/fig.svg"],
+     "No such file or directory: 'missing/fig.svg'"),
+    (["div", "render", "--cycles", "Q1>Q2>Q3", "--word", "Q1", "--out", "."],
+     "Is a directory: '.'"),
+    (["tring", "oracle", "--size", HUGE], f"size {HUGE} exceeds the oracle's size cap 32"),
+    (["tring", "oracle", "--trials", HUGE], f"{HUGE} chain trials exceed cap 100"),
+    (["tring", "mul", "[" * 100_000], "expected a JSON array of integer rows"),
+    (["quat", "verify", "--product", "1", "(" * 5000 + "1" + ")" * 5000],
+     "parentheses nested deeper than 100"),
+], ids=["div-factor-huge-count", "div-factor-huge-max-len", "div-render-huge-count",
+        "div-render-missing-dir", "div-render-onto-dir", "tring-oracle-huge-size",
+        "tring-oracle-huge-trials", "tring-mul-deep-json", "quat-deep-parentheses"])
+def test_huge_or_malformed_input_is_refused_in_seconds(tmp_path, monkeypatch, capsys,
+                                                       argv, message):
+    # each of these hung or ended in a traceback before it was bounded
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert code == 1 and out == "" and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
 
 def test_div_render_writes_svg(tmp_path, capsys):

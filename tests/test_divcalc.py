@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from nufact import divcalc
 from nufact.divcalc import (
     CapExceeded,
     CycleStructure,
@@ -237,6 +238,21 @@ def test_enumerate_factorizations_word_cap():
     assert sum(map(len, words)) == 23132
 
 
+def test_word_search_budget(monkeypatch):
+    # the README example 3Q1+2Q2+Q3 within length 5 visits 47 states
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 47)
+    words, truncated = enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 5)
+    assert words[0] == ["Q1", "Q2", "Q3"] and len(words) == 37 and truncated
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 46)
+    with pytest.raises(CapExceeded, match=r"^the word search exceeds its budget: "
+                                          r"visited 46 states, reached length 5$"):
+        enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 5)
+    # Q2 has one state per level, so a huge length bound is refused at once
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 1000)
+    with pytest.raises(CapExceeded, match="visited 1000 states, reached length 1000$"):
+        enumerate_factorizations_ex(CS3, div("Q2"), 10**20)
+
+
 def test_default_max_len():
     assert default_max_len(CS3, div("3Q1+2Q2+Q3")) == 9
     assert default_max_len(MIXED, MIXED.parse_divisor("P")) == 2
@@ -309,6 +325,13 @@ def test_render_word_panels():
     panels = root.findall(f".//{SVG_NS}g")
     assert len(panels) == 3
     assert len(strands(svg)) == 9
+
+
+def test_render_drawing_cap(monkeypatch):
+    monkeypatch.setattr(divcalc, "DRAWING_CAP", 5)
+    assert render_svg(CS3, div("2Q1+3Q3")).startswith("<svg")
+    with pytest.raises(CapExceeded, match="total count 6 exceeds the drawing cap 5$"):
+        render_svg(CS3, div("3Q1+3Q3"))
 
 
 def test_render_takes_exactly_one_of_divisor_or_word():

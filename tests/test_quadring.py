@@ -41,6 +41,13 @@ def test_qmul_examples():
     assert norm(QuadInt(1, 1)) * norm(QuadInt(2, -1)) == norm(QuadInt(8, 0))
 
 
+def test_quadint_orders_by_coordinates():
+    xs = [QuadInt(1, -1), QuadInt(0, 5), QuadInt(1, -2), QuadInt(-3, 9)]
+    assert sorted(xs) == [QuadInt(-3, 9), QuadInt(0, 5), QuadInt(1, -2), QuadInt(1, -1)]
+    assert QuadInt(1, -2) < QuadInt(1, -1) and repr(QuadInt(1, 1)) == "QuadInt(1+1*w)"
+    assert len({QuadInt(2, 0), QuadInt(2, 0)}) == 1
+
+
 def test_norm_examples():
     assert norm(QuadInt(2, 0)) == 4
     assert norm(QuadInt(1, 1)) == 8

@@ -73,6 +73,21 @@ def test_verify_identity_rejects_outside_order():
     assert not verify_identity([half, two], Q_ONE)
 
 
+def test_parse_nesting_limit():
+    assert parse_quat("(" * 100 + "i" + ")" * 100) == Q_I
+    with pytest.raises(ValueError, match="^parentheses nested deeper than 100$"):
+        parse_quat("(" * 101 + "i" + ")" * 101)
+    assert parse_quat("-" * 5001 + "i") == hneg(Q_I)  # signs do not recurse
+
+
+def test_values_are_tuples_with_exact_repr():
+    q = parse_quat("(1/2)-i+((r3-2)/2)k")
+    assert repr(q) == "QuatQ3(1/2-i+(-1+1/2*r3)k)"
+    assert repr(SqrtRat.of(1, -1)) == "SqrtRat(1-r3)"
+    assert q == QuatQ3(*q) and hash(q) == hash(QuatQ3(*q))
+    assert {q, QuatQ3(*q)} == {q}
+
+
 def test_verify_identity_needs_factors():
     with pytest.raises(ValueError):
         verify_identity([], Q_ONE)

@@ -249,6 +249,22 @@ def test_oracle_report_l4_passes():
     assert oracle_report(l=4, max_exp=1, seed=0, chain_trials=10)["all_pass"]
 
 
+def test_oracle_report_size_and_trial_caps():
+    # checked before any ring is built, so a huge size is refused at once
+    with pytest.raises(CapExceeded, match="size 33 exceeds the oracle's size cap 32$"):
+        oracle_report(l=33, max_exp=0)
+    with pytest.raises(CapExceeded, match="size 10000000000 exceeds"):
+        oracle_report(l=10**10)
+    with pytest.raises(CapExceeded, match="101 chain trials exceed cap 100$"):
+        oracle_report(l=2, max_exp=1, chain_trials=101)
+    assert oracle_report(l=2, max_exp=1, chain_trials=100)["all_pass"]
+
+
+def test_parse_matrix_refuses_deep_nesting():
+    with pytest.raises(ValueError, match="expected a JSON array of integer rows"):
+        parse_matrix("[" * 100_000)
+
+
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
 def test_tau_orbit_general_size(l):
     # the double dual walks the diagonal bumps from last to first

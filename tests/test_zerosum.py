@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -319,6 +320,26 @@ def test_half_factorial_witness_cap():
     with pytest.raises(CapExceeded, match="group of order 100 exceeds cap 64"):
         half_factorial_witness(enumerate_elements(Z100), 2)
     assert half_factorial_witness([Z100.element([1]), Z100.element([99])], 4, cap=100) is None
+
+
+def test_half_factorial_witness_budget(monkeypatch):
+    # lengths in increasing order, each in combinations order over the sorted
+    # coordinates: the README witness 1^2 2^2 3^2 over Z/4 is candidate k
+    k = sum(math.comb(4 + L - 1, L) for L in range(1, 6)) + 1 + \
+        list(itertools.combinations_with_replacement(range(4), 6)).index((1, 1, 2, 2, 3, 3))
+    Z4 = make_group([4])
+    monkeypatch.setattr(zerosum, "WITNESS_BUDGET", k)
+    assert format_seq(half_factorial_witness(enumerate_elements(Z4), 8)) == "1^2 2^2 3^2"
+    monkeypatch.setattr(zerosum, "WITNESS_BUDGET", k - 1)
+    with pytest.raises(CapExceeded, match=rf"^witness search over order 4 exceeds its budget: "
+                                          rf"scanned {k - 1} candidates, reached length 6$"):
+        half_factorial_witness(enumerate_elements(Z4), 8)
+    # beyond order 64 the budget shrinks in proportion to the order; 2 * 64 // 100
+    # is 1, so the two candidates of length 1 alone are refused before any work
+    monkeypatch.setattr(zerosum, "WITNESS_BUDGET", 2)
+    Z100 = make_group([100])
+    with pytest.raises(CapExceeded, match="length 1 alone needs 2 of 1 candidates$"):
+        half_factorial_witness([Z100.element([1]), Z100.element([99])], 4, cap=100)
 
 
 # ---------------------------------------------------------------- properties
