@@ -6,7 +6,7 @@ The smallest classical example where an element factors into atoms in two
 ways of different lengths, found here by pure brute force on the norm form.
 """
 
-from nufact.abelian import make_group
+from nufact.abelian import FinAbGroup
 from nufact.quadring import (
     QuadInt,
     element_factorizations,
@@ -37,7 +37,7 @@ print("(1+w)(2-w) =", format_quadint(qmul(QuadInt(1, 1), QuadInt(2, -1))))
 
 # The same length data falls out of the zero-sum model over Z/3, the class
 # group of this order: 8 corresponds to the sequence 1^3 2^3.
-G = make_group([3])
+G = FinAbGroup([3])
 S = parse_seq(G, "1^3 2^3")
 quad_lengths = sorted({len(F) for F in element_factorizations(eight)})
 model_lengths = sorted(length_set(S))

@@ -7,7 +7,7 @@ elements, the zero-sum ones form a monoid under concatenation, and its atoms
 (the minimal zero-sum sequences) control all factorization behavior.
 """
 
-from nufact.abelian import enumerate_elements, make_group
+from nufact.abelian import FinAbGroup
 from nufact.zerosum import (
     atoms,
     davenport,
@@ -19,11 +19,10 @@ from nufact.zerosum import (
 )
 
 # The running example: the cyclic group of order three.
-G = make_group([3])
-elements = enumerate_elements(G)
+G = FinAbGroup([3])
 
 print("atoms of the zero-sum monoid over Z/3:")
-for S in atoms(elements):
+for S in atoms(G):
     print("   ", format_seq(S))
 
 # The sequence 1^3 2^3 factors in two essentially different ways:
@@ -37,15 +36,15 @@ print("length set:", sorted(length_set(S)))
 # The longest minimal zero-sum sequence (the Davenport constant) caps the
 # search depth for all of this.
 for moduli in ([2], [3], [4], [5], [2, 2], [2, 4]):
-    H = make_group(moduli)
+    H = FinAbGroup(moduli)
     print(f"davenport({'x'.join(map(str, moduli))}) =", davenport(H))
 
 # Half-factoriality: every length set is a singleton iff the group has at
 # most two elements.  A witness sequence shows where it first fails.
 print("\nhalf-factoriality boundary:")
 for moduli in ([1], [2], [3], [4], [2, 2]):
-    H = make_group(moduli)
-    W = half_factorial_witness(enumerate_elements(H), 2 * davenport(H), group=H)
+    H = FinAbGroup(moduli)
+    W = half_factorial_witness(H, 2 * davenport(H))
     name = "x".join(map(str, moduli))
     if W is None:
         print(f"    Z/{name}: no witness up to 2*davenport; half-factorial")

@@ -10,7 +10,6 @@ values, caps, an --out file that cannot be written), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
@@ -29,18 +28,9 @@ def _lengths_text(lengths) -> str:
     return "{" + ",".join(str(n) for n in sorted(lengths)) + "}"
 
 
-def _ground_set(args, G):
-    """The elements given by --elements, or else the whole group."""
-    if args.elements:
-        return zerosum.parse_seq(G, args.elements).support()
-    return _whole_group(G)
-
-
-def _whole_group(G):
-    """Every element of G, built from its coordinate tuples only once the
-    caller iterates, that is after the order cap has been checked."""
-    for coords in itertools.product(*map(range, G.moduli)):
-        yield G.element(coords)
+def _elements(args, G):
+    """The coordinate tuples given by --elements, or None for the whole group."""
+    return zerosum.parse_seq(G, args.elements).counts if args.elements else None
 
 
 # ----------------------------------------------------------------------
@@ -48,7 +38,7 @@ def _whole_group(G):
 
 def cmd_zs_atoms(args):
     G = _group(args)
-    atom_list = zerosum.atoms(_ground_set(args, G), group=G, cap=args.cap)
+    atom_list = zerosum.atoms(G, _elements(args, G), cap=args.cap)
     payload = {"group": args.group, "atoms": [zerosum.format_seq(S) for S in atom_list]}
     human = "\n".join(payload["atoms"]) or "(no atoms)"
     return payload, human
@@ -84,8 +74,7 @@ def cmd_zs_davenport(args):
 
 def cmd_zs_hfwitness(args):
     G = _group(args)
-    W = zerosum.half_factorial_witness(_ground_set(args, G), args.max_len,
-                                       group=G, cap=args.cap)
+    W = zerosum.half_factorial_witness(G, args.max_len, _elements(args, G), cap=args.cap)
     if W is None:
         payload = {"group": args.group, "max_len": args.max_len, "witness": None}
         return payload, f"no witness up to length {args.max_len}"

@@ -33,6 +33,9 @@ DEFAULT_CANDIDATE_CAP = 5 * 10**6
 # and most chain walks (100 add about 2 s to T(6) with exponents <= 1)
 ORACLE_SIZE_CAP = 32
 CHAIN_TRIAL_CAP = 100
+# corpus pairs the homomorphism check may multiply and compose: the largest
+# admitted, T(3) with exponents <= 10 (80,656 pairs), takes about 2 s
+ORACLE_PAIR_BUDGET = 90_000
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -284,7 +287,8 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     divisor_of with the labels read off random maximal chains.  compose_fn
     substitutes for the divisor composition (a hook for negative controls);
     cap is the candidate cap of enumerate_ideals.  Sizes above
-    ORACLE_SIZE_CAP and more than CHAIN_TRIAL_CAP chain trials are refused.
+    ORACLE_SIZE_CAP, more than CHAIN_TRIAL_CAP chain trials and a corpus of
+    more than ORACLE_PAIR_BUDGET pairs are refused.
 
     Returns a report dict with one pass/fail entry per property and a
     counterexample for every failure.
@@ -296,6 +300,10 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     cs = cycle_structure(l)
     comp = compose_fn if compose_fn is not None else compose
     corpus = enumerate_ideals(l, max_exp, cap=cap)
+    pairs = len(corpus) ** 2
+    if pairs > ORACLE_PAIR_BUDGET:
+        raise CapExceeded(f"{pairs} pairs of {len(corpus)} ideals exceed the oracle's "
+                          f"pair budget {ORACLE_PAIR_BUDGET}")
     divisors = [divisor_of(A) for A in corpus]
     report: dict = {
         "ring_size": l,

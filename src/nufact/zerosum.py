@@ -1,10 +1,11 @@
 """The monoid of zero-sum sequences over a subset of a finite abelian group.
 
-A sequence is a finite multiset over a set G0 of group elements; it is
-zero-sum when its entries add to the group identity.  Zero-sum sequences form
-a monoid under concatenation whose atoms are the minimal zero-sum sequences,
-and the factorization combinatorics of that monoid (length sets in
-particular) model factorization in rings with the matching class group.
+A sequence is a finite multiset over a set G0 of group elements, each a
+tuple of reduced residues (see ``abelian``); it is zero-sum when its
+entries add to the group identity.  Zero-sum sequences form a monoid under
+concatenation whose atoms are the minimal zero-sum sequences, and the
+factorization combinatorics of that monoid (length sets in particular)
+model factorization in rings with the matching class group.
 
 Everything here is exhaustive search at desk scale, guarded by caps:
 sequences up to length 24, groups up to order 64 by default.  The atoms and
@@ -21,12 +22,7 @@ import itertools
 from collections import Counter
 from math import prod
 
-from .abelian import (
-    CapExceeded,
-    FinAbGroup,
-    GroupElement,
-    format_element,
-)
+from .abelian import CapExceeded, FinAbGroup, format_element
 
 DEFAULT_SEQ_CAP = 24
 DEFAULT_GROUP_CAP = 64
@@ -57,15 +53,6 @@ class ZSeq:
         self._key = (group.moduli, tuple(self.counts.items()))
 
     @classmethod
-    def from_elements(cls, group: FinAbGroup, elements) -> "ZSeq":
-        counts: dict = {}
-        for e in elements:
-            if e.group != group:
-                raise ValueError("elements belong to different groups")
-            counts[e.coords] = counts.get(e.coords, 0) + 1
-        return cls(group, counts)
-
-    @classmethod
     def empty(cls, group: FinAbGroup) -> "ZSeq":
         return cls(group, {})
 
@@ -75,9 +62,6 @@ class ZSeq:
 
     def is_empty(self) -> bool:
         return not self.counts
-
-    def support(self) -> list[GroupElement]:
-        return [GroupElement(self.group, c) for c in self.counts]
 
     def expanded(self) -> tuple:
         """Coordinate tuples with multiplicity; the canonical sort key."""
@@ -115,14 +99,14 @@ class ZSeq:
         return f"ZSeq({format_seq(self)!r})"
 
 
-def seq_sum(S: ZSeq) -> GroupElement:
+def seq_sum(S: ZSeq) -> tuple[int, ...]:
     """Sum of all entries of S (with multiplicity) in the parent group."""
     moduli = S.group.moduli
     total = [0] * len(moduli)
     for c, m in S.counts.items():
         for i, x in enumerate(c):
             total[i] += x * m
-    return GroupElement(S.group, tuple(t % n for t, n in zip(total, moduli)))
+    return tuple(t % n for t, n in zip(total, moduli))
 
 
 def concat(S: ZSeq, T: ZSeq) -> ZSeq:
@@ -136,7 +120,7 @@ def concat(S: ZSeq, T: ZSeq) -> ZSeq:
 
 
 def is_zero_sum(S: ZSeq) -> bool:
-    return seq_sum(S).is_zero()
+    return not any(seq_sum(S))
 
 
 def is_minimal_zero_sum(S: ZSeq) -> bool:
@@ -244,20 +228,26 @@ def _translations(moduli: tuple, coords) -> list:
     return moves
 
 
-def atoms(G0, group: FinAbGroup | None = None, cap: int | None = None) -> list[ZSeq]:
-    """All minimal zero-sum sequences over the set G0, in canonical order.
+def _ground_set(G: FinAbGroup, coords) -> tuple:
+    """The sorted distinct elements given by coords, each passed once
+    through G.element; all of G for None."""
+    if coords is None:
+        return tuple(itertools.product(*map(range, G.moduli)))
+    return tuple(sorted({G.element(c) for c in coords}))
 
-    Given the group, the order cap is checked before G0 is read, so G0 may
-    lazily range over a group too large for the cap."""
-    if group is None:
-        G0 = list(G0)
-        if not G0:
-            return []
-        group = G0[0].group
+
+def atoms(G: FinAbGroup, coords=None, cap: int | None = None) -> list[ZSeq]:
+    """All minimal zero-sum sequences over the elements given by coords
+    (coordinate tuples; None for all of G), in canonical order.
+
+    The order cap, and for all of G the budget of length 1, are checked
+    before any element is built."""
     limit = DEFAULT_GROUP_CAP if cap is None else cap
-    if group.order > limit:
-        raise CapExceeded(f"group of order {group.order} exceeds cap {limit}")
-    return list(_atoms(group.moduli, tuple(sorted({e.coords for e in G0}))))
+    if G.order > limit:
+        raise CapExceeded(f"group of order {G.order} exceeds cap {limit}")
+    if coords is None:
+        _budget(ATOM_BUDGET, G.order, "atom search", G.order - 1)
+    return list(_atoms(G.moduli, _ground_set(G, coords)))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -347,40 +337,38 @@ def length_set(S: ZSeq, cap: int | None = None) -> set[int]:
     return {len(F) for F in factorizations(S, cap=cap)}
 
 
-def half_factorial_witness(G0, max_len: int, group: FinAbGroup | None = None,
+def half_factorial_witness(G: FinAbGroup, max_len: int, coords=None,
                            cap: int | None = None) -> ZSeq | None:
-    """A zero-sum sequence over G0 of length <= max_len whose length set is
-    not a singleton, or None if no such sequence exists up to that bound.
+    """A zero-sum sequence over the elements given by coords (None for all
+    of G) of length <= max_len whose length set is not a singleton, or None
+    if no such sequence exists up to that bound.
 
     Scans lengths in increasing order, so a returned witness is shortest
-    possible.  Given the group, the caps are checked before G0 is read, as
-    in `atoms`.  Every candidate sequence scanned counts against the budget
+    possible.  The caps are checked before any element is built, as in
+    `atoms`.  Every candidate sequence scanned counts against the budget
     of WITNESS_BUDGET (see _budget); past it the search stops with
     CapExceeded and its progress.
     """
-    if group is None:
-        G0 = list(G0)
-        if not G0:
-            return None
-        group = G0[0].group
     limit = DEFAULT_SEQ_CAP if cap is None else cap
     if max_len > limit:
         raise CapExceeded(f"max_len {max_len} exceeds sequence cap {limit}")
     group_limit = DEFAULT_GROUP_CAP if cap is None else cap
-    if group.order > group_limit:
-        raise CapExceeded(f"group of order {group.order} exceeds cap {group_limit}")
-    coords = sorted({e.coords for e in G0})
-    budget = _budget(WITNESS_BUDGET, group.order, "witness search", len(coords), "candidates")
+    if G.order > group_limit:
+        raise CapExceeded(f"group of order {G.order} exceeds cap {group_limit}")
+    if coords is None:
+        _budget(WITNESS_BUDGET, G.order, "witness search", G.order, "candidates")
+    coords = _ground_set(G, coords)
+    budget = _budget(WITNESS_BUDGET, G.order, "witness search", len(coords), "candidates")
     scanned = 0
     for L in range(1, max_len + 1):
         for combo in itertools.combinations_with_replacement(coords, L):
             scanned += 1
             if scanned > budget:
-                raise CapExceeded(f"witness search over order {group.order} exceeds its budget: "
+                raise CapExceeded(f"witness search over order {G.order} exceeds its budget: "
                                   f"scanned {budget} candidates, reached length {L}")
-            if any(sum(column) % n for column, n in zip(zip(*combo), group.moduli)):
+            if any(sum(column) % n for column, n in zip(zip(*combo), G.moduli)):
                 continue
-            S = ZSeq(group, Counter(combo))
+            S = ZSeq(G, Counter(combo))
             if len(length_set(S, cap=cap)) > 1:
                 return S
     return None
@@ -400,7 +388,7 @@ def parse_seq(group: FinAbGroup, text: str) -> ZSeq:
         else:
             elem_part, mult = token, 1
         e = group.parse_element(elem_part)
-        counts[e.coords] = counts.get(e.coords, 0) + mult
+        counts[e] = counts.get(e, 0) + mult
     return ZSeq(group, counts)
 
 
@@ -408,6 +396,6 @@ def format_seq(S: ZSeq) -> str:
     """Inverse of :func:`parse_seq`; empty string for the empty sequence."""
     parts = []
     for c, m in S.counts.items():
-        e = format_element(GroupElement(S.group, c))
+        e = format_element(c)
         parts.append(e if m == 1 else f"{e}^{m}")
     return " ".join(parts)

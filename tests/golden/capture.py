@@ -2,9 +2,9 @@
 
 Writes tring.json, zs.json, readme.json and div.json next to this file:
 each command's name, argv and exact stdout, and the text of every file the
-command writes into its working directory.  Also writes
-divisor_diagrams.out, the stdout of demos/divisor_diagrams.py.  Recapture
-only for an intended output change:
+command writes into its working directory.  Also writes the stdout of each
+script in DEMOS to <name>.out, e.g. divisor_diagrams.out.  Recapture only
+for an intended output change:
 
     PYTHONPATH=src python tests/golden/capture.py
 """
@@ -27,7 +27,8 @@ from nufact.cli import main
 
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
-DEMO = ROOT / "demos" / "divisor_diagrams.py"
+DEMOS = ["divisor_diagrams", "zero_sum_sequences", "quadratic_order",
+         "quaternion_identities", "triangular_oracle"]
 
 ORACLE_SIZES = [(3, 2), (2, 10), (4, 1)]
 # (ring size, number of maximal-ideal factors, word seed)
@@ -172,12 +173,12 @@ def run_case(name, argv) -> dict:
     return case
 
 
-def demo_stdout() -> str:
-    """The stdout of a copy of the diagram demo, which writes its SVG files
-    next to itself."""
+def demo_stdout(name: str) -> str:
+    """The stdout of a copy of demos/<name>.py; the diagram demo writes its
+    SVG files next to itself."""
     buf = io.StringIO()
     with scratch_cwd() as cwd, contextlib.redirect_stdout(buf):
-        runpy.run_path(shutil.copy(DEMO, cwd), run_name="__main__")
+        runpy.run_path(shutil.copy(ROOT / "demos" / f"{name}.py", cwd), run_name="__main__")
     return buf.getvalue()
 
 
@@ -185,7 +186,8 @@ def capture():
     for filename, argvs in GOLDEN_FILES.items():
         cases = [run_case(name, argv) for name, argv in argvs()]
         (HERE / filename).write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
-    (HERE / "divisor_diagrams.out").write_text(demo_stdout(), encoding="utf-8")
+    for name in DEMOS:
+        (HERE / f"{name}.out").write_text(demo_stdout(name), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,52 +7,54 @@ from hypothesis import strategies as st
 from nufact.abelian import (
     CapExceeded,
     FinAbGroup,
-    add,
     enumerate_elements,
     format_element,
     format_group,
-    make_group,
-    neg,
-    scale,
 )
 
 
-def test_make_group_orders():
-    assert make_group([3]).order == 3
-    assert make_group([1]).order == 1
-    assert make_group([2, 2]).order == 4
+def test_group_orders():
+    assert FinAbGroup([3]).order == 3
+    assert FinAbGroup([1]).order == 1
+    assert FinAbGroup([2, 2]).order == 4
 
 
-def test_make_group_rejects_bad_moduli():
-    with pytest.raises(ValueError):
-        make_group([0])
-    with pytest.raises(ValueError):
-        make_group([3, -1])
-    with pytest.raises(ValueError):
-        make_group([])
+def test_group_rejects_bad_moduli():
+    for bad in [0], [3, -1], [], [2.5], ["4"], [True]:
+        with pytest.raises(ValueError):
+            FinAbGroup(bad)
 
 
-def test_add_examples():
-    G = make_group([3])
-    assert add(G.element([1]), G.element([2])) == G.zero()
+def plus(G, a, b):
+    """The group sum: G.element reduces the coordinatewise integer sum."""
+    return G.element(map(operator.add, a, b))
+
+
+def test_element_reduces_coordinates():
+    G = FinAbGroup([3])
+    assert G.element([1]) == (1,) and G.element([-1]) == (2,)
+    assert plus(G, G.element([1]), G.element([2])) == G.zero() == (0,)
     a = G.element([2])
-    assert add(a, G.zero()) == a
-    K = make_group([2, 2])
-    assert add(K.element([1, 0]), K.element([1, 0])) == K.zero()
+    assert plus(G, a, G.zero()) == a
+    K = FinAbGroup([2, 2])
+    assert plus(K, K.element([1, 0]), K.element([1, 0])) == K.zero() == (0, 0)
 
 
-def test_add_rejects_mismatched_groups():
-    with pytest.raises(ValueError):
-        add(make_group([3]).zero(), make_group([4]).zero())
-    # same order, different presentation
-    with pytest.raises(ValueError):
-        add(make_group([4]).zero(), make_group([2, 2]).zero())
+def test_element_rejects_foreign_coordinates():
+    # an element of another group, or a coordinate that is not an int
+    with pytest.raises(ValueError, match="expected 1 coordinates, got 2"):
+        FinAbGroup([4]).element(FinAbGroup([2, 2]).zero())
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+        FinAbGroup([2, 2]).element((3,))
+    for bad in [2.7], ["1"], [False]:
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            FinAbGroup([3]).element(bad)
 
 
 def test_enumerate_elements():
-    assert [e.coords for e in enumerate_elements(make_group([3]))] == [(0,), (1,), (2,)]
-    assert [e.coords for e in enumerate_elements(make_group([1]))] == [(0,)]
-    K = make_group([2, 2])
+    assert enumerate_elements(FinAbGroup([3])) == [(0,), (1,), (2,)]
+    assert enumerate_elements(FinAbGroup([1])) == [(0,)]
+    K = FinAbGroup([2, 2])
     els = enumerate_elements(K)
     assert len(els) == 4 == len(set(els))
     assert els == sorted(els)
@@ -58,7 +62,7 @@ def test_enumerate_elements():
 
 def test_enumerate_cap():
     with pytest.raises(CapExceeded):
-        enumerate_elements(make_group([100, 100]), cap=5000)
+        enumerate_elements(FinAbGroup([100, 100]), cap=5000)
 
 
 def test_one_cap_error_type():
@@ -74,6 +78,7 @@ def test_text_syntax_round_trip():
     assert G.moduli == (2, 4)
     assert format_group(G) == "2x4"
     e = G.parse_element("1,3")
+    assert e == (1, 3)
     assert format_element(e) == "1,3"
     assert format_element(FinAbGroup.from_text("5").parse_element("7")) == "2"
     with pytest.raises(ValueError):
@@ -82,7 +87,7 @@ def test_text_syntax_round_trip():
         FinAbGroup.from_text("2xtwo")
 
 
-groups = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(make_group)
+groups = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(FinAbGroup)
 
 
 @st.composite
@@ -99,10 +104,10 @@ def group_and_elements(draw, count):
 @settings(max_examples=150)
 def test_group_laws(data):
     G, a, b, c = data
-    assert add(add(a, b), c) == add(a, add(b, c))
-    assert add(a, b) == add(b, a)
-    assert add(a, G.zero()) == a
-    assert add(a, neg(a)) == G.zero()
+    assert plus(G, plus(G, a, b), c) == plus(G, a, plus(G, b, c))
+    assert plus(G, a, b) == plus(G, b, a)
+    assert plus(G, a, G.zero()) == a
+    assert plus(G, a, G.element(-x for x in a)) == G.zero()
 
 
 @given(group_and_elements(1))
@@ -112,12 +117,12 @@ def test_element_order_annihilates(data):
     acc = G.zero()
     order = 0
     while True:
-        acc = add(acc, a)
+        acc = plus(G, acc, a)
         order += 1
         if acc == G.zero():
             break
         assert order <= G.order
-    assert scale(a, order) == G.zero()
+    assert G.element(x * order for x in a) == G.zero()
 
 
 @given(groups)

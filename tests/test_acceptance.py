@@ -17,8 +17,8 @@ def report(n, text):
 
 
 def test_criterion_1_zero_sum_model():
-    G = abelian.make_group([3])
-    atom_set = {zerosum.format_seq(S) for S in zerosum.atoms(abelian.enumerate_elements(G))}
+    G = abelian.FinAbGroup([3])
+    atom_set = {zerosum.format_seq(S) for S in zerosum.atoms(G)}
     assert atom_set == {"0", "1 2", "1^3", "2^3"}
     S = zerosum.parse_seq(G, "1^3 2^3")
     facts = zerosum.factorizations(S)
@@ -40,21 +40,19 @@ def test_criterion_2_quadratic_order():
     for F in facts:
         assert all(quadring.is_atom(y) for y in F)
     lengths = {len(F) for F in facts}
-    G = abelian.make_group([3])
+    G = abelian.FinAbGroup([3])
     assert lengths == zerosum.length_set(zerosum.parse_seq(G, "1^3 2^3"))
     report(2, "8 = 2·2·2 = (1+w)(2-w) exactly; no norm-2 elements; lengths transfer to B(Z/3)")
 
 
 def test_criterion_3_half_factorial_boundary():
     for moduli in ([1], [2]):
-        G = abelian.make_group(moduli)
-        els = abelian.enumerate_elements(G)
-        assert zerosum.half_factorial_witness(els, 8, group=G) is None
+        G = abelian.FinAbGroup(moduli)
+        assert zerosum.half_factorial_witness(G, 8) is None
     for moduli in ([3], [4], [2, 2]):
-        G = abelian.make_group(moduli)
-        els = abelian.enumerate_elements(G)
+        G = abelian.FinAbGroup(moduli)
         bound = 2 * zerosum.davenport(G)
-        W = zerosum.half_factorial_witness(els, bound, group=G)
+        W = zerosum.half_factorial_witness(G, bound)
         assert W is not None and W.length <= bound
         assert len(zerosum.length_set(W)) >= 2
     report(3, "half-factorial iff |G| <= 2: no witness for |G|<=2 up to length 8, "

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -181,19 +182,35 @@ def test_div_factor_cap_counts_letters(capsys):
     assert payload["words"] == [["Q2"] * k for k in range(1, 21)]
 
 
-@pytest.mark.parametrize("argv", [
-    ["zs", "atoms", "--group", "900000"],
-    ["zs", "hfwitness", "--group", "900000", "--max-len", "2"],
-])
-def test_zs_whole_group_checks_the_order_cap_first(argv, capsys, monkeypatch):
-    # without --elements the ground set is built only after the order cap
-    def refuse(*args, **kwargs):
-        raise AssertionError("the whole group was enumerated")
+WHOLE_GROUP_REFUSALS = [
+    (["zs", "atoms", "--group", "900000"], "group of order 900000 exceeds cap 64"),
+    (["zs", "hfwitness", "--group", "900000", "--max-len", "2"],
+     "group of order 900000 exceeds cap 64"),
+    (["zs", "atoms", "--group", "100000", "--cap", "100000"],
+     "atom search over order 100000 exceeds its budget: "
+     "length 1 alone needs 99999 of 192 subset-sum states"),
+    (["zs", "hfwitness", "--group", "100000", "--max-len", "2", "--cap", "100000"],
+     "witness search over order 100000 exceeds its budget: "
+     "length 1 alone needs 100000 of 32 candidates"),
+]
 
-    monkeypatch.setattr("nufact.abelian.enumerate_elements", refuse)
-    code, out, err = run(capsys, *argv)
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(*case, id=f"argv{i}") for i, case in enumerate(WHOLE_GROUP_REFUSALS)])
+def test_zs_whole_group_checks_the_order_cap_first(argv, message, capsys):
+    # without --elements the order cap and the budget of length 1 are checked
+    # before the ground set is built: the 10**5 elements of Z/10**5 alone
+    # take over 10 MB.  A first run loads the modules, which is not traced.
+    run(capsys, *argv)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 1 and out == ""
-    assert err == "error: group of order 900000 exceeds cap 64\n"
+    assert err == f"error: {message}\n"
+    assert peak < 2**20
 
 
 HUGE = "99999999999999999999"
@@ -228,6 +245,16 @@ def test_huge_or_malformed_input_is_refused_in_seconds(tmp_path, monkeypatch, ca
     assert code == 1 and out == "" and "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+def test_tring_oracle_refuses_by_pairs(capsys):
+    # T(6) with exponents <= 1 is inside the candidate cap, but its 429
+    # ideals give 184,041 pairs, which took 7.7 s before the pair budget
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tring", "oracle", "--size", "6", "--max-exp", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == "error: 184041 pairs of 429 ideals exceed the oracle's pair budget 90000\n"
 
 
 def test_div_render_writes_svg(tmp_path, capsys):

@@ -21,10 +21,16 @@ wrote.
 - `div.json`: `div factor` with its default length bound on seeded
   realizable divisors over a 3-cycle, a 4-cycle and a 3-cycle beside a
   1-cycle, in human mode and with `--json`.
-- `divisor_diagrams.out`: the stdout of `demos/divisor_diagrams.py`.
+- `divisor_diagrams.out`: the stdout of `demos/divisor_diagrams.py`, and
+  `zero_sum_sequences.out`, `quadratic_order.out`,
+  `quaternion_identities.out` and `triangular_oracle.out` likewise for the
+  other four demos.
 
-The README, `div` and demo pins were captured while divisors were still
-label-to-count maps, so they pin the count tuples that replaced them.
+The README, `div` and diagram demo pins were captured while divisors were
+still label-to-count maps, so they pin the count tuples that replaced them.
+The other four demo pins were captured while group elements were still
+objects wrapping their coordinates, so they pin the plain coordinate tuples
+that replaced them.
 """
 
 import json
@@ -37,7 +43,7 @@ import pytest
 from nufact.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
-DEMO = GOLDEN.parents[1] / "demos" / "divisor_diagrams.py"
+DEMOS = GOLDEN.parents[1] / "demos"
 
 
 def load(name):
@@ -94,7 +100,7 @@ def test_div_factor_output_matches_golden(case, tmp_path, monkeypatch, capsys):
 
 def test_divisor_diagrams_demo_output(tmp_path, capsys):
     # a copy of the demo writes its SVG files next to itself, in tmp_path
-    runpy.run_path(shutil.copy(DEMO, tmp_path), run_name="__main__")
+    runpy.run_path(shutil.copy(DEMOS / "divisor_diagrams.py", tmp_path), run_name="__main__")
     assert capsys.readouterr().out == (GOLDEN / "divisor_diagrams.out").read_text(
         encoding="utf-8")
     assert sorted(p.name for p in tmp_path.glob("*.svg")) == [
@@ -104,3 +110,10 @@ def test_divisor_diagrams_demo_output(tmp_path, capsys):
     svgs = {name: text for c in README for name, text in c.get("files", {}).items()}
     assert (tmp_path / "divisor_7Q1_6Q2_8Q3.svg").read_text() == svgs["fig.svg"]
     assert (tmp_path / "word_Q1_Q2_Q3.svg").read_text() == svgs["word.svg"]
+
+
+@pytest.mark.parametrize("name", ["zero_sum_sequences", "quadratic_order",
+                                  "quaternion_identities", "triangular_oracle"])
+def test_demo_output(name, capsys):
+    runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")

@@ -56,7 +56,7 @@ def test_command_runs_only_its_family(argv, executed):
 
 def test_submodule_attribute_runs_on_first_use():
     report = fresh("from nufact import abelian, zerosum\n"
-                   "assert zerosum.davenport(abelian.make_group([2, 2])) == 3")
+                   "assert zerosum.davenport(abelian.FinAbGroup([2, 2])) == 3")
     assert report == {"executed": ["abelian", "zerosum"], "dataclasses": False}
 
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from nufact import tring
 from nufact.divcalc import compose, is_realizable
 from nufact.tring import (
     CapExceeded,
@@ -258,6 +259,16 @@ def test_oracle_report_size_and_trial_caps():
     with pytest.raises(CapExceeded, match="101 chain trials exceed cap 100$"):
         oracle_report(l=2, max_exp=1, chain_trials=101)
     assert oracle_report(l=2, max_exp=1, chain_trials=100)["all_pass"]
+
+
+def test_oracle_report_pair_budget(monkeypatch):
+    # T(4) with exponents <= 1 has 42 ideals, so 1764 pairs
+    monkeypatch.setattr(tring, "ORACLE_PAIR_BUDGET", 1764)
+    assert oracle_report(l=4, max_exp=1, chain_trials=0)["corpus_size"] == 42
+    monkeypatch.setattr(tring, "ORACLE_PAIR_BUDGET", 1763)
+    with pytest.raises(CapExceeded, match="^1764 pairs of 42 ideals exceed the oracle's "
+                                          "pair budget 1763$"):
+        oracle_report(l=4, max_exp=1, chain_trials=0)
 
 
 def test_parse_matrix_refuses_deep_nesting():

@@ -1,13 +1,16 @@
 import itertools
 import math
+import operator
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nufact import zerosum
-from nufact.abelian import CapExceeded, enumerate_elements, make_group
+from nufact.abelian import CapExceeded, FinAbGroup, enumerate_elements
 from nufact.zerosum import (
     ZSeq,
     _atoms,
@@ -24,8 +27,8 @@ from nufact.zerosum import (
     seq_sum,
 )
 
-Z3 = make_group([3])
-K4 = make_group([2, 2])
+Z3 = FinAbGroup([3])
+K4 = FinAbGroup([2, 2])
 
 
 def seqs(group, text):
@@ -47,9 +50,9 @@ def naive_is_minimal(S: ZSeq) -> bool:
     return zero_count == 2  # the empty and the full sub-multiset only
 
 
-def brute_force_atoms(G0, group, max_len):
+def brute_force_atoms(group, max_len):
     """Independent enumeration: filter every multiset up to max_len."""
-    coords = sorted({e.coords for e in G0})
+    coords = enumerate_elements(group)
     found = set()
     for L in range(1, max_len + 1):
         for combo in itertools.combinations_with_replacement(coords, L):
@@ -105,29 +108,29 @@ def test_minimality_matches_naive_oracle():
 
 
 def test_atoms_of_z3_exactly():
-    got = {format_seq(S) for S in atoms(enumerate_elements(Z3))}
+    got = {format_seq(S) for S in atoms(Z3)}
     assert got == {"0", "1 2", "1^3", "2^3"}
 
 
 def test_atoms_single_zero():
-    got = atoms([Z3.zero()])
+    got = atoms(Z3, [Z3.zero()])
     assert got == [seqs(Z3, "0")]
 
 
 def test_atoms_of_klein_four():
     # the identity atom, the three squares, and the all-involutions triple
-    got = {format_seq(S) for S in atoms(enumerate_elements(K4))}
+    got = {format_seq(S) for S in atoms(K4)}
     assert got == {"0,0", "0,1^2", "1,0^2", "1,1^2", "0,1 1,0 1,1"}
 
 
 @pytest.mark.parametrize("moduli,expected", [([1], 1), ([3], 3), ([2, 2], 3)])
 def test_davenport_examples(moduli, expected):
-    assert davenport(make_group(moduli)) == expected
+    assert davenport(FinAbGroup(moduli)) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_davenport_cyclic(n):
-    assert davenport(make_group([n])) == n
+    assert davenport(FinAbGroup([n])) == n
 
 
 # every finite abelian group of order <= 16, in invariant factor form
@@ -138,8 +141,8 @@ GROUPS_UP_TO_16 = [[n] for n in range(1, 17)] + [
 
 @pytest.mark.parametrize("moduli", GROUPS_UP_TO_16, ids=lambda m: "x".join(map(str, m)))
 def test_davenport_matches_the_atom_search(moduli):
-    G = make_group(moduli)
-    coords = tuple(e.coords for e in enumerate_elements(G))
+    G = FinAbGroup(moduli)
+    coords = tuple(enumerate_elements(G))
     assert davenport(G) == _atoms(G.moduli, coords)[-1].length
 
 
@@ -149,7 +152,7 @@ def test_davenport_matches_the_atom_search(moduli):
 def test_davenport_equals_d_star(moduli):
     # D*(G) = 1 + sum(n_i - 1) equals D(G) for p-groups and groups of rank
     # <= 2 (Olson 1969; Geroldinger-Halter-Koch 2006, ch. 5)
-    assert davenport(make_group(moduli)) == 1 + sum(n - 1 for n in moduli)
+    assert davenport(FinAbGroup(moduli)) == 1 + sum(n - 1 for n in moduli)
 
 
 def test_davenport_state_budget(monkeypatch):
@@ -157,13 +160,13 @@ def test_davenport_state_budget(monkeypatch):
     monkeypatch.setattr(zerosum, "DAVENPORT_BUDGET", 2000)
     with pytest.raises(CapExceeded, match=r"searched 2000 subset-sum states, "
                                           r"reached length \d+$"):
-        davenport(make_group([16]))
-    assert davenport(make_group([8])) == 8
+        davenport(FinAbGroup([16]))
+    assert davenport(FinAbGroup([8])) == 8
     # beyond order 64 the budget shrinks in proportion to the order; a group
     # whose length-1 level alone is over budget is refused before any work
     monkeypatch.undo()
     with pytest.raises(CapExceeded, match="length 1 alone needs 999999"):
-        davenport(make_group([10**6]), cap=10**6)
+        davenport(FinAbGroup([10**6]), cap=10**6)
 
 
 def test_atoms_state_budget(monkeypatch):
@@ -172,14 +175,14 @@ def test_atoms_state_budget(monkeypatch):
     monkeypatch.setattr(zerosum, "ATOM_BUDGET", 1000)
     with pytest.raises(CapExceeded, match=r"searched 1000 subset-sum states, "
                                           r"found \d+ atoms$"):
-        atoms(enumerate_elements(make_group([16])))
-    assert len(atoms(enumerate_elements(make_group([8])))) == 65
+        atoms(FinAbGroup([16]))
+    assert len(atoms(FinAbGroup([8]))) == 65
     # beyond order 64 the budget shrinks in proportion to the order; a search
     # whose length 1 alone is over it is refused before any work
     monkeypatch.undo()
-    G = make_group([10**8])
+    G = FinAbGroup([10**8])
     with pytest.raises(CapExceeded, match="length 1 alone needs 1 of 0"):
-        atoms([G.element([1])], cap=10**8)
+        atoms(G, [(1,)], cap=10**8)
 
 
 def translate(mask, steps):
@@ -214,20 +217,55 @@ def test_translation_table_adds_coordinatewise(moduli):
 
 @pytest.mark.parametrize("moduli", [[3], [4], [2, 2], [5], [2, 4]])
 def test_atoms_match_brute_force(moduli):
-    G = make_group(moduli)
-    els = enumerate_elements(G)
+    G = FinAbGroup(moduli)
     # D*(G) = 1 + sum(n_i - 1) equals D(G) for cyclic groups and p-groups
     # (Olson 1969); it keeps this oracle independent of the atom search
-    expected = brute_force_atoms(els, G, 1 + sum(n - 1 for n in moduli))
-    assert set(atoms(els)) == expected
-    assert all(is_minimal_zero_sum(S) for S in atoms(els))
+    expected = brute_force_atoms(G, 1 + sum(n - 1 for n in moduli))
+    assert set(atoms(G)) == expected
+    assert all(is_minimal_zero_sum(S) for S in atoms(G))
 
 
 def test_atoms_cap():
     with pytest.raises(CapExceeded):
-        atoms(enumerate_elements(make_group([65])))  # default cap: order 64
+        atoms(FinAbGroup([65]))  # default cap: order 64
     with pytest.raises(CapExceeded):
-        atoms(enumerate_elements(make_group([10])), cap=5)
+        atoms(FinAbGroup([10]), cap=5)
+
+
+def test_ground_set_passes_through_element(monkeypatch):
+    # each given tuple is reduced once by G.element: (3,) is 0 in Z/3.  The
+    # search over {1} builds 2 states; unreduced, (3,) never closes a zero
+    # sum and the search runs to its budget, which is small here
+    _atoms.cache_clear()
+    monkeypatch.setattr(zerosum, "ATOM_BUDGET", 100)
+    assert [format_seq(S) for S in atoms(Z3, [(1,), (3,)])] == ["0", "1^3"]
+    assert format_seq(half_factorial_witness(Z3, 6, [(4,), (-1,)])) == "1^3 2^3"
+    for bad in [(1, 0)], [(1.5,)], [("1",)], [(True,)]:
+        with pytest.raises(ValueError):
+            atoms(Z3, bad)
+        with pytest.raises(ValueError):
+            half_factorial_witness(Z3, 4, bad)
+
+
+@pytest.mark.parametrize("search, message", [
+    (lambda G: atoms(G, cap=10**5), "atom search over order 100000 exceeds its budget: "
+                                    "length 1 alone needs 99999 of 192 subset-sum states"),
+    (lambda G: half_factorial_witness(G, 2, cap=10**5),
+     "witness search over order 100000 exceeds its budget: "
+     "length 1 alone needs 100000 of 32 candidates"),
+], ids=["atoms", "hfwitness"])
+def test_whole_group_budget_is_checked_before_it_is_built(search, message):
+    # building the 10**5 coordinate tuples of Z/10**5 takes over 10 MB
+    G = FinAbGroup([10**5])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as refused:
+            search(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == message
+    assert peak < 2**20
 
 
 def test_factorizations_of_the_worked_example():
@@ -253,7 +291,7 @@ def test_factorizations_reject_non_zero_sum():
 def brute_force_factorizations(S):
     """Independent enumeration: scan each candidate atom's multiplicity in
     index order instead of consuming smallest elements."""
-    cands = [A for A in atoms(S.support(), group=S.group) if S.contains(A)]
+    cands = [A for A in atoms(S.group, S.counts) if S.contains(A)]
     out = set()
 
     def rec(i, remaining, parts):
@@ -281,7 +319,7 @@ def brute_force_factorizations(S):
     ([5], "1^2 4^2 2 3"),
 ])
 def test_factorizations_match_independent_enumeration(moduli, text):
-    S = seqs(make_group(moduli), text)
+    S = seqs(FinAbGroup(moduli), text)
     got = {tuple(sorted(p.expanded() for p in F)) for F in factorizations(S)}
     assert got == brute_force_factorizations(S)
 
@@ -304,22 +342,21 @@ def test_length_set_examples():
 
 
 def test_half_factorial_witness_examples():
-    z3_els = enumerate_elements(Z3)
-    w = half_factorial_witness(z3_els, 6)
+    w = half_factorial_witness(Z3, 6)
     assert w is not None and len(length_set(w)) > 1 and w.length <= 6
-    assert half_factorial_witness(enumerate_elements(make_group([2])), 8) is None
-    assert half_factorial_witness([Z3.zero()], 5) is None
+    assert half_factorial_witness(FinAbGroup([2]), 8) is None
+    assert half_factorial_witness(Z3, 5, [Z3.zero()]) is None
 
 
 def test_half_factorial_witness_cap():
     with pytest.raises(CapExceeded):
-        half_factorial_witness(enumerate_elements(Z3), 30)
+        half_factorial_witness(Z3, 30)
     # each zero-sum candidate runs an atom search, which has no order cap of
     # its own, so the group order is capped here: 64 by default, or cap=
-    Z100 = make_group([100])
+    Z100 = FinAbGroup([100])
     with pytest.raises(CapExceeded, match="group of order 100 exceeds cap 64"):
-        half_factorial_witness(enumerate_elements(Z100), 2)
-    assert half_factorial_witness([Z100.element([1]), Z100.element([99])], 4, cap=100) is None
+        half_factorial_witness(Z100, 2)
+    assert half_factorial_witness(Z100, 4, [(1,), (99,)], cap=100) is None
 
 
 def test_half_factorial_witness_budget(monkeypatch):
@@ -327,32 +364,32 @@ def test_half_factorial_witness_budget(monkeypatch):
     # coordinates: the README witness 1^2 2^2 3^2 over Z/4 is candidate k
     k = sum(math.comb(4 + L - 1, L) for L in range(1, 6)) + 1 + \
         list(itertools.combinations_with_replacement(range(4), 6)).index((1, 1, 2, 2, 3, 3))
-    Z4 = make_group([4])
+    Z4 = FinAbGroup([4])
     monkeypatch.setattr(zerosum, "WITNESS_BUDGET", k)
-    assert format_seq(half_factorial_witness(enumerate_elements(Z4), 8)) == "1^2 2^2 3^2"
+    assert format_seq(half_factorial_witness(Z4, 8)) == "1^2 2^2 3^2"
     monkeypatch.setattr(zerosum, "WITNESS_BUDGET", k - 1)
     with pytest.raises(CapExceeded, match=rf"^witness search over order 4 exceeds its budget: "
                                           rf"scanned {k - 1} candidates, reached length 6$"):
-        half_factorial_witness(enumerate_elements(Z4), 8)
+        half_factorial_witness(Z4, 8)
     # beyond order 64 the budget shrinks in proportion to the order; 2 * 64 // 100
     # is 1, so the two candidates of length 1 alone are refused before any work
     monkeypatch.setattr(zerosum, "WITNESS_BUDGET", 2)
-    Z100 = make_group([100])
+    Z100 = FinAbGroup([100])
     with pytest.raises(CapExceeded, match="length 1 alone needs 2 of 1 candidates$"):
-        half_factorial_witness([Z100.element([1]), Z100.element([99])], 4, cap=100)
+        half_factorial_witness(Z100, 4, [(1,), (99,)], cap=100)
 
 
 # ---------------------------------------------------------------- properties
 
-small_groups = st.sampled_from([make_group(m) for m in ([2], [3], [4], [2, 2])])
+small_groups = st.sampled_from([FinAbGroup(m) for m in ([2], [3], [4], [2, 2])])
 
 
 @st.composite
 def zseq_pairs(draw):
     G = draw(small_groups)
     els = enumerate_elements(G)
-    pick = lambda: [draw(st.sampled_from(els)) for _ in range(draw(st.integers(0, 4)))]
-    return G, ZSeq.from_elements(G, pick()), ZSeq.from_elements(G, pick())
+    pick = lambda: Counter(draw(st.sampled_from(els)) for _ in range(draw(st.integers(0, 4))))
+    return G, ZSeq(G, pick()), ZSeq(G, pick())
 
 
 @given(zseq_pairs())
@@ -362,8 +399,7 @@ def test_concat_monoid_laws(data):
     assert concat(S, T) == concat(T, S)
     assert concat(S, ZSeq.empty(G)) == S
     assert concat(concat(S, T), S) == concat(S, concat(T, S))
-    from nufact.abelian import add
-    assert seq_sum(concat(S, T)) == add(seq_sum(S), seq_sum(T))
+    assert seq_sum(concat(S, T)) == G.element(map(operator.add, seq_sum(S), seq_sum(T)))
 
 
 @given(zseq_pairs())
@@ -379,8 +415,8 @@ def test_length_sets_superadditive(data):
 
 @pytest.mark.parametrize("moduli", [[3], [4], [2, 2]])
 def test_witness_exists_within_twice_davenport(moduli):
-    G = make_group(moduli)
-    w = half_factorial_witness(enumerate_elements(G), 2 * davenport(G))
+    G = FinAbGroup(moduli)
+    w = half_factorial_witness(G, 2 * davenport(G))
     assert w is not None
     assert len(length_set(w)) >= 2
 
