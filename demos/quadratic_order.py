@@ -40,7 +40,7 @@ print("(1+w)(2-w) =", format_quadint(qmul(QuadInt(1, 1), QuadInt(2, -1))))
 G = FinAbGroup([3])
 S = parse_seq(G, "1^3 2^3")
 quad_lengths = sorted({len(F) for F in element_factorizations(eight)})
-model_lengths = sorted(length_set(S))
+model_lengths = sorted(length_set(G, S))
 print("\nlengths in the order:      ", quad_lengths)
 print("lengths in the zero-sum model:", model_lengths)
 assert quad_lengths == model_lengths

@@ -29,9 +29,9 @@ for S in atoms(G):
 # three copies of (1 2), or (1^3) times (2^3).  Hence lengths {2, 3}.
 S = parse_seq(G, "1^3 2^3")
 print("\nfactorizations of", format_seq(S))
-for F in factorizations(S):
+for F in factorizations(G, S):
     print("   ", " * ".join(f"({format_seq(p)})" for p in F))
-print("length set:", sorted(length_set(S)))
+print("length set:", sorted(length_set(G, S)))
 
 # The longest minimal zero-sum sequence (the Davenport constant) caps the
 # search depth for all of this.
@@ -49,4 +49,4 @@ for moduli in ([1], [2], [3], [4], [2, 2]):
     if W is None:
         print(f"    Z/{name}: no witness up to 2*davenport; half-factorial")
     else:
-        print(f"    Z/{name}: witness {format_seq(W)} with lengths {sorted(length_set(W))}")
+        print(f"    Z/{name}: witness {format_seq(W)} with lengths {sorted(length_set(H, W))}")

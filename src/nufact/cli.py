@@ -30,7 +30,9 @@ def _lengths_text(lengths) -> str:
 
 def _elements(args, G):
     """The coordinate tuples given by --elements, or None for the whole group."""
-    return zerosum.parse_seq(G, args.elements).counts if args.elements else None
+    if args.elements is None:
+        return None
+    return [c for c, _ in zerosum.parse_seq(G, args.elements)]
 
 
 # ----------------------------------------------------------------------
@@ -47,7 +49,7 @@ def cmd_zs_atoms(args):
 def cmd_zs_factor(args):
     G = _group(args)
     S = zerosum.parse_seq(G, args.seq)
-    facts = zerosum.factorizations(S, cap=args.cap)
+    facts = zerosum.factorizations(G, S, cap=args.cap)
     payload = {
         "group": args.group,
         "seq": zerosum.format_seq(S),
@@ -62,7 +64,7 @@ def cmd_zs_factor(args):
 def cmd_zs_lengths(args):
     G = _group(args)
     S = zerosum.parse_seq(G, args.seq)
-    ls = sorted(zerosum.length_set(S, cap=args.cap))
+    ls = sorted(zerosum.length_set(G, S, cap=args.cap))
     return {"group": args.group, "seq": zerosum.format_seq(S), "lengths": ls}, _lengths_text(ls)
 
 
@@ -78,7 +80,7 @@ def cmd_zs_hfwitness(args):
     if W is None:
         payload = {"group": args.group, "max_len": args.max_len, "witness": None}
         return payload, f"no witness up to length {args.max_len}"
-    ls = sorted(zerosum.length_set(W, cap=args.cap))
+    ls = sorted(zerosum.length_set(G, W, cap=args.cap))
     payload = {"group": args.group, "max_len": args.max_len,
                "witness": zerosum.format_seq(W), "lengths": ls}
     return payload, f"{zerosum.format_seq(W)}  lengths {_lengths_text(ls)}"

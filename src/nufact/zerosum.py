@@ -7,6 +7,20 @@ concatenation whose atoms are the minimal zero-sum sequences, and the
 factorization combinatorics of that monoid (length sets in particular)
 model factorization in rings with the matching class group.
 
+A sequence is a tuple of (element, multiplicity) pairs: distinct elements
+in ascending order, each with an int multiplicity >= 1, so the empty
+sequence is () and equal sequences are equal tuples.  Pairs rather than
+the repeated elements keep a sequence as small as its support, so a length
+such as 1^(10**20) is refused by the length cap without being built.
+Functions that need the group take it first.
+
+>>> G = FinAbGroup([3])
+>>> S = parse_seq(G, "4^3 2 2^2")
+>>> S
+(((1,), 3), ((2,), 3))
+>>> length_set(G, S)
+{2, 3}
+
 Everything here is exhaustive search at desk scale, guarded by caps:
 sequences up to length 24, groups up to order 64 by default.  The atoms and
 the Davenport constant come from searches over subset-sum bitmasks, which
@@ -19,10 +33,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from math import prod
 
-from .abelian import CapExceeded, FinAbGroup, format_element
+from .abelian import CapExceeded, FinAbGroup, enumerate_elements, format_element
 
 DEFAULT_SEQ_CAP = 24
 DEFAULT_GROUP_CAP = 64
@@ -35,107 +48,51 @@ ATOM_BUDGET = 300_000
 WITNESS_BUDGET = 50_000
 
 
-class ZSeq:
-    """A finite multiset over elements of one group (a "sequence").
-
-    Stored as a multiplicity map; the canonical form sorts the support
-    lexicographically by coordinates.  Immutable and hashable.
-    """
-
-    __slots__ = ("group", "counts", "_key")
-
-    def __init__(self, group: FinAbGroup, counts: dict):
-        # counts maps coordinate tuples to multiplicities >= 1
-        self.group = group
-        self.counts = {c: m for c, m in sorted(counts.items()) if m > 0}
-        if any(m < 0 for m in counts.values()):
-            raise ValueError("negative multiplicity")
-        self._key = (group.moduli, tuple(self.counts.items()))
-
-    @classmethod
-    def empty(cls, group: FinAbGroup) -> "ZSeq":
-        return cls(group, {})
-
-    @property
-    def length(self) -> int:
-        return sum(self.counts.values())
-
-    def is_empty(self) -> bool:
-        return not self.counts
-
-    def expanded(self) -> tuple:
-        """Coordinate tuples with multiplicity; the canonical sort key."""
-        out = []
-        for c, m in self.counts.items():
-            out.extend([c] * m)
-        return tuple(out)
-
-    def contains(self, other: "ZSeq") -> bool:
-        """Sub-multiset test."""
-        return all(self.counts.get(c, 0) >= m for c, m in other.counts.items())
-
-    def minus(self, other: "ZSeq") -> "ZSeq":
-        if not self.contains(other):
-            raise ValueError("not a sub-multiset")
-        counts = dict(self.counts)
-        for c, m in other.counts.items():
-            counts[c] -= m
-        return ZSeq(self.group, counts)
-
-    def __eq__(self, other):
-        if not isinstance(other, ZSeq):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __lt__(self, other):
-        if self.group != other.group:
-            raise ValueError("sequences over different groups")
-        return self.expanded() < other.expanded()
-
-    def __repr__(self):
-        return f"ZSeq({format_seq(self)!r})"
+def _expanded(S) -> tuple:
+    """The coordinate tuples of S, each repeated by its multiplicity; the
+    canonical sort key of sequences."""
+    return tuple(c for c, m in S for _ in range(m))
 
 
-def seq_sum(S: ZSeq) -> tuple[int, ...]:
-    """Sum of all entries of S (with multiplicity) in the parent group."""
-    moduli = S.group.moduli
-    total = [0] * len(moduli)
-    for c, m in S.counts.items():
+def _pairs(coords) -> tuple:
+    """The sequence of a sorted tuple of coordinate tuples."""
+    return tuple((c, len(list(run))) for c, run in itertools.groupby(coords))
+
+
+def seq_sum(G: FinAbGroup, S) -> tuple[int, ...]:
+    """Sum of all entries of S (with multiplicity) in G."""
+    total = [0] * len(G.moduli)
+    for c, m in S:
         for i, x in enumerate(c):
             total[i] += x * m
-    return tuple(t % n for t, n in zip(total, moduli))
+    return tuple(t % n for t, n in zip(total, G.moduli))
 
 
-def concat(S: ZSeq, T: ZSeq) -> ZSeq:
+def concat(S, T) -> tuple:
     """Concatenation: multiplicities add.  The monoid product."""
-    if S.group != T.group:
-        raise ValueError("sequences over different groups")
-    counts = dict(S.counts)
-    for c, m in T.counts.items():
+    counts = dict(S)
+    for c, m in T:
         counts[c] = counts.get(c, 0) + m
-    return ZSeq(S.group, counts)
+    return tuple(sorted(counts.items()))
 
 
-def is_zero_sum(S: ZSeq) -> bool:
-    return not any(seq_sum(S))
+def is_zero_sum(G: FinAbGroup, S) -> bool:
+    return not any(seq_sum(G, S))
 
 
-def is_minimal_zero_sum(S: ZSeq) -> bool:
+def is_minimal_zero_sum(G: FinAbGroup, S) -> bool:
     """True iff S is non-empty, zero-sum, and has no non-empty proper
     zero-sum sub-multiset.
 
     Counts the sub-multisets summing to zero by dynamic programming over the
     support; minimality means exactly two (the empty and the full one).
     """
-    if S.is_empty() or not is_zero_sum(S):
+    if not S or not is_zero_sum(G, S):
         return False
-    moduli = S.group.moduli
-    zero = (0,) * len(moduli)
+    moduli = G.moduli
+    zero = G.zero()
     reach = {zero: 1}
-    for c, m in S.counts.items():
+    for c, m in S:
         nxt: dict = {}
         for s, cnt in reach.items():
             t = s
@@ -165,8 +122,7 @@ def davenport(G: FinAbGroup, cap: int | None = None) -> int:
     if order > limit:
         raise CapExceeded(f"group order {order} exceeds cap {limit}")
     budget = _budget(DAVENPORT_BUDGET, order, "Davenport search", order - 1)
-    nonzero = itertools.islice(itertools.product(*map(range, G.moduli)), 1, None)
-    moves = _translations(G.moduli, nonzero)
+    moves = _translations(G.moduli, enumerate_elements(G)[1:])
     searched, length, level = 0, 0, {0}
     while True:
         nxt = set()
@@ -232,11 +188,11 @@ def _ground_set(G: FinAbGroup, coords) -> tuple:
     """The sorted distinct elements given by coords, each passed once
     through G.element; all of G for None."""
     if coords is None:
-        return tuple(itertools.product(*map(range, G.moduli)))
+        return tuple(enumerate_elements(G))
     return tuple(sorted({G.element(c) for c in coords}))
 
 
-def atoms(G: FinAbGroup, coords=None, cap: int | None = None) -> list[ZSeq]:
+def atoms(G: FinAbGroup, coords=None, cap: int | None = None) -> list[tuple]:
     """All minimal zero-sum sequences over the elements given by coords
     (coordinate tuples; None for all of G), in canonical order.
 
@@ -262,12 +218,12 @@ def _atoms(moduli: tuple, coords: tuple) -> tuple:
     keeps the depth free of the recursion limit.  Each state built counts
     against ATOM_BUDGET (see _budget); past it CapExceeded gives the progress.
     """
-    G = FinAbGroup(moduli)
-    out: list[ZSeq] = []
+    order = prod(moduli)
+    out = []  # each atom as its sorted coordinate tuples
     if coords and not any(coords[0]):
-        out.append(ZSeq(G, {coords[0]: 1}))
+        out.append(coords[:1])
         coords = coords[1:]
-    budget = _budget(ATOM_BUDGET, G.order, "atom search", len(coords))
+    budget = _budget(ATOM_BUDGET, order, "atom search", len(coords))
     moves = _translations(moduli, coords)
     searched = 0
     stack = [(0, (), 1, 0)]
@@ -277,38 +233,48 @@ def _atoms(moduli: tuple, coords: tuple) -> tuple:
             bit, neg_bit, steps = moves[i]
             if M & neg_bit:
                 if neg_bit == total:
-                    out.append(ZSeq(G, Counter(chosen + (coords[i],))))
+                    out.append(chosen + (coords[i],))
                 continue
             searched += 1
             if searched > budget:
-                raise CapExceeded(f"atom search over order {G.order} exceeds its budget: "
+                raise CapExceeded(f"atom search over order {order} exceeds its budget: "
                                   f"searched {budget} subset-sum states, found {len(out)} atoms")
             T, t = M, total
             for up, above, down, below in steps:
                 T = (T << up) & above | (T >> down) & below
                 t = (t << up) & above | (t >> down) & below
             stack.append((i, chosen + (coords[i],), t, M | bit | T))
-    return tuple(sorted(out, key=lambda S: (S.length, S.expanded())))
+    return tuple(_pairs(A) for A in sorted(out, key=lambda A: (len(A), A)))
 
 
-def factorizations(S: ZSeq, cap: int | None = None) -> list[tuple[ZSeq, ...]]:
-    """All factorizations of S into minimal zero-sum sequences, each a tuple
-    of atoms.
+def factorizations(G: FinAbGroup, S, cap: int | None = None) -> list[tuple]:
+    """All factorizations of the sequence S over G into minimal zero-sum
+    sequences, each a tuple of atoms.
 
-    Each factorization is a multiset of atoms, listed exactly once: parts are
-    generated in non-decreasing canonical order, and the next part always
-    consumes the smallest remaining element.  The search keeps an explicit
-    stack, so the length of S is not limited by the recursion depth.
+    Each element of S is passed once through G.element and equal ones are
+    merged before the length cap is checked.  Each factorization is a
+    multiset of atoms, listed exactly once: parts are generated in
+    non-decreasing canonical order, and the next part always consumes the
+    smallest remaining element.  The search keeps an explicit stack, so the
+    length of S is not limited by the recursion depth.
     """
+    counts: dict = {}
+    for c, m in S:
+        if type(m) is not int or m < 1:
+            raise ValueError(f"multiplicity must be a positive integer, got {m!r}")
+        e = G.element(c)
+        counts[e] = counts.get(e, 0) + m
     limit = DEFAULT_SEQ_CAP if cap is None else cap
-    if S.length > limit:
-        raise CapExceeded(f"sequence length {S.length} exceeds cap {limit}")
-    if not is_zero_sum(S):
+    length = sum(counts.values())
+    if length > limit:
+        raise CapExceeded(f"sequence length {length} exceeds cap {limit}")
+    if not is_zero_sum(G, counts.items()):
         raise ValueError("sequence is not zero-sum")
-    candidates = sorted(_atoms(S.group.moduli, tuple(S.counts)), key=ZSeq.expanded)
+    candidates = sorted(_atoms(G.moduli, tuple(sorted(counts))), key=_expanded)
+    candidate_counts = [dict(A) for A in candidates]
 
-    results: list[tuple[ZSeq, ...]] = []
-    stack = [(dict(S.counts), 0, ())]
+    results: list[tuple] = []
+    stack = [(counts, 0, ())]
     while stack:
         remaining, min_index, parts = stack.pop()
         if not remaining:
@@ -316,29 +282,29 @@ def factorizations(S: ZSeq, cap: int | None = None) -> list[tuple[ZSeq, ...]]:
             continue
         g = min(remaining)
         for idx in range(min_index, len(candidates)):
-            A = candidates[idx]
-            if A.counts.get(g, 0) == 0:
+            A = candidate_counts[idx]
+            if A.get(g, 0) == 0:
                 continue
-            if any(remaining.get(c, 0) < m for c, m in A.counts.items()):
+            if any(remaining.get(c, 0) < m for c, m in A.items()):
                 continue
             rest = dict(remaining)
-            for c, m in A.counts.items():
+            for c, m in A.items():
                 rest[c] -= m
                 if rest[c] == 0:
                     del rest[c]
-            stack.append((rest, idx, parts + (A,)))
+            stack.append((rest, idx, parts + (candidates[idx],)))
 
-    results.sort(key=lambda F: (len(F), [P.expanded() for P in F]))
+    results.sort(key=lambda F: (len(F), [_expanded(P) for P in F]))
     return results
 
 
-def length_set(S: ZSeq, cap: int | None = None) -> set[int]:
-    """Set of factorization lengths of S; {0} for the empty sequence."""
-    return {len(F) for F in factorizations(S, cap=cap)}
+def length_set(G: FinAbGroup, S, cap: int | None = None) -> set[int]:
+    """Set of factorization lengths of S over G; {0} for the empty sequence."""
+    return {len(F) for F in factorizations(G, S, cap=cap)}
 
 
 def half_factorial_witness(G: FinAbGroup, max_len: int, coords=None,
-                           cap: int | None = None) -> ZSeq | None:
+                           cap: int | None = None) -> tuple | None:
     """A zero-sum sequence over the elements given by coords (None for all
     of G) of length <= max_len whose length set is not a singleton, or None
     if no such sequence exists up to that bound.
@@ -368,8 +334,8 @@ def half_factorial_witness(G: FinAbGroup, max_len: int, coords=None,
                                   f"scanned {budget} candidates, reached length {L}")
             if any(sum(column) % n for column, n in zip(zip(*combo), G.moduli)):
                 continue
-            S = ZSeq(G, Counter(combo))
-            if len(length_set(S, cap=cap)) > 1:
+            S = _pairs(combo)
+            if len(length_set(G, S, cap=cap)) > 1:
                 return S
     return None
 
@@ -377,25 +343,27 @@ def half_factorial_witness(G: FinAbGroup, max_len: int, coords=None,
 # ----------------------------------------------------------------------
 # text syntax: "1^3 2^3" means the multiset with 1 three times, 2 three times
 
-def parse_seq(group: FinAbGroup, text: str) -> ZSeq:
+def parse_seq(group: FinAbGroup, text: str) -> tuple:
     counts: dict = {}
     for token in text.split():
-        if "^" in token:
-            elem_part, _, mult_part = token.partition("^")
-            mult = int(mult_part)
+        elem_part, hat, mult_part = token.partition("^")
+        mult = 1
+        if hat:
+            try:
+                mult = int(mult_part)
+            except ValueError:
+                raise ValueError(f"bad multiplicity in {token!r}")
             if mult < 0:
                 raise ValueError(f"negative multiplicity in {token!r}")
-        else:
-            elem_part, mult = token, 1
         e = group.parse_element(elem_part)
         counts[e] = counts.get(e, 0) + mult
-    return ZSeq(group, counts)
+    return tuple(sorted((c, m) for c, m in counts.items() if m))
 
 
-def format_seq(S: ZSeq) -> str:
+def format_seq(S) -> str:
     """Inverse of :func:`parse_seq`; empty string for the empty sequence."""
     parts = []
-    for c, m in S.counts.items():
+    for c, m in S:
         e = format_element(c)
         parts.append(e if m == 1 else f"{e}^{m}")
     return " ".join(parts)

@@ -21,9 +21,9 @@ def test_criterion_1_zero_sum_model():
     atom_set = {zerosum.format_seq(S) for S in zerosum.atoms(G)}
     assert atom_set == {"0", "1 2", "1^3", "2^3"}
     S = zerosum.parse_seq(G, "1^3 2^3")
-    facts = zerosum.factorizations(S)
+    facts = zerosum.factorizations(G, S)
     assert len(facts) == 2
-    assert zerosum.length_set(S) == {2, 3}
+    assert zerosum.length_set(G, S) == {2, 3}
     report(1, "B(Z/3) atoms {0, 1·2, 1^3, 2^3}; 1^3·2^3 has 2 factorizations, lengths {2,3}")
 
 
@@ -41,7 +41,7 @@ def test_criterion_2_quadratic_order():
         assert all(quadring.is_atom(y) for y in F)
     lengths = {len(F) for F in facts}
     G = abelian.FinAbGroup([3])
-    assert lengths == zerosum.length_set(zerosum.parse_seq(G, "1^3 2^3"))
+    assert lengths == zerosum.length_set(G, zerosum.parse_seq(G, "1^3 2^3"))
     report(2, "8 = 2·2·2 = (1+w)(2-w) exactly; no norm-2 elements; lengths transfer to B(Z/3)")
 
 
@@ -53,8 +53,8 @@ def test_criterion_3_half_factorial_boundary():
         G = abelian.FinAbGroup(moduli)
         bound = 2 * zerosum.davenport(G)
         W = zerosum.half_factorial_witness(G, bound)
-        assert W is not None and W.length <= bound
-        assert len(zerosum.length_set(W)) >= 2
+        assert W is not None and sum(m for _, m in W) <= bound
+        assert len(zerosum.length_set(G, W)) >= 2
     report(3, "half-factorial iff |G| <= 2: no witness for |G|<=2 up to length 8, "
               "witnesses within 2*davenport for Z/3, Z/4, Z/2xZ/2")
 

@@ -59,6 +59,16 @@ def test_zs_hfwitness(capsys):
     assert payload["witness"] is not None and len(payload["lengths"]) > 1
 
 
+@pytest.mark.parametrize("spelling", ["", " "])
+def test_zs_empty_ground_set(capsys, spelling):
+    # an empty --elements is the empty ground set, not the whole group
+    code, out, _ = run(capsys, "zs", "atoms", "--group", "3", "--elements", spelling)
+    assert (code, out) == (0, "(no atoms)\n")
+    code, out, _ = run(capsys, "zs", "hfwitness", "--group", "3", "--max-len", "6",
+                       "--elements", spelling)
+    assert (code, out) == (0, "no witness up to length 6\n")
+
+
 @pytest.mark.parametrize("command, length, factor_length", [
     ("factor", 3000, 1500),
     ("lengths", 2400, 1200),
@@ -232,9 +242,18 @@ HUGE = "99999999999999999999"
     (["tring", "mul", "[" * 100_000], "expected a JSON array of integer rows"),
     (["quat", "verify", "--product", "1", "(" * 5000 + "1" + ")" * 5000],
      "parentheses nested deeper than 100"),
+    (["zs", "lengths", "--group", "3", "--seq", f"1^{HUGE}"],
+     f"sequence length {HUGE} exceeds cap 24"),
+    (["zs", "lengths", "--group", "3", "--seq", "1^x 2"], "bad multiplicity in '1^x'"),
+    (["zs", "factor", "--group", "3", "--seq", "1^"], "bad multiplicity in '1^'"),
+    (["zs", "atoms", "--group", "3", "--elements", "^"], "bad multiplicity in '^'"),
+    (["zs", "hfwitness", "--group", "3", "--max-len", "6", "--elements", "1^1^1"],
+     "bad multiplicity in '1^1^1'"),
 ], ids=["div-factor-huge-count", "div-factor-huge-max-len", "div-render-huge-count",
         "div-render-missing-dir", "div-render-onto-dir", "tring-oracle-huge-size",
-        "tring-oracle-huge-trials", "tring-mul-deep-json", "quat-deep-parentheses"])
+        "tring-oracle-huge-trials", "tring-mul-deep-json", "quat-deep-parentheses",
+        "zs-lengths-huge-multiplicity", "zs-lengths-bad-multiplicity",
+        "zs-factor-empty-multiplicity", "zs-atoms-bare-caret", "zs-hfwitness-two-carets"])
 def test_huge_or_malformed_input_is_refused_in_seconds(tmp_path, monkeypatch, capsys,
                                                        argv, message):
     # each of these hung or ended in a traceback before it was bounded

@@ -31,6 +31,10 @@ still label-to-count maps, so they pin the count tuples that replaced them.
 The other four demo pins were captured while group elements were still
 objects wrapping their coordinates, so they pin the plain coordinate tuples
 that replaced them.
+The zero-sum pins in `zs.json`, `readme.json`, `zero_sum_sequences.out` and
+`quadratic_order.out` were captured while a sequence was still a wrapper
+object around a multiplicity map, so they pin the tuples of (element,
+multiplicity) pairs that replaced it.
 """
 
 import json

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from nufact import zerosum
 from nufact.abelian import CapExceeded, FinAbGroup, enumerate_elements
 from nufact.zerosum import (
-    ZSeq,
     _atoms,
     atoms,
     concat,
@@ -36,16 +35,35 @@ def seqs(group, text):
 
 
 # ---------------------------------------------------------------- oracles
+# Sequences are tuples of (element, multiplicity) pairs; the oracles below
+# do their multiset arithmetic on Counters instead.
 
-def naive_is_minimal(S: ZSeq) -> bool:
+def multiset(S) -> Counter:
+    return Counter(dict(S))
+
+
+def as_seq(counts: Counter) -> tuple:
+    return tuple(sorted((c, m) for c, m in counts.items() if m))
+
+
+def expanded(S) -> tuple:
+    return tuple(sorted(multiset(S).elements()))
+
+
+def length(S) -> int:
+    return multiset(S).total()
+
+
+def naive_is_minimal(G, S) -> bool:
     """Check minimality by scanning every sub-multiset explicitly."""
-    if S.is_empty() or not is_zero_sum(S):
+    counts = multiset(S)
+    if not counts or not is_zero_sum(G, S):
         return False
-    items = list(S.counts.items())
+    items = list(counts.items())
     zero_count = 0
     for mults in itertools.product(*(range(m + 1) for _, m in items)):
-        sub = ZSeq(S.group, {c: k for (c, _), k in zip(items, mults) if k})
-        if is_zero_sum(sub):
+        sub = Counter({c: k for (c, _), k in zip(items, mults)})
+        if is_zero_sum(G, sub.items()):
             zero_count += 1
     return zero_count == 2  # the empty and the full sub-multiset only
 
@@ -56,11 +74,8 @@ def brute_force_atoms(group, max_len):
     found = set()
     for L in range(1, max_len + 1):
         for combo in itertools.combinations_with_replacement(coords, L):
-            counts = {}
-            for c in combo:
-                counts[c] = counts.get(c, 0) + 1
-            S = ZSeq(group, counts)
-            if naive_is_minimal(S):
+            S = as_seq(Counter(combo))
+            if naive_is_minimal(group, S):
                 found.add(S)
     return found
 
@@ -68,43 +83,39 @@ def brute_force_atoms(group, max_len):
 # ---------------------------------------------------------------- examples
 
 def test_seq_sum_examples():
-    assert seq_sum(seqs(Z3, "1 2")) == Z3.zero()
-    assert seq_sum(ZSeq.empty(Z3)) == Z3.zero()
-    assert seq_sum(seqs(Z3, "1^2")) == Z3.element([2])
+    assert seq_sum(Z3, seqs(Z3, "1 2")) == Z3.zero()
+    assert seq_sum(Z3, ()) == Z3.zero()
+    assert seq_sum(Z3, seqs(Z3, "1^2")) == Z3.element([2])
 
 
 def test_concat_examples():
     S = concat(seqs(Z3, "1^3"), seqs(Z3, "2^3"))
     assert S == seqs(Z3, "1^3 2^3")
     T = seqs(Z3, "1 2")
-    assert concat(T, ZSeq.empty(Z3)) == T
+    assert concat(T, ()) == T
     assert concat(T, T) == seqs(Z3, "1^2 2^2")
-    with pytest.raises(ValueError):
-        concat(T, ZSeq.empty(K4))
+    assert concat(seqs(Z3, "2"), seqs(Z3, "0 1")) == seqs(Z3, "0 1 2")
 
 
 def test_is_zero_sum_examples():
-    assert is_zero_sum(seqs(Z3, "1 2"))
-    assert not is_zero_sum(seqs(Z3, "1"))
-    assert is_zero_sum(ZSeq.empty(Z3))
+    assert is_zero_sum(Z3, seqs(Z3, "1 2"))
+    assert not is_zero_sum(Z3, seqs(Z3, "1"))
+    assert is_zero_sum(Z3, ())
 
 
 def test_is_minimal_zero_sum_examples():
-    assert is_minimal_zero_sum(seqs(Z3, "1^3"))
-    assert not is_minimal_zero_sum(seqs(Z3, "1^3 2^3"))
-    assert is_minimal_zero_sum(seqs(Z3, "0"))
-    assert not is_minimal_zero_sum(seqs(Z3, "0^2"))
-    assert not is_minimal_zero_sum(ZSeq.empty(Z3))
+    assert is_minimal_zero_sum(Z3, seqs(Z3, "1^3"))
+    assert not is_minimal_zero_sum(Z3, seqs(Z3, "1^3 2^3"))
+    assert is_minimal_zero_sum(Z3, seqs(Z3, "0"))
+    assert not is_minimal_zero_sum(Z3, seqs(Z3, "0^2"))
+    assert not is_minimal_zero_sum(Z3, ())
 
 
 def test_minimality_matches_naive_oracle():
     for L in range(0, 6):
         for combo in itertools.combinations_with_replacement([(0,), (1,), (2,)], L):
-            counts = {}
-            for c in combo:
-                counts[c] = counts.get(c, 0) + 1
-            S = ZSeq(Z3, counts)
-            assert is_minimal_zero_sum(S) == naive_is_minimal(S)
+            S = as_seq(Counter(combo))
+            assert is_minimal_zero_sum(Z3, S) == naive_is_minimal(Z3, S)
 
 
 def test_atoms_of_z3_exactly():
@@ -143,7 +154,7 @@ GROUPS_UP_TO_16 = [[n] for n in range(1, 17)] + [
 def test_davenport_matches_the_atom_search(moduli):
     G = FinAbGroup(moduli)
     coords = tuple(enumerate_elements(G))
-    assert davenport(G) == _atoms(G.moduli, coords)[-1].length
+    assert davenport(G) == length(_atoms(G.moduli, coords)[-1])
 
 
 @pytest.mark.parametrize("moduli", [
@@ -222,7 +233,7 @@ def test_atoms_match_brute_force(moduli):
     # (Olson 1969); it keeps this oracle independent of the atom search
     expected = brute_force_atoms(G, 1 + sum(n - 1 for n in moduli))
     assert set(atoms(G)) == expected
-    assert all(is_minimal_zero_sum(S) for S in atoms(G))
+    assert all(is_minimal_zero_sum(G, S) for S in atoms(G))
 
 
 def test_atoms_cap():
@@ -235,16 +246,26 @@ def test_atoms_cap():
 def test_ground_set_passes_through_element(monkeypatch):
     # each given tuple is reduced once by G.element: (3,) is 0 in Z/3.  The
     # search over {1} builds 2 states; unreduced, (3,) never closes a zero
-    # sum and the search runs to its budget, which is small here
+    # sum and the search runs to its budget, which is small here.  The
+    # elements of a sequence to factor are reduced the same way
     _atoms.cache_clear()
     monkeypatch.setattr(zerosum, "ATOM_BUDGET", 100)
     assert [format_seq(S) for S in atoms(Z3, [(1,), (3,)])] == ["0", "1^3"]
     assert format_seq(half_factorial_witness(Z3, 6, [(4,), (-1,)])) == "1^3 2^3"
+    assert factorizations(Z3, (((3,), 1),)) == [((((0,), 1),),)]
+    assert factorizations(Z3, (((1,), 2), ((4,), 1))) == [((((1,), 3),),)]
+    with pytest.raises(CapExceeded, match="sequence length 25 exceeds cap 24"):
+        factorizations(Z3, (((0,), 20), ((3,), 5)))
     for bad in [(1, 0)], [(1.5,)], [("1",)], [(True,)]:
         with pytest.raises(ValueError):
             atoms(Z3, bad)
         with pytest.raises(ValueError):
             half_factorial_witness(Z3, 4, bad)
+        with pytest.raises(ValueError):
+            factorizations(Z3, ((bad[0], 1),))
+    for m in 0, -3, 1.0, True:
+        with pytest.raises(ValueError, match="multiplicity must be a positive integer"):
+            factorizations(Z3, (((0,), 3), ((1,), m)))
 
 
 @pytest.mark.parametrize("search, message", [
@@ -270,7 +291,7 @@ def test_whole_group_budget_is_checked_before_it_is_built(search, message):
 
 def test_factorizations_of_the_worked_example():
     S = seqs(Z3, "1^3 2^3")
-    facts = factorizations(S)
+    facts = factorizations(Z3, S)
     shapes = [sorted(format_seq(p) for p in F) for F in facts]
     assert len(facts) == 2
     assert ["1^3", "2^3"] in shapes
@@ -278,33 +299,34 @@ def test_factorizations_of_the_worked_example():
 
 
 def test_factorizations_trivial_cases():
-    assert [tuple(F) for F in factorizations(ZSeq.empty(Z3))] == [()]
-    zz = factorizations(seqs(Z3, "0^2"))
+    assert factorizations(Z3, ()) == [()]
+    zz = factorizations(Z3, seqs(Z3, "0^2"))
     assert len(zz) == 1 and [format_seq(p) for p in zz[0]] == ["0", "0"]
 
 
 def test_factorizations_reject_non_zero_sum():
     with pytest.raises(ValueError):
-        factorizations(seqs(Z3, "1"))
+        factorizations(Z3, seqs(Z3, "1"))
 
 
-def brute_force_factorizations(S):
+def brute_force_factorizations(G, S):
     """Independent enumeration: scan each candidate atom's multiplicity in
     index order instead of consuming smallest elements."""
-    cands = [A for A in atoms(S.group, S.counts) if S.contains(A)]
+    whole = multiset(S)
+    cands = [multiset(A) for A in atoms(G, whole) if multiset(A) <= whole]
     out = set()
 
     def rec(i, remaining, parts):
-        if remaining.is_empty():
-            out.add(tuple(sorted(p.expanded() for p in parts)))
+        if not remaining:
+            out.add(tuple(sorted(expanded(p) for p in parts)))
             return
         if i == len(cands):
             return
         rec(i + 1, remaining, parts)
-        if remaining.contains(cands[i]):
-            rec(i, remaining.minus(cands[i]), parts + [cands[i]])
+        if cands[i] <= remaining:
+            rec(i, remaining - cands[i], parts + [cands[i]])
 
-    rec(0, S, [])
+    rec(0, whole, [])
     return out
 
 
@@ -319,31 +341,32 @@ def brute_force_factorizations(S):
     ([5], "1^2 4^2 2 3"),
 ])
 def test_factorizations_match_independent_enumeration(moduli, text):
-    S = seqs(FinAbGroup(moduli), text)
-    got = {tuple(sorted(p.expanded() for p in F)) for F in factorizations(S)}
-    assert got == brute_force_factorizations(S)
+    G = FinAbGroup(moduli)
+    S = seqs(G, text)
+    got = {tuple(sorted(expanded(p) for p in F)) for F in factorizations(G, S)}
+    assert got == brute_force_factorizations(G, S)
 
 
 def test_factorization_parts_concat_back():
     for text in ["1^3 2^3", "0^3 1 2", "1^6", "1^3 2^3 0"]:
         S = seqs(Z3, text)
-        for F in factorizations(S):
-            acc = ZSeq.empty(Z3)
+        for F in factorizations(Z3, S):
+            acc = ()
             for p in F:
-                assert is_minimal_zero_sum(p)
+                assert is_minimal_zero_sum(Z3, p)
                 acc = concat(acc, p)
             assert acc == S
 
 
 def test_length_set_examples():
-    assert length_set(seqs(Z3, "1^3 2^3")) == {2, 3}
-    assert length_set(seqs(Z3, "1^3")) == {1}
-    assert length_set(ZSeq.empty(Z3)) == {0}
+    assert length_set(Z3, seqs(Z3, "1^3 2^3")) == {2, 3}
+    assert length_set(Z3, seqs(Z3, "1^3")) == {1}
+    assert length_set(Z3, ()) == {0}
 
 
 def test_half_factorial_witness_examples():
     w = half_factorial_witness(Z3, 6)
-    assert w is not None and len(length_set(w)) > 1 and w.length <= 6
+    assert w is not None and len(length_set(Z3, w)) > 1 and length(w) <= 6
     assert half_factorial_witness(FinAbGroup([2]), 8) is None
     assert half_factorial_witness(Z3, 5, [Z3.zero()]) is None
 
@@ -389,7 +412,7 @@ def zseq_pairs(draw):
     G = draw(small_groups)
     els = enumerate_elements(G)
     pick = lambda: Counter(draw(st.sampled_from(els)) for _ in range(draw(st.integers(0, 4))))
-    return G, ZSeq(G, pick()), ZSeq(G, pick())
+    return G, as_seq(pick()), as_seq(pick())
 
 
 @given(zseq_pairs())
@@ -397,19 +420,21 @@ def zseq_pairs(draw):
 def test_concat_monoid_laws(data):
     G, S, T = data
     assert concat(S, T) == concat(T, S)
-    assert concat(S, ZSeq.empty(G)) == S
+    assert concat(S, ()) == S
     assert concat(concat(S, T), S) == concat(S, concat(T, S))
-    assert seq_sum(concat(S, T)) == G.element(map(operator.add, seq_sum(S), seq_sum(T)))
+    assert concat(S, T) == as_seq(multiset(S) + multiset(T))
+    assert (seq_sum(G, concat(S, T))
+            == G.element(map(operator.add, seq_sum(G, S), seq_sum(G, T))))
 
 
 @given(zseq_pairs())
 @settings(max_examples=60, deadline=None)
 def test_length_sets_superadditive(data):
     G, S, T = data
-    if not (is_zero_sum(S) and is_zero_sum(T)):
+    if not (is_zero_sum(G, S) and is_zero_sum(G, T)):
         return
-    ls, lt = length_set(S), length_set(T)
-    combined = length_set(concat(S, T))
+    ls, lt = length_set(G, S), length_set(G, T)
+    combined = length_set(G, concat(S, T))
     assert {x + y for x in ls for y in lt} <= combined
 
 
@@ -418,12 +443,13 @@ def test_witness_exists_within_twice_davenport(moduli):
     G = FinAbGroup(moduli)
     w = half_factorial_witness(G, 2 * davenport(G))
     assert w is not None
-    assert len(length_set(w)) >= 2
+    assert len(length_set(G, w)) >= 2
 
 
 def test_parse_format_round_trip():
     S = seqs(Z3, "2^3 1^3")
     assert parse_seq(Z3, format_seq(S)) == S
-    assert format_seq(ZSeq.empty(Z3)) == ""
+    assert S == (((1,), 3), ((2,), 3))
+    assert format_seq(()) == ""
     K = seqs(K4, "1,0^2 0,1")
     assert parse_seq(K4, format_seq(K)) == K
