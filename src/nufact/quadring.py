@@ -37,10 +37,6 @@ def qmul(x: QuadInt, y: QuadInt) -> QuadInt:
     return QuadInt(a * c - 6 * b * d, a * d + b * c + b * d)
 
 
-def qadd(x: QuadInt, y: QuadInt) -> QuadInt:
-    return QuadInt(x.a + y.a, x.b + y.b)
-
-
 def qneg(x: QuadInt) -> QuadInt:
     return QuadInt(-x.a, -x.b)
 

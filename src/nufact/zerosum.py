@@ -85,9 +85,11 @@ def is_minimal_zero_sum(G: FinAbGroup, S) -> bool:
     zero-sum sub-multiset.
 
     Counts the sub-multisets summing to zero by dynamic programming over the
-    support; minimality means exactly two (the empty and the full one).
+    support; minimality means exactly two (the empty and the full one).  A
+    zero-sum S longer than |G| >= D(G) has a proper non-empty zero-sum
+    subsequence, so a longer S is not minimal and skips the dynamic program.
     """
-    if not S or not is_zero_sum(G, S):
+    if not S or sum(m for _, m in S) > G.order or not is_zero_sum(G, S):
         return False
     moduli = G.moduli
     zero = G.zero()

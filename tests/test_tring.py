@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import os
 import pathlib
@@ -11,6 +12,8 @@ from nufact import tring
 from nufact.divcalc import compose, is_realizable
 from nufact.tring import (
     CapExceeded,
+    _bump,
+    _bump_candidates,
     _chain_divisor,
     _label_rows,
     cycle_structure,
@@ -296,6 +299,80 @@ def test_oracle_report_negative_control():
     assert not report["all_pass"]
     assert not report["properties"]["homomorphism"]["pass"]
     assert "counterexample" in report["properties"]["homomorphism"]
+
+
+def test_oracle_composes_once_per_pair_in_a_major_order():
+    corpus = enumerate_ideals(3, 2)
+    divs = [divisor_of(A) for A in corpus]
+    calls = []
+
+    def counting(cs, D, E):
+        calls.append((D, E))
+        return compose(cs, D, E)
+
+    report = oracle_report(l=3, max_exp=2, compose_fn=counting)
+    assert report["all_pass"]
+    assert len(calls) == report["corpus_size"] ** 2 == 44 ** 2
+    assert calls == list(itertools.product(divs, repeat=2))
+
+
+def test_oracle_reports_the_a_major_first_failing_pair():
+    # (7, 20) comes first in A-major order and (12, 3) in B-major order; the
+    # expected counterexample was captured before the products were
+    # row-factored
+    corpus = enumerate_ideals(3, 2)
+    divs = [divisor_of(A) for A in corpus]
+    corrupt = {(divs[7], divs[20]), (divs[12], divs[3])}
+    calls = 0
+
+    def corrupted(cs, D, E):
+        nonlocal calls
+        calls += 1
+        good = compose(cs, D, E)
+        return (good[0], good[1] + 1) + good[2:] if (D, E) in corrupt else good
+
+    report = oracle_report(l=3, max_exp=2, compose_fn=corrupted)
+    assert report["properties"]["homomorphism"] == {"pass": False, "counterexample": {
+        "A": ((1, 1, 1), (0, 1, 1), (0, 0, 0)),
+        "B": ((1, 1, 2), (1, 1, 2), (0, 0, 1)),
+        "divisor_of_product": "Q1+3Q2+2Q3",
+        "composed": "Q1+4Q2+2Q3",
+    }}
+    assert calls == 7 * 44 + 21  # the loop stops at the first failing pair
+    assert [name for name, p in report["properties"].items() if not p["pass"]] == [
+        "homomorphism"]
+
+
+def cover_disagreements(candidates, l, max_exp):
+    """Pairs e <= a of ideals where candidates(e, a) differs from the
+    brute-force filter: every position below a whose bump passes the
+    triple-loop closure check."""
+    corpus = enumerate_ideals(l, max_exp)
+    bad = 0
+    for e, a in itertools.product(corpus, repeat=2):
+        if all(x <= y for re, ra in zip(e, a) for x, y in zip(re, ra)):
+            brute = [(i, j) for i in range(l) for j in range(l)
+                     if e[i][j] < a[i][j] and naive_is_ideal(_bump(e, i, j))]
+            bad += candidates(e, a) != brute
+    return bad
+
+
+COVER_SIZES = [(2, 6), (3, 2), (4, 1)]
+
+
+@pytest.mark.parametrize("l, max_exp", COVER_SIZES)
+def test_local_cover_test_matches_brute_force(l, max_exp):
+    assert cover_disagreements(_bump_candidates, l, max_exp) == 0
+
+
+def test_local_cover_test_negative_control():
+    # the same cover test with its two strict inequalities made weak
+    src = inspect.getsource(_bump_candidates)
+    assert src.count(" > e[i][j] for k in") == 2
+    namespace = dict(vars(tring))
+    exec(src.replace(" > e[i][j] for k in", " >= e[i][j] for k in"), namespace)
+    weak = namespace["_bump_candidates"]
+    assert all(cover_disagreements(weak, l, max_exp) > 0 for l, max_exp in COVER_SIZES)
 
 
 def test_matrix_io():

@@ -109,13 +109,16 @@ def test_is_minimal_zero_sum_examples():
     assert is_minimal_zero_sum(Z3, seqs(Z3, "0"))
     assert not is_minimal_zero_sum(Z3, seqs(Z3, "0^2"))
     assert not is_minimal_zero_sum(Z3, ())
+    # longer than the group's order, so not minimal, without the dynamic program
+    assert not is_minimal_zero_sum(Z3, (((1,), 3 * 10**19),))
 
 
 def test_minimality_matches_naive_oracle():
-    for L in range(0, 6):
-        for combo in itertools.combinations_with_replacement([(0,), (1,), (2,)], L):
-            S = as_seq(Counter(combo))
-            assert is_minimal_zero_sum(Z3, S) == naive_is_minimal(Z3, S)
+    for G in (Z3, K4):
+        for L in range(0, G.order + 3):
+            for combo in itertools.combinations_with_replacement(enumerate_elements(G), L):
+                S = as_seq(Counter(combo))
+                assert is_minimal_zero_sum(G, S) == naive_is_minimal(G, S)
 
 
 def test_atoms_of_z3_exactly():
