@@ -233,7 +233,7 @@ def cmd_tring_tau(args):
 
 def cmd_tring_oracle(args):
     report = tring.oracle_report(l=args.size, max_exp=args.max_exp,
-                                 seed=args.seed, chain_trials=args.trials, cap=args.cap)
+                                 seed=args.seed, chain_trials=args.trials)
     lines = [f"corpus: {report['corpus_size']} ideals of T({args.size}), "
              f"exponents <= {args.max_exp}"]
     for name, entry in report["properties"].items():

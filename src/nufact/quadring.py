@@ -55,17 +55,21 @@ def is_unit(x: QuadInt) -> bool:
     return norm(x) == 1
 
 
+def _check_norm(n: int, cap: int | None) -> None:
+    limit = DEFAULT_NORM_CAP if cap is None else cap
+    if n > limit:
+        raise CapExceeded(f"norm {n} exceeds cap {limit}")
+
+
 def elements_of_norm(n: int, cap: int | None = None) -> list[QuadInt]:
     """All elements of norm n, complete and duplicate-free.
 
     4*norm = (2a + b)^2 + 23 b^2 bounds |b| by sqrt(4n/23); the remaining
     square condition is checked exactly.
     """
-    limit = DEFAULT_NORM_CAP if cap is None else cap
     if n < 0:
         return []
-    if n > limit:
-        raise CapExceeded(f"norm {n} exceeds cap {limit}")
+    _check_norm(n, cap)
     out = []
     bmax = math.isqrt(4 * n // 23)
     for b in range(-bmax, bmax + 1):
@@ -101,12 +105,13 @@ def canonical_associate(x: QuadInt) -> QuadInt:
 
 def is_atom(x: QuadInt, cap: int | None = None) -> bool:
     """True iff x is irreducible: no element of norm strictly between 1 and
-    norm(x) divides it."""
+    norm(x) divides it.  Norms above the cap are refused before the search."""
     n = norm(x)
     if n == 0:
         raise ValueError("zero is not factorable")
     if n == 1:
         raise ValueError("units are not atoms")
+    _check_norm(n, cap)
     for d in range(2, n):
         if n % d:
             continue
@@ -140,12 +145,10 @@ def element_factorizations(x: QuadInt, cap: int | None = None) -> list[tuple[Qua
     representatives whose product is x up to sign.  Units give the single
     empty factorization.
     """
-    limit = DEFAULT_NORM_CAP if cap is None else cap
     n = norm(x)
     if n == 0:
         raise ValueError("zero is not factorable")
-    if n > limit:
-        raise CapExceeded(f"norm {n} exceeds cap {limit}")
+    _check_norm(n, cap)
     atoms = _atom_divisors(x, cap)
 
     results: list[tuple[QuadInt, ...]] = []

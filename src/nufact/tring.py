@@ -21,20 +21,19 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
-from math import prod
 from operator import add, sub
 
 from .abelian import CapExceeded
 from .divcalc import CycleStructure, compose, is_realizable
 
-DEFAULT_CANDIDATE_CAP = 5 * 10**6
-# the oracle's largest ring (T(32) with exponents <= 0 takes about 0.5 s)
+# the oracle's largest ring (T(32) with exponents <= 0 takes about 0.3 s)
 # and most chain walks (100 add at most about 0.4 s to an admitted corpus)
 ORACLE_SIZE_CAP = 32
 CHAIN_TRIAL_CAP = 100
-# corpus pairs the homomorphism check may multiply and compose: the largest
-# admitted, T(3) with exponents <= 10 (80,656 pairs), takes about 1 s
+# corpus pairs of the homomorphism check: enumeration stops past 300 ideals,
+# and the largest admitted, T(3) with exponents <= 10 (284), takes about 1 s
 ORACLE_PAIR_BUDGET = 90_000
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -176,14 +175,11 @@ def _bump_candidates(e: Matrix, a: Matrix) -> list[tuple[int, int]]:
 
 
 def _chain_divisor(A: Matrix, rng: random.Random | None) -> tuple[int, ...]:
-    """Walk a maximal chain of ideals from the ring down to A and record, for
-    each step, the unique maximal ideal P with P * (previous link) inside the
-    next link.  With rng=None every step takes the lexicographically least
-    cover; an rng picks uniformly among the covers.  The test oracle for
-    divisor_of; its cost grows with the entries of A."""
-    A = _as_matrix(A)
-    if not _is_ideal(A):
-        raise ValueError("not an integral ideal")
+    """Walk a maximal chain of ideals from the ring down to the ideal A, which
+    is not validated, and record, for each step, the unique maximal ideal P
+    with P * (previous link) inside the next link.  With rng=None every step
+    takes the lexicographically least cover; an rng picks uniformly among
+    the covers.  The test oracle for divisor_of; its cost grows with A."""
     l = len(A)
     maxi = maximal_ideals(l)
     counts = [0] * l
@@ -237,22 +233,22 @@ def divisor_of(A) -> tuple[int, ...]:
     return tuple(excess[i] for i in _label_rows(l))
 
 
-def enumerate_ideals(l: int, max_exp: int, cap: int | None = None) -> list[Matrix]:
+def enumerate_ideals(l: int, max_exp: int) -> list[Matrix]:
     """All integral ideals with every entry at most max(max_exp, ring entry),
-    in lexicographic order of the exponent rows.
+    in lexicographic order of the exponent rows; more than
+    isqrt(ORACLE_PAIR_BUDGET) of them are refused at the first one too many.
 
     A depth-first fill in row-major order: each new cell's value range is
     cut down by the closure inequalities t[i][j] + a[j][k] >= a[i][k] and
     a[i][j] + t[j][k] >= a[i][k] against the cells already filled, so every
-    completed matrix is an ideal and no dead candidate is ever built.
+    completed matrix is an ideal.  The fill has no dead ends either: every
+    bound on a cell comes from filled cells, and each lower bound is at most
+    each upper bound by closure among them and t[i][k] <= t[i][j] + t[j][k].
+    So the search visits at most l*l nodes per ideal, and counting ideals
+    bounds its work.
     """
     t = ring_matrix(l)
-    limit = DEFAULT_CANDIDATE_CAP if cap is None else cap
-    top = [[max(t[i][j], max_exp) for j in range(l)] for i in range(l)]
-    total = prod(top[i][j] - t[i][j] + 1 for i in range(l) for j in range(l))
-    if total > limit:
-        raise CapExceeded(f"{total} candidate matrices exceed cap {limit}")
-
+    limit = math.isqrt(ORACLE_PAIR_BUDGET)
     a = [[0] * l for _ in range(l)]
 
     def values(pos: int) -> range:
@@ -260,7 +256,7 @@ def enumerate_ideals(l: int, max_exp: int, cap: int | None = None) -> list[Matri
         lo = max([t[p][q]]
                  + [a[i][q] - t[i][p] for i in range(p)]
                  + [a[p][k] - t[q][k] for k in range(q)])
-        hi = min([top[p][q]]
+        hi = min([max(t[p][q], max_exp)]
                  + [t[p][j] + a[j][q] for j in range(p)]
                  + [a[p][j] + t[j][q] for j in range(q)])
         return range(lo, hi + 1)
@@ -276,6 +272,10 @@ def enumerate_ideals(l: int, max_exp: int, cap: int | None = None) -> list[Matri
         p, q = divmod(pos, l)
         a[p][q] = v
         if pos + 1 == l * l:
+            if len(out) == limit:
+                raise CapExceeded(f"T({l}) with exponents <= {max_exp} has more than {limit} "
+                                  f"ideals; the oracle's pair budget {ORACLE_PAIR_BUDGET} "
+                                  f"admits at most {limit}")
             out.append(tuple(map(tuple, a)))
         else:
             stack.append(iter(values(pos + 1)))
@@ -286,7 +286,7 @@ def enumerate_ideals(l: int, max_exp: int, cap: int | None = None) -> list[Matri
 # cross-validation of the divisor calculus against this oracle
 
 def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
-                  chain_trials: int = 20, compose_fn=None, cap: int | None = None) -> dict:
+                  chain_trials: int = 20, compose_fn=None) -> dict:
     """Exhaustively compare the abstract divisor composition with actual
     ideal arithmetic in T(l).
 
@@ -295,10 +295,10 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     divisor_of; realizability of every attained divisor plus attainment of
     every realizable divisor with counts <= max_exp - 1; and agreement of
     divisor_of with the labels read off random maximal chains.  compose_fn
-    substitutes for the divisor composition (a hook for negative controls);
-    cap is the candidate cap of enumerate_ideals.  Sizes above
-    ORACLE_SIZE_CAP, more than CHAIN_TRIAL_CAP chain trials and a corpus of
-    more than ORACLE_PAIR_BUDGET pairs are refused.
+    substitutes for the divisor composition (a hook for negative controls).
+    Sizes above ORACLE_SIZE_CAP, more than CHAIN_TRIAL_CAP chain trials and
+    a corpus of more than ORACLE_PAIR_BUDGET pairs (enumerate_ideals stops
+    past its square root) are refused.
 
     The pairs are checked in A-major order, with one compose_fn call each,
     and the first failing pair is the counterexample.
@@ -312,11 +312,7 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
         raise CapExceeded(f"{chain_trials} chain trials exceed cap {CHAIN_TRIAL_CAP}")
     cs = cycle_structure(l)
     comp = compose_fn if compose_fn is not None else compose
-    corpus = enumerate_ideals(l, max_exp, cap=cap)
-    pairs = len(corpus) ** 2
-    if pairs > ORACLE_PAIR_BUDGET:
-        raise CapExceeded(f"{pairs} pairs of {len(corpus)} ideals exceed the oracle's "
-                          f"pair budget {ORACLE_PAIR_BUDGET}")
+    corpus = enumerate_ideals(l, max_exp)
     divisors = [divisor_of(A) for A in corpus]
     report: dict = {
         "ring_size": l,

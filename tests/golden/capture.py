@@ -30,7 +30,8 @@ ROOT = HERE.parents[1]
 DEMOS = ["divisor_diagrams", "zero_sum_sequences", "quadratic_order",
          "quaternion_identities", "triangular_oracle"]
 
-ORACLE_SIZES = [(3, 2), (2, 10), (4, 1)]
+# (3, 10) is the largest corpus below the pair budget, 284 ideals
+ORACLE_SIZES = [(3, 2), (2, 10), (4, 1), (3, 10)]
 # (ring size, number of maximal-ideal factors, word seed)
 DEEP_PRODUCTS = [(3, 90, 3), (4, 60, 4), (5, 40, 5)]
 
@@ -54,6 +55,7 @@ def tring_argvs():
     out = [(f"oracle-{l}-{e}",
             ["--json", "tring", "oracle", "--size", str(l), "--max-exp", str(e)])
            for l, e in ORACLE_SIZES]
+    out.append(("oracle-3-10-human", ["tring", "oracle", "--size", "3", "--max-exp", "10"]))
     out.append(("divisor-readme",
                 ["--json", "tring", "divisor", "[[1,1,1],[0,1,1],[0,0,1]]"]))
     for l, k, seed in DEEP_PRODUCTS:

@@ -141,7 +141,9 @@ def test_zs_hfwitness_stops_at_its_budget(capsys, argv, progress):
      0, '"seed": 5'),
     (["tring", "oracle", "--size", "2", "--max-exp", "1", "--seed", "5", "--json"],
      0, '"seed": 5'),
-    (["tring", "oracle", "--size", "2", "--max-exp", "1", "--cap", "1"], 1, "exceed cap 1"),
+    # tring oracle reads no --cap: T(3) with exponents <= 10 fits its pair budget
+    (["tring", "oracle", "--size", "3", "--max-exp", "10", "--cap", "1"],
+     0, "corpus: 284 ideals of T(3), exponents <= 10"),
 ])
 def test_common_flags_before_or_after_subcommand(capsys, argv, code, fragment):
     got, out, err = run(capsys, *argv)
@@ -240,6 +242,7 @@ HUGE = "99999999999999999999"
     (["tring", "oracle", "--size", HUGE], f"size {HUGE} exceeds the oracle's size cap 32"),
     (["tring", "oracle", "--trials", HUGE], f"{HUGE} chain trials exceed cap 100"),
     (["tring", "mul", "[" * 100_000], "expected a JSON array of integer rows"),
+    (["quad", "atoms", "1000024+1*w"], "norm 1000049000606 exceeds cap 1000000"),
     (["quat", "verify", "--product", "1", "(" * 5000 + "1" + ")" * 5000],
      "parentheses nested deeper than 100"),
     (["zs", "lengths", "--group", "3", "--seq", f"1^{HUGE}"],
@@ -251,7 +254,8 @@ HUGE = "99999999999999999999"
      "bad multiplicity in '1^1^1'"),
 ], ids=["div-factor-huge-count", "div-factor-huge-max-len", "div-render-huge-count",
         "div-render-missing-dir", "div-render-onto-dir", "tring-oracle-huge-size",
-        "tring-oracle-huge-trials", "tring-mul-deep-json", "quat-deep-parentheses",
+        "tring-oracle-huge-trials", "tring-mul-deep-json", "quad-atoms-huge-norm",
+        "quat-deep-parentheses",
         "zs-lengths-huge-multiplicity", "zs-lengths-bad-multiplicity",
         "zs-factor-empty-multiplicity", "zs-atoms-bare-caret", "zs-hfwitness-two-carets"])
 def test_huge_or_malformed_input_is_refused_in_seconds(tmp_path, monkeypatch, capsys,
@@ -267,13 +271,30 @@ def test_huge_or_malformed_input_is_refused_in_seconds(tmp_path, monkeypatch, ca
 
 
 def test_tring_oracle_refuses_by_pairs(capsys):
-    # T(6) with exponents <= 1 is inside the candidate cap, but its 429
-    # ideals give 184,041 pairs, which took 7.7 s before the pair budget
+    # T(6) with exponents <= 1 has 429 ideals, 184,041 pairs; the enumeration
+    # stops at the 301st, since 300 ideals give the budget's 90,000 pairs
     start = time.perf_counter()
     code, out, err = run(capsys, "tring", "oracle", "--size", "6", "--max-exp", "1")
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
-    assert err == "error: 184041 pairs of 429 ideals exceed the oracle's pair budget 90000\n"
+    assert err == ("error: T(6) with exponents <= 1 has more than 300 ideals; "
+                   "the oracle's pair budget 90000 admits at most 300\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--size", "9", "--max-exp", "2"],
+    ["--size", "9", "--max-exp", "2", "--cap", str(10**40)],
+    ["--size", "32", "--max-exp", "5"],
+    ["--size", "3", "--max-exp", str(10**20)],
+], ids=["9-2", "9-2-raised-cap", "32-5", "3-huge-exponent"])
+def test_tring_oracle_refuses_large_corpora_in_under_a_second(capsys, argv):
+    # (9, 2) has 226,184 ideals; the enumeration stops at the 301st
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tring", "oracle", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == (f"error: T({argv[1]}) with exponents <= {argv[3]} has more than 300 "
+                   "ideals; the oracle's pair budget 90000 admits at most 300\n")
 
 
 def test_div_render_writes_svg(tmp_path, capsys):

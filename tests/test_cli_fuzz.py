@@ -27,12 +27,16 @@ HUGE = "99999999999999999999"
 # each pool: (well-formed values, malformed or out-of-range ones)
 INTS = (["0", "1", "2", "3"], ["-1", "-7", HUGE, "-" + HUGE, "1e3", "x", ""])
 CAPS = (["5", "30"], ["-1", "0", "1", "2", "x"])
+# exponent bounds of tring oracle; with 10, T(3) has 284 ideals, the largest
+# corpus the pair budget admits
+EXPS = (INTS[0] + ["10"], INTS[1])
 GROUPS = (["1", "2", "3", "4", "2x2", "6"],
           ["0", "-3", "2x", "x", "2x0", "2x-2", HUGE, "2x" + HUGE, "a", ""])
 SEQS = (["1^3 2^3", "1 2", "1^2", "0", "1 1 1", "0,1^2 1,1"],
         ["", "1^-1", "1^" + HUGE, "-1", HUGE, "1,1", "^", "1^", "1^1^1", "a"])
 QUADS = (["8", "6", "1+1*w", "w", "-w", "2-1*w", "1"],
-         ["0", HUGE, HUGE + "*w", "1+", "2*w*w", "w+w", "1+2", "", "x", "1e3"])
+         ["0", HUGE, HUGE + "*w", "1000024+1*w", "1+", "2*w*w", "w+w", "1+2", "", "x",
+          "1e3"])
 QUATS = (["i+j", "-1-i-k", "1-2i+k", "(1/2)-i+((r3-2)/2)k", "r3", "ii"],
          ["1/0", "1/(r3-r3)", "i/j", HUGE + "i", "(", ")", "", "2^3",
           "(" * 5000 + "1" + ")" * 5000, "-" * 5000 + "1"])
@@ -79,7 +83,7 @@ COMMANDS = {
     ("tring", "mul"): [(None, MATRICES, 3, True)],
     ("tring", "divisor"): [(None, MATRICES, 1, True)],
     ("tring", "tau"): [(None, MATRICES, 1, True)],
-    ("tring", "oracle"): [("--size", INTS, 1, False), ("--max-exp", INTS, 1, False),
+    ("tring", "oracle"): [("--size", INTS, 1, False), ("--max-exp", EXPS, 1, False),
                           ("--trials", INTS, 1, False)],
 }
 JUNK = ["--bogus", "-x", "--", "zs", "--group", "--json", "-h"]

@@ -4,10 +4,12 @@ The JSON files in `golden/` hold each command's argv, the exact stdout it
 gave when captured by `golden/capture.py`, and the text of any file it
 wrote.
 
-- `tring.json`: `tring oracle` at three sizes, the README `tring divisor`
+- `tring.json`: `tring oracle` at four sizes, the largest of them, T(3)
+  with exponents up to 10, also in human mode; the README `tring divisor`
   example and `tring divisor` on three deep products of maximal ideals.  The
   divisors in it were read off lexicographic chain walks, so they pin any
-  other way of computing them.
+  other way of computing them.  T(3) up to 10 was captured while a raised
+  `--cap` was still needed to admit it.
 - `zs.json`: `zs atoms` and `zs davenport` on fifteen small groups, `zs
   davenport` on nine larger ones (up to order 32), `zs atoms` on ten larger
   ones (up to order 24) and on ground sets in Z/24 and Z/64, `zs factor` and
@@ -59,7 +61,8 @@ TRING, ZS, README, DIV = map(load, ("tring.json", "zs.json", "readme.json", "div
 
 def test_golden_covers_every_command():
     assert [c["name"] for c in TRING] == [
-        "oracle-3-2", "oracle-2-10", "oracle-4-1", "divisor-readme",
+        "oracle-3-2", "oracle-2-10", "oracle-4-1", "oracle-3-10", "oracle-3-10-human",
+        "divisor-readme",
         "divisor-T3-product-90", "divisor-T4-product-60", "divisor-T5-product-40"]
     assert len(ZS) == 63
     assert [c["name"] for c in ZS][-2:] == ["hfwitness-readme", "atoms-12-elements"]

@@ -89,6 +89,17 @@ def test_is_atom_examples():
         is_atom(QuadInt(-1, 0))
 
 
+def test_is_atom_cap():
+    # norm 2 * 500024500303 with the second factor prime: a divisor scan
+    # would find nothing below it in 5 * 10**11 steps
+    with pytest.raises(CapExceeded, match="^norm 1000049000606 exceeds cap 1000000$"):
+        is_atom(QuadInt(1000024, 1))
+    # refused even with a small divisor: 8 has norm 64
+    with pytest.raises(CapExceeded, match="^norm 64 exceeds cap 63$"):
+        is_atom(QuadInt(8, 0), cap=63)
+    assert not is_atom(QuadInt(8, 0), cap=64)
+
+
 def associate_free(factorization):
     return sorted(canonical_associate(y) for y in factorization)
 

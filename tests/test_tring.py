@@ -12,6 +12,7 @@ from nufact import tring
 from nufact.divcalc import compose, is_realizable
 from nufact.tring import (
     CapExceeded,
+    _as_matrix,
     _bump,
     _bump_candidates,
     _chain_divisor,
@@ -159,9 +160,19 @@ def test_enumerate_ideals_small():
     assert all(is_ideal(A) for A in enumerate_ideals(3, 1))
 
 
-def test_enumerate_ideals_cap():
-    with pytest.raises(CapExceeded):
+def test_enumerate_ideals_cap(monkeypatch):
+    with pytest.raises(CapExceeded, match="^T\\(4\\) with exponents <= 5 has more than 300 "
+                                          "ideals; the oracle's pair budget 90000 admits "
+                                          "at most 300$"):
         enumerate_ideals(4, 5)
+    # T(4) with exponents <= 1 has 42 ideals: admitted while 42 * 42 pairs fit
+    monkeypatch.setattr(tring, "ORACLE_PAIR_BUDGET", 1764)
+    assert len(enumerate_ideals(4, 1)) == 42
+    monkeypatch.setattr(tring, "ORACLE_PAIR_BUDGET", 1763)
+    with pytest.raises(CapExceeded, match="^T\\(4\\) with exponents <= 1 has more than 41 "
+                                          "ideals; the oracle's pair budget 1763 admits "
+                                          "at most 41$"):
+        enumerate_ideals(4, 1)
 
 
 def test_mul_associative_and_identity_on_corpus():
@@ -218,9 +229,9 @@ def test_row_sum_divisor_matches_lex_chain_walk(l, max_exp):
     [[1, 1, 2], [1, 1, 2], [1, 1, 1]],
 ])
 def test_chain_divisor_accepts_lists(A):
-    # the walk compares its links with A, so list input must be normalised
+    # divisor_of validates list input; the walk takes a validated matrix
     for rng in (None, random.Random(7)):
-        assert _chain_divisor(A, rng) == divisor_of(A)
+        assert _chain_divisor(_as_matrix(A), rng) == divisor_of(A)
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
@@ -265,12 +276,14 @@ def test_oracle_report_size_and_trial_caps():
 
 
 def test_oracle_report_pair_budget(monkeypatch):
-    # T(4) with exponents <= 1 has 42 ideals, so 1764 pairs
+    # T(4) with exponents <= 1 has 42 ideals, so 1764 pairs; enumerate_ideals
+    # refuses the 42nd ideal when the budget admits at most 41
     monkeypatch.setattr(tring, "ORACLE_PAIR_BUDGET", 1764)
     assert oracle_report(l=4, max_exp=1, chain_trials=0)["corpus_size"] == 42
     monkeypatch.setattr(tring, "ORACLE_PAIR_BUDGET", 1763)
-    with pytest.raises(CapExceeded, match="^1764 pairs of 42 ideals exceed the oracle's "
-                                          "pair budget 1763$"):
+    with pytest.raises(CapExceeded, match="^T\\(4\\) with exponents <= 1 has more than 41 "
+                                          "ideals; the oracle's pair budget 1763 admits "
+                                          "at most 41$"):
         oracle_report(l=4, max_exp=1, chain_trials=0)
 
 
