@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 from math import prod
 
-DEFAULT_ELEMENT_CAP = 10**6
+ELEMENT_CAP = 10**6
 
 
 class CapExceeded(ValueError):
-    """An enumeration would exceed the configured size cap."""
+    """An enumeration would exceed a size cap or a budget of work."""
 
 
 def _ints(values, what: str) -> tuple[int, ...]:
@@ -97,14 +97,13 @@ class FinAbGroup:
         return self.element(coords)
 
 
-def enumerate_elements(G: FinAbGroup, cap: int | None = None) -> list[tuple[int, ...]]:
+def enumerate_elements(G: FinAbGroup) -> list[tuple[int, ...]]:
     """All |G| elements in lexicographic order.
 
-    Raises :class:`CapExceeded` when |G| exceeds the cap (default 10**6).
+    Raises :class:`CapExceeded` when |G| exceeds ELEMENT_CAP.
     """
-    limit = DEFAULT_ELEMENT_CAP if cap is None else cap
-    if G.order > limit:
-        raise CapExceeded(f"group order {G.order} exceeds enumeration cap {limit}")
+    if G.order > ELEMENT_CAP:
+        raise CapExceeded(f"group order {G.order} exceeds enumeration cap {ELEMENT_CAP}")
     return list(itertools.product(*map(range, G.moduli)))
 
 

@@ -40,7 +40,7 @@ def _elements(args, G):
 
 def cmd_zs_atoms(args):
     G = _group(args)
-    atom_list = zerosum.atoms(G, _elements(args, G), cap=args.cap)
+    atom_list = zerosum.atoms(G, _elements(args, G))
     payload = {"group": args.group, "atoms": [zerosum.format_seq(S) for S in atom_list]}
     human = "\n".join(payload["atoms"]) or "(no atoms)"
     return payload, human
@@ -49,7 +49,7 @@ def cmd_zs_atoms(args):
 def cmd_zs_factor(args):
     G = _group(args)
     S = zerosum.parse_seq(G, args.seq)
-    facts = zerosum.factorizations(G, S, cap=args.cap)
+    facts = zerosum.factorizations(G, S)
     payload = {
         "group": args.group,
         "seq": zerosum.format_seq(S),
@@ -64,23 +64,23 @@ def cmd_zs_factor(args):
 def cmd_zs_lengths(args):
     G = _group(args)
     S = zerosum.parse_seq(G, args.seq)
-    ls = sorted(zerosum.length_set(G, S, cap=args.cap))
+    ls = sorted(zerosum.length_set(G, S))
     return {"group": args.group, "seq": zerosum.format_seq(S), "lengths": ls}, _lengths_text(ls)
 
 
 def cmd_zs_davenport(args):
     G = _group(args)
-    d = zerosum.davenport(G, cap=args.cap)
+    d = zerosum.davenport(G)
     return {"group": args.group, "davenport": d}, str(d)
 
 
 def cmd_zs_hfwitness(args):
     G = _group(args)
-    W = zerosum.half_factorial_witness(G, args.max_len, _elements(args, G), cap=args.cap)
+    W = zerosum.half_factorial_witness(G, args.max_len, _elements(args, G))
     if W is None:
         payload = {"group": args.group, "max_len": args.max_len, "witness": None}
         return payload, f"no witness up to length {args.max_len}"
-    ls = sorted(zerosum.length_set(G, W, cap=args.cap))
+    ls = sorted(zerosum.length_set(G, W))
     payload = {"group": args.group, "max_len": args.max_len,
                "witness": zerosum.format_seq(W), "lengths": ls}
     return payload, f"{zerosum.format_seq(W)}  lengths {_lengths_text(ls)}"
@@ -91,7 +91,7 @@ def cmd_zs_hfwitness(args):
 
 def cmd_quad_factor(args):
     x = quadring.parse_quadint(args.element)
-    facts = quadring.element_factorizations(x, cap=args.cap)
+    facts = quadring.element_factorizations(x)
     payload = {
         "element": quadring.format_quadint(x),
         "factorizations": [[quadring.format_quadint(y) for y in F] for F in facts],
@@ -103,10 +103,10 @@ def cmd_quad_factor(args):
 
 def cmd_quad_atoms(args):
     if args.norm is not None:
-        elems = quadring.elements_of_norm(args.norm, cap=args.cap)
+        elems = quadring.elements_of_norm(args.norm)
         results = [{
             "element": quadring.format_quadint(y),
-            "is_atom": quadring.norm(y) > 1 and quadring.is_atom(y, cap=args.cap),
+            "is_atom": quadring.norm(y) > 1 and quadring.is_atom(y),
         } for y in elems]
         payload = {"norm": args.norm, "results": results}
     else:
@@ -117,7 +117,7 @@ def cmd_quad_atoms(args):
             y = quadring.parse_quadint(text)
             results.append({
                 "element": quadring.format_quadint(y),
-                "is_atom": quadring.is_atom(y, cap=args.cap),
+                "is_atom": quadring.is_atom(y),
             })
         payload = {"results": results}
     human = "\n".join(
@@ -174,7 +174,7 @@ def cmd_div_factor(args):
     cs = _cycles(args)
     D = cs.parse_divisor(args.divisor)
     max_len = args.max_len if args.max_len is not None else divcalc.default_max_len(cs, D)
-    words, truncated = divcalc.enumerate_factorizations_ex(cs, D, max_len, cap=args.cap)
+    words, truncated = divcalc.enumerate_factorizations_ex(cs, D, max_len)
     payload = {
         "cycles": args.cycles,
         "divisor": cs.format_divisor(D),
@@ -252,9 +252,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="machine-readable output")
-    common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
-                        help="override enumeration caps (group order, sequence length, norms; "
-                             "for div factor, the letters of all words)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized property checks")
     return common
@@ -272,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                "must follow a '--' separator",
         parents=[_common_flags()],
     )
-    parser.set_defaults(json=False, cap=None, seed=0)
+    parser.set_defaults(json=False, seed=0)
     common = _common_flags()
     sub = parser.add_subparsers(dest="command", required=True)
 

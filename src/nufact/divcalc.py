@@ -28,7 +28,7 @@ from operator import le
 
 from .abelian import CapExceeded
 
-DEFAULT_LETTER_CAP = 2_000_000
+LETTER_CAP = 2_000_000
 # search states (partial products, one per level they occur on) the word
 # search may visit; the letter cap then bounds the words built from them
 WORD_SEARCH_BUDGET = 200_000
@@ -195,8 +195,7 @@ def default_max_len(cs: CycleStructure, D) -> int:
     return sum(D) + sum(touched.values())
 
 
-def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int,
-                                cap: int | None = None):
+def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
     """All words of labels, of length <= max_len, composing to D, and
     whether any branch of the search ran into the length bound (so a larger
     bound could reveal more words).  Returns (words, truncated).
@@ -205,13 +204,12 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int,
     non-realizable divisors, which admit no word at any length.  The number
     of words grows exponentially with max_len once idempotent letters can
     repeat, so the enumeration aborts with :class:`CapExceeded` when the
-    words would hold more than `cap` letters in all (default 2000000), and
-    when the search would visit more than WORD_SEARCH_BUDGET states."""
+    words would hold more than LETTER_CAP letters in all, and when the
+    search would visit more than WORD_SEARCH_BUDGET states."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     if not is_realizable(cs, D):
         raise ValueError("divisor is not realizable; it has no factorization")
-    limit = DEFAULT_LETTER_CAP if cap is None else cap
     labels = cs.labels()
     indicators = [cs.indicator(p) for p in labels]
     zero = cs.zero()
@@ -252,10 +250,10 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int,
              for p in levels[depth]},
             {p: sum(letters[nxt] + count[nxt] for _, nxt in successors(p))
              for p in levels[depth]})
-    if letters[zero] > limit:
+    if letters[zero] > LETTER_CAP:
         raise CapExceeded(
-            f"more than {limit} letters in the words that compose to the "
-            f"divisor within length {max_len}; lower max_len or raise the cap")
+            f"more than {LETTER_CAP} letters in the words that compose to the "
+            f"divisor within length {max_len}; lower max_len")
 
     # words as linked (letter, rest) pairs: one letter more costs O(1)
     words = {p: [()] * (p == D) for p in levels[last]}

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from .abelian import CapExceeded
 
-DEFAULT_NORM_CAP = 10**6
+NORM_CAP = 10**6
 
 
 class QuadInt(namedtuple("QuadInt", "a b")):
@@ -28,7 +28,6 @@ class QuadInt(namedtuple("QuadInt", "a b")):
 
 
 ONE = QuadInt(1, 0)
-ZERO = QuadInt(0, 0)
 
 
 def qmul(x: QuadInt, y: QuadInt) -> QuadInt:
@@ -55,13 +54,12 @@ def is_unit(x: QuadInt) -> bool:
     return norm(x) == 1
 
 
-def _check_norm(n: int, cap: int | None) -> None:
-    limit = DEFAULT_NORM_CAP if cap is None else cap
-    if n > limit:
-        raise CapExceeded(f"norm {n} exceeds cap {limit}")
+def _check_norm(n: int) -> None:
+    if n > NORM_CAP:
+        raise CapExceeded(f"norm {n} exceeds cap {NORM_CAP}")
 
 
-def elements_of_norm(n: int, cap: int | None = None) -> list[QuadInt]:
+def elements_of_norm(n: int) -> list[QuadInt]:
     """All elements of norm n, complete and duplicate-free.
 
     4*norm = (2a + b)^2 + 23 b^2 bounds |b| by sqrt(4n/23); the remaining
@@ -69,7 +67,7 @@ def elements_of_norm(n: int, cap: int | None = None) -> list[QuadInt]:
     """
     if n < 0:
         return []
-    _check_norm(n, cap)
+    _check_norm(n)
     out = []
     bmax = math.isqrt(4 * n // 23)
     for b in range(-bmax, bmax + 1):
@@ -103,7 +101,7 @@ def canonical_associate(x: QuadInt) -> QuadInt:
     return qneg(x)
 
 
-def is_atom(x: QuadInt, cap: int | None = None) -> bool:
+def is_atom(x: QuadInt) -> bool:
     """True iff x is irreducible: no element of norm strictly between 1 and
     norm(x) divides it.  Norms above the cap are refused before the search."""
     n = norm(x)
@@ -111,17 +109,17 @@ def is_atom(x: QuadInt, cap: int | None = None) -> bool:
         raise ValueError("zero is not factorable")
     if n == 1:
         raise ValueError("units are not atoms")
-    _check_norm(n, cap)
+    _check_norm(n)
     for d in range(2, n):
         if n % d:
             continue
-        for y in elements_of_norm(d, cap=cap):
+        for y in elements_of_norm(d):
             if divides(y, x) is not None:
                 return False
     return True
 
 
-def _atom_divisors(x: QuadInt, cap: int | None) -> list[QuadInt]:
+def _atom_divisors(x: QuadInt) -> list[QuadInt]:
     """Canonical representatives of the atoms dividing x, sorted by
     (norm, coordinates)."""
     n = norm(x)
@@ -129,16 +127,16 @@ def _atom_divisors(x: QuadInt, cap: int | None) -> list[QuadInt]:
     for d in range(2, n + 1):
         if n % d:
             continue
-        for y in elements_of_norm(d, cap=cap):
+        for y in elements_of_norm(d):
             y = canonical_associate(y)
             if y in found:
                 continue
-            if divides(y, x) is not None and is_atom(y, cap=cap):
+            if divides(y, x) is not None and is_atom(y):
                 found.add(y)
     return sorted(found, key=lambda y: (norm(y), y.a, y.b))
 
 
-def element_factorizations(x: QuadInt, cap: int | None = None) -> list[tuple[QuadInt, ...]]:
+def element_factorizations(x: QuadInt) -> list[tuple[QuadInt, ...]]:
     """All factorizations of x into atoms, up to order and associates.
 
     Each factorization is a non-decreasing tuple of canonical atom
@@ -148,8 +146,8 @@ def element_factorizations(x: QuadInt, cap: int | None = None) -> list[tuple[Qua
     n = norm(x)
     if n == 0:
         raise ValueError("zero is not factorable")
-    _check_norm(n, cap)
-    atoms = _atom_divisors(x, cap)
+    _check_norm(n)
+    atoms = _atom_divisors(x)
 
     results: list[tuple[QuadInt, ...]] = []
 

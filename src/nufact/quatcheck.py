@@ -57,7 +57,6 @@ class SqrtRat(namedtuple("SqrtRat", "u v")):
 
 
 R0 = SqrtRat.of(0)
-R1 = SqrtRat.of(1)
 SQRT3 = SqrtRat.of(0, 1)
 
 

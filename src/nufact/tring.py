@@ -129,18 +129,14 @@ def maximal_ideals(l: int) -> tuple[Matrix, ...]:
     them cyclically.
 
     Each maximal ideal raises exactly one diagonal entry of the ring matrix
-    to 1; the orbit of the double dual fixes which bump gets which position.
-    The tuple starts at the bump of the last diagonal entry, matching the
-    usual presentation for l = 3.
+    to 1, and the double dual takes the bump of entry d to the bump of entry
+    d - 1 (cyclically).  So label Q_k, at index k - 1, raises entry l - k:
+    the tuple starts at the bump of the last diagonal entry, matching the
+    usual presentation for l = 3.  The tests walk the double-dual orbit as
+    the oracle for this.
     """
     t = ring_matrix(l)
-    bumps = [_bump(t, d, d) for d in range(l)]
-    order = [bumps[l - 1]]
-    for _ in range(l - 1):
-        order.append(double_dual(order[-1]))
-    if set(order) != set(bumps) or double_dual(order[-1]) != order[0]:
-        raise RuntimeError("double dual does not cycle through the diagonal bumps")
-    return tuple(order)
+    return tuple(_bump(t, d, d) for d in reversed(range(l)))
 
 
 def cycle_structure(l: int) -> CycleStructure:
@@ -202,19 +198,11 @@ def _chain_divisor(A: Matrix, rng: random.Random | None) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@functools.lru_cache(maxsize=16)
-def _label_rows(l: int) -> tuple[int, ...]:
-    """For each label, in label order, the row whose diagonal entry its
-    maximal ideal raises in the ring matrix."""
-    t = ring_matrix(l)
-    return tuple(next(i for i in range(l) if Q[i][i] != t[i][i])
-                 for Q in maximal_ideals(l))
-
-
 def divisor_of(A) -> tuple[int, ...]:
     """The divisor of an ideal A, as counts in label order: the count at the
     label of P_i, the maximal ideal raising diagonal entry i, is the row sum
-    sum_j (a[i][j] - t[i][j]).
+    sum_j (a[i][j] - t[i][j]).  Label Q_k is P_(l-k), so the counts are the
+    row excesses in reverse row order.
 
     This is what any maximal chain of ideals from the ring down to A records,
     one label per step: the unique maximal ideal P with P * (previous link)
@@ -228,9 +216,8 @@ def divisor_of(A) -> tuple[int, ...]:
     A = _as_matrix(A)
     if not _is_ideal(A):
         raise ValueError("not an integral ideal")
-    l = len(A)
-    excess = tuple(map(sub, map(sum, A), map(sum, ring_matrix(l))))
-    return tuple(excess[i] for i in _label_rows(l))
+    excess = tuple(map(sub, map(sum, A), map(sum, ring_matrix(len(A)))))
+    return excess[::-1]
 
 
 def enumerate_ideals(l: int, max_exp: int) -> list[Matrix]:
@@ -286,7 +273,7 @@ def enumerate_ideals(l: int, max_exp: int) -> list[Matrix]:
 # cross-validation of the divisor calculus against this oracle
 
 def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
-                  chain_trials: int = 20, compose_fn=None) -> dict:
+                  chain_trials: int = 20) -> dict:
     """Exhaustively compare the abstract divisor composition with actual
     ideal arithmetic in T(l).
 
@@ -294,24 +281,24 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     divisor_of(A*B) = divisor_of(A) o divisor_of(B); injectivity of
     divisor_of; realizability of every attained divisor plus attainment of
     every realizable divisor with counts <= max_exp - 1; and agreement of
-    divisor_of with the labels read off random maximal chains.  compose_fn
-    substitutes for the divisor composition (a hook for negative controls).
-    Sizes above ORACLE_SIZE_CAP, more than CHAIN_TRIAL_CAP chain trials and
-    a corpus of more than ORACLE_PAIR_BUDGET pairs (enumerate_ideals stops
-    past its square root) are refused.
+    divisor_of with the labels read off random maximal chains.  Sizes above
+    ORACLE_SIZE_CAP, a negative number or more than CHAIN_TRIAL_CAP of chain
+    trials and a corpus of more than ORACLE_PAIR_BUDGET pairs
+    (enumerate_ideals stops past its square root) are refused.
 
-    The pairs are checked in A-major order, with one compose_fn call each,
-    and the first failing pair is the counterexample.
+    The pairs are checked in A-major order, with one compose call each, and
+    the first failing pair is the counterexample.
 
     Returns a report dict with one pass/fail entry per property and a
     counterexample for every failure.
     """
     if l > ORACLE_SIZE_CAP:
         raise CapExceeded(f"size {l} exceeds the oracle's size cap {ORACLE_SIZE_CAP}")
+    if chain_trials < 0:
+        raise ValueError("chain trials must be >= 0")
     if chain_trials > CHAIN_TRIAL_CAP:
         raise CapExceeded(f"{chain_trials} chain trials exceed cap {CHAIN_TRIAL_CAP}")
     cs = cycle_structure(l)
-    comp = compose_fn if compose_fn is not None else compose
     corpus = enumerate_ideals(l, max_exp)
     divisors = [divisor_of(A) for A in corpus]
     report: dict = {
@@ -345,7 +332,7 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
             got = product_divisors.get(C)
             if got is None:
                 got = product_divisors[C] = divisor_of(C)
-            want = comp(cs, DA, DB)
+            want = compose(cs, DA, DB)
             if got != want:
                 bad = {
                     "A": A, "B": B,

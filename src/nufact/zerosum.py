@@ -21,12 +21,13 @@ Functions that need the group take it first.
 >>> length_set(G, S)
 {2, 3}
 
-Everything here is exhaustive search at desk scale, guarded by caps:
-sequences up to length 24, groups up to order 64 by default.  The atoms and
-the Davenport constant come from searches over subset-sum bitmasks, which
-budgets of work bound as well: they finish on every group of order up to 26
-and 32 respectively.  The half-factoriality witness search has a budget of
-candidate sequences.
+Everything here is exhaustive search at desk scale, guarded by caps that
+are module constants: sequences up to length SEQ_CAP = 24, and groups up to
+order GROUP_CAP = 64 for atoms, davenport and the witness search.  The atoms
+and the Davenport constant come from searches over subset-sum bitmasks,
+which budgets of work bound as well: they finish on every group of order up
+to 26 and 32 respectively.  The half-factoriality witness search has a
+budget of candidate sequences.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from math import prod
 
 from .abelian import CapExceeded, FinAbGroup, enumerate_elements, format_element
 
-DEFAULT_SEQ_CAP = 24
-DEFAULT_GROUP_CAP = 64
+SEQ_CAP = 24
+GROUP_CAP = 64
 # subset-sum states one search may build, for groups up to order 64; the
 # Davenport search on Z/32 needs 2.2 million, the atom search on Z/26 0.26 million
 DAVENPORT_BUDGET = 2_500_000
@@ -105,7 +106,12 @@ def is_minimal_zero_sum(G: FinAbGroup, S) -> bool:
     return reach.get(zero, 0) == 2
 
 
-def davenport(G: FinAbGroup, cap: int | None = None) -> int:
+def _check_order(G: FinAbGroup) -> None:
+    if G.order > GROUP_CAP:
+        raise CapExceeded(f"group of order {G.order} exceeds cap {GROUP_CAP}")
+
+
+def davenport(G: FinAbGroup) -> int:
     """Maximum length D(G) of a minimal zero-sum sequence over all of G.
 
     Breadth-first search over subset-sum sets: level k holds the distinct
@@ -119,10 +125,8 @@ def davenport(G: FinAbGroup, cap: int | None = None) -> int:
     budget of DAVENPORT_BUDGET (see _budget); past it the search stops with
     CapExceeded and its progress.
     """
-    limit = DEFAULT_GROUP_CAP if cap is None else cap
+    _check_order(G)
     order = G.order
-    if order > limit:
-        raise CapExceeded(f"group order {order} exceeds cap {limit}")
     budget = _budget(DAVENPORT_BUDGET, order, "Davenport search", order - 1)
     moves = _translations(G.moduli, enumerate_elements(G)[1:])
     searched, length, level = 0, 0, {0}
@@ -147,15 +151,15 @@ def davenport(G: FinAbGroup, cap: int | None = None) -> int:
         length += 1
 
 
-def _budget(base: int, order: int, search: str, first_level: int,
-            unit: str = "subset-sum states") -> int:
-    """Units of work a search over this order may do: base up to order 64,
-    and base * 64 / order beyond, where each unit works on wider masks.  A
-    search whose length 1 alone is over budget is refused before any work."""
+def _budget(base: int, order: int, search: str, first_level: int) -> int:
+    """Subset-sum states a search over this order may build: base up to
+    order 64, and base * 64 / order beyond, where each state is a wider
+    mask.  A search whose length 1 alone is over budget is refused before
+    any work."""
     budget = base * 64 // max(order, 64)
     if first_level > budget:
         raise CapExceeded(f"{search} over order {order} exceeds its budget: "
-                          f"length 1 alone needs {first_level} of {budget} {unit}")
+                          f"length 1 alone needs {first_level} of {budget} subset-sum states")
     return budget
 
 
@@ -194,17 +198,12 @@ def _ground_set(G: FinAbGroup, coords) -> tuple:
     return tuple(sorted({G.element(c) for c in coords}))
 
 
-def atoms(G: FinAbGroup, coords=None, cap: int | None = None) -> list[tuple]:
+def atoms(G: FinAbGroup, coords=None) -> list[tuple]:
     """All minimal zero-sum sequences over the elements given by coords
     (coordinate tuples; None for all of G), in canonical order.
 
-    The order cap, and for all of G the budget of length 1, are checked
-    before any element is built."""
-    limit = DEFAULT_GROUP_CAP if cap is None else cap
-    if G.order > limit:
-        raise CapExceeded(f"group of order {G.order} exceeds cap {limit}")
-    if coords is None:
-        _budget(ATOM_BUDGET, G.order, "atom search", G.order - 1)
+    The order cap is checked before any element is built."""
+    _check_order(G)
     return list(_atoms(G.moduli, _ground_set(G, coords)))
 
 
@@ -249,7 +248,7 @@ def _atoms(moduli: tuple, coords: tuple) -> tuple:
     return tuple(_pairs(A) for A in sorted(out, key=lambda A: (len(A), A)))
 
 
-def factorizations(G: FinAbGroup, S, cap: int | None = None) -> list[tuple]:
+def factorizations(G: FinAbGroup, S) -> list[tuple]:
     """All factorizations of the sequence S over G into minimal zero-sum
     sequences, each a tuple of atoms.
 
@@ -266,10 +265,9 @@ def factorizations(G: FinAbGroup, S, cap: int | None = None) -> list[tuple]:
             raise ValueError(f"multiplicity must be a positive integer, got {m!r}")
         e = G.element(c)
         counts[e] = counts.get(e, 0) + m
-    limit = DEFAULT_SEQ_CAP if cap is None else cap
     length = sum(counts.values())
-    if length > limit:
-        raise CapExceeded(f"sequence length {length} exceeds cap {limit}")
+    if length > SEQ_CAP:
+        raise CapExceeded(f"sequence length {length} exceeds cap {SEQ_CAP}")
     if not is_zero_sum(G, counts.items()):
         raise ValueError("sequence is not zero-sum")
     candidates = sorted(_atoms(G.moduli, tuple(sorted(counts))), key=_expanded)
@@ -300,44 +298,39 @@ def factorizations(G: FinAbGroup, S, cap: int | None = None) -> list[tuple]:
     return results
 
 
-def length_set(G: FinAbGroup, S, cap: int | None = None) -> set[int]:
+def length_set(G: FinAbGroup, S) -> set[int]:
     """Set of factorization lengths of S over G; {0} for the empty sequence."""
-    return {len(F) for F in factorizations(G, S, cap=cap)}
+    return {len(F) for F in factorizations(G, S)}
 
 
-def half_factorial_witness(G: FinAbGroup, max_len: int, coords=None,
-                           cap: int | None = None) -> tuple | None:
+def half_factorial_witness(G: FinAbGroup, max_len: int, coords=None) -> tuple | None:
     """A zero-sum sequence over the elements given by coords (None for all
     of G) of length <= max_len whose length set is not a singleton, or None
     if no such sequence exists up to that bound.
 
     Scans lengths in increasing order, so a returned witness is shortest
     possible.  The caps are checked before any element is built, as in
-    `atoms`.  Every candidate sequence scanned counts against the budget
-    of WITNESS_BUDGET (see _budget); past it the search stops with
-    CapExceeded and its progress.
+    `atoms`.  Every candidate sequence scanned counts against
+    WITNESS_BUDGET; past it the search stops with CapExceeded and its
+    progress.
     """
-    limit = DEFAULT_SEQ_CAP if cap is None else cap
-    if max_len > limit:
-        raise CapExceeded(f"max_len {max_len} exceeds sequence cap {limit}")
-    group_limit = DEFAULT_GROUP_CAP if cap is None else cap
-    if G.order > group_limit:
-        raise CapExceeded(f"group of order {G.order} exceeds cap {group_limit}")
-    if coords is None:
-        _budget(WITNESS_BUDGET, G.order, "witness search", G.order, "candidates")
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    if max_len > SEQ_CAP:
+        raise CapExceeded(f"max_len {max_len} exceeds sequence cap {SEQ_CAP}")
+    _check_order(G)
     coords = _ground_set(G, coords)
-    budget = _budget(WITNESS_BUDGET, G.order, "witness search", len(coords), "candidates")
     scanned = 0
     for L in range(1, max_len + 1):
         for combo in itertools.combinations_with_replacement(coords, L):
             scanned += 1
-            if scanned > budget:
+            if scanned > WITNESS_BUDGET:
                 raise CapExceeded(f"witness search over order {G.order} exceeds its budget: "
-                                  f"scanned {budget} candidates, reached length {L}")
+                                  f"scanned {WITNESS_BUDGET} candidates, reached length {L}")
             if any(sum(column) % n for column, n in zip(zip(*combo), G.moduli)):
                 continue
             S = _pairs(combo)
-            if len(length_set(G, S, cap=cap)) > 1:
+            if len(length_set(G, S)) > 1:
                 return S
     return None
 

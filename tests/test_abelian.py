@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nufact import abelian
 from nufact.abelian import (
     CapExceeded,
     FinAbGroup,
@@ -60,9 +61,12 @@ def test_enumerate_elements():
     assert els == sorted(els)
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
     with pytest.raises(CapExceeded):
-        enumerate_elements(FinAbGroup([100, 100]), cap=5000)
+        enumerate_elements(FinAbGroup([1001, 1000]))
+    monkeypatch.setattr(abelian, "ELEMENT_CAP", 5000)
+    with pytest.raises(CapExceeded, match="^group order 10000 exceeds enumeration cap 5000$"):
+        enumerate_elements(FinAbGroup([100, 100]))
 
 
 def test_one_cap_error_type():

@@ -6,11 +6,15 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from nufact import divcalc, zerosum
 from nufact.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse: usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -73,27 +77,29 @@ def test_zs_empty_ground_set(capsys, spelling):
     ("factor", 3000, 1500),
     ("lengths", 2400, 1200),
 ])
-def test_zs_long_sequence_without_traceback(capsys, command, length, factor_length):
+def test_zs_long_sequence_without_traceback(capsys, monkeypatch, command, length,
+                                           factor_length):
     # the factorization search keeps an explicit stack, so the sequence
     # length is not limited by the interpreter's recursion depth
+    monkeypatch.setattr(zerosum, "SEQ_CAP", 5000)
     code, out, err = run(capsys, "--json", "zs", command, "--group", "2",
-                         "--seq", f"1^{length}", "--cap", "5000")
+                         "--seq", f"1^{length}")
     assert code == 0 and "Traceback" not in err
     assert json.loads(out)["lengths"] == [factor_length]
 
 
-def test_zs_lengths_over_a_group_above_the_order_cap(capsys):
+def test_zs_lengths_over_a_group_above_the_order_cap(capsys, monkeypatch):
     # the order cap bounds `zs atoms`; the factorization search is bounded by
-    # --cap on the sequence length and by the budget of its atom search
-    code, out, err = run(capsys, "zs", "lengths", "--group", "100", "--seq", "1^100",
-                         "--cap", "200")
+    # the length cap and by the budget of its atom search
+    monkeypatch.setattr(zerosum, "SEQ_CAP", 200)
+    code, out, err = run(capsys, "zs", "lengths", "--group", "100", "--seq", "1^100")
     assert (code, out, err) == (0, "{1}\n", "")
 
 
-def test_zs_atoms_deep_without_traceback(capsys):
+def test_zs_atoms_deep_without_traceback(capsys, monkeypatch):
     # the atom search keeps an explicit stack: its one atom here has 1200 entries
-    code, out, err = run(capsys, "zs", "atoms", "--group", "1200", "--elements", "1",
-                         "--cap", "2000")
+    monkeypatch.setattr(zerosum, "GROUP_CAP", 2000)
+    code, out, err = run(capsys, "zs", "atoms", "--group", "1200", "--elements", "1")
     assert code == 0 and "Traceback" not in err
     assert out == "1^1200\n"
 
@@ -108,9 +114,11 @@ def test_zs_atoms_stops_at_its_state_budget(capsys):
     assert re.search(r"searched \d+ subset-sum states, found \d+ atoms$", lines[0])
 
 
-def test_zs_davenport_stops_at_its_state_budget(capsys):
+def test_zs_davenport_stops_at_its_state_budget(capsys, monkeypatch):
+    # above order 64 the budget shrinks in proportion to the order
+    monkeypatch.setattr(zerosum, "GROUP_CAP", 2000)
     start = time.perf_counter()
-    code, out, err = run(capsys, "zs", "davenport", "--group", "1200", "--cap", "2000")
+    code, out, err = run(capsys, "zs", "davenport", "--group", "1200")
     assert time.perf_counter() - start < 10
     assert code == 1 and out == "" and "Traceback" not in err
     lines = err.splitlines()
@@ -119,9 +127,6 @@ def test_zs_davenport_stops_at_its_state_budget(capsys):
 
 
 @pytest.mark.parametrize("argv, progress", [
-    # the whole of Z/2000 is over the scaled budget at length 1 already
-    (["--group", "2000", "--max-len", "2", "--cap", "2000"],
-     r"length 1 alone needs 2000 of 1600 candidates$"),
     (["--group", "64", "--max-len", "24"], r"scanned 50000 candidates, reached length 4$"),
 ])
 def test_zs_hfwitness_stops_at_its_budget(capsys, argv, progress):
@@ -135,14 +140,15 @@ def test_zs_hfwitness_stops_at_its_budget(capsys, argv, progress):
 
 
 @pytest.mark.parametrize("argv, code, fragment", [
-    (["--cap", "2", "zs", "davenport", "--group", "3"], 1, "exceeds cap 2"),
-    (["zs", "davenport", "--group", "3", "--cap", "2"], 1, "exceeds cap 2"),
+    # no flag raises or lowers a cap
+    (["--cap", "5", "zs", "davenport", "--group", "3"], 2, "usage:"),
+    (["zs", "davenport", "--group", "3", "--cap", "5"], 2, "usage:"),
     (["--seed", "5", "--json", "tring", "oracle", "--size", "2", "--max-exp", "1"],
      0, '"seed": 5'),
     (["tring", "oracle", "--size", "2", "--max-exp", "1", "--seed", "5", "--json"],
      0, '"seed": 5'),
-    # tring oracle reads no --cap: T(3) with exponents <= 10 fits its pair budget
-    (["tring", "oracle", "--size", "3", "--max-exp", "10", "--cap", "1"],
+    # T(3) with exponents <= 10 fits the oracle's pair budget
+    (["tring", "oracle", "--size", "3", "--max-exp", "10"],
      0, "corpus: 284 ideals of T(3), exponents <= 10"),
 ])
 def test_common_flags_before_or_after_subcommand(capsys, argv, code, fragment):
@@ -178,19 +184,21 @@ def test_div_factor_long_bound_without_traceback(capsys):
     assert payload["words"] == [] and payload["truncated"]
 
 
-def test_div_factor_cap_counts_letters(capsys):
+def test_div_factor_cap_counts_letters(capsys, monkeypatch):
     # Q2 at length bound n has the words Q2^k, k = 1..n: n words, n(n+1)/2 letters
     code, out, err = run(capsys, "div", "factor", "--cycles", "Q1>Q2>Q3", "Q2",
                          "--max-len", "2000")
     assert code == 1 and out == ""
     assert err == ("error: more than 2000000 letters in the words that compose to the "
-                   "divisor within length 2000; lower max_len or raise the cap\n")
-    # n = 20: 210 letters, the exact boundary of --cap
+                   "divisor within length 2000; lower max_len\n")
+    # n = 20: 210 letters, the exact boundary of the letter cap
+    monkeypatch.setattr(divcalc, "LETTER_CAP", 209)
     code, _, err = run(capsys, "div", "factor", "--cycles", "Q1>Q2>Q3", "Q2",
-                       "--max-len", "20", "--cap", "209")
+                       "--max-len", "20")
     assert code == 1 and err.startswith("error: more than 209 letters")
+    monkeypatch.setattr(divcalc, "LETTER_CAP", 210)
     payload = run_json(capsys, "div", "factor", "--cycles", "Q1>Q2>Q3", "Q2",
-                       "--max-len", "20", "--cap", "210")
+                       "--max-len", "20")
     assert payload["words"] == [["Q2"] * k for k in range(1, 21)]
 
 
@@ -198,21 +206,14 @@ WHOLE_GROUP_REFUSALS = [
     (["zs", "atoms", "--group", "900000"], "group of order 900000 exceeds cap 64"),
     (["zs", "hfwitness", "--group", "900000", "--max-len", "2"],
      "group of order 900000 exceeds cap 64"),
-    (["zs", "atoms", "--group", "100000", "--cap", "100000"],
-     "atom search over order 100000 exceeds its budget: "
-     "length 1 alone needs 99999 of 192 subset-sum states"),
-    (["zs", "hfwitness", "--group", "100000", "--max-len", "2", "--cap", "100000"],
-     "witness search over order 100000 exceeds its budget: "
-     "length 1 alone needs 100000 of 32 candidates"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", [
     pytest.param(*case, id=f"argv{i}") for i, case in enumerate(WHOLE_GROUP_REFUSALS)])
 def test_zs_whole_group_checks_the_order_cap_first(argv, message, capsys):
-    # without --elements the order cap and the budget of length 1 are checked
-    # before the ground set is built: the 10**5 elements of Z/10**5 alone
-    # take over 10 MB.  A first run loads the modules, which is not traced.
+    # without --elements the order cap is checked before the ground set is
+    # built: the 900,000 elements of Z/900000 alone take over 10 MB.  A first run loads the modules, which is not traced.
     run(capsys, *argv)
     tracemalloc.start()
     try:
@@ -241,6 +242,7 @@ HUGE = "99999999999999999999"
      "Is a directory: '.'"),
     (["tring", "oracle", "--size", HUGE], f"size {HUGE} exceeds the oracle's size cap 32"),
     (["tring", "oracle", "--trials", HUGE], f"{HUGE} chain trials exceed cap 100"),
+    (["tring", "oracle", "--trials", "-5"], "chain trials must be >= 0"),
     (["tring", "mul", "[" * 100_000], "expected a JSON array of integer rows"),
     (["quad", "atoms", "1000024+1*w"], "norm 1000049000606 exceeds cap 1000000"),
     (["quat", "verify", "--product", "1", "(" * 5000 + "1" + ")" * 5000],
@@ -252,12 +254,14 @@ HUGE = "99999999999999999999"
     (["zs", "atoms", "--group", "3", "--elements", "^"], "bad multiplicity in '^'"),
     (["zs", "hfwitness", "--group", "3", "--max-len", "6", "--elements", "1^1^1"],
      "bad multiplicity in '1^1^1'"),
+    (["zs", "hfwitness", "--group", "3", "--max-len", "-1"], "max_len must be >= 0"),
 ], ids=["div-factor-huge-count", "div-factor-huge-max-len", "div-render-huge-count",
         "div-render-missing-dir", "div-render-onto-dir", "tring-oracle-huge-size",
-        "tring-oracle-huge-trials", "tring-mul-deep-json", "quad-atoms-huge-norm",
+        "tring-oracle-huge-trials", "tring-oracle-negative-trials", "tring-mul-deep-json", "quad-atoms-huge-norm",
         "quat-deep-parentheses",
         "zs-lengths-huge-multiplicity", "zs-lengths-bad-multiplicity",
-        "zs-factor-empty-multiplicity", "zs-atoms-bare-caret", "zs-hfwitness-two-carets"])
+        "zs-factor-empty-multiplicity", "zs-atoms-bare-caret", "zs-hfwitness-two-carets",
+        "zs-hfwitness-negative-max-len"])
 def test_huge_or_malformed_input_is_refused_in_seconds(tmp_path, monkeypatch, capsys,
                                                        argv, message):
     # each of these hung or ended in a traceback before it was bounded
@@ -283,10 +287,9 @@ def test_tring_oracle_refuses_by_pairs(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--size", "9", "--max-exp", "2"],
-    ["--size", "9", "--max-exp", "2", "--cap", str(10**40)],
     ["--size", "32", "--max-exp", "5"],
     ["--size", "3", "--max-exp", str(10**20)],
-], ids=["9-2", "9-2-raised-cap", "32-5", "3-huge-exponent"])
+], ids=["9-2", "32-5", "3-huge-exponent"])
 def test_tring_oracle_refuses_large_corpora_in_under_a_second(capsys, argv):
     # (9, 2) has 226,184 ideals; the enumeration stops at the 301st
     start = time.perf_counter()
@@ -383,10 +386,11 @@ def test_tring_oracle(capsys):
     assert code == 0 and "all properties pass" in out
 
 
-def test_domain_errors_exit_1(capsys):
+def test_domain_errors_exit_1(capsys, monkeypatch):
     code, _, err = run(capsys, "zs", "davenport", "--group", "0")
     assert code == 1 and "error:" in err
-    code, _, err = run(capsys, "zs", "atoms", "--group", "2x2", "--cap", "3")
+    monkeypatch.setattr(zerosum, "GROUP_CAP", 3)
+    code, _, err = run(capsys, "zs", "atoms", "--group", "2x2")
     assert code == 1 and "cap" in err
     code, _, err = run(capsys, "div", "factor", "--cycles", "Q1>Q2>Q3", "2Q1")
     assert code == 1

@@ -5,10 +5,6 @@ fragments: huge and negative numbers, and malformed group, sequence,
 element, quaternion, cycle, divisor, word and matrix text.  Whatever the
 argv, main() exits 0, 1 with one `error:` line, or 2 with a `usage:` line,
 and never raises.
-
---cap takes only small values here.  A raised cap is a request for more
-work: it lifts the norm, length and letter caps that keep the commands
-below at desk scale.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from nufact.cli import main
 HUGE = "99999999999999999999"
 # each pool: (well-formed values, malformed or out-of-range ones)
 INTS = (["0", "1", "2", "3"], ["-1", "-7", HUGE, "-" + HUGE, "1e3", "x", ""])
-CAPS = (["5", "30"], ["-1", "0", "1", "2", "x"])
 # exponent bounds of tring oracle; with 10, T(3) has 284 ideals, the largest
 # corpus the pair budget admits
 EXPS = (INTS[0] + ["10"], INTS[1])
@@ -106,7 +101,7 @@ def argvs(draw):
             options.append([flag, chosen[0]])
     args = [token for part in draw(st.permutations(options)) for token in part] + positionals
     before, after = [], []
-    for flag, pool in (("--json", None), ("--cap", CAPS), ("--seed", INTS)):
+    for flag, pool in (("--json", None), ("--seed", INTS)):
         if draw(st.booleans()):
             where = before if draw(st.booleans()) else after
             where += [flag] if pool is None else [flag, draw(values(pool))]

@@ -228,12 +228,14 @@ def test_enumerate_factorizations_truncation_flag():
     assert words == []
 
 
-def test_enumerate_factorizations_word_cap():
+def test_enumerate_factorizations_word_cap(monkeypatch):
     # word counts explode with the budget once idempotents can repeat; the
     # cap bounds the letters of all words together: 2754 words, 23132 letters
+    monkeypatch.setattr(divcalc, "LETTER_CAP", 23131)
     with pytest.raises(CapExceeded, match="more than 23131 letters"):
-        enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 9, cap=23131)
-    words, _ = enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 9, cap=23132)
+        enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 9)
+    monkeypatch.setattr(divcalc, "LETTER_CAP", 23132)
+    words, _ = enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 9)
     assert len(words) == 2754
     assert sum(map(len, words)) == 23132
 

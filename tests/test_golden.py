@@ -8,8 +8,9 @@ wrote.
   with exponents up to 10, also in human mode; the README `tring divisor`
   example and `tring divisor` on three deep products of maximal ideals.  The
   divisors in it were read off lexicographic chain walks, so they pin any
-  other way of computing them.  T(3) up to 10 was captured while a raised
-  `--cap` was still needed to admit it.
+  other way of computing them.  T(3) up to 10 was captured from the older
+  enumeration over a box of candidate matrices, so it pins the one that
+  replaced it.
 - `zs.json`: `zs atoms` and `zs davenport` on fifteen small groups, `zs
   davenport` on nine larger ones (up to order 32), `zs atoms` on ten larger
   ones (up to order 24) and on ground sets in Z/24 and Z/64, `zs factor` and

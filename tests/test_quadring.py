@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nufact import quadring
 from nufact.quadring import (
     ONE,
     CapExceeded,
@@ -67,7 +68,7 @@ def test_elements_of_norm_against_box_scan(n):
 
 def test_elements_of_norm_cap():
     with pytest.raises(CapExceeded):
-        elements_of_norm(10**7, cap=10**6)
+        elements_of_norm(10**7)
 
 
 def test_divides_examples():
@@ -89,15 +90,17 @@ def test_is_atom_examples():
         is_atom(QuadInt(-1, 0))
 
 
-def test_is_atom_cap():
+def test_is_atom_cap(monkeypatch):
     # norm 2 * 500024500303 with the second factor prime: a divisor scan
     # would find nothing below it in 5 * 10**11 steps
     with pytest.raises(CapExceeded, match="^norm 1000049000606 exceeds cap 1000000$"):
         is_atom(QuadInt(1000024, 1))
     # refused even with a small divisor: 8 has norm 64
+    monkeypatch.setattr(quadring, "NORM_CAP", 63)
     with pytest.raises(CapExceeded, match="^norm 64 exceeds cap 63$"):
-        is_atom(QuadInt(8, 0), cap=63)
-    assert not is_atom(QuadInt(8, 0), cap=64)
+        is_atom(QuadInt(8, 0))
+    monkeypatch.setattr(quadring, "NORM_CAP", 64)
+    assert not is_atom(QuadInt(8, 0))
 
 
 def associate_free(factorization):
@@ -183,7 +186,7 @@ def test_unit_factors_as_empty_product():
 
 def test_factorization_cap():
     with pytest.raises(CapExceeded):
-        element_factorizations(QuadInt(2000, 0), cap=10**6)
+        element_factorizations(QuadInt(2000, 0))
 
 
 coords = st.integers(-30, 30)

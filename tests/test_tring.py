@@ -16,7 +16,6 @@ from nufact.tring import (
     _bump,
     _bump_candidates,
     _chain_divisor,
-    _label_rows,
     cycle_structure,
     divisor_of,
     double_dual,
@@ -237,12 +236,13 @@ def test_chain_divisor_accepts_lists(A):
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
 def test_row_labels_are_the_diagonal_bumps(l):
     t = ring_matrix(l)
-    rows = _label_rows(l)
+    rows = tuple(next(i for i in range(l) if Q[i][i] != t[i][i]) for Q in maximal_ideals(l))
     assert sorted(rows) == list(range(l))
     for j, i in enumerate(rows):
         bump = tuple(tuple(v + (r == c == i) for c, v in enumerate(row))
                      for r, row in enumerate(t))
         assert maximal_ideals(l)[j] == bump
+        assert divisor_of(bump) == tuple(int(k == j) for k in range(l))
     # the double dual orders the bumps from the last diagonal entry up:
     # label Q_k, at index k - 1, raises row l - k
     assert rows == tuple(l - k for k in range(1, l + 1))
@@ -292,9 +292,10 @@ def test_parse_matrix_refuses_deep_nesting():
         parse_matrix("[" * 100_000)
 
 
-@pytest.mark.parametrize("l", [2, 3, 4, 5])
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 8, 16, 32])
 def test_tau_orbit_general_size(l):
-    # the double dual walks the diagonal bumps from last to first
+    # the double dual walks the diagonal bumps from last to first; this is
+    # the oracle for the closed form of maximal_ideals, up to ORACLE_SIZE_CAP
     t = ring_matrix(l)
     Qs = maximal_ideals(l)
     for idx, Q in enumerate(Qs):
@@ -303,18 +304,19 @@ def test_tau_orbit_general_size(l):
         assert tau_ideal(Q) == Qs[(idx + 1) % l]
 
 
-def test_oracle_report_negative_control():
+def test_oracle_report_negative_control(monkeypatch):
     def corrupted(cs, D, E):
         good = compose(cs, D, E)
         return (good[0] + 1,) + good[1:]
 
-    report = oracle_report(l=3, max_exp=1, compose_fn=corrupted)
+    monkeypatch.setattr(tring, "compose", corrupted)
+    report = oracle_report(l=3, max_exp=1)
     assert not report["all_pass"]
     assert not report["properties"]["homomorphism"]["pass"]
     assert "counterexample" in report["properties"]["homomorphism"]
 
 
-def test_oracle_composes_once_per_pair_in_a_major_order():
+def test_oracle_composes_once_per_pair_in_a_major_order(monkeypatch):
     corpus = enumerate_ideals(3, 2)
     divs = [divisor_of(A) for A in corpus]
     calls = []
@@ -323,13 +325,14 @@ def test_oracle_composes_once_per_pair_in_a_major_order():
         calls.append((D, E))
         return compose(cs, D, E)
 
-    report = oracle_report(l=3, max_exp=2, compose_fn=counting)
+    monkeypatch.setattr(tring, "compose", counting)
+    report = oracle_report(l=3, max_exp=2)
     assert report["all_pass"]
     assert len(calls) == report["corpus_size"] ** 2 == 44 ** 2
     assert calls == list(itertools.product(divs, repeat=2))
 
 
-def test_oracle_reports_the_a_major_first_failing_pair():
+def test_oracle_reports_the_a_major_first_failing_pair(monkeypatch):
     # (7, 20) comes first in A-major order and (12, 3) in B-major order; the
     # expected counterexample was captured before the products were
     # row-factored
@@ -344,7 +347,8 @@ def test_oracle_reports_the_a_major_first_failing_pair():
         good = compose(cs, D, E)
         return (good[0], good[1] + 1) + good[2:] if (D, E) in corrupt else good
 
-    report = oracle_report(l=3, max_exp=2, compose_fn=corrupted)
+    monkeypatch.setattr(tring, "compose", corrupted)
+    report = oracle_report(l=3, max_exp=2)
     assert report["properties"]["homomorphism"] == {"pass": False, "counterexample": {
         "A": ((1, 1, 1), (0, 1, 1), (0, 0, 0)),
         "B": ((1, 1, 2), (1, 1, 2), (0, 0, 1)),
