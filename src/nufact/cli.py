@@ -4,13 +4,16 @@ One binary with a subcommand tree (zs / quad / quat / div / tring), sharing
 the text syntaxes of the library modules.  Every command emits human-readable
 text by default and a stable JSON document with --json; identical inputs give
 byte-identical output.  Exit codes: 0 success, 1 domain error (bad input
-values, caps, an --out file that cannot be written), 2 usage error.
+values, caps, an --out file that cannot be written, a stdout closed before
+the output was all written), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
 
 from . import abelian, divcalc, quadring, quatcheck, tring, zerosum
@@ -367,10 +370,25 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
+    # print, since it writes nothing when there is no stdout at all
+    try:
+        if args.json:
+            # the bytes of json.dumps(payload, indent=2, sort_keys=True),
+            # written in batches of chunks rather than built in one piece
+            chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+            while batch := "".join(itertools.islice(chunks, 4096)):
+                print(batch, end="")
+            print(flush=True)
+        else:
+            print(human, flush=True)
+    except BrokenPipeError:
+        # the reader has gone: send what is left, and the flush at shutdown,
+        # to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed before it was all written", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -205,7 +205,13 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
     of words grows exponentially with max_len once idempotent letters can
     repeat, so the enumeration aborts with :class:`CapExceeded` when the
     words would hold more than LETTER_CAP letters in all, and when the
-    search would visit more than WORD_SEARCH_BUDGET states."""
+    search would visit more than WORD_SEARCH_BUDGET states.
+
+    The states are the partial products by number of letters; a pass from
+    the last level up counts the words and letters of each, and keeps the
+    live states, those with a word.  One depth-first walk over the live
+    states then builds the words on a single path, so memory is
+    O(states + output)."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     if not is_realizable(cs, D):
@@ -241,35 +247,50 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
     # Every word of a state extends to a word of the root, so the root has
     # the most words and letters: check the cap on the letter total before
     # building any word.  A word through nxt has one letter more at p.
+    # live[depth]: the states at that depth that still reach D within the
+    # bound, those with a word.
     last = len(levels) - 1
     count = {p: int(p == D) for p in levels[last]}
     letters = dict.fromkeys(levels[last], 0)
+    live = [{D} & levels[last]]
     for depth in range(last - 1, -1, -1):
         count, letters = (
             {p: (p == D) + sum(count[nxt] for _, nxt in successors(p))
              for p in levels[depth]},
             {p: sum(letters[nxt] + count[nxt] for _, nxt in successors(p))
              for p in levels[depth]})
+        live.append({p for p, c in count.items() if c})
+    live.reverse()
     if letters[zero] > LETTER_CAP:
         raise CapExceeded(
             f"more than {LETTER_CAP} letters in the words that compose to the "
             f"divisor within length {max_len}; lower max_len")
 
-    # words as linked (letter, rest) pairs: one letter more costs O(1)
-    words = {p: [()] * (p == D) for p in levels[last]}
-    for depth in range(last - 1, -1, -1):
-        words = {p: [()] * (p == D) + [(q, w) for q, nxt in successors(p) for w in words[nxt]]
-                 for p in levels[depth]}
-
-    def unlink(w) -> list[int]:
-        out = []
-        while w:
-            q, w = w
-            out.append(q)
-        return out
-
-    found = sorted(map(unlink, words[zero]), key=lambda w: (len(w), w))
-    return [[labels[q] for q in w] for w in found], truncated
+    # One depth-first walk over the live states, in letter order, on one
+    # mutable path: stack[k] iterates the moves out of the state at depth k.
+    # It lists each length's words in letter order, so a stable sort by
+    # length gives (length, letters) order.
+    words = [[]] if zero == D else []
+    path: list[str] = []
+    stack = [iter(successors(zero))] if last else []
+    while stack:
+        depth = len(stack)
+        for q, nxt in stack[-1]:
+            if nxt in live[depth]:
+                path.append(labels[q])
+                if nxt == D:
+                    words.append(path[:])
+                if depth < last:
+                    stack.append(iter(successors(nxt)))
+                else:
+                    path.pop()
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    words.sort(key=len)
+    return words, truncated
 
 
 # ----------------------------------------------------------------------

@@ -121,13 +121,12 @@ def davenport(G: FinAbGroup) -> int:
     So the next level depends on Sigma(S) alone, and D(G) is one more than
     the last non-empty level.  Each set is one int, a bit per element.
 
-    Every subset-sum state built, duplicates included, counts against the
-    budget of DAVENPORT_BUDGET (see _budget); past it the search stops with
-    CapExceeded and its progress.
+    Every subset-sum state built, duplicates included, counts against
+    DAVENPORT_BUDGET; past it the search stops with CapExceeded and its
+    progress.  The order cap keeps length 1 within the budget.
     """
     _check_order(G)
     order = G.order
-    budget = _budget(DAVENPORT_BUDGET, order, "Davenport search", order - 1)
     moves = _translations(G.moduli, enumerate_elements(G)[1:])
     searched, length, level = 0, 0, {0}
     while True:
@@ -137,10 +136,11 @@ def davenport(G: FinAbGroup) -> int:
                 if M & neg_bit:
                     continue
                 searched += 1
-                if searched > budget:
+                if searched > DAVENPORT_BUDGET:
                     raise CapExceeded(
                         f"Davenport search over order {order} exceeds its budget: "
-                        f"searched {budget} subset-sum states, reached length {length + 1}")
+                        f"searched {DAVENPORT_BUDGET} subset-sum states, "
+                        f"reached length {length + 1}")
                 T = M
                 for up, above, down, below in steps:
                     T = (T << up) & above | (T >> down) & below
@@ -151,14 +151,14 @@ def davenport(G: FinAbGroup) -> int:
         length += 1
 
 
-def _budget(base: int, order: int, search: str, first_level: int) -> int:
-    """Subset-sum states a search over this order may build: base up to
-    order 64, and base * 64 / order beyond, where each state is a wider
-    mask.  A search whose length 1 alone is over budget is refused before
-    any work."""
-    budget = base * 64 // max(order, 64)
+def _atom_budget(order: int, first_level: int) -> int:
+    """Subset-sum states an atom search over this order may build:
+    ATOM_BUDGET up to order 64, and ATOM_BUDGET * 64 / order beyond, where
+    each state is a wider mask.  A search whose length 1 alone is over
+    budget is refused before any work."""
+    budget = ATOM_BUDGET * 64 // max(order, 64)
     if first_level > budget:
-        raise CapExceeded(f"{search} over order {order} exceeds its budget: "
+        raise CapExceeded(f"atom search over order {order} exceeds its budget: "
                           f"length 1 alone needs {first_level} of {budget} subset-sum states")
     return budget
 
@@ -217,14 +217,14 @@ def _atoms(moduli: tuple, coords: tuple) -> tuple:
     in Sigma(S), and a minimal zero-sum sequence if -g is the total of S.  An
     explicit stack of (first allowed index, S, bit of its total, Sigma(S))
     keeps the depth free of the recursion limit.  Each state built counts
-    against ATOM_BUDGET (see _budget); past it CapExceeded gives the progress.
+    against ATOM_BUDGET (see _atom_budget); past it CapExceeded gives the progress.
     """
     order = prod(moduli)
     out = []  # each atom as its sorted coordinate tuples
     if coords and not any(coords[0]):
         out.append(coords[:1])
         coords = coords[1:]
-    budget = _budget(ATOM_BUDGET, order, "atom search", len(coords))
+    budget = _atom_budget(order, len(coords))
     moves = _translations(moduli, coords)
     searched = 0
     stack = [(0, (), 1, 0)]

@@ -1,13 +1,23 @@
+import io
 import json
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import nufact
 from nufact import divcalc, zerosum
 from nufact.cli import main
+
+SRC = Path(nufact.__file__).resolve().parent.parent
+# every realizable divisor of total 11 over Q1>Q2>Q3: 3,003 words, written
+# as 120,174 bytes of text or 516,626 bytes of --json
+ELEVEN = ["div", "factor", "--cycles", "Q1>Q2>Q3", "4Q1+4Q2+3Q3"]
 
 
 def run(capsys, *argv):
@@ -114,16 +124,14 @@ def test_zs_atoms_stops_at_its_state_budget(capsys):
     assert re.search(r"searched \d+ subset-sum states, found \d+ atoms$", lines[0])
 
 
-def test_zs_davenport_stops_at_its_state_budget(capsys, monkeypatch):
-    # above order 64 the budget shrinks in proportion to the order
-    monkeypatch.setattr(zerosum, "GROUP_CAP", 2000)
+def test_zs_davenport_stops_at_its_state_budget(capsys):
+    # the largest order the cap admits is refused at the budget in seconds
     start = time.perf_counter()
-    code, out, err = run(capsys, "zs", "davenport", "--group", "1200")
+    code, out, err = run(capsys, "zs", "davenport", "--group", "64")
     assert time.perf_counter() - start < 10
-    assert code == 1 and out == "" and "Traceback" not in err
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert re.search(r"searched \d+ subset-sum states, reached length \d+$", lines[0])
+    assert code == 1 and out == ""
+    assert err == ("error: Davenport search over order 64 exceeds its budget: "
+                   "searched 2500000 subset-sum states, reached length 5\n")
 
 
 @pytest.mark.parametrize("argv, progress", [
@@ -200,6 +208,52 @@ def test_div_factor_cap_counts_letters(capsys, monkeypatch):
     payload = run_json(capsys, "div", "factor", "--cycles", "Q1>Q2>Q3", "Q2",
                        "--max-len", "20")
     assert payload["words"] == [["Q2"] * k for k in range(1, 21)]
+
+
+class Sink(io.TextIOBase):
+    """A text stdout that keeps nothing."""
+
+    def write(self, s):
+        return len(s)
+
+
+def test_div_factor_json_is_streamed(capsys, monkeypatch):
+    # the streamed document has the bytes of json.dumps; the first run also
+    # loads what the traced run needs.  Building the document in one piece
+    # peaked at 4.4 MB.
+    code, out, _ = run(capsys, "--json", *ELEVEN)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        code = main(["--json", *ELEVEN])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+def test_closed_stdout_ends_in_one_error_line(flags):
+    # the output is larger than a pipe holds, so the writer meets the
+    # closed end; the reader takes one line and goes
+    proc = subprocess.Popen([sys.executable, "-m", "nufact.cli", *flags, *ELEVEN],
+                            cwd=SRC, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == "error: output closed before it was all written\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+def test_no_stdout_is_no_error(monkeypatch, flags):
+    # a process started with its stdout closed has sys.stdout None
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main([*flags, *ELEVEN]) == 0
 
 
 WHOLE_GROUP_REFUSALS = [

@@ -1,5 +1,8 @@
+import inspect
 import itertools
+import tracemalloc
 import xml.etree.ElementTree as ET
+from operator import le
 
 import pytest
 
@@ -18,6 +21,7 @@ from nufact.divcalc import (
 
 CS3 = CycleStructure.from_text("Q1>Q2>Q3")
 MIXED = CycleStructure.from_text("Q1>Q2>Q3;P")
+CS4 = CycleStructure.from_text("Q1>Q2>Q3>Q4")
 
 
 def div(text, cs=CS3):
@@ -217,8 +221,10 @@ def test_enumerate_factorizations_zero_divisor():
 
 
 def test_enumerate_factorizations_rejects_unrealizable():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^divisor is not realizable; it has no factorization$"):
         enumerate_factorizations_ex(CS3, div("2Q1"), 6)
+    with pytest.raises(ValueError, match="^max_len must be >= 0$"):
+        enumerate_factorizations_ex(CS3, div("Q1"), -1)
 
 
 def test_enumerate_factorizations_truncation_flag():
@@ -253,6 +259,67 @@ def test_word_search_budget(monkeypatch):
     monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 1000)
     with pytest.raises(CapExceeded, match="visited 1000 states, reached length 1000$"):
         enumerate_factorizations_ex(CS3, div("Q2"), 10**20)
+
+
+BRUTE_MAX_LEN = 6
+
+
+def brute_force_cases():
+    """(cs, D, max_len, words, truncated) from every label word up to
+    BRUTE_MAX_LEN: the words composing to D, in (length, letter positions)
+    order, and whether a word of length max_len stops below D.  Covers the
+    realizable divisors with counts <= 2 over CS3 and MIXED and <= 1 over
+    CS4."""
+    for cs, max_count in ((CS3, 2), (MIXED, 2), (CS4, 1)):
+        products = {n: [(w, compose_word(cs, w))
+                        for w in itertools.product(cs.labels(), repeat=n)]
+                    for n in range(BRUTE_MAX_LEN + 1)}
+        for D in all_divisors(cs, max_count):
+            if not is_realizable(cs, D):
+                continue
+            for max_len in range(BRUTE_MAX_LEN + 1):
+                words = [list(w) for n in range(max_len + 1)
+                         for w, P in products[n] if P == D]
+                words.sort(key=lambda w: (len(w), [cs.index(p) for p in w]))
+                truncated = any(P != D and all(map(le, P, D))
+                                for _, P in products[max_len])
+                yield cs, D, max_len, words, truncated
+
+
+def test_enumerate_factorizations_matches_brute_force():
+    cases = list(brute_force_cases())
+    for cs, D, max_len, words, truncated in cases:
+        assert enumerate_factorizations_ex(cs, D, max_len) == (words, truncated), \
+            (cs, D, max_len)
+    # the cases reach the zero divisor, repeated letters and truncation
+    assert any(not any(D) and words == [[]] for _, D, _, words, _ in cases)
+    assert any(w[0] == w[1] for *_, words, _ in cases for w in words if len(w) > 1)
+    assert any(truncated and words for *_, words, truncated in cases)
+
+
+def test_brute_force_catches_an_unsorted_walk():
+    # negative control: without its final length sort the walk lists words
+    # in prefix order, which the brute force must tell apart
+    source = inspect.getsource(divcalc.enumerate_factorizations_ex)
+    assert "    words.sort(key=len)\n" in source
+    namespace = dict(vars(divcalc))
+    exec(source.replace("    words.sort(key=len)\n", ""), namespace)
+    unsorted = namespace["enumerate_factorizations_ex"]
+    assert any(unsorted(cs, D, max_len) != (words, truncated)
+               for cs, D, max_len, words, truncated in brute_force_cases())
+
+
+def test_word_search_memory_follows_its_output():
+    # every realizable divisor of total 11 over CS3 has 3,003 words of 40,040
+    # letters within length 14; building them once held 3x their memory
+    tracemalloc.start()
+    try:
+        words, _ = enumerate_factorizations_ex(CS3, div("4Q1+4Q2+3Q3"), 14)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 3003 and sum(map(len, words)) == 40040
+    assert peak <= 1.5 * held
 
 
 def test_default_max_len():

@@ -175,12 +175,6 @@ def test_davenport_state_budget(monkeypatch):
                                           r"reached length \d+$"):
         davenport(FinAbGroup([16]))
     assert davenport(FinAbGroup([8])) == 8
-    # beyond order 64 the budget shrinks in proportion to the order; a group
-    # whose length-1 level alone is over budget is refused before any work
-    monkeypatch.undo()
-    monkeypatch.setattr(zerosum, "GROUP_CAP", 10**6)
-    with pytest.raises(CapExceeded, match="length 1 alone needs 999999"):
-        davenport(FinAbGroup([10**6]))
 
 
 def test_atoms_state_budget(monkeypatch):
