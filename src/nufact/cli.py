@@ -185,6 +185,8 @@ def cmd_div_factor(args):
         "words": words,
         "truncated": truncated,
     }
+    if args.json:  # no human text: for a long word list it is as large as the words
+        return payload, None
     lines = ["*".join(w) or "(empty word)" for w in words]
     if truncated:
         lines.append(f"(search truncated at length {max_len}; more words may exist)")
@@ -367,7 +369,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, human = args.handler(args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # print, since it writes nothing when there is no stdout at all

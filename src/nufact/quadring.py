@@ -86,7 +86,7 @@ def divides(y: QuadInt, x: QuadInt) -> QuadInt | None:
     """Exact quotient q with x = y*q, or None when y does not divide x."""
     ny = norm(y)
     if ny == 0:
-        raise ZeroDivisionError("division by zero")
+        raise ValueError("division by zero")
     num = qmul(x, conj(y))
     if num.a % ny or num.b % ny:
         return None
@@ -103,14 +103,16 @@ def canonical_associate(x: QuadInt) -> QuadInt:
 
 def is_atom(x: QuadInt) -> bool:
     """True iff x is irreducible: no element of norm strictly between 1 and
-    norm(x) divides it.  Norms above the cap are refused before the search."""
+    norm(x) divides it.  If x = y*z with both norms above 1, the smaller is
+    at most sqrt(norm(x)), so only those norms are scanned.  Norms above the
+    cap are refused before the search."""
     n = norm(x)
     if n == 0:
         raise ValueError("zero is not factorable")
     if n == 1:
         raise ValueError("units are not atoms")
     _check_norm(n)
-    for d in range(2, n):
+    for d in range(2, math.isqrt(n) + 1):
         if n % d:
             continue
         for y in elements_of_norm(d):

@@ -42,7 +42,7 @@ class SqrtRat(namedtuple("SqrtRat", "u v")):
     def inverse(self) -> "SqrtRat":
         d = self.u * self.u - 3 * self.v * self.v
         if d == 0:
-            raise ZeroDivisionError("zero has no inverse in Q(sqrt(3))")
+            raise ValueError("zero has no inverse in Q(sqrt(3))")
         return SqrtRat(self.u / d, -self.v / d)
 
     def is_zero(self) -> bool:

@@ -232,8 +232,10 @@ def enumerate_ideals(l: int, max_exp: int) -> list[Matrix]:
     bound on a cell comes from filled cells, and each lower bound is at most
     each upper bound by closure among them and t[i][k] <= t[i][j] + t[j][k].
     So the search visits at most l*l nodes per ideal, and counting ideals
-    bounds its work.
+    bounds its work.  A negative max_exp is refused.
     """
+    if max_exp < 0:
+        raise ValueError("max_exp must be >= 0")
     t = ring_matrix(l)
     limit = math.isqrt(ORACLE_PAIR_BUDGET)
     a = [[0] * l for _ in range(l)]

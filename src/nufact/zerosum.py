@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import prod
+from operator import le, sub
 
 from .abelian import CapExceeded, FinAbGroup, enumerate_elements, format_element
 
@@ -45,7 +46,7 @@ GROUP_CAP = 64
 DAVENPORT_BUDGET = 2_500_000
 ATOM_BUDGET = 300_000
 # candidate sequences the half-factoriality witness search may scan, for
-# groups up to order 64: at most about 3.3 s in process, over Z/17, Z/19, Z/23
+# groups up to order 64: at most about 0.5 s in process, over Z/17, Z/19, Z/23
 WITNESS_BUDGET = 50_000
 
 
@@ -207,23 +208,23 @@ def atoms(G: FinAbGroup, coords=None) -> list[tuple]:
     return list(_atoms(G.moduli, _ground_set(G, coords)))
 
 
-@functools.lru_cache(maxsize=4096)
-def _atoms(moduli: tuple, coords: tuple) -> tuple:
-    """All minimal zero-sum multisets over the sorted coordinate tuples,
-    shortest first, then in canonical order.
+def _atoms(moduli: tuple, coords: tuple, bounds=None) -> tuple:
+    """All minimal zero-sum multisets over the sorted coordinate tuples with at
+    most bounds[i] copies of coords[i], shortest first, then in canonical order.
 
     Depth-first search, on davenport's bitmasks, over non-decreasing zero-sum
     free sequences S of non-zero elements: S*g is zero-sum free iff -g is not
-    in Sigma(S), and a minimal zero-sum sequence if -g is the total of S.  An
-    explicit stack of (first allowed index, S, bit of its total, Sigma(S))
-    keeps the depth free of the recursion limit.  Each state built counts
-    against ATOM_BUDGET (see _atom_budget); past it CapExceeded gives the progress.
+    in Sigma(S), and a minimal zero-sum sequence if -g is the total of S.  A
+    bound (None for none) is checked before each move.  An explicit stack of
+    (first allowed index, S, bit of its total, Sigma(S)) keeps the depth free
+    of the recursion limit.  Each state built counts against ATOM_BUDGET (see
+    _atom_budget); past it CapExceeded gives the progress.
     """
     order = prod(moduli)
     out = []  # each atom as its sorted coordinate tuples
     if coords and not any(coords[0]):
         out.append(coords[:1])
-        coords = coords[1:]
+        coords, bounds = coords[1:], bounds and bounds[1:]
     budget = _atom_budget(order, len(coords))
     moves = _translations(moduli, coords)
     searched = 0
@@ -231,6 +232,8 @@ def _atoms(moduli: tuple, coords: tuple) -> tuple:
     while stack:
         start, chosen, total, M = stack.pop()
         for i in range(start, len(coords)):
+            if bounds and chosen.count(coords[i]) == bounds[i]:
+                continue
             bit, neg_bit, steps = moves[i]
             if M & neg_bit:
                 if neg_bit == total:
@@ -250,14 +253,14 @@ def _atoms(moduli: tuple, coords: tuple) -> tuple:
 
 def factorizations(G: FinAbGroup, S) -> list[tuple]:
     """All factorizations of the sequence S over G into minimal zero-sum
-    sequences, each a tuple of atoms.
+    sequences, each a tuple of atoms, shortest first, then in canonical order.
 
     Each element of S is passed once through G.element and equal ones are
-    merged before the length cap is checked.  Each factorization is a
-    multiset of atoms, listed exactly once: parts are generated in
-    non-decreasing canonical order, and the next part always consumes the
-    smallest remaining element.  The search keeps an explicit stack, so the
-    length of S is not limited by the recursion depth.
+    merged before the length cap is checked.  Only the atoms that divide S
+    are searched for, as multiplicity vectors over its support.  Parts are
+    taken in non-decreasing canonical order, each consuming the smallest
+    remaining element, so each factorization is listed once.  The explicit
+    stack frees the length of S from the recursion limit.
     """
     counts: dict = {}
     for c, m in S:
@@ -270,31 +273,27 @@ def factorizations(G: FinAbGroup, S) -> list[tuple]:
         raise CapExceeded(f"sequence length {length} exceeds cap {SEQ_CAP}")
     if not is_zero_sum(G, counts.items()):
         raise ValueError("sequence is not zero-sum")
-    candidates = sorted(_atoms(G.moduli, tuple(sorted(counts))), key=_expanded)
-    candidate_counts = [dict(A) for A in candidates]
+    support = tuple(sorted(counts))
+    have = tuple(counts[c] for c in support)
+    candidates = sorted(_atoms(G.moduli, support, have), key=_expanded)
+    vectors = [tuple(dict(A).get(c, 0) for c in support) for A in candidates]
 
-    results: list[tuple] = []
-    stack = [(counts, 0, ())]
+    results = []  # each factorization as its non-decreasing atom indices
+    stack = [(have, 0, ())]
     while stack:
-        remaining, min_index, parts = stack.pop()
-        if not remaining:
+        rest, first, parts = stack.pop()
+        if not any(rest):
             results.append(parts)
             continue
-        g = min(remaining)
-        for idx in range(min_index, len(candidates)):
-            A = candidate_counts[idx]
-            if A.get(g, 0) == 0:
-                continue
-            if any(remaining.get(c, 0) < m for c, m in A.items()):
-                continue
-            rest = dict(remaining)
-            for c, m in A.items():
-                rest[c] -= m
-                if rest[c] == 0:
-                    del rest[c]
-            stack.append((rest, idx, parts + (candidates[idx],)))
+        g = next(i for i, m in enumerate(rest) if m)
+        for idx in range(first, len(vectors)):
+            A = vectors[idx]
+            if A[g] and all(map(le, A, rest)):
+                stack.append((tuple(map(sub, rest, A)), idx, parts + (idx,)))
 
-    results.sort(key=lambda F: (len(F), [_expanded(P) for P in F]))
+    results.sort(key=lambda F: (len(F), F))  # candidate order is canonical order
+    for k, F in enumerate(results):
+        results[k] = tuple(candidates[i] for i in F)
     return results
 
 

@@ -106,6 +106,14 @@ def test_zs_lengths_over_a_group_above_the_order_cap(capsys, monkeypatch):
     assert (code, out, err) == (0, "{1}\n", "")
 
 
+@pytest.mark.parametrize("group, seq", [("64", "1 2 3 4 5 6 7 36"), ("1000", "1 2 997")])
+def test_zs_lengths_searches_only_the_atoms_that_divide(capsys, group, seq):
+    # each sequence is itself an atom; a search for every atom over its
+    # support ran to the budget
+    code, out, err = run(capsys, "zs", "lengths", "--group", group, "--seq", seq)
+    assert (code, out, err) == (0, "{1}\n", "")
+
+
 def test_zs_atoms_deep_without_traceback(capsys, monkeypatch):
     # the atom search keeps an explicit stack: its one atom here has 1200 entries
     monkeypatch.setattr(zerosum, "GROUP_CAP", 2000)
@@ -235,6 +243,22 @@ def test_div_factor_json_is_streamed(capsys, monkeypatch):
     assert peak < 2 * 2**20
 
 
+def test_div_factor_json_builds_no_human_text(monkeypatch):
+    # 700 words, Q2 repeated 1 to 700 times: their human text, which --json
+    # never prints, took about 1 MiB more
+    argv = ["--json", "div", "factor", "--cycles", "Q1>Q2>Q3", "Q2", "--max-len", "700"]
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(argv) == 0  # loads what the traced run needs
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * 2**20
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
 def test_closed_stdout_ends_in_one_error_line(flags):
     # the output is larger than a pipe holds, so the writer meets the
@@ -297,10 +321,13 @@ HUGE = "99999999999999999999"
     (["tring", "oracle", "--size", HUGE], f"size {HUGE} exceeds the oracle's size cap 32"),
     (["tring", "oracle", "--trials", HUGE], f"{HUGE} chain trials exceed cap 100"),
     (["tring", "oracle", "--trials", "-5"], "chain trials must be >= 0"),
+    (["tring", "oracle", "--max-exp", "-1"], "max_exp must be >= 0"),
     (["tring", "mul", "[" * 100_000], "expected a JSON array of integer rows"),
     (["quad", "atoms", "1000024+1*w"], "norm 1000049000606 exceeds cap 1000000"),
     (["quat", "verify", "--product", "1", "(" * 5000 + "1" + ")" * 5000],
      "parentheses nested deeper than 100"),
+    (["quat", "verify", "--product", "1", "--", "1/(r3-r3)"],
+     "zero has no inverse in Q(sqrt(3))"),
     (["zs", "lengths", "--group", "3", "--seq", f"1^{HUGE}"],
      f"sequence length {HUGE} exceeds cap 24"),
     (["zs", "lengths", "--group", "3", "--seq", "1^x 2"], "bad multiplicity in '1^x'"),
@@ -311,8 +338,9 @@ HUGE = "99999999999999999999"
     (["zs", "hfwitness", "--group", "3", "--max-len", "-1"], "max_len must be >= 0"),
 ], ids=["div-factor-huge-count", "div-factor-huge-max-len", "div-render-huge-count",
         "div-render-missing-dir", "div-render-onto-dir", "tring-oracle-huge-size",
-        "tring-oracle-huge-trials", "tring-oracle-negative-trials", "tring-mul-deep-json", "quad-atoms-huge-norm",
-        "quat-deep-parentheses",
+        "tring-oracle-huge-trials", "tring-oracle-negative-trials",
+        "tring-oracle-negative-max-exp", "tring-mul-deep-json", "quad-atoms-huge-norm",
+        "quat-deep-parentheses", "quat-zero-divisor",
         "zs-lengths-huge-multiplicity", "zs-lengths-bad-multiplicity",
         "zs-factor-empty-multiplicity", "zs-atoms-bare-caret", "zs-hfwitness-two-carets",
         "zs-hfwitness-negative-max-len"])

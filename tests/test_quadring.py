@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -76,7 +77,7 @@ def test_divides_examples():
     q = divides(QuadInt(1, 1), QuadInt(8, 0))
     assert q is not None and norm(q) == 8
     assert divides(QuadInt(1, 1), QuadInt(2, 0)) is None
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="^division by zero$"):
         divides(QuadInt(0, 0), ONE)
 
 
@@ -101,6 +102,22 @@ def test_is_atom_cap(monkeypatch):
         is_atom(QuadInt(8, 0))
     monkeypatch.setattr(quadring, "NORM_CAP", 64)
     assert not is_atom(QuadInt(8, 0))
+
+
+def test_is_atom_matches_a_full_divisor_scan():
+    # is_atom scans divisor norms up to sqrt(N); this oracle scans up to N
+    def full_scan(x):
+        n = norm(x)
+        return not any(divides(y, x) is not None
+                       for d in range(2, n) if n % d == 0 for y in elements_of_norm(d))
+
+    verdicts = Counter()
+    for n in range(2, 2001):
+        for x in elements_of_norm(n):
+            atom = is_atom(x)
+            assert atom == full_scan(x), x
+            verdicts[atom] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
 
 
 def associate_free(factorization):

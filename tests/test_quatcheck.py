@@ -142,6 +142,12 @@ def test_parser_round_trips():
         assert parse_quat(format_quat(q)) == q
 
 
+def test_zero_has_no_inverse():
+    for text in ["1/0", "1/(r3-r3)"]:
+        with pytest.raises(ValueError, match=r"^zero has no inverse in Q\(sqrt\(3\)\)$"):
+            parse_quat(text)
+
+
 def test_parser_rejects_garbage():
     for text in ["1++", "(1", "2m", "1/j", ""]:
         with pytest.raises((ValueError, IndexError)):

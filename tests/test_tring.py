@@ -144,6 +144,8 @@ def test_divisor_of_examples():
 
 def test_enumerate_ideals_small():
     assert enumerate_ideals(2, 0) == [ring_matrix(2)]
+    with pytest.raises(ValueError, match="^max_exp must be >= 0$"):
+        enumerate_ideals(3, -1)
 
     keys = set(enumerate_ideals(2, 1))
     t2 = ring_matrix(2)

@@ -1,7 +1,9 @@
+import inspect
 import itertools
 import math
 import operator
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -179,7 +181,6 @@ def test_davenport_state_budget(monkeypatch):
 
 def test_atoms_state_budget(monkeypatch):
     # the atom search builds 7235 subset-sum states on Z/16 and 145 on Z/8
-    _atoms.cache_clear()
     monkeypatch.setattr(zerosum, "ATOM_BUDGET", 1000)
     with pytest.raises(CapExceeded, match=r"searched 1000 subset-sum states, "
                                           r"found \d+ atoms$"):
@@ -192,6 +193,44 @@ def test_atoms_state_budget(monkeypatch):
     G = FinAbGroup([10**8])
     with pytest.raises(CapExceeded, match="length 1 alone needs 1 of 0"):
         atoms(G, [(1,)])
+
+
+def bounded_atom_cases():
+    """(moduli, support, bounds, expected): every support of up to three
+    elements of each group, with every bound vector of entries 1 to 3;
+    expected is the unbounded atom list filtered to the atoms that fit."""
+    for moduli in (5,), (6,), (2, 2), (2, 4), (3, 3):
+        elements = enumerate_elements(FinAbGroup(moduli))
+        for k in 1, 2, 3:
+            for support in itertools.combinations(elements, k):
+                unbounded = _atoms(moduli, support)
+                for bounds in itertools.product(range(1, 4), repeat=k):
+                    fit = dict(zip(support, bounds))
+                    yield moduli, support, bounds, tuple(
+                        A for A in unbounded if all(m <= fit[c] for c, m in A))
+
+
+def test_bounded_atom_search_filters_the_unbounded_one():
+    cases = list(bounded_atom_cases())
+    for moduli, support, bounds, expected in cases:
+        assert _atoms(moduli, support, bounds) == expected
+    # the bounds cut atoms, and the kept atoms reach their bounds
+    assert any(len(expected) < len(_atoms(moduli, support)) for moduli, support, _, expected
+               in cases)
+    assert any(m == 3 for *_, expected in cases for A in expected for _, m in A)
+
+
+def test_bounded_atom_oracle_catches_an_off_by_one_bound():
+    # negative control: a copy that allows one copy more than each bound
+    # must disagree with the filtered lists
+    source = inspect.getsource(zerosum._atoms)
+    check = "chosen.count(coords[i]) == bounds[i]"
+    assert check in source
+    namespace = dict(vars(zerosum))
+    exec(source.replace(check, "chosen.count(coords[i]) > bounds[i]"), namespace)
+    loose = namespace["_atoms"]
+    assert any(loose(moduli, support, bounds) != expected
+               for moduli, support, bounds, expected in bounded_atom_cases())
 
 
 def translate(mask, steps):
@@ -249,7 +288,6 @@ def test_ground_set_passes_through_element(monkeypatch):
     # search over {1} builds 2 states; unreduced, (3,) never closes a zero
     # sum and the search runs to its budget, which is small here.  The
     # elements of a sequence to factor are reduced the same way
-    _atoms.cache_clear()
     monkeypatch.setattr(zerosum, "ATOM_BUDGET", 100)
     assert [format_seq(S) for S in atoms(Z3, [(1,), (3,)])] == ["0", "1^3"]
     assert format_seq(half_factorial_witness(Z3, 6, [(4,), (-1,)])) == "1^3 2^3"
@@ -319,12 +357,34 @@ def brute_force_factorizations(G, S):
     ([2, 2], "0,1^2 1,0^2 1,1^2"),
     ([2, 2], "0,1 1,0 1,1 0,0^2"),
     ([5], "1^2 4^2 2 3"),
+    # sequences whose support has atoms that do not fit in them
+    ([6], "1 2 3"),
+    ([6], "1^3 2 3^3 4"),
+    ([7], "1 2 4"),
+    ([2, 2], "0,1 1,0 1,1"),
+    ([2, 4], "0,1^2 0,2 1,1 1,3"),
 ])
 def test_factorizations_match_independent_enumeration(moduli, text):
     G = FinAbGroup(moduli)
     S = seqs(G, text)
     got = {tuple(sorted(expanded(p) for p in F)) for F in factorizations(G, S)}
     assert got == brute_force_factorizations(G, S)
+
+
+def test_factorizations_memory_follows_their_output():
+    # ten non-zero elements of (Z/2)^4, each twice: 2,052 factorizations.
+    # Copied dicts as search states and the sort on expanded parts peaked
+    # at twice what the result holds
+    G = FinAbGroup([2, 2, 2, 2])
+    S = tuple((c, 2) for c in enumerate_elements(G)[1:11])
+    tracemalloc.start()
+    try:
+        facts = factorizations(G, S)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(facts) == 2052
+    assert peak <= 1.5 * held
 
 
 def test_factorization_parts_concat_back():
