@@ -53,15 +53,16 @@ def cmd_zs_factor(args):
     G = _group(args)
     S = zerosum.parse_seq(G, args.seq)
     facts = zerosum.factorizations(G, S)
-    payload = {
-        "group": args.group,
-        "seq": zerosum.format_seq(S),
-        "factorizations": [[zerosum.format_seq(p) for p in F] for F in facts],
-        "lengths": sorted({len(F) for F in facts}),
-    }
-    lines = [" * ".join(f"({p})" for p in F) or "(empty product)"
-             for F in payload["factorizations"]]
-    return payload, "\n".join(lines)
+    text = {p: zerosum.format_seq(p) for p in {p for F in facts for p in F}}
+    if args.json:  # only the selected mode is built: both grow with the list
+        return {
+            "group": args.group,
+            "seq": zerosum.format_seq(S),
+            "factorizations": [[text[p] for p in F] for F in facts],
+            "lengths": sorted({len(F) for F in facts}),
+        }, None
+    return None, "\n".join(" * ".join(f"({text[p]})" for p in F) or "(empty product)"
+                           for F in facts)
 
 
 def cmd_zs_lengths(args):

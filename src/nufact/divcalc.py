@@ -93,13 +93,6 @@ class CycleStructure:
         i = self.index(label)
         return tuple(int(j == i) for j in range(len(self._succ)))
 
-    def full_cycle_divisor(self, cycle_index: int) -> tuple[int, ...]:
-        """Count 1 on every label of the chosen cycle (always realizable)."""
-        if not 0 <= cycle_index < len(self.cycles):
-            raise ValueError(f"no cycle with index {cycle_index}")
-        first = self._index[self.cycles[cycle_index][0]]
-        return tuple(int(s == first) for s in self._start)
-
     # -- divisor text syntax: "2Q1+Q3", "Q2", "0" --------------------------
 
     def parse_divisor(self, text: str) -> tuple[int, ...]:

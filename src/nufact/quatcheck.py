@@ -7,11 +7,14 @@ membership in the order
 
     O = { a + b*i + c*(sqrt(3)*i + j)/2 + d*(sqrt(3) + k)/2 : a,b,c,d in Z[sqrt(3)] },
 
-so there is no floating point anywhere.
+so there is no floating point anywhere.  Factors are written as text such
+as "(1/2)-i+((r3-2)/2)k", which `parse_quat` evaluates in one pass over its
+tokens, at any depth of parentheses.
 """
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -151,118 +154,69 @@ def verify_identity(factors: list[QuatQ3], product: QuatQ3) -> bool:
 # expression syntax: "1-2i+k", "(1/2)-i+((r3-2)/2)k", with r3 = sqrt(3);
 # adjacency means multiplication, so "2i" is 2*i and "(r3+2)/2" a scalar.
 
-# the parser recurses a few calls deep per parenthesis; deeper nesting is refused
-MAX_NESTING = 100
+_ATOMS = {"r3": QuatQ3(SQRT3, R0, R0, R0), "i": Q_I, "j": Q_J, "k": Q_K}
+_SYMBOLS = {"+", "-", "*", "/", "(", ")", *_ATOMS}
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks = []
-        i = depth = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", text[i:j]))
-                i = j
-            elif text.startswith("r3", i):
-                self.toks.append(("r3", "r3"))
-                i += 2
-            elif ch in "ijk":
-                self.toks.append(("unit", ch))
-                i += 1
-            elif ch in "+-*/()":
-                depth += (ch == "(") - (ch == ")")
-                if depth > MAX_NESTING:
-                    raise ValueError(f"parentheses nested deeper than {MAX_NESTING}")
-                self.toks.append((ch, ch))
-                i += 1
-            else:
-                raise ValueError(f"unexpected character {ch!r} in quaternion expression")
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
-
-    def next(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-
-_UNITS = {"i": Q_I, "j": Q_J, "k": Q_K}
+def _plus(total, term):
+    return term if total is None else hadd(total, term)
 
 
 def parse_quat(text: str) -> QuatQ3:
-    """Evaluate a quaternion expression with exact arithmetic."""
-    toks = _Tokens(text)
-    q = _parse_sum(toks)
-    if toks.peek() is not None:
-        raise ValueError(f"trailing input in quaternion expression {text!r}")
-    return q
+    """Evaluate a quaternion expression with exact arithmetic.
 
-
-def _parse_sum(toks) -> QuatQ3:
-    q = _parse_product(toks)
-    while toks.peek() in ("+", "-"):
-        op, _ = toks.next()
-        rhs = _parse_product(toks)
-        q = hadd(q, rhs if op == "+" else hneg(rhs))
-    return q
-
-
-def _parse_product(toks) -> QuatQ3:
-    q = _parse_unary(toks)
-    while True:
-        nxt = toks.peek()
-        if nxt in ("*", "/"):
-            op, _ = toks.next()
-            rhs = _parse_unary(toks)
-            if op == "*":
-                q = hmul(q, rhs)
-            else:
-                if not rhs.is_scalar():
-                    raise ValueError("can only divide by a scalar")
-                q = scalar_mul(rhs.w.inverse(), q)
-        elif nxt in ("int", "r3", "unit", "("):
-            q = hmul(q, _parse_unary(toks))  # juxtaposition
+    Sums and products are left-associative, adjacency multiplies like `*`,
+    a run of signs before an operand is a sign on that operand alone, and
+    `/` divides by a scalar only.  The whole text is tokenized before any
+    of it is evaluated, so an unknown character is reported first.  One
+    pass over the tokens keeps a frame per open parenthesis, so any depth
+    parses in time linear in the text.
+    """
+    toks = re.findall(r"\d+|r3|\S", text)
+    for t in toks:
+        if t not in _SYMBOLS and not t.isdecimal():
+            raise ValueError(f"unexpected character {t!r} in quaternion expression")
+    # a frame: the sum of the finished terms (None for none), the product of
+    # the current term (None before its first operand), the operator waiting
+    # for an operand (None right after one) and the sign of the next operand
+    stack = []
+    total, prod, op, neg = None, None, "*", False
+    for t in toks:
+        if t in ("+", "-"):
+            if op is None:  # after an operand a sign ends the term
+                total, prod, op = _plus(total, prod), None, "*"
+            neg ^= t == "-"
+            continue
+        if op is None and t in ("*", "/"):
+            op = t
+            continue
+        if op is None and t == ")":
+            if not stack:
+                raise ValueError(f"trailing input in quaternion expression {text!r}")
+            q = _plus(total, prod)
+            total, prod, op, neg = stack.pop()
+        elif t in ("*", "/", ")"):
+            raise ValueError("expected a number, r3, i, j, k, or '('")
+        elif t == "(":
+            stack.append((total, prod, op, neg))
+            total, prod, op, neg = None, None, "*", False
+            continue
         else:
-            return q
-
-
-def _parse_unary(toks) -> QuatQ3:
-    sign = 1
-    while toks.peek() in ("+", "-"):
-        op, _ = toks.next()
-        if op == "-":
-            sign = -sign
-    q = _parse_atom(toks)
-    return q if sign == 1 else hneg(q)
-
-
-def _parse_atom(toks) -> QuatQ3:
-    kind = toks.peek()
-    if kind == "int":
-        _, val = toks.next()
-        return QuatQ3.of(int(val))
-    if kind == "r3":
-        toks.next()
-        return QuatQ3(SQRT3, R0, R0, R0)
-    if kind == "unit":
-        _, name = toks.next()
-        return _UNITS[name]
-    if kind == "(":
-        toks.next()
-        q = _parse_sum(toks)
-        if toks.peek() != ")":
-            raise ValueError("unbalanced parentheses in quaternion expression")
-        toks.next()
-        return q
-    raise ValueError("expected a number, r3, i, j, k, or '('")
+            q = _ATOMS[t] if t in _ATOMS else QuatQ3.of(int(t))
+        if neg:
+            q = hneg(q)
+        if op == "/":
+            if not q.is_scalar():
+                raise ValueError("can only divide by a scalar")
+            prod = scalar_mul(q.w.inverse(), prod)
+        else:  # "*", or None: adjacency
+            prod = q if prod is None else hmul(prod, q)
+        op, neg = None, False
+    if op is not None:
+        raise ValueError("expected a number, r3, i, j, k, or '('")
+    if stack:
+        raise ValueError("unbalanced parentheses in quaternion expression")
+    return _plus(total, prod)
 
 
 def format_sqrtrat(s: SqrtRat) -> str:

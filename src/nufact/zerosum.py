@@ -71,7 +71,10 @@ def seq_sum(G: FinAbGroup, S) -> tuple[int, ...]:
 
 
 def concat(S, T) -> tuple:
-    """Concatenation: multiplicities add.  The monoid product."""
+    """Concatenation: multiplicities add.  The monoid product, kept as the
+    reference that test_factorization_parts_concat_back,
+    test_concat_monoid_laws and test_length_sets_superadditive check
+    against."""
     counts = dict(S)
     for c, m in T:
         counts[c] = counts.get(c, 0) + m
@@ -258,9 +261,10 @@ def factorizations(G: FinAbGroup, S) -> list[tuple]:
     Each element of S is passed once through G.element and equal ones are
     merged before the length cap is checked.  Only the atoms that divide S
     are searched for, as multiplicity vectors over its support.  Parts are
-    taken in non-decreasing canonical order, each consuming the smallest
-    remaining element, so each factorization is listed once.  The explicit
-    stack frees the length of S from the recursion limit.
+    taken in non-decreasing canonical order, each from the run of atoms whose
+    least element is the smallest remaining one, so each factorization is
+    listed once.  The explicit stack frees the length of S from the
+    recursion limit.
     """
     counts: dict = {}
     for c, m in S:
@@ -277,6 +281,8 @@ def factorizations(G: FinAbGroup, S) -> list[tuple]:
     have = tuple(counts[c] for c in support)
     candidates = sorted(_atoms(G.moduli, support, have), key=_expanded)
     vectors = [tuple(dict(A).get(c, 0) for c in support) for A in candidates]
+    # the atoms whose least element is support[g] are vectors[runs[g]:runs[g + 1]]
+    runs = [sum(any(A[:g]) for A in vectors) for g in range(len(support) + 1)]
 
     results = []  # each factorization as its non-decreasing atom indices
     stack = [(have, 0, ())]
@@ -286,9 +292,9 @@ def factorizations(G: FinAbGroup, S) -> list[tuple]:
             results.append(parts)
             continue
         g = next(i for i, m in enumerate(rest) if m)
-        for idx in range(first, len(vectors)):
+        for idx in range(max(first, runs[g]), runs[g + 1]):
             A = vectors[idx]
-            if A[g] and all(map(le, A, rest)):
+            if all(map(le, A, rest)):
                 stack.append((tuple(map(sub, rest, A)), idx, parts + (idx,)))
 
     results.sort(key=lambda F: (len(F), F))  # candidate order is canonical order

@@ -37,7 +37,6 @@ def test_divisor_is_a_count_tuple_in_label_order():
     assert MIXED.parse_divisor("P+2Q1+Q1") == (3, 0, 0, 1)
     assert MIXED.indicator("Q2") == (0, 1, 0, 0)
     assert MIXED.zero() == (0, 0, 0, 0)
-    assert MIXED.full_cycle_divisor(1) == (0, 0, 0, 1)
     assert MIXED.format_divisor((3, 0, 0, 1)) == "3Q1+P"
     with pytest.raises(ValueError):
         MIXED.indicator("R")
@@ -154,7 +153,7 @@ def test_indicators_idempotent_on_real_cycles():
 
 
 def test_compose_with_full_cycle():
-    full = CS3.full_cycle_divisor(0)
+    full = div("Q1+Q2+Q3")
     for D in all_divisors(CS3, 2):
         left = compose(CS3, D, full)
         right = compose(CS3, full, D)
@@ -167,7 +166,7 @@ def test_realizability_examples():
     assert is_realizable(CS3, div("7Q1+6Q2+8Q3"))
     assert not is_realizable(CS3, div("2Q1"))
     assert is_realizable(CS3, CS3.zero())
-    assert is_realizable(CS3, CS3.full_cycle_divisor(0))
+    assert is_realizable(CS3, div("Q1+Q2+Q3"))
 
 
 def test_realizability_closed_under_composition():
@@ -191,14 +190,6 @@ def test_realizable_iff_lifted_map_monotone():
 
     for D in all_divisors(CS3, 3):
         assert is_realizable(CS3, D) == monotone(CS3, D)
-
-
-def test_full_cycle_divisor():
-    assert CS3.full_cycle_divisor(0) == div("Q1+Q2+Q3")
-    single = CycleStructure.from_text("P")
-    assert single.full_cycle_divisor(0) == single.parse_divisor("P")
-    with pytest.raises(ValueError):
-        CS3.full_cycle_divisor(1)
 
 
 def test_enumerate_factorizations_fig2():

@@ -1,8 +1,11 @@
+import inspect
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from nufact import quatcheck
 from nufact.quatcheck import (
     Q_I,
     Q_J,
@@ -18,6 +21,7 @@ from nufact.quatcheck import (
     order_element,
     parse_quat,
     qnorm,
+    scalar_mul,
     verify_identity,
 )
 
@@ -73,11 +77,14 @@ def test_verify_identity_rejects_outside_order():
     assert not verify_identity([half, two], Q_ONE)
 
 
-def test_parse_nesting_limit():
-    assert parse_quat("(" * 100 + "i" + ")" * 100) == Q_I
-    with pytest.raises(ValueError, match="^parentheses nested deeper than 100$"):
-        parse_quat("(" * 101 + "i" + ")" * 101)
-    assert parse_quat("-" * 5001 + "i") == hneg(Q_I)  # signs do not recurse
+def test_deep_input_parses_in_linear_time():
+    # no recursion, so no nesting cap: 100,000 parentheses are a list of frames
+    n = 100_000
+    for text, value in [("(" * n + "i" + ")" * n, Q_I), ("-" * (n + 1) + "i", hneg(Q_I)),
+                        ("2" + "(" * n + "-i" + ")" * n + "j", hneg(parse_quat("2k")))]:
+        start = time.perf_counter()
+        assert parse_quat(text) == value
+        assert time.perf_counter() - start < 1
 
 
 def test_values_are_tuples_with_exact_repr():
@@ -148,7 +155,97 @@ def test_zero_has_no_inverse():
             parse_quat(text)
 
 
+EXPECTED = "expected a number, r3, i, j, k, or '('"
+GARBAGE = [
+    ("1++", EXPECTED),
+    ("", EXPECTED),
+    ("()", EXPECTED),
+    ("2*/i", EXPECTED),
+    ("(1+)", EXPECTED),
+    ("(1", "unbalanced parentheses in quaternion expression"),
+    ("((i)j", "unbalanced parentheses in quaternion expression"),
+    ("1)", "trailing input in quaternion expression '1)'"),
+    ("(1))+i", "trailing input in quaternion expression '(1))+i'"),
+    ("2m", "unexpected character 'm' in quaternion expression"),
+    ("r 3", "unexpected character 'r' in quaternion expression"),
+    ("1)+x", "unexpected character 'x' in quaternion expression"),  # tokenized first
+    ("2²", "unexpected character '²' in quaternion expression"),
+    ("1/j", "can only divide by a scalar"),
+    ("1/(i-i+j))", "can only divide by a scalar"),
+]
+
+
 def test_parser_rejects_garbage():
-    for text in ["1++", "(1", "2m", "1/j", ""]:
-        with pytest.raises((ValueError, IndexError)):
+    for text, message in GARBAGE:
+        with pytest.raises(ValueError) as info:
             parse_quat(text)
+        assert str(info.value) == message, text
+
+
+def random_expression(rng, depth):
+    """A random expression as (text, value, level), the value computed with
+    the arithmetic directly; level 0 is a sum, 1 a product, 2 a signed
+    operand and 3 an atom (a literal, a unit or a parenthesis)."""
+    kind = rng.choice(["atom"] * 2 + ["sum", "product", "sign", "paren"] * (depth > 0))
+    if kind == "atom":
+        n = rng.randint(0, 12)
+        return rng.choice([(str(n), QuatQ3.of(n)), ("r3", QuatQ3.of(SqrtRat.of(0, 1))),
+                           ("i", Q_I), ("j", Q_J), ("k", Q_K)]) + (3,)
+    if kind == "paren":
+        text, value, _ = random_expression(rng, depth - 1)
+        n = rng.choice([1, 1, 1, 2, 150])  # 150: nesting past 100 parses too
+        return "(" * n + text + ")" * n, value, 3
+    if kind == "sign":
+        text, value, level = random_expression(rng, depth - 1)
+        if level < 3:
+            text = f"({text})"
+        signs = "".join(rng.choice("+-") for _ in range(rng.randint(1, 3)))
+        return signs + text, hneg(value) if signs.count("-") % 2 else value, 2
+    left, lvalue, llevel = random_expression(rng, depth - 1)
+    right, rvalue, rlevel = random_expression(rng, depth - 1)
+    if kind == "sum":  # left-associative: the right operand is a product or tighter
+        if rlevel < 1:
+            right = f"({right})"
+        op = rng.choice("+-")
+        return left + op + right, hadd(lvalue, rvalue if op == "+" else hneg(rvalue)), 0
+    if llevel < 1:
+        left = f"({left})"
+    op = rng.choice(["*", "/", ""])
+    if op == "/":  # only by a non-zero scalar
+        right, rvalue = rng.choice([("2", QuatQ3.of(2)), ("-3", QuatQ3.of(-3)),
+                                    ("r3", QuatQ3.of(SqrtRat.of(0, 1))),
+                                    ("(r3-1)", QuatQ3.of(SqrtRat.of(-1, 1)))])
+        return left + op + right, scalar_mul(rvalue.w.inverse(), lvalue), 1
+    if rlevel < 2 or op == "" and rlevel < 3:  # adjacency takes an atom
+        right = f"({right})"
+    if op == "" and left[-1].isdigit() and right[0].isdigit():
+        op = " "
+    return left + op + right, hmul(lvalue, rvalue), 1
+
+
+def expression_cases():
+    rng = random.Random(1616)
+    return [random_expression(rng, 4)[:2] for _ in range(400)]
+
+
+def test_parser_matches_the_arithmetic():
+    cases = expression_cases()
+    for text, value in cases:
+        assert parse_quat(text) == value, text
+    assert any("(" * 101 in text for text, _ in cases)
+    assert any("--" in text or "+-" in text for text, _ in cases)
+    assert sum(not value.is_scalar() for _, value in cases) > 200
+
+
+@pytest.mark.parametrize("rule, broken", [
+    ("prod = q if prod is None else hmul(prod, q)", "prod = q if prod is None else hmul(q, prod)"),
+    ('neg ^= t == "-"', 'neg = t == "-"'),
+], ids=["products-right-to-left", "last-sign-only"])
+def test_arithmetic_oracle_catches_a_broken_rule(rule, broken):
+    # negative control: a copy of the parser with one rule broken must disagree
+    source = inspect.getsource(quatcheck.parse_quat)
+    assert rule in source
+    namespace = dict(vars(quatcheck))
+    exec(source.replace(rule, broken), namespace)
+    parse = namespace["parse_quat"]
+    assert any(parse(text) != value for text, value in expression_cases())
