@@ -6,13 +6,16 @@ text by default and a stable JSON document with --json; identical inputs give
 byte-identical output.  Exit codes: 0 success, 1 domain error (bad input
 values, caps, an --out file that cannot be written, a stdout closed before
 the output was all written), 2 usage error.
+
+Start-up is kept to what the command needs.  The top-level parser
+registers all five families, but only the family named in argv gets its
+leaf parsers, and `json` is imported only to write JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 
@@ -61,8 +64,9 @@ def cmd_zs_factor(args):
             "factorizations": [[text[p] for p in F] for F in facts],
             "lengths": sorted({len(F) for F in facts}),
         }, None
-    return None, "\n".join(" * ".join(f"({text[p]})" for p in F) or "(empty product)"
-                           for F in facts)
+    rows = (" * ".join(f"({text[p]})" for p in F) or "(empty product)" for F in facts)
+    # the chunks of "\n".join(rows), one a row, so the text is never held whole
+    return None, (("\n" if i else "") + row for i, row in enumerate(rows))
 
 
 def cmd_zs_lengths(args):
@@ -106,6 +110,8 @@ def cmd_quad_factor(args):
 
 
 def cmd_quad_atoms(args):
+    if args.elements and args.norm is not None:
+        raise ValueError("give elements or --norm N, not both")
     if args.norm is not None:
         elems = quadring.elements_of_norm(args.norm)
         results = [{
@@ -245,6 +251,7 @@ def cmd_tring_oracle(args):
     for name, entry in report["properties"].items():
         lines.append(f"{name}: {'pass' if entry['pass'] else 'FAIL'}")
         if not entry["pass"]:
+            import json
             lines.append(f"  counterexample: {json.dumps(entry['counterexample'])}")
     lines.append("all properties pass" if report["all_pass"] else "FAILURES FOUND")
     return report, "\n".join(lines)
@@ -263,7 +270,104 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _zs_parsers(leaves, common):
+    p = leaves.add_parser("atoms", parents=[common], help="all minimal zero-sum sequences")
+    p.add_argument("--group", required=True, help="e.g. 3 or 2x4")
+    p.add_argument("--elements", help="restrict the ground set, e.g. '1 2' (default: whole group)")
+    p.set_defaults(handler=cmd_zs_atoms)
+    p = leaves.add_parser("factor", parents=[common], help="all factorizations into minimal zero-sum sequences")
+    p.add_argument("--group", required=True)
+    p.add_argument("--seq", required=True, help="e.g. '1^3 2^3'")
+    p.set_defaults(handler=cmd_zs_factor)
+    p = leaves.add_parser("lengths", parents=[common], help="the set of factorization lengths")
+    p.add_argument("--group", required=True)
+    p.add_argument("--seq", required=True)
+    p.set_defaults(handler=cmd_zs_lengths)
+    p = leaves.add_parser("davenport", parents=[common], help="longest minimal zero-sum sequence")
+    p.add_argument("--group", required=True)
+    p.set_defaults(handler=cmd_zs_davenport)
+    p = leaves.add_parser("hfwitness", parents=[common], help="search for a sequence with two factorization lengths")
+    p.add_argument("--group", required=True)
+    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--elements", help="restrict the ground set (default: whole group)")
+    p.set_defaults(handler=cmd_zs_hfwitness)
+
+
+def _quad_parsers(leaves, common):
+    p = leaves.add_parser("factor", parents=[common], help="factorizations into atoms, up to associates")
+    p.add_argument("element", help="e.g. 8 or 1+1*w")
+    p.set_defaults(handler=cmd_quad_factor)
+    p = leaves.add_parser("atoms", parents=[common], help="atom tests, or all elements of a given norm")
+    p.add_argument("elements", nargs="*")
+    p.add_argument("--norm", type=int, default=None)
+    p.set_defaults(handler=cmd_quad_atoms)
+    p = leaves.add_parser("norm", parents=[common], help="norm form a^2+ab+6b^2")
+    p.add_argument("elements", nargs="+")
+    p.set_defaults(handler=cmd_quad_norm)
+
+
+def _quat_parsers(leaves, common):
+    p = leaves.add_parser("verify", parents=[common], help="check product and order membership")
+    p.add_argument("factors", nargs="+", help="e.g. 'i+j' '-1-i-k'")
+    p.add_argument("--product", required=True, help="e.g. '1-2i+k'")
+    p.set_defaults(handler=cmd_quat_verify)
+
+
+def _div_parsers(leaves, common):
+    p = leaves.add_parser("compose", parents=[common], help="compose divisors left to right")
+    p.add_argument("--cycles", required=True, help="e.g. 'Q1>Q2>Q3;P'")
+    p.add_argument("divisors", nargs="+", help="e.g. 2Q1+Q3")
+    p.set_defaults(handler=cmd_div_compose)
+    p = leaves.add_parser("realizable", parents=[common], help="does some ideal have this divisor?")
+    p.add_argument("--cycles", required=True)
+    p.add_argument("divisor")
+    p.set_defaults(handler=cmd_div_realizable)
+    p = leaves.add_parser("factor", parents=[common], help="words of maximal ideals composing to the divisor")
+    p.add_argument("--cycles", required=True)
+    p.add_argument("divisor")
+    p.add_argument("--max-len", type=int, default=None,
+                   help="word length bound (default: total count + cycle sizes)")
+    p.set_defaults(handler=cmd_div_factor)
+    p = leaves.add_parser("render", parents=[common], help="draw the cylinder diagram as SVG")
+    p.add_argument("--cycles", required=True)
+    p.add_argument("--divisor", default=None)
+    p.add_argument("--word", default=None, help="e.g. 'Q1*Q2*Q3'")
+    p.add_argument("--cycle", type=int, default=None, help="cycle index to draw")
+    p.add_argument("--out", required=True, help="output SVG path")
+    p.set_defaults(handler=cmd_div_render)
+
+
+def _tring_parsers(leaves, common):
+    p = leaves.add_parser("mul", parents=[common], help="min-plus product of exponent matrices")
+    p.add_argument("matrices", nargs="+", help="JSON rows, e.g. '[[0,1,1],[0,0,1],[0,0,1]]'")
+    p.set_defaults(handler=cmd_tring_mul)
+    p = leaves.add_parser("divisor", parents=[common], help="divisor of an ideal (row sums of its exponent matrix)")
+    p.add_argument("matrix")
+    p.set_defaults(handler=cmd_tring_divisor)
+    p = leaves.add_parser("tau", parents=[common], help="double left dual of an ideal")
+    p.add_argument("matrix")
+    p.set_defaults(handler=cmd_tring_tau)
+    p = leaves.add_parser("oracle", parents=[common], help="cross-validate the divisor calculus")
+    p.add_argument("--size", type=int, default=3)
+    p.add_argument("--max-exp", type=int, default=2)
+    p.add_argument("--trials", type=int, default=20)
+    p.set_defaults(handler=cmd_tring_oracle)
+
+
+# each family's help and the function that adds its leaves, in help order
+_FAMILIES = {
+    "zs": ("zero-sum sequences over a finite abelian group", _zs_parsers),
+    "quad": ("the quadratic order Z[w], w = (1+sqrt(-23))/2", _quad_parsers),
+    "quat": ("quaternion identities over Q(sqrt(3))", _quat_parsers),
+    "div": ("divisor calculus on cycles of maximal ideals", _div_parsers),
+    "tring": ("triangular-order oracle over a DVR", _tring_parsers),
+}
+
+
+def _parser(words) -> argparse.ArgumentParser:
+    """The parser with every family registered, and the leaves of only the
+    families named among words.  argparse picks a family only by its exact
+    name in argv, so passing argv builds every family it can pick."""
     # the top level gets flag actions of its own: argparse shares action
     # objects with every parser built from the same parent, so these
     # defaults would otherwise replace the leaves' SUPPRESS
@@ -278,96 +382,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(json=False, seed=0)
     common = _common_flags()
     sub = parser.add_subparsers(dest="command", required=True)
-
-    zs = sub.add_parser("zs", help="zero-sum sequences over a finite abelian group")
-    zs_sub = zs.add_subparsers(dest="subcommand", required=True)
-    p = zs_sub.add_parser("atoms", parents=[common], help="all minimal zero-sum sequences")
-    p.add_argument("--group", required=True, help="e.g. 3 or 2x4")
-    p.add_argument("--elements", help="restrict the ground set, e.g. '1 2' (default: whole group)")
-    p.set_defaults(handler=cmd_zs_atoms)
-    p = zs_sub.add_parser("factor", parents=[common], help="all factorizations into minimal zero-sum sequences")
-    p.add_argument("--group", required=True)
-    p.add_argument("--seq", required=True, help="e.g. '1^3 2^3'")
-    p.set_defaults(handler=cmd_zs_factor)
-    p = zs_sub.add_parser("lengths", parents=[common], help="the set of factorization lengths")
-    p.add_argument("--group", required=True)
-    p.add_argument("--seq", required=True)
-    p.set_defaults(handler=cmd_zs_lengths)
-    p = zs_sub.add_parser("davenport", parents=[common], help="longest minimal zero-sum sequence")
-    p.add_argument("--group", required=True)
-    p.set_defaults(handler=cmd_zs_davenport)
-    p = zs_sub.add_parser("hfwitness", parents=[common], help="search for a sequence with two factorization lengths")
-    p.add_argument("--group", required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--elements", help="restrict the ground set (default: whole group)")
-    p.set_defaults(handler=cmd_zs_hfwitness)
-
-    quad = sub.add_parser("quad", help="the quadratic order Z[w], w = (1+sqrt(-23))/2")
-    quad_sub = quad.add_subparsers(dest="subcommand", required=True)
-    p = quad_sub.add_parser("factor", parents=[common], help="factorizations into atoms, up to associates")
-    p.add_argument("element", help="e.g. 8 or 1+1*w")
-    p.set_defaults(handler=cmd_quad_factor)
-    p = quad_sub.add_parser("atoms", parents=[common], help="atom tests, or all elements of a given norm")
-    p.add_argument("elements", nargs="*")
-    p.add_argument("--norm", type=int, default=None)
-    p.set_defaults(handler=cmd_quad_atoms)
-    p = quad_sub.add_parser("norm", parents=[common], help="norm form a^2+ab+6b^2")
-    p.add_argument("elements", nargs="+")
-    p.set_defaults(handler=cmd_quad_norm)
-
-    quat = sub.add_parser("quat", help="quaternion identities over Q(sqrt(3))")
-    quat_sub = quat.add_subparsers(dest="subcommand", required=True)
-    p = quat_sub.add_parser("verify", parents=[common], help="check product and order membership")
-    p.add_argument("factors", nargs="+", help="e.g. 'i+j' '-1-i-k'")
-    p.add_argument("--product", required=True, help="e.g. '1-2i+k'")
-    p.set_defaults(handler=cmd_quat_verify)
-
-    div = sub.add_parser("div", help="divisor calculus on cycles of maximal ideals")
-    div_sub = div.add_subparsers(dest="subcommand", required=True)
-    p = div_sub.add_parser("compose", parents=[common], help="compose divisors left to right")
-    p.add_argument("--cycles", required=True, help="e.g. 'Q1>Q2>Q3;P'")
-    p.add_argument("divisors", nargs="+", help="e.g. 2Q1+Q3")
-    p.set_defaults(handler=cmd_div_compose)
-    p = div_sub.add_parser("realizable", parents=[common], help="does some ideal have this divisor?")
-    p.add_argument("--cycles", required=True)
-    p.add_argument("divisor")
-    p.set_defaults(handler=cmd_div_realizable)
-    p = div_sub.add_parser("factor", parents=[common], help="words of maximal ideals composing to the divisor")
-    p.add_argument("--cycles", required=True)
-    p.add_argument("divisor")
-    p.add_argument("--max-len", type=int, default=None,
-                   help="word length bound (default: total count + cycle sizes)")
-    p.set_defaults(handler=cmd_div_factor)
-    p = div_sub.add_parser("render", parents=[common], help="draw the cylinder diagram as SVG")
-    p.add_argument("--cycles", required=True)
-    p.add_argument("--divisor", default=None)
-    p.add_argument("--word", default=None, help="e.g. 'Q1*Q2*Q3'")
-    p.add_argument("--cycle", type=int, default=None, help="cycle index to draw")
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.set_defaults(handler=cmd_div_render)
-
-    tr = sub.add_parser("tring", help="triangular-order oracle over a DVR")
-    tr_sub = tr.add_subparsers(dest="subcommand", required=True)
-    p = tr_sub.add_parser("mul", parents=[common], help="min-plus product of exponent matrices")
-    p.add_argument("matrices", nargs="+", help="JSON rows, e.g. '[[0,1,1],[0,0,1],[0,0,1]]'")
-    p.set_defaults(handler=cmd_tring_mul)
-    p = tr_sub.add_parser("divisor", parents=[common], help="divisor of an ideal (row sums of its exponent matrix)")
-    p.add_argument("matrix")
-    p.set_defaults(handler=cmd_tring_divisor)
-    p = tr_sub.add_parser("tau", parents=[common], help="double left dual of an ideal")
-    p.add_argument("matrix")
-    p.set_defaults(handler=cmd_tring_tau)
-    p = tr_sub.add_parser("oracle", parents=[common], help="cross-validate the divisor calculus")
-    p.add_argument("--size", type=int, default=3)
-    p.add_argument("--max-exp", type=int, default=2)
-    p.add_argument("--trials", type=int, default=20)
-    p.set_defaults(handler=cmd_tring_oracle)
+    for name, (help_text, add_leaves) in _FAMILIES.items():
+        family = sub.add_parser(name, help=help_text)
+        if name in words:
+            add_leaves(family.add_subparsers(dest="subcommand", required=True), common)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: every family with its leaves."""
+    return _parser(_FAMILIES)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     try:
         payload, human = args.handler(args)
     except (ValueError, OSError) as exc:
@@ -376,14 +404,15 @@ def main(argv=None) -> int:
     # print, since it writes nothing when there is no stdout at all
     try:
         if args.json:
+            import json
             # the bytes of json.dumps(payload, indent=2, sort_keys=True),
             # written in batches of chunks rather than built in one piece
             chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-            while batch := "".join(itertools.islice(chunks, 4096)):
-                print(batch, end="")
-            print(flush=True)
-        else:
-            print(human, flush=True)
+        else:  # a string, or the text of `zs factor` in chunks
+            chunks = iter([human]) if isinstance(human, str) else human
+        while batch := "".join(itertools.islice(chunks, 4096)):
+            print(batch, end="")
+        print(flush=True)
     except BrokenPipeError:
         # the reader has gone: send what is left, and the flush at shutdown,
         # to the null device

@@ -2,9 +2,11 @@
 
 Writes tring.json, zs.json, readme.json and div.json next to this file:
 each command's name, argv and exact stdout, and the text of every file the
-command writes into its working directory.  Also writes the stdout of each
-script in DEMOS to <name>.out, e.g. divisor_diagrams.out.  Recapture only
-for an intended output change:
+command writes into its working directory.  Writes usage.json: the help
+texts and usage errors, each with its exit code, stdout and stderr, at a
+terminal width of 80 columns.  Also writes the stdout of each script in
+DEMOS to <name>.out, e.g. divisor_diagrams.out.  Recapture only for an
+intended output change:
 
     PYTHONPATH=src python tests/golden/capture.py
 """
@@ -147,6 +149,40 @@ def div_argvs():
     return out
 
 
+# every family and its leaves, in the order the parser registers them
+LEAVES = {"zs": ["atoms", "factor", "lengths", "davenport", "hfwitness"],
+          "quad": ["factor", "atoms", "norm"],
+          "quat": ["verify"],
+          "div": ["compose", "realizable", "factor", "render"],
+          "tring": ["mul", "divisor", "tau", "oracle"]}
+# (name, argv) of a usage error argparse reports for a missing or bad argument
+BAD_ARGUMENTS = [
+    ("zs-atoms-no-group", ["zs", "atoms"]),
+    ("quad-norm-no-element", ["quad", "norm"]),
+    ("quat-verify-no-product", ["quat", "verify", "i"]),
+    ("div-compose-no-cycles", ["div", "compose", "Q1"]),
+    ("tring-divisor-no-matrix", ["tring", "divisor"]),
+    ("tring-oracle-bad-int", ["tring", "oracle", "--size", "x"]),
+    ("zs-davenport-unknown-flag", ["zs", "davenport", "--group", "3", "--bogus"]),
+    ("bad-seed-before-family", ["--seed", "x", "quad", "norm", "2"]),
+    ("zs-atoms-extra-argument", ["zs", "atoms", "--group", "3", "extra"]),
+]
+
+
+def usage_argvs():
+    """(name, argv) of every pinned help text and usage error: the top-level,
+    family and leaf helps, a missing or unknown family, and per family a
+    missing or unknown leaf, then BAD_ARGUMENTS."""
+    out = [("help", ["--help"])]
+    for family, leaves in LEAVES.items():
+        out.append((f"{family}-help", [family, "--help"]))
+        out += [(f"{family}-{leaf}-help", [family, leaf, "--help"]) for leaf in leaves]
+    out += [("no-family", []), ("unknown-family", ["nope"])]
+    for family in LEAVES:
+        out += [(f"{family}-no-leaf", [family]), (f"{family}-unknown-leaf", [family, "nope"])]
+    return out + BAD_ARGUMENTS
+
+
 GOLDEN_FILES = {"tring.json": tring_argvs, "zs.json": zs_argvs,
                 "readme.json": readme_argvs, "div.json": div_argvs}
 
@@ -175,6 +211,21 @@ def run_case(name, argv) -> dict:
     return case
 
 
+def run_usage_case(name, argv) -> dict:
+    """argv's exit code and exact stdout and stderr; argparse ends each of
+    these cases by raising SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            sys.exit(f"capture failed, no usage exit: {argv}")
+    return {"name": name, "argv": argv, "exit": code,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def demo_stdout(name: str) -> str:
     """The stdout of a copy of demos/<name>.py; the diagram demo writes its
     SVG files next to itself."""
@@ -188,6 +239,9 @@ def capture():
     for filename, argvs in GOLDEN_FILES.items():
         cases = [run_case(name, argv) for name, argv in argvs()]
         (HERE / filename).write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
+    cases = [run_usage_case(name, argv) for name, argv in usage_argvs()]
+    (HERE / "usage.json").write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
     for name in DEMOS:
         (HERE / f"{name}.out").write_text(demo_stdout(name), encoding="utf-8")
 

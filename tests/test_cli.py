@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nufact
-from nufact import divcalc, zerosum
+from nufact import abelian, divcalc, tring, zerosum
 from nufact.cli import main
 
 SRC = Path(nufact.__file__).resolve().parent.parent
@@ -264,10 +264,11 @@ TEN_PAIRS = ("0,0,0,1^2 0,0,1,0^2 0,0,1,1^2 0,1,0,0^2 0,1,0,1^2 0,1,1,0^2 0,1,1,
              "1,0,0,0^2 1,0,0,1^2 1,0,1,0^2")
 
 
-@pytest.mark.parametrize("flags, mib", [([], 1.6), (["--json"], 1.5)], ids=["human", "json"])
+@pytest.mark.parametrize("flags, mib", [([], 1.0), (["--json"], 1.5)], ids=["human", "json"])
 def test_zs_factor_builds_only_the_selected_output(monkeypatch, flags, mib):
-    # 1.11 MiB (human) and 0.89 MiB (--json); building both outputs whatever
-    # the mode, and formatting each part at every occurrence, took 2.21 MiB
+    # 0.91 MiB (human) and 0.81 MiB (--json); building both outputs whatever
+    # the mode, and formatting each part at every occurrence, took 2.21 MiB,
+    # and joining the human lines into one string before writing 1.10 MiB
     argv = [*flags, "zs", "factor", "--group", "2x2x2x2", "--seq", TEN_PAIRS]
     monkeypatch.setattr(sys, "stdout", Sink())
     assert main(argv) == 0  # loads what the traced run needs
@@ -286,6 +287,33 @@ def test_closed_stdout_ends_in_one_error_line(flags):
     # the output is larger than a pipe holds, so the writer meets the
     # closed end; the reader takes one line and goes
     proc = subprocess.Popen([sys.executable, "-m", "nufact.cli", *flags, *ELEVEN],
+                            cwd=SRC, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == "error: output closed before it was all written\n"
+
+
+def test_zs_factor_human_output_is_streamed(capsys):
+    # one more pair gives 16,692 lines, written in five batches with the
+    # bytes of the one string they were once joined into
+    seq = TEN_PAIRS + " 1,0,1,1^2"
+    code, out, _ = run(capsys, "zs", "factor", "--group", "2x2x2x2", "--seq", seq)
+    assert code == 0
+    G = abelian.FinAbGroup.from_text("2x2x2x2")
+    facts = zerosum.factorizations(G, zerosum.parse_seq(G, seq))
+    assert len(facts) == 16692
+    assert out == "\n".join(" * ".join(f"({zerosum.format_seq(p)})" for p in F)
+                            for F in facts) + "\n"
+
+
+def test_zs_factor_closed_stdout_ends_in_one_error_line():
+    # as test_closed_stdout_ends_in_one_error_line, for the human lines of
+    # `zs factor`: 2,052 of them, 354,522 bytes
+    proc = subprocess.Popen([sys.executable, "-m", "nufact.cli", "zs", "factor",
+                             "--group", "2x2x2x2", "--seq", TEN_PAIRS],
                             cwd=SRC, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.readline()
     proc.stdout.close()
@@ -346,6 +374,8 @@ HUGE = "99999999999999999999"
     (["tring", "oracle", "--max-exp", "-1"], "max_exp must be >= 0"),
     (["tring", "mul", "[" * 100_000], "expected a JSON array of integer rows"),
     (["quad", "atoms", "1000024+1*w"], "norm 1000049000606 exceeds cap 1000000"),
+    (["quad", "atoms", "2", "3", "--norm", "4"], "give elements or --norm N, not both"),
+    (["quad", "atoms"], "give elements or --norm N"),
     (["quat", "verify", "--product", "1", "--", "1/(r3-r3)"],
      "zero has no inverse in Q(sqrt(3))"),
     (["zs", "lengths", "--group", "3", "--seq", f"1^{HUGE}"],
@@ -360,6 +390,7 @@ HUGE = "99999999999999999999"
         "div-render-missing-dir", "div-render-onto-dir", "tring-oracle-huge-size",
         "tring-oracle-huge-trials", "tring-oracle-negative-trials",
         "tring-oracle-negative-max-exp", "tring-mul-deep-json", "quad-atoms-huge-norm",
+        "quad-atoms-elements-and-norm", "quad-atoms-neither",
         "quat-zero-divisor",
         "zs-lengths-huge-multiplicity", "zs-lengths-bad-multiplicity",
         "zs-factor-empty-multiplicity", "zs-atoms-bare-caret", "zs-hfwitness-two-carets",
@@ -374,6 +405,19 @@ def test_huge_or_malformed_input_is_refused_in_seconds(tmp_path, monkeypatch, ca
     assert code == 1 and out == "" and "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+def test_tring_oracle_prints_a_counterexample(monkeypatch, capsys):
+    # human mode writes a failed property's counterexample as JSON
+    report = {"corpus_size": 2, "all_pass": False, "properties": {
+        "closure": {"pass": True},
+        "homomorphism": {"pass": False, "counterexample": {"A": [[0, 1]], "D": [1]}}}}
+    monkeypatch.setattr(tring, "oracle_report", lambda **kwargs: report)
+    code, out, _ = run(capsys, "tring", "oracle", "--size", "2")
+    assert code == 0
+    assert out == ("corpus: 2 ideals of T(2), exponents <= 2\nclosure: pass\n"
+                   "homomorphism: FAIL\n"
+                   '  counterexample: {"A": [[0, 1]], "D": [1]}\nFAILURES FOUND\n')
 
 
 def test_tring_oracle_refuses_by_pairs(capsys):

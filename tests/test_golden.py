@@ -24,6 +24,12 @@ wrote.
 - `div.json`: `div factor` with its default length bound on seeded
   realizable divisors over a 3-cycle, a 4-cycle and a 3-cycle beside a
   1-cycle, in human mode and with `--json`.
+- `usage.json`: the top-level help, the 5 family helps and the 17 leaf
+  helps, and usage errors: no family, an unknown family, each family with
+  no leaf or an unknown one, missing and malformed arguments and an extra
+  one.  Each has its exit code, stdout and stderr, at 80 columns.  They were
+  captured while every command still built the parsers of all five
+  families, so they pin the per-family parsers that replaced them.
 - `divisor_diagrams.out`: the stdout of `demos/divisor_diagrams.py`, and
   `zero_sum_sequences.out`, `quadratic_order.out`,
   `quaternion_identities.out` and `triangular_oracle.out` likewise for the
@@ -57,7 +63,8 @@ def load(name):
     return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
 
 
-TRING, ZS, README, DIV = map(load, ("tring.json", "zs.json", "readme.json", "div.json"))
+TRING, ZS, README, DIV, USAGE = map(load, ("tring.json", "zs.json", "readme.json", "div.json",
+                                          "usage.json"))
 
 
 def test_golden_covers_every_command():
@@ -72,6 +79,8 @@ def test_golden_covers_every_command():
     assert [c["name"] for c in README if "files" in c] == [
         "div-render-1", "div-render-1-json", "div-render-2", "div-render-2-json"]
     assert len(DIV) == 12
+    # 23 helps, exit 0, and 21 usage errors, exit 2
+    assert [c["exit"] for c in USAGE] == [0] * 23 + [2] * 21
 
 
 @pytest.mark.parametrize("case", TRING, ids=lambda c: c["name"])
@@ -104,6 +113,15 @@ def test_readme_output_matches_golden(case, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("case", DIV, ids=lambda c: c["name"])
 def test_div_factor_output_matches_golden(case, tmp_path, monkeypatch, capsys):
     check_case(case, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("case", USAGE, ids=lambda c: c["name"])
+def test_help_and_usage_errors_match_golden(case, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main(case["argv"])
+    assert exc.value.code == case["exit"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
 
 
 def test_divisor_diagrams_demo_output(tmp_path, capsys):
