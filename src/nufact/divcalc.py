@@ -197,8 +197,10 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
     non-realizable divisors, which admit no word at any length.  The number
     of words grows exponentially with max_len once idempotent letters can
     repeat, so the enumeration aborts with :class:`CapExceeded` when the
-    words would hold more than LETTER_CAP letters in all, and when the
-    search would visit more than WORD_SEARCH_BUDGET states.
+    words would hold more than LETTER_CAP letters in all, when the search
+    would visit more than WORD_SEARCH_BUDGET states, and when expanding its
+    partials would take more than 9 * WORD_SEARCH_BUDGET label steps, each
+    new partial costing the number of labels squared.
 
     The states are the partial products by number of letters; a pass from
     the last level up counts the words and letters of each, and keeps the
@@ -226,9 +228,18 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
     # search states (partial, max_len - k).  The passes below run level by
     # level from the last one up, without recursion.  Past an empty level
     # every level is empty, so the levels stop there.
+    # Expanding a new partial costs one compose per label, each over every
+    # label: it is charged len(labels)**2 steps before its moves are built,
+    # against the budget at 3 labels, 9 steps per state.
     levels = [{zero}]
     visited = 1
+    steps = 0
     while len(levels) <= max_len and levels[-1]:
+        steps += len(labels) ** 2 * sum(p not in moves for p in levels[-1])
+        if steps > 9 * WORD_SEARCH_BUDGET:
+            raise CapExceeded(
+                f"the word search exceeds its budget: {9 * WORD_SEARCH_BUDGET} label "
+                f"steps over {len(labels)} labels, reached length {len(levels) - 1}")
         levels.append({nxt for p in levels[-1] for _, nxt in successors(p)})
         visited += len(levels[-1])
         if visited > WORD_SEARCH_BUDGET:

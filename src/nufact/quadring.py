@@ -1,10 +1,11 @@
-"""Brute-force factorization in the quadratic order Z[w], w = (1 + sqrt(-23))/2.
+"""Exhaustive factorization in the quadratic order Z[w], w = (1 + sqrt(-23))/2.
 
 Elements are pairs (a, b) meaning a + b*w with w^2 = w - 6.  The norm form is
 a^2 + ab + 6b^2; it is multiplicative and never takes the value 2, which is
 what makes the small factorizations here interesting.  Units are exactly +-1,
 and factorizations are reported up to order and associates using a fixed sign
-convention.
+convention.  The divisors of x come from one scan of the divisor norms up to
+sqrt(N(x)), each divisor paired with its cofactor (`_divisor_pairs`).
 """
 
 from __future__ import annotations
@@ -101,10 +102,23 @@ def canonical_associate(x: QuadInt) -> QuadInt:
     return qneg(x)
 
 
+def _divisor_pairs(x: QuadInt):
+    """(y, x/y) for each y dividing x with 1 < norm(y) <= sqrt(norm(x)).
+
+    If x = y*z with both norms above 1, the smaller norm is at most
+    sqrt(norm(x)), so every divisor of x that is neither a unit nor an
+    associate of x appears here, as a y or as a cofactor."""
+    n = norm(x)
+    for d in range(2, math.isqrt(n) + 1):
+        if n % d == 0:
+            for y in elements_of_norm(d):
+                q = divides(y, x)
+                if q is not None:
+                    yield y, q
+
+
 def is_atom(x: QuadInt) -> bool:
-    """True iff x is irreducible: no element of norm strictly between 1 and
-    norm(x) divides it.  If x = y*z with both norms above 1, the smaller is
-    at most sqrt(norm(x)), so only those norms are scanned.  Norms above the
+    """True iff x is irreducible: it has no divisor pair.  Norms above the
     cap are refused before the search."""
     n = norm(x)
     if n == 0:
@@ -112,63 +126,42 @@ def is_atom(x: QuadInt) -> bool:
     if n == 1:
         raise ValueError("units are not atoms")
     _check_norm(n)
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d:
-            continue
-        for y in elements_of_norm(d):
-            if divides(y, x) is not None:
-                return False
-    return True
-
-
-def _atom_divisors(x: QuadInt) -> list[QuadInt]:
-    """Canonical representatives of the atoms dividing x, sorted by
-    (norm, coordinates)."""
-    n = norm(x)
-    found = set()
-    for d in range(2, n + 1):
-        if n % d:
-            continue
-        for y in elements_of_norm(d):
-            y = canonical_associate(y)
-            if y in found:
-                continue
-            if divides(y, x) is not None and is_atom(y):
-                found.add(y)
-    return sorted(found, key=lambda y: (norm(y), y.a, y.b))
+    return next(_divisor_pairs(x), None) is None
 
 
 def element_factorizations(x: QuadInt) -> list[tuple[QuadInt, ...]]:
     """All factorizations of x into atoms, up to order and associates.
 
     Each factorization is a non-decreasing tuple of canonical atom
-    representatives whose product is x up to sign.  Units give the single
-    empty factorization.
+    representatives whose product is x up to sign, shortest first, then by
+    (norm, coordinates) of the atoms.  Units give the single empty
+    factorization.  The candidate atoms are x itself and the canonical
+    associates in its divisor pairs; parts are taken in non-decreasing
+    order on an explicit stack, so each factorization is listed once.
     """
     n = norm(x)
     if n == 0:
         raise ValueError("zero is not factorable")
     _check_norm(n)
-    atoms = _atom_divisors(x)
+    divisors = {canonical_associate(y) for pair in _divisor_pairs(x) for y in pair}
+    divisors.add(canonical_associate(x))
+    atoms = sorted((y for y in divisors if norm(y) > 1 and is_atom(y)),
+                   key=lambda y: (norm(y), y.a, y.b))
 
-    results: list[tuple[QuadInt, ...]] = []
-
-    def rec(rest: QuadInt, min_index: int, parts: list):
+    results = []  # each factorization as its non-decreasing atom indices
+    stack = [(x, 0, ())]
+    while stack:
+        rest, first, parts = stack.pop()
         if is_unit(rest):
-            results.append(tuple(parts))
-            return
-        for idx in range(min_index, len(atoms)):
-            y = atoms[idx]
-            q = divides(y, rest)
-            if q is None:
-                continue
-            parts.append(y)
-            rec(q, idx, parts)
-            parts.pop()
+            results.append(parts)
+            continue
+        for idx in range(first, len(atoms)):
+            q = divides(atoms[idx], rest)
+            if q is not None:
+                stack.append((q, idx, parts + (idx,)))
 
-    rec(x, 0, [])
-    results.sort(key=lambda f: (len(f), [(norm(y), y.a, y.b) for y in f]))
-    return results
+    results.sort(key=lambda F: (len(F), F))  # atom order is (norm, coordinates)
+    return [tuple(atoms[i] for i in F) for F in results]
 
 
 # ----------------------------------------------------------------------

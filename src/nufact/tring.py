@@ -283,8 +283,8 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     divisor_of(A*B) = divisor_of(A) o divisor_of(B); injectivity of
     divisor_of; realizability of every attained divisor plus attainment of
     every realizable divisor with counts <= max_exp - 1; and agreement of
-    divisor_of with the labels read off random maximal chains.  Sizes above
-    ORACLE_SIZE_CAP, a negative number or more than CHAIN_TRIAL_CAP of chain
+    divisor_of with the labels read off random maximal chains.  Sizes below
+    2 or above ORACLE_SIZE_CAP, a negative number or more than CHAIN_TRIAL_CAP of chain
     trials and a corpus of more than ORACLE_PAIR_BUDGET pairs
     (enumerate_ideals stops past its square root) are refused.
 
@@ -300,8 +300,8 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
         raise ValueError("chain trials must be >= 0")
     if chain_trials > CHAIN_TRIAL_CAP:
         raise CapExceeded(f"{chain_trials} chain trials exceed cap {CHAIN_TRIAL_CAP}")
+    corpus = enumerate_ideals(l, max_exp)  # refuses l < 2 before cycle_structure(l)
     cs = cycle_structure(l)
-    corpus = enumerate_ideals(l, max_exp)
     divisors = [divisor_of(A) for A in corpus]
     report: dict = {
         "ring_size": l,

@@ -1,6 +1,7 @@
 """Capture the output pinned by tests/test_golden.py.
 
-Writes tring.json, zs.json, readme.json and div.json next to this file:
+Writes tring.json, zs.json, readme.json, div.json and quad.json next to
+this file:
 each command's name, argv and exact stdout, and the text of every file the
 command writes into its working directory.  Writes usage.json: the help
 texts and usage errors, each with its exit code, stdout and stderr, at a
@@ -149,6 +150,26 @@ def div_argvs():
     return out
 
 
+# elements for `quad factor`: the README example, prime powers, elements
+# with several factorizations and large composite norms
+QUAD_FACTOR_ELEMENTS = ["8", "4", "16", "27", "1+3*w", "-5+2*w", "720", "840", "998", "1000"]
+# norms for `quad atoms --norm`: with no element (2), with atoms only (6, 8,
+# 12) and with non-atoms only (24 to 72)
+QUAD_ATOM_NORMS = [2, 6, 8, 12, 24, 36, 64, 72]
+
+
+def quad_argvs():
+    """(name, argv) of every pinned `quad` command, human and --json."""
+    out = []
+    for text in QUAD_FACTOR_ELEMENTS:
+        # "--" ends the options, so "-5+2*w" is read as the element
+        out.append((f"factor-{text}", ["quad", "factor", "--", text]))
+    for n in QUAD_ATOM_NORMS:
+        out.append((f"atoms-norm-{n}", ["quad", "atoms", "--norm", str(n)]))
+    return [case for name, argv in out
+            for case in ((name, argv), (f"{name}-json", ["--json"] + argv))]
+
+
 # every family and its leaves, in the order the parser registers them
 LEAVES = {"zs": ["atoms", "factor", "lengths", "davenport", "hfwitness"],
           "quad": ["factor", "atoms", "norm"],
@@ -184,7 +205,8 @@ def usage_argvs():
 
 
 GOLDEN_FILES = {"tring.json": tring_argvs, "zs.json": zs_argvs,
-                "readme.json": readme_argvs, "div.json": div_argvs}
+                "readme.json": readme_argvs, "div.json": div_argvs,
+                "quad.json": quad_argvs}
 
 
 @contextlib.contextmanager

@@ -362,6 +362,10 @@ HUGE = "99999999999999999999"
      "the word search exceeds its budget: visited 200000 states, reached length 200000"),
     (["div", "factor", "--cycles", "Q1>Q2>Q3", "Q2", "--max-len", HUGE],
      "the word search exceeds its budget: visited 200000 states, reached length 200000"),
+    (["div", "factor", "--cycles", ">".join(f"Q{i}" for i in range(1, 17)),
+      "+".join(f"2Q{i}" for i in range(1, 17))],
+     "the word search exceeds its budget: 1800000 label steps over 16 labels, "
+     "reached length 5"),
     (["div", "render", "--cycles", "Q1>Q2>Q3", "--divisor", HUGE + "Q1", "--out", "fig.svg"],
      f"divisor of total count {HUGE} exceeds the drawing cap 10000"),
     (["div", "render", "--cycles", "Q1>Q2>Q3", "--divisor", "Q1", "--out", "missing/fig.svg"],
@@ -372,6 +376,8 @@ HUGE = "99999999999999999999"
     (["tring", "oracle", "--trials", HUGE], f"{HUGE} chain trials exceed cap 100"),
     (["tring", "oracle", "--trials", "-5"], "chain trials must be >= 0"),
     (["tring", "oracle", "--max-exp", "-1"], "max_exp must be >= 0"),
+    (["tring", "oracle", "--size", "0"], "triangular order needs size l >= 2"),
+    (["tring", "oracle", "--size", "-1"], "triangular order needs size l >= 2"),
     (["tring", "mul", "[" * 100_000], "expected a JSON array of integer rows"),
     (["quad", "atoms", "1000024+1*w"], "norm 1000049000606 exceeds cap 1000000"),
     (["quad", "atoms", "2", "3", "--norm", "4"], "give elements or --norm N, not both"),
@@ -386,10 +392,12 @@ HUGE = "99999999999999999999"
     (["zs", "hfwitness", "--group", "3", "--max-len", "6", "--elements", "1^1^1"],
      "bad multiplicity in '1^1^1'"),
     (["zs", "hfwitness", "--group", "3", "--max-len", "-1"], "max_len must be >= 0"),
-], ids=["div-factor-huge-count", "div-factor-huge-max-len", "div-render-huge-count",
+], ids=["div-factor-huge-count", "div-factor-huge-max-len", "div-factor-16-labels",
+        "div-render-huge-count",
         "div-render-missing-dir", "div-render-onto-dir", "tring-oracle-huge-size",
         "tring-oracle-huge-trials", "tring-oracle-negative-trials",
-        "tring-oracle-negative-max-exp", "tring-mul-deep-json", "quad-atoms-huge-norm",
+        "tring-oracle-negative-max-exp", "tring-oracle-size-0", "tring-oracle-size-minus-1",
+        "tring-mul-deep-json", "quad-atoms-huge-norm",
         "quad-atoms-elements-and-norm", "quad-atoms-neither",
         "quat-zero-divisor",
         "zs-lengths-huge-multiplicity", "zs-lengths-bad-multiplicity",

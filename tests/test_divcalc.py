@@ -252,6 +252,28 @@ def test_word_search_budget(monkeypatch):
         enumerate_factorizations_ex(CS3, div("Q2"), 10**20)
 
 
+def test_word_search_charges_labels_squared_per_new_partial(monkeypatch):
+    # over 12 labels each newly expanded partial costs 144 label steps,
+    # against 9 steps per state of the budget
+    cs = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 13)))
+    Q1 = cs.indicator("Q1")
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 16)
+    assert enumerate_factorizations_ex(cs, Q1, 1) == ([["Q1"]], False)
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 15)
+    with pytest.raises(CapExceeded, match=r"^the word search exceeds its budget: "
+                                          r"135 label steps over 12 labels, reached length 0$"):
+        enumerate_factorizations_ex(cs, Q1, 1)
+    # a second level expands Q1 too: 288 steps.  Q1 is idempotent, so a
+    # third level holds Q1 again, which is not charged twice
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 32)
+    assert enumerate_factorizations_ex(cs, Q1, 3) == (
+        [["Q1"], ["Q1", "Q1"], ["Q1", "Q1", "Q1"]], False)
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 31)
+    with pytest.raises(CapExceeded, match="^the word search exceeds its budget: "
+                                          "279 label steps over 12 labels, reached length 1$"):
+        enumerate_factorizations_ex(cs, Q1, 2)
+
+
 BRUTE_MAX_LEN = 6
 
 

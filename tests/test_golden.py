@@ -24,6 +24,11 @@ wrote.
 - `div.json`: `div factor` with its default length bound on seeded
   realizable divisors over a 3-cycle, a 4-cycle and a 3-cycle beside a
   1-cycle, in human mode and with `--json`.
+- `quad.json`: `quad factor` on ten elements, among them elements with
+  several factorizations and norms up to 10^6 (720, 840, 998, 1000), and
+  `quad atoms --norm` on eight norms, in human mode and with `--json`.  They
+  were captured while `element_factorizations` still trial-divided by every
+  norm up to N(x), so they pin the divisor-pair scan that replaced it.
 - `usage.json`: the top-level help, the 5 family helps and the 17 leaf
   helps, and usage errors: no family, an unknown family, each family with
   no leaf or an unknown one, missing and malformed arguments and an extra
@@ -63,8 +68,8 @@ def load(name):
     return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
 
 
-TRING, ZS, README, DIV, USAGE = map(load, ("tring.json", "zs.json", "readme.json", "div.json",
-                                          "usage.json"))
+TRING, ZS, README, DIV, QUAD, USAGE = map(load, ("tring.json", "zs.json", "readme.json",
+                                                "div.json", "quad.json", "usage.json"))
 
 
 def test_golden_covers_every_command():
@@ -79,6 +84,9 @@ def test_golden_covers_every_command():
     assert [c["name"] for c in README if "files" in c] == [
         "div-render-1", "div-render-1-json", "div-render-2", "div-render-2-json"]
     assert len(DIV) == 12
+    # 10 `quad factor` and 8 `quad atoms --norm` cases, each human and --json
+    assert len(QUAD) == 36
+    assert [c["name"] for c in QUAD][-2:] == ["atoms-norm-72", "atoms-norm-72-json"]
     # 23 helps, exit 0, and 21 usage errors, exit 2
     assert [c["exit"] for c in USAGE] == [0] * 23 + [2] * 21
 
@@ -113,6 +121,12 @@ def test_readme_output_matches_golden(case, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("case", DIV, ids=lambda c: c["name"])
 def test_div_factor_output_matches_golden(case, tmp_path, monkeypatch, capsys):
     check_case(case, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("case", QUAD, ids=lambda c: c["name"])
+def test_quad_output_matches_golden(case, capsys):
+    assert main(case["argv"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
 
 
 @pytest.mark.parametrize("case", USAGE, ids=lambda c: c["name"])

@@ -11,11 +11,6 @@ SRC = Path(nufact.__file__).resolve().parent
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFS = FUNCS + (ast.ClassDef,)
 
-# at most 10 calls deep: every atom has norm >= 4, so a factorization of an
-# element under quadring.NORM_CAP = 10**6 has at most 9 atoms
-ALLOWED = {"quadring.element_factorizations.rec"}
-
-
 def own_nodes(node):
     """The nodes inside a definition, not looking into nested definitions."""
     stack = list(ast.iter_child_nodes(node))
@@ -81,7 +76,7 @@ def recursive_functions(source):
 def test_no_function_reaches_itself():
     found = {f"{path.stem}.{name}" for path in SRC.glob("*.py")
              for name in recursive_functions(path.read_text())}
-    assert found == ALLOWED
+    assert found == set()
 
 
 CONTROL = '''

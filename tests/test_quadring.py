@@ -1,3 +1,4 @@
+import inspect
 import math
 from collections import Counter
 
@@ -104,18 +105,21 @@ def test_is_atom_cap(monkeypatch):
     assert not is_atom(QuadInt(8, 0))
 
 
+def brute_is_atom(x):
+    """Independent atom test: no element of norm strictly between 1 and
+    norm(x) divides x."""
+    n = norm(x)
+    return not any(divides(y, x) is not None
+                   for d in range(2, n) if n % d == 0 for y in elements_of_norm(d))
+
+
 def test_is_atom_matches_a_full_divisor_scan():
     # is_atom scans divisor norms up to sqrt(N); this oracle scans up to N
-    def full_scan(x):
-        n = norm(x)
-        return not any(divides(y, x) is not None
-                       for d in range(2, n) if n % d == 0 for y in elements_of_norm(d))
-
     verdicts = Counter()
     for n in range(2, 2001):
         for x in elements_of_norm(n):
             atom = is_atom(x)
-            assert atom == full_scan(x), x
+            assert atom == brute_is_atom(x), x
             verdicts[atom] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100
 
@@ -148,8 +152,10 @@ def test_factorization_of_four():
 
 
 def brute_force_factorizations(x):
-    """Independent enumeration: find atom divisors by norm scan, then take
-    each with every feasible multiplicity in index order."""
+    """Independent enumeration: find the atom divisors by a scan of every
+    norm up to N(x), then take each with every feasible multiplicity in
+    (norm, coordinates) order.  Lists the factorizations as
+    element_factorizations orders them."""
     n = norm(x)
     cands = set()
     for d in range(2, n + 1):
@@ -157,14 +163,14 @@ def brute_force_factorizations(x):
             continue
         for y in elements_of_norm(d):
             y = canonical_associate(y)
-            if divides(y, x) is not None and is_atom(y):
+            if divides(y, x) is not None and brute_is_atom(y):
                 cands.add(y)
     cands = sorted(cands, key=lambda y: (norm(y), y.a, y.b))
-    out = set()
+    out = []
 
     def rec(i, rest, parts):
         if norm(rest) == 1:
-            out.add(tuple(sorted(parts)))
+            out.append(tuple(parts))
             return
         if i == len(cands):
             return
@@ -174,7 +180,7 @@ def brute_force_factorizations(x):
             rec(i, q, parts + [cands[i]])
 
     rec(0, x, [])
-    return out
+    return sorted(out, key=lambda F: (len(F), [(norm(y), y.a, y.b) for y in F]))
 
 
 @pytest.mark.parametrize("x", [
@@ -182,8 +188,32 @@ def brute_force_factorizations(x):
     QuadInt(27, 0), QuadInt(1, 3), QuadInt(-5, 2), QuadInt(12, 0),
 ])
 def test_factorizations_match_independent_enumeration(x):
-    got = {tuple(sorted(F)) for F in element_factorizations(x)}
-    assert got == brute_force_factorizations(x)
+    assert element_factorizations(x) == brute_force_factorizations(x)
+
+
+# one associate of every element of norm 2..1000; the units are tested apart
+CANONICAL_UP_TO_1000 = sorted({canonical_associate(x)
+                               for n in range(2, 1001) for x in elements_of_norm(n)})
+
+
+def test_factorizations_match_brute_force_up_to_norm_1000():
+    assert len(CANONICAL_UP_TO_1000) == 658
+    for x in CANONICAL_UP_TO_1000:
+        assert element_factorizations(x) == brute_force_factorizations(x), x
+
+
+def test_divisor_pairs_without_cofactors_miss_factorizations():
+    # negative control: a copy of _divisor_pairs that yields only the small
+    # divisor y misses the atoms of norm above sqrt(N), and must disagree
+    namespace = dict(vars(quadring))
+    source = inspect.getsource(quadring._divisor_pairs)
+    assert "yield y, q\n" in source
+    exec(source.replace("yield y, q\n", "yield (y,)\n"), namespace)
+    exec(inspect.getsource(quadring.element_factorizations), namespace)
+    broken = namespace["element_factorizations"]
+    wrong = [x for x in CANONICAL_UP_TO_1000
+             if broken(x) != brute_force_factorizations(x)]
+    assert wrong[0] == QuadInt(0, 2) and len(wrong) == 299
 
 
 def test_factorizations_multiply_back_up_to_sign():
