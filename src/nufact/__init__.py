@@ -9,7 +9,8 @@ cross-validates the calculus.
 
 Importing the package is cheap: each submodule is registered in sys.modules
 by a LazyLoader and its body runs on first attribute access, so a command
-runs only the modules it uses.
+runs only the modules it uses.  The package's one error type,
+`CapExceeded`, is defined here, so raising it runs no other module.
 """
 
 import importlib.util
@@ -17,6 +18,10 @@ import sys
 
 __all__ = ["abelian", "divcalc", "quadring", "quatcheck", "tring", "zerosum"]
 __version__ = "0.1.0"
+
+
+class CapExceeded(ValueError):
+    """An enumeration would exceed a size cap or a budget of work."""
 
 
 def _lazy(name: str):

@@ -17,11 +17,9 @@ from __future__ import annotations
 import itertools
 from math import prod
 
+from . import CapExceeded
+
 ELEMENT_CAP = 10**6
-
-
-class CapExceeded(ValueError):
-    """An enumeration would exceed a size cap or a budget of work."""
 
 
 def _ints(values, what: str) -> tuple[int, ...]:

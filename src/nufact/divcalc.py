@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from operator import le
 
-from .abelian import CapExceeded
+from . import CapExceeded
 
 LETTER_CAP = 2_000_000
 # search states (partial products, one per level they occur on) the word
@@ -91,7 +91,7 @@ class CycleStructure:
 
     def indicator(self, label: str) -> tuple[int, ...]:
         i = self.index(label)
-        return tuple(int(j == i) for j in range(len(self._succ)))
+        return (0,) * i + (1,) + (0,) * (len(self._succ) - 1 - i)
 
     # -- divisor text syntax: "2Q1+Q3", "Q2", "0" --------------------------
 
@@ -212,7 +212,7 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
     if not is_realizable(cs, D):
         raise ValueError("divisor is not realizable; it has no factorization")
     labels = cs.labels()
-    indicators = [cs.indicator(p) for p in labels]
+    indicators: list = []
     zero = cs.zero()
     moves: dict = {}
 
@@ -230,7 +230,9 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
     # every level is empty, so the levels stop there.
     # Expanding a new partial costs one compose per label, each over every
     # label: it is charged len(labels)**2 steps before its moves are built,
-    # against the budget at 3 labels, 9 steps per state.
+    # against the budget at 3 labels, 9 steps per state.  The indicators,
+    # len(labels)**2 counts, are built on the first expansion, once its
+    # charge has passed.
     levels = [{zero}]
     visited = 1
     steps = 0
@@ -240,6 +242,7 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
             raise CapExceeded(
                 f"the word search exceeds its budget: {9 * WORD_SEARCH_BUDGET} label "
                 f"steps over {len(labels)} labels, reached length {len(levels) - 1}")
+        indicators = indicators or [cs.indicator(p) for p in labels]
         levels.append({nxt for p in levels[-1] for _, nxt in successors(p)})
         visited += len(levels[-1])
         if visited > WORD_SEARCH_BUDGET:

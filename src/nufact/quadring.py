@@ -14,7 +14,7 @@ import math
 import re
 from collections import namedtuple
 
-from .abelian import CapExceeded
+from . import CapExceeded
 
 NORM_CAP = 10**6
 

@@ -23,9 +23,9 @@ import itertools
 import json
 import math
 import random
-from operator import add, sub
+from operator import add, ge, sub
 
-from .abelian import CapExceeded
+from . import CapExceeded
 from .divcalc import CycleStructure, compose, is_realizable
 
 # the oracle's largest ring (T(32) with exponents <= 0 takes about 0.3 s)
@@ -63,7 +63,7 @@ def _pair(A, B) -> tuple[Matrix, Matrix]:
 
 def _geq(A: Matrix, B: Matrix) -> bool:
     """Entrywise A >= B."""
-    return all(x >= y for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+    return all(map(ge, itertools.chain.from_iterable(A), itertools.chain.from_iterable(B)))
 
 
 def _bump(A: Matrix, i: int, j: int) -> Matrix:
@@ -175,11 +175,18 @@ def _chain_divisor(A: Matrix, rng: random.Random | None) -> tuple[int, ...]:
     is not validated, and record, for each step, the unique maximal ideal P
     with P * (previous link) inside the next link.  With rng=None every step
     takes the lexicographically least cover; an rng picks uniformly among
-    the covers.  The test oracle for divisor_of; its cost grows with A."""
+    the covers.  The test oracle for divisor_of; its cost grows with A.
+
+    Row r of a product depends only on row r of its left factor, and each
+    maximal ideal differs from the ring matrix t in one row.  So a step forms
+    t * e once and each P * e from it, with the rows where P differs from t
+    recomputed: exact products, one full product per step instead of l."""
     l = len(A)
+    t = ring_matrix(l)
     maxi = maximal_ideals(l)
+    changed = [[r for r in range(l) if Q[r] != t[r]] for Q in maxi]
     counts = [0] * l
-    e = ring_matrix(l)
+    e = t
     while e != A:
         candidates = _bump_candidates(e, A)
         if not candidates:
@@ -189,7 +196,15 @@ def _chain_divisor(A: Matrix, rng: random.Random | None) -> tuple[int, ...]:
         else:
             i, j = candidates[rng.randrange(len(candidates))]
         f = _bump(e, i, j)
-        hits = [idx for idx, Q in enumerate(maxi) if _geq(_mul(Q, e), f)]
+        te = _mul(t, e)
+        cols = tuple(zip(*e))
+        hits = []
+        for idx, (Q, rows) in enumerate(zip(maxi, changed)):
+            Qe = list(te)
+            for r in rows:
+                Qe[r] = tuple(min(map(add, Q[r], col)) for col in cols)
+            if _geq(Qe, f):
+                hits.append(idx)
         if len(hits) != 1:
             raise RuntimeError(
                 f"chain step admits {len(hits)} maximal ideals; expected exactly one")
@@ -319,21 +334,27 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
 
     # homomorphism: divisor of a product = composition of divisors.  Row i
     # of A*B depends only on row i of A and on B, so each distinct corpus row
-    # is multiplied by each B once, and A*B is assembled from those rows.
-    # The corpus is enumerated, so its products skip input validation; each
-    # distinct product is validated once, by divisor_of.
+    # is multiplied by each B once.  Each distinct product row gets a small
+    # int id, by_row[r][b] that of row r times corpus[b], and the ids of A's
+    # rows, zipped across the B's, give the key of every A*B at once.  The
+    # corpus is enumerated, so its products skip input validation; each
+    # distinct product is rebuilt from its key and validated once, by
+    # divisor_of.
     rows: dict = {}
     row_ids = [tuple(rows.setdefault(r, len(rows)) for r in A) for A in corpus]
     distinct_rows = tuple(rows)
-    row_products = [_mul(distinct_rows, B) for B in corpus]
+    products: dict = {}
+    by_row = list(zip(*([products.setdefault(p, len(products)) for p in _mul(distinct_rows, B)]
+                        for B in corpus)))
+    product_rows = tuple(products)
     bad = None
     product_divisors: dict = {}
     for A, ids, DA in zip(corpus, row_ids, divisors):
-        for B, products, DB in zip(corpus, row_products, divisors):
-            C = tuple(map(products.__getitem__, ids))
-            got = product_divisors.get(C)
+        for B, key, DB in zip(corpus, zip(*map(by_row.__getitem__, ids)), divisors):
+            got = product_divisors.get(key)
             if got is None:
-                got = product_divisors[C] = divisor_of(C)
+                got = product_divisors[key] = divisor_of(
+                    tuple(map(product_rows.__getitem__, key)))
             want = compose(cs, DA, DB)
             if got != want:
                 bad = {

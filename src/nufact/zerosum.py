@@ -37,7 +37,8 @@ import itertools
 from math import prod
 from operator import le, sub
 
-from .abelian import CapExceeded, FinAbGroup, enumerate_elements, format_element
+from . import CapExceeded
+from .abelian import FinAbGroup, enumerate_elements, format_element
 
 SEQ_CAP = 24
 GROUP_CAP = 64

@@ -35,6 +35,14 @@ DEMOS = ["divisor_diagrams", "zero_sum_sequences", "quadratic_order",
 
 # (3, 10) is the largest corpus below the pair budget, 284 ideals
 ORACLE_SIZES = [(3, 2), (2, 10), (4, 1), (3, 10)]
+# (name, oracle flags), each in human mode and with --json: two more
+# sizes, and a non-default seed with the most chain trials
+ORACLE_EXTRA = [
+    ("3-3", ["--size", "3", "--max-exp", "3"]),
+    ("3-4", ["--size", "3", "--max-exp", "4"]),
+    ("2-10-seed1-trials100", ["--size", "2", "--max-exp", "10", "--seed", "1", "--trials", "100"]),
+    ("4-1-seed1-trials100", ["--size", "4", "--max-exp", "1", "--seed", "1", "--trials", "100"]),
+]
 # (ring size, number of maximal-ideal factors, word seed)
 DEEP_PRODUCTS = [(3, 90, 3), (4, 60, 4), (5, 40, 5)]
 
@@ -59,6 +67,9 @@ def tring_argvs():
             ["--json", "tring", "oracle", "--size", str(l), "--max-exp", str(e)])
            for l, e in ORACLE_SIZES]
     out.append(("oracle-3-10-human", ["tring", "oracle", "--size", "3", "--max-exp", "10"]))
+    for name, argv in ORACLE_EXTRA:
+        argv = ["tring", "oracle", *argv]
+        out += [(f"oracle-{name}-human", argv), (f"oracle-{name}", ["--json", *argv])]
     out.append(("divisor-readme",
                 ["--json", "tring", "divisor", "[[1,1,1],[0,1,1],[0,0,1]]"]))
     for l, k, seed in DEEP_PRODUCTS:

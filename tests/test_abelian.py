@@ -70,10 +70,11 @@ def test_enumerate_cap(monkeypatch):
 
 
 def test_one_cap_error_type():
+    import nufact
     from nufact import abelian, divcalc, quadring, tring, zerosum
 
-    assert abelian.CapExceeded is divcalc.CapExceeded is quadring.CapExceeded \
-        is tring.CapExceeded is zerosum.CapExceeded
+    assert nufact.CapExceeded is abelian.CapExceeded is divcalc.CapExceeded \
+        is quadring.CapExceeded is tring.CapExceeded is zerosum.CapExceeded
     assert issubclass(CapExceeded, ValueError)
 
 

@@ -366,6 +366,10 @@ HUGE = "99999999999999999999"
       "+".join(f"2Q{i}" for i in range(1, 17))],
      "the word search exceeds its budget: 1800000 label steps over 16 labels, "
      "reached length 5"),
+    (["div", "factor", "--cycles", ">".join(f"Q{i}" for i in range(1, 2001)), "Q1",
+      "--max-len", "2"],
+     "the word search exceeds its budget: 1800000 label steps over 2000 labels, "
+     "reached length 0"),
     (["div", "render", "--cycles", "Q1>Q2>Q3", "--divisor", HUGE + "Q1", "--out", "fig.svg"],
      f"divisor of total count {HUGE} exceeds the drawing cap 10000"),
     (["div", "render", "--cycles", "Q1>Q2>Q3", "--divisor", "Q1", "--out", "missing/fig.svg"],
@@ -393,7 +397,7 @@ HUGE = "99999999999999999999"
      "bad multiplicity in '1^1^1'"),
     (["zs", "hfwitness", "--group", "3", "--max-len", "-1"], "max_len must be >= 0"),
 ], ids=["div-factor-huge-count", "div-factor-huge-max-len", "div-factor-16-labels",
-        "div-render-huge-count",
+        "div-factor-2000-labels", "div-render-huge-count",
         "div-render-missing-dir", "div-render-onto-dir", "tring-oracle-huge-size",
         "tring-oracle-huge-trials", "tring-oracle-negative-trials",
         "tring-oracle-negative-max-exp", "tring-oracle-size-0", "tring-oracle-size-minus-1",

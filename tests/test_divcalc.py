@@ -274,6 +274,28 @@ def test_word_search_charges_labels_squared_per_new_partial(monkeypatch):
         enumerate_factorizations_ex(cs, Q1, 2)
 
 
+def test_word_search_builds_its_indicators_after_the_first_charge(monkeypatch):
+    # a search with no expansion, or refused at its first, builds none of
+    # the 2,000 indicators of 2,000 counts each
+    cs = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 2001)))
+    Q1 = cs.indicator("Q1")
+    built = []
+    monkeypatch.setattr(cs, "indicator", built.append)
+    assert enumerate_factorizations_ex(cs, Q1, 0) == ([], True)
+    with pytest.raises(CapExceeded, match="^the word search exceeds its budget: 1800000 "
+                                          "label steps over 2000 labels, reached length 0$"):
+        enumerate_factorizations_ex(cs, Q1, 2)
+    assert built == []
+    # a search that expands builds each indicator once
+    cs = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 13)))
+    indicator = cs.indicator
+    assert [indicator(p) for p in cs.labels()] == [
+        tuple(int(j == i) for j in range(12)) for i in range(12)]
+    monkeypatch.setattr(cs, "indicator", lambda p: built.append(p) or indicator(p))
+    assert enumerate_factorizations_ex(cs, indicator("Q1"), 3)[0][0] == ["Q1"]
+    assert built == cs.labels()
+
+
 BRUTE_MAX_LEN = 6
 
 

@@ -5,12 +5,17 @@ gave when captured by `golden/capture.py`, and the text of any file it
 wrote.
 
 - `tring.json`: `tring oracle` at four sizes, the largest of them, T(3)
-  with exponents up to 10, also in human mode; the README `tring divisor`
+  with exponents up to 10, also in human mode; at T(3) with exponents up
+  to 3 and 4, and with `--seed 1 --trials 100` at T(2) up to 10 and T(4)
+  up to 1, each in human mode and with `--json`; the README `tring divisor`
   example and `tring divisor` on three deep products of maximal ideals.  The
   divisors in it were read off lexicographic chain walks, so they pin any
   other way of computing them.  T(3) up to 10 was captured from the older
   enumeration over a box of candidate matrices, so it pins the one that
-  replaced it.
+  replaced it.  The extra sizes and seeds were captured while each chain
+  step still formed l full products and each corpus product was keyed by
+  its matrix, so they pin the shared step product and the integer keys
+  that replaced them.
 - `zs.json`: `zs atoms` and `zs davenport` on fifteen small groups, `zs
   davenport` on nine larger ones (up to order 32), `zs atoms` on ten larger
   ones (up to order 24) and on ground sets in Z/24 and Z/64, `zs factor` and
@@ -75,6 +80,9 @@ TRING, ZS, README, DIV, QUAD, USAGE = map(load, ("tring.json", "zs.json", "readm
 def test_golden_covers_every_command():
     assert [c["name"] for c in TRING] == [
         "oracle-3-2", "oracle-2-10", "oracle-4-1", "oracle-3-10", "oracle-3-10-human",
+        "oracle-3-3-human", "oracle-3-3", "oracle-3-4-human", "oracle-3-4",
+        "oracle-2-10-seed1-trials100-human", "oracle-2-10-seed1-trials100",
+        "oracle-4-1-seed1-trials100-human", "oracle-4-1-seed1-trials100",
         "divisor-readme",
         "divisor-T3-product-90", "divisor-T4-product-60", "divisor-T5-product-40"]
     assert len(ZS) == 63

@@ -224,6 +224,49 @@ def test_row_sum_divisor_matches_lex_chain_walk(l, max_exp):
         assert _chain_divisor(A, None) == divisor_of(A)
 
 
+def l_products_chain_divisor(A, rng):
+    """The chain walk with l full products per step: each step labels
+    itself by forming P * e for every maximal ideal P."""
+    l = len(A)
+    maxi = maximal_ideals(l)
+    counts = [0] * l
+    e = ring_matrix(l)
+    while e != A:
+        candidates = _bump_candidates(e, A)
+        i, j = candidates[0] if rng is None else candidates[rng.randrange(len(candidates))]
+        f = _bump(e, i, j)
+        hits = [idx for idx, Q in enumerate(maxi)
+                if all(x >= y for rq, rf in zip(mul(Q, e), f) for x, y in zip(rq, rf))]
+        assert len(hits) == 1
+        counts[hits[0]] += 1
+        e = f
+    return tuple(counts)
+
+
+CHAIN_CORPORA = [(2, 6), (3, 3), (4, 1)]
+
+
+@pytest.mark.parametrize("l, max_exp", CHAIN_CORPORA)
+def test_shared_step_product_matches_l_products(l, max_exp):
+    # the same covers, hence the same rng draws, on both sides
+    for A in enumerate_ideals(l, max_exp):
+        for seed in (None, 3, 11):
+            assert _chain_divisor(A, seed and random.Random(seed)) == \
+                l_products_chain_divisor(A, seed and random.Random(seed))
+
+
+def test_shared_step_product_negative_control():
+    # a copy that takes every row of P * e from t * e finds no label
+    src = inspect.getsource(_chain_divisor)
+    line = "Qe[r] = tuple(min(map(add, Q[r], col)) for col in cols)"
+    assert src.count(line) == 1
+    namespace = dict(vars(tring))
+    exec(src.replace(line, "Qe[r] = te[r]"), namespace)
+    for l, max_exp in CHAIN_CORPORA:
+        with pytest.raises(RuntimeError, match="^chain step admits 0 maximal ideals"):
+            namespace["_chain_divisor"](enumerate_ideals(l, max_exp)[-1], None)
+
+
 @pytest.mark.parametrize("A", [
     [[0, 1], [0, 1]],
     [[1, 1, 1], [0, 1, 1], [0, 0, 1]],
@@ -360,6 +403,39 @@ def test_oracle_reports_the_a_major_first_failing_pair(monkeypatch):
     assert calls == 7 * 44 + 21  # the loop stops at the first failing pair
     assert [name for name, p in report["properties"].items() if not p["pass"]] == [
         "homomorphism"]
+
+
+@pytest.mark.parametrize("l, max_exp, calls", [(2, 10, 177), (3, 3, 227), (3, 4, 317),
+                                               (4, 1, 152)])
+def test_oracle_validates_each_corpus_ideal_and_distinct_product_once(
+        monkeypatch, l, max_exp, calls):
+    corpus = enumerate_ideals(l, max_exp)
+    distinct = set(map(mul, *zip(*itertools.product(corpus, repeat=2))))
+    seen = []
+
+    def counting(A):
+        seen.append(A)
+        return divisor_of(A)
+
+    monkeypatch.setattr(tring, "divisor_of", counting)
+    assert oracle_report(l=l, max_exp=max_exp, chain_trials=0)["all_pass"]
+    assert len(seen) == len(corpus) + len(distinct) == calls
+    assert seen[:len(corpus)] == corpus
+    assert set(seen[len(corpus):]) == distinct
+
+
+@pytest.mark.parametrize("l, max_exp", [(3, 2), (2, 4), (4, 1)])
+def test_product_key_negative_control(l, max_exp):
+    # a copy whose cache key drops the product's last row id reuses one
+    # product's divisor for another
+    src = inspect.getsource(oracle_report)
+    assert src.count("product_divisors.get(key)") == src.count("product_divisors[key]") == 1
+    namespace = dict(vars(tring))
+    exec(src.replace("product_divisors.get(key)", "product_divisors.get(key[:-1])")
+         .replace("product_divisors[key]", "product_divisors[key[:-1]]"), namespace)
+    report = namespace["oracle_report"](l=l, max_exp=max_exp, chain_trials=0)
+    assert not report["properties"]["homomorphism"]["pass"]
+    assert oracle_report(l=l, max_exp=max_exp, chain_trials=0)["all_pass"]
 
 
 def cover_disagreements(candidates, l, max_exp):
