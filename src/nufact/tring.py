@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import random
 from operator import add, ge, sub
@@ -240,50 +239,31 @@ def enumerate_ideals(l: int, max_exp: int) -> list[Matrix]:
     in lexicographic order of the exponent rows; more than
     isqrt(ORACLE_PAIR_BUDGET) of them are refused at the first one too many.
 
-    A depth-first fill in row-major order: each new cell's value range is
-    cut down by the closure inequalities t[i][j] + a[j][k] >= a[i][k] and
-    a[i][j] + t[j][k] >= a[i][k] against the cells already filled, so every
-    completed matrix is an ideal.  The fill has no dead ends either: every
-    bound on a cell comes from filled cells, and each lower bound is at most
-    each upper bound by closure among them and t[i][k] <= t[i][j] + t[j][k].
-    So the search visits at most l*l nodes per ideal, and counting ideals
-    bounds its work.  A negative max_exp is refused.
+    Every ideal A in the box lies on a maximal chain of covers from the
+    ring whose links all lie below A, hence in the box; `_chain_divisor`
+    walks such chains.  So a walk that expands each ideal it finds once by
+    its covers in the box, `_bump_candidates(e, top)`, finds them all, and
+    counting ideals bounds its work.  A negative max_exp is refused.
     """
     if max_exp < 0:
         raise ValueError("max_exp must be >= 0")
     t = ring_matrix(l)
+    top = tuple(tuple(max(v, max_exp) for v in row) for row in t)
     limit = math.isqrt(ORACLE_PAIR_BUDGET)
-    a = [[0] * l for _ in range(l)]
-
-    def values(pos: int) -> range:
-        p, q = divmod(pos, l)
-        lo = max([t[p][q]]
-                 + [a[i][q] - t[i][p] for i in range(p)]
-                 + [a[p][k] - t[q][k] for k in range(q)])
-        hi = min([max(t[p][q], max_exp)]
-                 + [t[p][j] + a[j][q] for j in range(p)]
-                 + [a[p][j] + t[j][q] for j in range(q)])
-        return range(lo, hi + 1)
-
-    out = []
-    stack = [iter(values(0))]
+    seen = {t}
+    stack = [t]
     while stack:
-        pos = len(stack) - 1
-        v = next(stack[-1], None)
-        if v is None:
-            stack.pop()
-            continue
-        p, q = divmod(pos, l)
-        a[p][q] = v
-        if pos + 1 == l * l:
-            if len(out) == limit:
-                raise CapExceeded(f"T({l}) with exponents <= {max_exp} has more than {limit} "
-                                  f"ideals; the oracle's pair budget {ORACLE_PAIR_BUDGET} "
-                                  f"admits at most {limit}")
-            out.append(tuple(map(tuple, a)))
-        else:
-            stack.append(iter(values(pos + 1)))
-    return out
+        e = stack.pop()
+        for i, j in _bump_candidates(e, top):
+            f = _bump(e, i, j)
+            if f not in seen:
+                if len(seen) == limit:
+                    raise CapExceeded(f"T({l}) with exponents <= {max_exp} has more than {limit} "
+                                      f"ideals; the oracle's pair budget {ORACLE_PAIR_BUDGET} "
+                                      f"admits at most {limit}")
+                seen.add(f)
+                stack.append(f)
+    return sorted(seen)
 
 
 # ----------------------------------------------------------------------
@@ -414,6 +394,8 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
 # matrix I/O: JSON rows for machine use, the bracket style for humans
 
 def parse_matrix(text: str) -> Matrix:
+    import json  # here, so only a command that reads a matrix loads it
+
     try:
         rows = json.loads(text)
     except (json.JSONDecodeError, RecursionError):

@@ -27,7 +27,9 @@ order GROUP_CAP = 64 for atoms, davenport and the witness search.  The atoms
 and the Davenport constant come from searches over subset-sum bitmasks,
 which budgets of work bound as well: they finish on every group of order up
 to 26 and 32 respectively.  The half-factoriality witness search has a
-budget of candidate sequences.
+budget of candidate sequences, and the factorization walk one of
+candidate atoms tested, so every length the length cap admits is answered
+or refused in seconds.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ ATOM_BUDGET = 300_000
 # candidate sequences the half-factoriality witness search may scan, for
 # groups up to order 64: at most about 0.5 s in process, over Z/17, Z/19, Z/23
 WITNESS_BUDGET = 50_000
+# candidate atoms one factorization search may test: twelve non-zero elements
+# of (Z/2)^4, each twice, test up to 2.2 million in about 3 s in process
+FACTORIZATION_BUDGET = 2_500_000
 
 
 def _expanded(S) -> tuple:
@@ -265,7 +270,10 @@ def factorizations(G: FinAbGroup, S) -> list[tuple]:
     taken in non-decreasing canonical order, each from the run of atoms whose
     least element is the smallest remaining one, so each factorization is
     listed once.  The explicit stack frees the length of S from the
-    recursion limit.
+    recursion limit.  Each state charges the candidate atoms it will test,
+    its run from the index of the last part on, to FACTORIZATION_BUDGET
+    before it tests them; past the budget the walk stops with CapExceeded
+    and its progress.
     """
     counts: dict = {}
     for c, m in S:
@@ -286,6 +294,7 @@ def factorizations(G: FinAbGroup, S) -> list[tuple]:
     runs = [sum(any(A[:g]) for A in vectors) for g in range(len(support) + 1)]
 
     results = []  # each factorization as its non-decreasing atom indices
+    tested = 0
     stack = [(have, 0, ())]
     while stack:
         rest, first, parts = stack.pop()
@@ -293,7 +302,13 @@ def factorizations(G: FinAbGroup, S) -> list[tuple]:
             results.append(parts)
             continue
         g = next(i for i, m in enumerate(rest) if m)
-        for idx in range(max(first, runs[g]), runs[g + 1]):
+        lo, hi = max(first, runs[g]), runs[g + 1]
+        tested += hi - lo
+        if tested > FACTORIZATION_BUDGET:
+            raise CapExceeded(f"factorization search of length {length} exceeds its budget: "
+                              f"{FACTORIZATION_BUDGET} candidate atoms, "
+                              f"found {len(results)} factorizations")
+        for idx in range(lo, hi):
             A = vectors[idx]
             if all(map(le, A, rest)):
                 stack.append((tuple(map(sub, rest, A)), idx, parts + (idx,)))

@@ -100,7 +100,7 @@ def test_zs_long_sequence_without_traceback(capsys, monkeypatch, command, length
 
 def test_zs_lengths_over_a_group_above_the_order_cap(capsys, monkeypatch):
     # the order cap bounds `zs atoms`; the factorization search is bounded by
-    # the length cap and by the budget of its atom search
+    # the length cap, the budget of its atom search and its own budget
     monkeypatch.setattr(zerosum, "SEQ_CAP", 200)
     code, out, err = run(capsys, "zs", "lengths", "--group", "100", "--seq", "1^100")
     assert (code, out, err) == (0, "{1}\n", "")
@@ -390,6 +390,10 @@ HUGE = "99999999999999999999"
      "zero has no inverse in Q(sqrt(3))"),
     (["zs", "lengths", "--group", "3", "--seq", f"1^{HUGE}"],
      f"sequence length {HUGE} exceeds cap 24"),
+    (["zs", "lengths", "--group", "64", "--seq",
+      "1 63 2 62 3 61 4 60 5 59 6 58 7 57 8 56 9 55 10 54 11 53 12 52"],
+     "factorization search of length 24 exceeds its budget: 2500000 candidate atoms, "
+     "found 24980 factorizations"),
     (["zs", "lengths", "--group", "3", "--seq", "1^x 2"], "bad multiplicity in '1^x'"),
     (["zs", "factor", "--group", "3", "--seq", "1^"], "bad multiplicity in '1^'"),
     (["zs", "atoms", "--group", "3", "--elements", "^"], "bad multiplicity in '^'"),
@@ -404,7 +408,7 @@ HUGE = "99999999999999999999"
         "tring-mul-deep-json", "quad-atoms-huge-norm",
         "quad-atoms-elements-and-norm", "quad-atoms-neither",
         "quat-zero-divisor",
-        "zs-lengths-huge-multiplicity", "zs-lengths-bad-multiplicity",
+        "zs-lengths-huge-multiplicity", "zs-lengths-z64-walk", "zs-lengths-bad-multiplicity",
         "zs-factor-empty-multiplicity", "zs-atoms-bare-caret", "zs-hfwitness-two-carets",
         "zs-hfwitness-negative-max-len"])
 def test_huge_or_malformed_input_is_refused_in_seconds(tmp_path, monkeypatch, capsys,

@@ -74,11 +74,14 @@ def test_import_statement_loads_only_that_submodule():
 ZS_LENGTHS = ["zs", "lengths", "--group", "3", "--seq", "1^3 2^3"]
 
 
-@pytest.mark.parametrize("flags, loaded", [([], False), (["--json"], True)],
-                         ids=["human", "json"])
-def test_json_is_imported_only_to_write_json(flags, loaded):
-    # `zs` runs no module that imports json itself, as `tring` does
-    argv = [*flags, *ZS_LENGTHS]
+@pytest.mark.parametrize("argv, loaded", [
+    (ZS_LENGTHS, False),
+    (["--json", *ZS_LENGTHS], True),
+    (["tring", "oracle", "--size", "2", "--max-exp", "1", "--trials", "0"], False),
+], ids=["human", "json", "tring-oracle-human"])
+def test_json_is_imported_only_to_write_json(argv, loaded):
+    # no module imports json when it runs: `tring` imports it to read a
+    # matrix, and the CLI to write JSON or a failed property's counterexample
     assert fresh(f"import nufact.cli\nassert nufact.cli.main({argv!r}) == 0",
                  "\nimport sys\nprint(str('json' in sys.modules).lower())") is loaded
 

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import os
 import pathlib
 import random
@@ -460,13 +461,18 @@ def test_local_cover_test_matches_brute_force(l, max_exp):
     assert cover_disagreements(_bump_candidates, l, max_exp) == 0
 
 
-def test_local_cover_test_negative_control():
-    # the same cover test with its two strict inequalities made weak
+def weak_cover_namespace():
+    """A copy of the module whose cover test has its two strict
+    inequalities made weak."""
     src = inspect.getsource(_bump_candidates)
     assert src.count(" > e[i][j] for k in") == 2
     namespace = dict(vars(tring))
     exec(src.replace(" > e[i][j] for k in", " >= e[i][j] for k in"), namespace)
-    weak = namespace["_bump_candidates"]
+    return namespace
+
+
+def test_local_cover_test_negative_control():
+    weak = weak_cover_namespace()["_bump_candidates"]
     assert all(cover_disagreements(weak, l, max_exp) > 0 for l, max_exp in COVER_SIZES)
 
 
@@ -488,11 +494,9 @@ def test_matrix_io():
         mul([[0, 1], [0, 0]], [[0, 1], [0, False]])
 
 
-@pytest.mark.parametrize("l, max_exp",
-                         [(2, e) for e in range(5)] + [(3, e) for e in range(3)] + [(4, 1)])
-def test_enumerate_ideals_matches_brute_force(l, max_exp):
-    # reference: every candidate in the box, in lexicographic order, kept
-    # when the triple-loop closure check accepts it
+def brute_force_ideals(l, max_exp):
+    """Every candidate in the box, in lexicographic order, kept when the
+    triple-loop closure check accepts it."""
     t = ring_matrix(l)
     ranges = [range(t[i][j], max(t[i][j], max_exp) + 1)
               for i in range(l) for j in range(l)]
@@ -501,7 +505,87 @@ def test_enumerate_ideals_matches_brute_force(l, max_exp):
         A = tuple(flat[r * l:(r + 1) * l] for r in range(l))
         if naive_is_ideal(A):
             brute.append(A)
-    assert enumerate_ideals(l, max_exp) == brute
+    return brute
+
+
+BRUTE_SIZES = [(2, e) for e in range(5)] + [(3, e) for e in range(3)] + [(4, 1)]
+
+
+@pytest.mark.parametrize("l, max_exp", BRUTE_SIZES)
+def test_enumerate_ideals_matches_brute_force(l, max_exp):
+    assert enumerate_ideals(l, max_exp) == brute_force_ideals(l, max_exp)
+
+
+def test_cover_walk_negative_control():
+    # the walk over the weak cover test admits non-ideals in every box
+    # larger than the ring alone; past 300 of them it refuses, which
+    # disagrees too, since no brute-force box holds that many ideals
+    namespace = weak_cover_namespace()
+    exec(inspect.getsource(enumerate_ideals), namespace)
+    weak = namespace["enumerate_ideals"]
+    for l, max_exp in BRUTE_SIZES:
+        if max_exp:
+            try:
+                got = weak(l, max_exp)
+            except CapExceeded:
+                got = None
+            assert got != brute_force_ideals(l, max_exp)
+
+
+def fill_enumerate_ideals(l, max_exp):
+    """Reference enumeration, independent of the cover test: a depth-first
+    fill in row-major order, each cell ranging over the values that the
+    closure inequalities against the cells already filled allow, so every
+    completed matrix is an ideal, in lexicographic order.  It refuses the
+    301st ideal with enumerate_ideals' message."""
+    t = ring_matrix(l)
+    limit = math.isqrt(tring.ORACLE_PAIR_BUDGET)
+    a = [[0] * l for _ in range(l)]
+
+    def values(pos):
+        p, q = divmod(pos, l)
+        lo = max([t[p][q]]
+                 + [a[i][q] - t[i][p] for i in range(p)]
+                 + [a[p][k] - t[q][k] for k in range(q)])
+        hi = min([max(t[p][q], max_exp)]
+                 + [t[p][j] + a[j][q] for j in range(p)]
+                 + [a[p][j] + t[j][q] for j in range(q)])
+        return range(lo, hi + 1)
+
+    out = []
+    stack = [iter(values(0))]
+    while stack:
+        pos = len(stack) - 1
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        p, q = divmod(pos, l)
+        a[p][q] = v
+        if pos + 1 == l * l:
+            if len(out) == limit:
+                raise CapExceeded(f"T({l}) with exponents <= {max_exp} has more than {limit} "
+                                  f"ideals; the oracle's pair budget {tring.ORACLE_PAIR_BUDGET} "
+                                  f"admits at most {limit}")
+            out.append(tuple(map(tuple, a)))
+        else:
+            stack.append(iter(values(pos + 1)))
+    return out
+
+
+@pytest.mark.parametrize("l, max_exp", [(2, 50), (3, 10), (4, 2), (5, 1), (32, 0)])
+def test_cover_walk_matches_the_fill(l, max_exp):
+    # shapes out of brute force's reach: (3, 10) alone has 11**6 * 10**3 candidates
+    assert enumerate_ideals(l, max_exp) == fill_enumerate_ideals(l, max_exp)
+
+
+@pytest.mark.parametrize("l, max_exp", [(6, 1), (9, 2), (32, 1)])
+def test_cover_walk_and_fill_refuse_alike(l, max_exp):
+    with pytest.raises(CapExceeded) as walk:
+        enumerate_ideals(l, max_exp)
+    with pytest.raises(CapExceeded) as fill:
+        fill_enumerate_ideals(l, max_exp)
+    assert str(walk.value) == str(fill.value)
 
 
 def test_triangular_oracle_demo_runs():

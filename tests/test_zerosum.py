@@ -404,6 +404,20 @@ def test_length_set_examples():
     assert length_set(Z3, ()) == {0}
 
 
+def test_factorization_walk_budget(monkeypatch):
+    # over Z/3, 1^3 2^3 has the candidate atoms 1^3 < 1 2 < 2^3, and the
+    # walk tests 2 from the whole sequence, 1 from each of 1^2 2^2 and 1 2,
+    # and 1 from 2^3 (popped last): 5 in all
+    S = seqs(Z3, "1^3 2^3")
+    monkeypatch.setattr(zerosum, "FACTORIZATION_BUDGET", 5)
+    assert length_set(Z3, S) == {2, 3}
+    monkeypatch.setattr(zerosum, "FACTORIZATION_BUDGET", 4)
+    with pytest.raises(CapExceeded, match=r"^factorization search of length 6 exceeds its "
+                                          r"budget: 4 candidate atoms, "
+                                          r"found 1 factorizations$"):
+        factorizations(Z3, S)
+
+
 def test_half_factorial_witness_examples():
     w = half_factorial_witness(Z3, 6)
     assert w is not None and len(length_set(Z3, w)) > 1 and length(w) <= 6
