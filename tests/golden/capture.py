@@ -56,9 +56,12 @@ DAVENPORT_GROUPS = ["16", "18", "2x8", "4x4", "3x6", "2x2x4", "24", "3x3x3",
 ATOMS_GROUPS = ["16", "18", "20", "24", "2x8", "4x4", "3x6", "2x2x4", "4x2", "3x2x2"]
 # (group, ground set) for `zs atoms --elements`
 ATOMS_ELEMENTS = [("24", "0 1 5 7 11"), ("64", "1 63 8")]
-# (cyclic modulus, sequence length, seed) for `zs factor` and `zs lengths`
-ZS_FACTOR_SEQS = [(3, 9, 1), (4, 10, 2), (6, 10, 3), (12, 10, 4), (16, 10, 5)]
-ZS_LENGTH_SEQS = [(3, 18, 11), (4, 18, 12), (6, 18, 13), (12, 16, 14), (16, 16, 15)]
+# (group, sequence length, seed) for `zs factor` and `zs lengths`; `zs
+# factor` is pinned in human mode too
+ZS_FACTOR_SEQS = [("3", 9, 1), ("4", 10, 2), ("6", 10, 3), ("12", 10, 4), ("16", 10, 5),
+                  ("2x4", 10, 6), ("2x2x2x2", 10, 7)]
+ZS_LENGTH_SEQS = [("3", 18, 11), ("4", 18, 12), ("6", 18, 13), ("12", 16, 14), ("16", 16, 15),
+                  ("2x4", 18, 16), ("2x2x2x2", 16, 17)]
 
 
 def tring_argvs():
@@ -83,13 +86,14 @@ def tring_argvs():
     return out
 
 
-def zero_sum_text(n: int, length: int, seed: int) -> str:
-    """A seeded zero-sum sequence over Z/n: length - 1 random entries and
-    the one entry that closes the sum."""
+def zero_sum_text(group: str, length: int, seed: int) -> str:
+    """A seeded zero-sum sequence over a group such as "12" or "2x4":
+    length - 1 random entries and the one entry that closes the sum."""
     rng = random.Random(seed)
-    entries = [rng.randrange(n) for _ in range(length - 1)]
-    entries.append(-sum(entries) % n)
-    return " ".join(str(x) for x in sorted(entries))
+    moduli = [int(n) for n in group.split("x")]
+    entries = [tuple(rng.randrange(n) for n in moduli) for _ in range(length - 1)]
+    entries.append(tuple(-sum(column) % n for column, n in zip(zip(*entries), moduli)))
+    return " ".join(",".join(map(str, x)) for x in sorted(entries))
 
 
 def zs_argvs():
@@ -106,10 +110,13 @@ def zs_argvs():
         out.append((f"atoms-{g}-elements",
                     ["--json", "zs", "atoms", "--group", g, "--elements", elements]))
     for cmd, seqs in (("factor", ZS_FACTOR_SEQS), ("lengths", ZS_LENGTH_SEQS)):
-        for n, length, seed in seqs:
-            out.append((f"{cmd}-{n}-{length}-seed{seed}",
-                        ["--json", "zs", cmd, "--group", str(n),
-                         "--seq", zero_sum_text(n, length, seed)]))
+        for g, length, seed in seqs:
+            out.append((f"{cmd}-{g}-{length}-seed{seed}",
+                        ["--json", "zs", cmd, "--group", g,
+                         "--seq", zero_sum_text(g, length, seed)]))
+    for g, length, seed in ZS_FACTOR_SEQS:
+        out.append((f"factor-{g}-{length}-seed{seed}-human",
+                    ["zs", "factor", "--group", g, "--seq", zero_sum_text(g, length, seed)]))
     out.append(("hfwitness-readme",
                 ["--json", "zs", "hfwitness", "--group", "4", "--max-len", "8"]))
     out.append(("atoms-12-elements",

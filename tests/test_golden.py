@@ -19,11 +19,14 @@ wrote.
 - `zs.json`: `zs atoms` and `zs davenport` on fifteen small groups, `zs
   davenport` on nine larger ones (up to order 32), `zs atoms` on ten larger
   ones (up to order 24) and on ground sets in Z/24 and Z/64, `zs factor` and
-  `zs lengths` on seeded zero-sum sequences over cyclic groups, the README
+  `zs lengths` on seeded zero-sum sequences over five cyclic groups, 2x4 and
+  2x2x2x2, `zs factor` on the same sequences in human mode, the README
   `zs hfwitness` example and `zs atoms` on a restricted ground set.  The
   Davenport constants and the atoms in it were read off an atom search over
   sets of coordinate tuples, so they pin the bitmask searches that replaced
-  it.
+  it.  The `zs factor` pins over 2x4 and 2x2x2x2 and in human mode were
+  captured while the zero-sum and the Z[w] factorization walks were still
+  two copies, so they pin the shared walk that replaced them.
 - `readme.json`: every `nufact` example in README.md, in human mode and
   with `--json`, and the SVG files the two `div render` examples write.
 - `div.json`: `div factor` with its default length bound on seeded
@@ -85,7 +88,10 @@ def test_golden_covers_every_command():
         "oracle-4-1-seed1-trials100-human", "oracle-4-1-seed1-trials100",
         "divisor-readme",
         "divisor-T3-product-90", "divisor-T4-product-60", "divisor-T5-product-40"]
-    assert len(ZS) == 63
+    # 51 `zs atoms` and `zs davenport` cases before them, then 7 `zs factor`
+    # and 7 `zs lengths` cases with --json, the same 7 `zs factor` cases in
+    # human mode, and the two below
+    assert len(ZS) == 74
     assert [c["name"] for c in ZS][-2:] == ["hfwitness-readme", "atoms-12-elements"]
     # 19 README examples, each in human mode and with --json
     assert len(README) == 38
