@@ -14,7 +14,7 @@ import math
 import re
 from collections import namedtuple
 
-from . import CapExceeded
+from . import CapExceeded, factorization_walk
 
 NORM_CAP = 10**6
 
@@ -136,8 +136,10 @@ def element_factorizations(x: QuadInt) -> list[tuple[QuadInt, ...]]:
     representatives whose product is x up to sign, shortest first, then by
     (norm, coordinates) of the atoms.  Units give the single empty
     factorization.  The candidate atoms are x itself and the canonical
-    associates in its divisor pairs; parts are taken in non-decreasing
-    order on an explicit stack, so each factorization is listed once.
+    associates in its divisor pairs.  The shared `factorization_walk` takes
+    parts in non-decreasing order; each state tests `divides` on every atom
+    from the index of the last part on and charges them to the walk's
+    budget.
     """
     n = norm(x)
     if n == 0:
@@ -148,20 +150,13 @@ def element_factorizations(x: QuadInt) -> list[tuple[QuadInt, ...]]:
     atoms = sorted((y for y in divisors if norm(y) > 1 and is_atom(y)),
                    key=lambda y: (norm(y), y.a, y.b))
 
-    results = []  # each factorization as its non-decreasing atom indices
-    stack = [(x, 0, ())]
-    while stack:
-        rest, first, parts = stack.pop()
+    def moves(rest, first):
         if is_unit(rest):
-            results.append(parts)
-            continue
-        for idx in range(first, len(atoms)):
-            q = divides(atoms[idx], rest)
-            if q is not None:
-                stack.append((q, idx, parts + (idx,)))
+            return None
+        return len(atoms) - first, [(idx, q) for idx in range(first, len(atoms))
+                                    if (q := divides(atoms[idx], rest)) is not None]
 
-    results.sort(key=lambda F: (len(F), F))  # atom order is (norm, coordinates)
-    return [tuple(atoms[i] for i in F) for F in results]
+    return factorization_walk(x, moves, atoms, f"norm {n}")
 
 
 # ----------------------------------------------------------------------
@@ -174,14 +169,14 @@ def parse_quadint(text: str) -> QuadInt:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty element")
-    # split into at most two signed terms
+    # split into signed terms, which must join back to the whole text
     terms = re.findall(r"[+-]?[^+-]+", s)
+    matches = [_TERM.match(t) for t in terms]
+    if "".join(terms) != s or not all(matches):
+        raise ValueError(f"bad element syntax {text!r}; expected forms like '1+1*w'")
     a = b = 0
     seen_const = seen_w = False
-    for t in terms:
-        m = _TERM.match(t)
-        if not m:
-            raise ValueError(f"bad element syntax {text!r}; expected forms like '1+1*w'")
+    for m in matches:
         if m.group(1) is not None:
             if seen_const:
                 raise ValueError(f"duplicate constant term in {text!r}")

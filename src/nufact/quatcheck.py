@@ -127,16 +127,6 @@ def in_order(q: QuatQ3) -> bool:
     return all(t.is_integral() for t in (a, b, c, d))
 
 
-def order_element(a: SqrtRat, b: SqrtRat, c: SqrtRat, d: SqrtRat) -> QuatQ3:
-    """The order element with basis coordinates a, b, c, d."""
-    half = SqrtRat.of(Fraction(1, 2))
-    basis3 = QuatQ3(R0, half * SQRT3, half, R0)   # (sqrt(3) i + j)/2
-    basis4 = QuatQ3(half * SQRT3, R0, R0, half)   # (sqrt(3) + k)/2
-    out = QuatQ3(a, b, R0, R0)
-    out = hadd(out, scalar_mul(c, basis3))
-    return hadd(out, scalar_mul(d, basis4))
-
-
 def verify_identity(factors: list[QuatQ3], product: QuatQ3) -> bool:
     """True iff the ordered product of the factors equals `product` and every
     factor, as well as the product, lies in the order."""

@@ -27,9 +27,10 @@ order GROUP_CAP = 64 for atoms, davenport and the witness search.  The atoms
 and the Davenport constant come from searches over subset-sum bitmasks,
 which budgets of work bound as well: they finish on every group of order up
 to 26 and 32 respectively.  The half-factoriality witness search has a
-budget of candidate sequences, and the factorization walk one of
-candidate atoms tested, so every length the length cap admits is answered
-or refused in seconds.
+budget of candidate sequences.  The factorization walk is
+`nufact.factorization_walk`, shared with ``quadring``, whose budget of
+candidate atoms tested answers or refuses every length the length cap
+admits in seconds.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import itertools
 from math import prod
 from operator import le, sub
 
-from . import CapExceeded
+from . import CapExceeded, factorization_walk
 from .abelian import FinAbGroup, enumerate_elements, format_element
 
 SEQ_CAP = 24
@@ -51,9 +52,6 @@ ATOM_BUDGET = 300_000
 # candidate sequences the half-factoriality witness search may scan, for
 # groups up to order 64: at most about 0.5 s in process, over Z/17, Z/19, Z/23
 WITNESS_BUDGET = 50_000
-# candidate atoms one factorization search may test: twelve non-zero elements
-# of (Z/2)^4, each twice, test up to 2.2 million in about 3 s in process
-FACTORIZATION_BUDGET = 2_500_000
 
 
 def _expanded(S) -> tuple:
@@ -74,17 +72,6 @@ def seq_sum(G: FinAbGroup, S) -> tuple[int, ...]:
         for i, x in enumerate(c):
             total[i] += x * m
     return tuple(t % n for t, n in zip(total, G.moduli))
-
-
-def concat(S, T) -> tuple:
-    """Concatenation: multiplicities add.  The monoid product, kept as the
-    reference that test_factorization_parts_concat_back,
-    test_concat_monoid_laws and test_length_sets_superadditive check
-    against."""
-    counts = dict(S)
-    for c, m in T:
-        counts[c] = counts.get(c, 0) + m
-    return tuple(sorted(counts.items()))
 
 
 def is_zero_sum(G: FinAbGroup, S) -> bool:
@@ -266,14 +253,11 @@ def factorizations(G: FinAbGroup, S) -> list[tuple]:
 
     Each element of S is passed once through G.element and equal ones are
     merged before the length cap is checked.  Only the atoms that divide S
-    are searched for, as multiplicity vectors over its support.  Parts are
-    taken in non-decreasing canonical order, each from the run of atoms whose
-    least element is the smallest remaining one, so each factorization is
-    listed once.  The explicit stack frees the length of S from the
-    recursion limit.  Each state charges the candidate atoms it will test,
-    its run from the index of the last part on, to FACTORIZATION_BUDGET
-    before it tests them; past the budget the walk stops with CapExceeded
-    and its progress.
+    are searched for, as multiplicity vectors over its support.  The
+    shared `factorization_walk` takes parts in non-decreasing canonical
+    order; each state tests the run of atoms whose least element is the
+    smallest remaining one, from the index of the last part on, and charges
+    them to the walk's budget.
     """
     counts: dict = {}
     for c, m in S:
@@ -288,35 +272,21 @@ def factorizations(G: FinAbGroup, S) -> list[tuple]:
         raise ValueError("sequence is not zero-sum")
     support = tuple(sorted(counts))
     have = tuple(counts[c] for c in support)
+    # in canonical order, so the walk's order of atom indices is canonical
     candidates = sorted(_atoms(G.moduli, support, have), key=_expanded)
     vectors = [tuple(dict(A).get(c, 0) for c in support) for A in candidates]
     # the atoms whose least element is support[g] are vectors[runs[g]:runs[g + 1]]
     runs = [sum(any(A[:g]) for A in vectors) for g in range(len(support) + 1)]
 
-    results = []  # each factorization as its non-decreasing atom indices
-    tested = 0
-    stack = [(have, 0, ())]
-    while stack:
-        rest, first, parts = stack.pop()
-        if not any(rest):
-            results.append(parts)
-            continue
-        g = next(i for i, m in enumerate(rest) if m)
+    def moves(rest, first):
+        g = next(itertools.compress(range(len(rest)), rest), None)  # the least element left
+        if g is None:
+            return None
         lo, hi = max(first, runs[g]), runs[g + 1]
-        tested += hi - lo
-        if tested > FACTORIZATION_BUDGET:
-            raise CapExceeded(f"factorization search of length {length} exceeds its budget: "
-                              f"{FACTORIZATION_BUDGET} candidate atoms, "
-                              f"found {len(results)} factorizations")
-        for idx in range(lo, hi):
-            A = vectors[idx]
-            if all(map(le, A, rest)):
-                stack.append((tuple(map(sub, rest, A)), idx, parts + (idx,)))
+        return hi - lo, [(idx, tuple(map(sub, rest, vectors[idx]))) for idx in range(lo, hi)
+                         if all(map(le, vectors[idx], rest))]
 
-    results.sort(key=lambda F: (len(F), F))  # candidate order is canonical order
-    for k, F in enumerate(results):
-        results[k] = tuple(candidates[i] for i in F)
-    return results
+    return factorization_walk(have, moves, candidates, f"length {length}")
 
 
 def length_set(G: FinAbGroup, S) -> set[int]:

@@ -355,6 +355,8 @@ def test_zs_whole_group_checks_the_order_cap_first(argv, message, capsys):
 
 
 HUGE = "99999999999999999999"
+# each was read as a nearby element while unmatched signs were skipped
+MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -386,6 +388,8 @@ HUGE = "99999999999999999999"
     (["quad", "atoms", "1000024+1*w"], "norm 1000049000606 exceeds cap 1000000"),
     (["quad", "atoms", "2", "3", "--norm", "4"], "give elements or --norm N, not both"),
     (["quad", "atoms"], "give elements or --norm N"),
+    *[(["quad", "norm", "--", text], f"bad element syntax {text!r}; expected forms like '1+1*w'")
+      for text in MALFORMED_QUADINTS],
     (["quat", "verify", "--product", "1", "--", "1/(r3-r3)"],
      "zero has no inverse in Q(sqrt(3))"),
     (["zs", "lengths", "--group", "3", "--seq", f"1^{HUGE}"],
@@ -407,6 +411,7 @@ HUGE = "99999999999999999999"
         "tring-oracle-negative-max-exp", "tring-oracle-size-0", "tring-oracle-size-minus-1",
         "tring-mul-deep-json", "quad-atoms-huge-norm",
         "quad-atoms-elements-and-norm", "quad-atoms-neither",
+        *[f"quad-norm-malformed-{i}" for i in range(len(MALFORMED_QUADINTS))],
         "quat-zero-divisor",
         "zs-lengths-huge-multiplicity", "zs-lengths-z64-walk", "zs-lengths-bad-multiplicity",
         "zs-factor-empty-multiplicity", "zs-atoms-bare-caret", "zs-hfwitness-two-carets",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nufact
 from nufact import quadring
 from nufact.quadring import (
     ONE,
@@ -216,6 +217,28 @@ def test_divisor_pairs_without_cofactors_miss_factorizations():
     assert wrong[0] == QuadInt(0, 2) and len(wrong) == 299
 
 
+def test_walk_that_never_repeats_an_atom_misses_factorizations(monkeypatch,
+                                                              never_repeating_walk):
+    # negative control: with the planted bug the walk loses 8 = 2*2*2, and
+    # the brute force must tell
+    two, eight = QuadInt(2, 0), QuadInt(8, 0)
+    assert (two, two, two) in brute_force_factorizations(eight)
+    monkeypatch.setattr(quadring, "factorization_walk", never_repeating_walk)
+    assert element_factorizations(eight) == [(QuadInt(1, 1), QuadInt(2, -1))]
+
+
+def test_factorization_walk_budget(monkeypatch):
+    # 8 has the atoms 2 < 1+w < 2-w; the walk tests 3 from 8, 1 from
+    # (8 / (2-w)), 2 from (8 / (1+w)), 3 from 4 and 3 from 2: 12 in all
+    monkeypatch.setattr(nufact, "FACTORIZATION_BUDGET", 12)
+    assert len(element_factorizations(QuadInt(8, 0))) == 2
+    monkeypatch.setattr(nufact, "FACTORIZATION_BUDGET", 11)
+    with pytest.raises(CapExceeded, match=r"^factorization search of norm 64 exceeds its "
+                                          r"budget: 11 candidate atoms, "
+                                          r"found 1 factorizations$"):
+        element_factorizations(QuadInt(8, 0))
+
+
 def test_factorizations_multiply_back_up_to_sign():
     for x in [QuadInt(8, 0), QuadInt(-8, 0), QuadInt(4, 0), QuadInt(6, 0),
               QuadInt(27, 0), QuadInt(1, 3), QuadInt(-5, 2)]:
@@ -274,3 +297,10 @@ def test_parse_and_format():
         parse_quadint("2+x")
     with pytest.raises(ValueError):
         parse_quadint("")
+
+
+@pytest.mark.parametrize("text", ["1++w", "1+-w", "w-", "1-", "+", "--"])
+def test_parse_refuses_malformed_sign_runs(text):
+    # each was read as a nearby element while unmatched signs were skipped
+    with pytest.raises(ValueError, match=r"^bad element syntax "):
+        parse_quadint(text)

@@ -11,6 +11,8 @@ from nufact.quatcheck import (
     Q_J,
     Q_K,
     Q_ONE,
+    R0,
+    SQRT3,
     QuatQ3,
     SqrtRat,
     format_quat,
@@ -18,7 +20,6 @@ from nufact.quatcheck import (
     hmul,
     hneg,
     in_order,
-    order_element,
     parse_quat,
     qnorm,
     scalar_mul,
@@ -126,6 +127,16 @@ def test_hmul_associative_randomized():
     for _ in range(200):
         p, q, r = rand_quat(rng), rand_quat(rng), rand_quat(rng)
         assert hmul(hmul(p, q), r) == hmul(p, hmul(q, r))
+
+
+def order_element(a: SqrtRat, b: SqrtRat, c: SqrtRat, d: SqrtRat) -> QuatQ3:
+    """The order element with basis coordinates a, b, c, d."""
+    half = SqrtRat.of(Fraction(1, 2))
+    basis3 = QuatQ3(R0, half * SQRT3, half, R0)   # (sqrt(3) i + j)/2
+    basis4 = QuatQ3(half * SQRT3, R0, R0, half)   # (sqrt(3) + k)/2
+    out = QuatQ3(a, b, R0, R0)
+    out = hadd(out, scalar_mul(c, basis3))
+    return hadd(out, scalar_mul(d, basis4))
 
 
 def rand_order_element(rng):

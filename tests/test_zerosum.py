@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nufact
 from nufact import zerosum
 from nufact.abelian import CapExceeded, FinAbGroup, enumerate_elements
 from nufact.zerosum import (
     _atoms,
     atoms,
-    concat,
     davenport,
     factorizations,
     format_seq,
@@ -53,6 +53,14 @@ def expanded(S) -> tuple:
 
 def length(S) -> int:
     return multiset(S).total()
+
+
+def concat(S, T) -> tuple:
+    """Concatenation, the monoid product: multiplicities add."""
+    counts = dict(S)
+    for c, m in T:
+        counts[c] = counts.get(c, 0) + m
+    return tuple(sorted(counts.items()))
 
 
 def naive_is_minimal(G, S) -> bool:
@@ -352,6 +360,7 @@ def brute_force_factorizations(G, S):
     ([3], "1^3 2^3"),
     ([3], "0^2 1^3 2^3"),
     ([3], "1^6 2^6"),
+    ([3], "1^6"),
     ([4], "1^2 2 3^2 2"),
     ([4], "1^4 3^4"),
     ([2, 2], "0,1^2 1,0^2 1,1^2"),
@@ -369,6 +378,16 @@ def test_factorizations_match_independent_enumeration(moduli, text):
     S = seqs(G, text)
     got = {tuple(sorted(expanded(p) for p in F)) for F in factorizations(G, S)}
     assert got == brute_force_factorizations(G, S)
+
+
+def test_walk_that_never_repeats_an_atom_misses_factorizations(monkeypatch,
+                                                              never_repeating_walk):
+    # negative control: with the planted bug the walk loses 1^6 = (1^3)(1^3),
+    # and the brute force must tell
+    S = seqs(Z3, "1^6")
+    assert brute_force_factorizations(Z3, S) == {(((1,),) * 3,) * 2}
+    monkeypatch.setattr(zerosum, "factorization_walk", never_repeating_walk)
+    assert factorizations(Z3, S) == []
 
 
 def test_factorizations_memory_follows_their_output():
@@ -409,9 +428,9 @@ def test_factorization_walk_budget(monkeypatch):
     # walk tests 2 from the whole sequence, 1 from each of 1^2 2^2 and 1 2,
     # and 1 from 2^3 (popped last): 5 in all
     S = seqs(Z3, "1^3 2^3")
-    monkeypatch.setattr(zerosum, "FACTORIZATION_BUDGET", 5)
+    monkeypatch.setattr(nufact, "FACTORIZATION_BUDGET", 5)
     assert length_set(Z3, S) == {2, 3}
-    monkeypatch.setattr(zerosum, "FACTORIZATION_BUDGET", 4)
+    monkeypatch.setattr(nufact, "FACTORIZATION_BUDGET", 4)
     with pytest.raises(CapExceeded, match=r"^factorization search of length 6 exceeds its "
                                           r"budget: 4 candidate atoms, "
                                           r"found 1 factorizations$"):
