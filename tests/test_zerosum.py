@@ -360,7 +360,6 @@ def brute_force_factorizations(G, S):
     ([3], "1^3 2^3"),
     ([3], "0^2 1^3 2^3"),
     ([3], "1^6 2^6"),
-    ([3], "1^6"),
     ([4], "1^2 2 3^2 2"),
     ([4], "1^4 3^4"),
     ([2, 2], "0,1^2 1,0^2 1,1^2"),
@@ -372,6 +371,8 @@ def brute_force_factorizations(G, S):
     ([7], "1 2 4"),
     ([2, 2], "0,1 1,0 1,1"),
     ([2, 4], "0,1^2 0,2 1,1 1,3"),
+    # an atom used twice: (1^3)(1^3)
+    ([3], "1^6"),
 ])
 def test_factorizations_match_independent_enumeration(moduli, text):
     G = FinAbGroup(moduli)
