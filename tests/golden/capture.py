@@ -157,14 +157,47 @@ def realizable_divisor_text(cycles: str, seed: int) -> str:
     return "+".join(terms) or "0"
 
 
+# (cycles, divisor, max_len) for `div factor` with an explicit length
+# bound: idempotent letters repeat and the words span three or more lengths
+DIV_FACTOR_BOUNDED = [("Q1>Q2>Q3", "Q2", 6), ("Q1>Q2>Q3", "Q1+Q2", 5),
+                      ("Q1>Q2>Q3;P", "Q1+P", 4), ("Q1>Q2>Q3>Q4", "2Q1+Q2+Q4", 6)]
+# (name, `div render` flags): strands of windings 0 to 3 on a 4- and a
+# 5-cycle, some ending exactly where a level ends; a 1-label cycle; the
+# zero divisor; the second cycle of two; the empty word and a word that
+# repeats letters
+DIV_RENDERS = [
+    ("4-cycle-windings-0-3", ["--cycles", "Q1>Q2>Q3>Q4", "--divisor", "Q1+5Q2+9Q3+12Q4"]),
+    ("4-cycle-level-ends", ["--cycles", "Q1>Q2>Q3>Q4", "--divisor", "4Q1+3Q2+2Q3+Q4"]),
+    ("4-cycle-realizable", ["--cycles", "Q1>Q2>Q3>Q4", "--divisor", "3Q1+2Q2+2Q3+Q4"]),
+    ("5-cycle-windings-0-3", ["--cycles", "Q1>Q2>Q3>Q4>Q5",
+                              "--divisor", "Q1+5Q2+10Q3+15Q4+7Q5"]),
+    ("5-cycle-three-levels", ["--cycles", "Q1>Q2>Q3>Q4>Q5", "--divisor", "15Q1+14Q2"]),
+    ("5-cycle-realizable", ["--cycles", "Q1>Q2>Q3>Q4>Q5",
+                            "--divisor", "3Q1+2Q2+Q3+Q4+2Q5"]),
+    ("1-cycle", ["--cycles", "Q", "--divisor", "3Q"]),
+    ("zero", ["--cycles", "Q1>Q2>Q3", "--divisor", "0"]),
+    ("second-cycle", ["--cycles", "Q1>Q2>Q3;P", "--divisor", "2P", "--cycle", "1"]),
+    ("empty-word", ["--cycles", "Q1>Q2>Q3", "--word", ""]),
+    ("word-repeats", ["--cycles", "Q1>Q2>Q3", "--word", "Q1*Q1*Q2*Q3*Q3"]),
+    ("1-cycle-word", ["--cycles", "Q", "--word", "Q*Q"]),
+]
+
+
 def div_argvs():
-    """(name, argv) of every pinned `div factor` command, human and --json,
-    with the default length bound."""
+    """(name, argv) of every pinned `div` command: `div factor`, human and
+    --json, with the default and with an explicit length bound, then `div
+    render` in human mode, writing out.svg."""
     out = []
     for cycles, seed in DIV_FACTOR_SEEDS:
         argv = ["div", "factor", "--cycles", cycles, realizable_divisor_text(cycles, seed)]
         name = f"factor-{cycles}-seed{seed}"
         out += [(name, argv), (f"{name}-json", ["--json"] + argv)]
+    for cycles, divisor, max_len in DIV_FACTOR_BOUNDED:
+        argv = ["div", "factor", "--cycles", cycles, divisor, "--max-len", str(max_len)]
+        name = f"factor-{cycles}-{divisor}-max-len-{max_len}"
+        out += [(name, argv), (f"{name}-json", ["--json"] + argv)]
+    out += [(f"render-{name}", ["div", "render", *flags, "--out", "out.svg"])
+            for name, flags in DIV_RENDERS]
     return out
 
 

@@ -31,7 +31,12 @@ wrote.
   with `--json`, and the SVG files the two `div render` examples write.
 - `div.json`: `div factor` with its default length bound on seeded
   realizable divisors over a 3-cycle, a 4-cycle and a 3-cycle beside a
-  1-cycle, in human mode and with `--json`.
+  1-cycle, and with an explicit bound on four divisors whose words repeat
+  idempotent letters and span three or more lengths, three of them
+  truncated, in human mode and with `--json`; then the SVG files of twelve
+  `div render` commands: strands of windings 0 to 3 on a 4- and a 5-cycle,
+  a 1-label cycle, the zero divisor, the second cycle of two, the empty
+  word and words that repeat letters.
 - `quad.json`: `quad factor` on ten elements, among them elements with
   several factorizations and norms up to 10^6 (720, 840, 998, 1000), and
   `quad atoms --norm` on eight norms, in human mode and with `--json`.  They
@@ -97,7 +102,11 @@ def test_golden_covers_every_command():
     assert len(README) == 38
     assert [c["name"] for c in README if "files" in c] == [
         "div-render-1", "div-render-1-json", "div-render-2", "div-render-2-json"]
-    assert len(DIV) == 12
+    # 6 default-bound and 4 bounded `div factor` cases, each human and
+    # --json, then 12 `div render` cases, each writing one SVG file
+    assert len(DIV) == 32
+    assert [("files" in c, c["name"].startswith("render-")) for c in DIV] == (
+        [(False, False)] * 20 + [(True, True)] * 12)
     # 10 `quad factor` and 8 `quad atoms --norm` cases, each human and --json
     assert len(QUAD) == 36
     assert [c["name"] for c in QUAD][-2:] == ["atoms-norm-72", "atoms-norm-72-json"]
