@@ -32,7 +32,9 @@ LETTER_CAP = 2_000_000
 # search states (partial products, one per level they occur on) the word
 # search may visit; the letter cap then bounds the words built from them
 WORD_SEARCH_BUDGET = 200_000
-# total count of a divisor render_svg draws: a strand draws one piece per winding
+# total count of a divisor render_svg draws, as a strand draws one piece per
+# winding, and letters times labels of a word, as each letter's panel draws
+# one strand per label
 DRAWING_CAP = 10_000
 
 
@@ -193,7 +195,7 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
     whether any branch of the search ran into the length bound (so a larger
     bound could reveal more words).  Returns (words, truncated).
 
-    Words are sorted by length, then by label positions.  Raises on
+    Words are listed by length, then by label positions.  Raises on
     non-realizable divisors, which admit no word at any length.  The number
     of words grows exponentially with max_len once idempotent letters can
     repeat, so the enumeration aborts with :class:`CapExceeded` when the
@@ -204,9 +206,10 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
 
     The states are the partial products by number of letters; a pass from
     the last level up counts the words and letters of each, and keeps the
-    live states, those with a word.  One depth-first walk over the live
-    states then builds the words on a single path, so memory is
-    O(states + output)."""
+    live states, those with a word.  The words are then listed level by
+    level, extending every live prefix by each letter in turn.  Distinct
+    live prefixes begin distinct words, so no level holds more letters than
+    the words do, and memory is O(states + output)."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     if not is_realizable(cs, D):
@@ -273,30 +276,15 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
             f"more than {LETTER_CAP} letters in the words that compose to the "
             f"divisor within length {max_len}; lower max_len")
 
-    # One depth-first walk over the live states, in letter order, on one
-    # mutable path: stack[k] iterates the moves out of the state at depth k.
-    # It lists each length's words in letter order, so a stable sort by
-    # length gives (length, letters) order.
+    # Extend every live prefix by its moves in letter order, one level at a
+    # time: each length's words arrive in letter order, after all shorter
+    # words.  A word's list is its frontier entry's, never changed after.
+    frontier = [([], zero)]
     words = [[]] if zero == D else []
-    path: list[str] = []
-    stack = [iter(successors(zero))] if last else []
-    while stack:
-        depth = len(stack)
-        for q, nxt in stack[-1]:
-            if nxt in live[depth]:
-                path.append(labels[q])
-                if nxt == D:
-                    words.append(path[:])
-                if depth < last:
-                    stack.append(iter(successors(nxt)))
-                else:
-                    path.pop()
-                break
-        else:
-            stack.pop()
-            if path:
-                path.pop()
-    words.sort(key=len)
+    for live_states in live[1:]:
+        frontier = [(path + [labels[q]], nxt) for path, p in frontier
+                    for q, nxt in successors(p) if nxt in live_states]
+        words += [path for path, p in frontier if p == D]
     return words, truncated
 
 
@@ -312,25 +300,6 @@ _MARGIN_X = 46
 _MARGIN_Y = 18
 
 
-def _strand_segments(pos: int, steps: int, l: int):
-    """The monotone pieces of one strand, as (u_from, u_to) pairs in step
-    units; a new piece starts after each wrap over the bottom edge."""
-    u0, u1 = pos, pos + steps
-    cuts = []
-    m = 1
-    while m * l - 0.5 < u1:
-        if m * l - 0.5 > u0:
-            cuts.append(m * l - 0.5)
-        m += 1
-    pieces = []
-    prev = u0
-    for c in cuts:
-        pieces.append((prev, c))
-        prev = c
-    pieces.append((prev, u1))
-    return pieces
-
-
 def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
                word=None) -> str:
     """Render a divisor D, or a word of labels, as glued cylinder panels.
@@ -340,7 +309,8 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
     its source, wrapping over the bottom edge once per winding.  Words render
     one panel per letter, glued left to right.  Only one cycle can be drawn;
     for a multi-cycle structure the cycle index must be given.  A divisor
-    whose counts add up to more than DRAWING_CAP is refused.
+    whose counts add up to more than DRAWING_CAP is refused, and so is a
+    word whose letters times the cycle's labels do.
     """
     if (D is None) == (word is None):
         raise ValueError("give exactly one of a divisor or a word")
@@ -368,6 +338,9 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
         titles = [cs.format_divisor(D)]
     else:
         word = list(word)
+        if len(word) * l > DRAWING_CAP:
+            raise CapExceeded(f"word of {len(word)} letters over {l} labels exceeds the "
+                              f"drawing cap {DRAWING_CAP}")
         for q in word:
             if q not in cyc:
                 raise ValueError(f"word letter {q!r} is not in the drawn cycle")
@@ -377,11 +350,12 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
     n = len(panels)
     height = 2 * _MARGIN_Y + l * _ROW_H
     width = 2 * _MARGIN_X + n * _PANEL_W
-    top, bottom = _MARGIN_Y, _MARGIN_Y + l * _ROW_H
+    top = _MARGIN_Y
 
-    def ypos(u: float) -> float:
-        frac = (u + 0.5) % l
-        return top + frac * _ROW_H
+    def ypos(u: float, m: int) -> float:
+        """The height of step u on level m; level m spans the panel from
+        u = m*l - 1/2 at its top edge to (m+1)*l - 1/2 at its bottom edge."""
+        return top + (u + 0.5 - m * l) * _ROW_H
 
     out = []
     out.append(
@@ -404,17 +378,17 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
             steps = P[first + i]
             dest = cyc[(i + steps) % l]
             winding = (i + steps) // l
-            pieces = _strand_segments(i, steps, l)
             if steps == 0:
-                path = f"M {x0:.1f} {ypos(i):.1f} L {x1:.1f} {ypos(i):.1f}"
+                path = f"M {x0:.1f} {ypos(i, 0):.1f} L {x1:.1f} {ypos(i, 0):.1f}"
             else:
+                # one piece per level the strand crosses: it exits over the
+                # bottom edge and re-enters at the top
                 xat = lambda u: x0 + (u - i) / steps * _PANEL_W
                 cmds = []
-                for (ua, ub) in pieces:
-                    # wraps exit over the bottom edge and re-enter at the top
-                    ya = ypos(ua) if ua == i else top
-                    yb = ypos(ub) if ub == i + steps else bottom
-                    cmds.append(f"M {xat(ua):.1f} {ya:.1f} L {xat(ub):.1f} {yb:.1f}")
+                for m in range(winding + 1):
+                    ua, ub = max(i, m * l - 0.5), min(i + steps, (m + 1) * l - 0.5)
+                    cmds.append(f"M {xat(ua):.1f} {ypos(ua, m):.1f} "
+                                f"L {xat(ub):.1f} {ypos(ub, m):.1f}")
                 path = " ".join(cmds)
             color = _PALETTE[i % len(_PALETTE)]
             out.append(
@@ -430,7 +404,7 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
     for b in range(n + 1):
         xb = _MARGIN_X + b * _PANEL_W
         for i, label in enumerate(cyc):
-            yb = top + (i + 0.5) * _ROW_H
+            yb = ypos(i, 0)
             out.append(f'<circle cx="{xb}" cy="{yb:.1f}" r="3" fill="#222"/>')
             if b == 0:
                 out.append(f'<text x="{xb - 8}" y="{yb + 4:.1f}" '

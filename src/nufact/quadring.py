@@ -162,7 +162,7 @@ def element_factorizations(x: QuadInt) -> list[tuple[QuadInt, ...]]:
 # ----------------------------------------------------------------------
 # text syntax: "a+b*w", e.g. "8", "1+1*w", "-2+3*w", "w", "-w"
 
-_TERM = re.compile(r"^([+-]?\d+)$|^([+-]?\d*)\*?w$")
+_TERM = re.compile(r"^([+-]?\d+)$|^([+-]?)(?:(\d+)\*?)?w$")
 
 
 def parse_quadint(text: str) -> QuadInt:
@@ -185,8 +185,7 @@ def parse_quadint(text: str) -> QuadInt:
         else:
             if seen_w:
                 raise ValueError(f"duplicate w term in {text!r}")
-            coeff = m.group(2)
-            b = int(coeff) if coeff not in ("", "+", "-") else (-1 if coeff == "-" else 1)
+            b = int(m.group(2) + (m.group(3) or "1"))
             seen_w = True
     return QuadInt(a, b)
 

@@ -355,8 +355,9 @@ def test_zs_whole_group_checks_the_order_cap_first(argv, message, capsys):
 
 
 HUGE = "99999999999999999999"
-# each was read as a nearby element while unmatched signs were skipped
-MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--"]
+# each was read as a nearby element while unmatched signs were skipped, or
+# (the last three) while a `*` with no digits before it read as 1
+MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -374,6 +375,9 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--"]
      "reached length 0"),
     (["div", "render", "--cycles", "Q1>Q2>Q3", "--divisor", HUGE + "Q1", "--out", "fig.svg"],
      f"divisor of total count {HUGE} exceeds the drawing cap 10000"),
+    (["div", "render", "--cycles", ">".join(f"Q{i}" for i in range(1, 51)),
+      "--word", "*".join(["Q1"] * 2000), "--out", "word.svg"],
+     "word of 2000 letters over 50 labels exceeds the drawing cap 10000"),
     (["div", "render", "--cycles", "Q1>Q2>Q3", "--divisor", "Q1", "--out", "missing/fig.svg"],
      "No such file or directory: 'missing/fig.svg'"),
     (["div", "render", "--cycles", "Q1>Q2>Q3", "--word", "Q1", "--out", "."],
@@ -405,7 +409,7 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--"]
      "bad multiplicity in '1^1^1'"),
     (["zs", "hfwitness", "--group", "3", "--max-len", "-1"], "max_len must be >= 0"),
 ], ids=["div-factor-huge-count", "div-factor-huge-max-len", "div-factor-16-labels",
-        "div-factor-2000-labels", "div-render-huge-count",
+        "div-factor-2000-labels", "div-render-huge-count", "div-render-huge-word",
         "div-render-missing-dir", "div-render-onto-dir", "tring-oracle-huge-size",
         "tring-oracle-huge-trials", "tring-oracle-negative-trials",
         "tring-oracle-negative-max-exp", "tring-oracle-size-0", "tring-oracle-size-minus-1",

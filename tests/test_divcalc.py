@@ -332,15 +332,18 @@ def test_enumerate_factorizations_matches_brute_force():
     assert any(truncated and words for *_, words, truncated in cases)
 
 
-def test_brute_force_catches_an_unsorted_walk():
-    # negative control: without its final length sort the walk lists words
-    # in prefix order, which the brute force must tell apart
+def test_brute_force_catches_a_listing_out_of_letter_order():
+    # negative control: a listing that extends each level in reverse letter
+    # order still finds every word, in an order the brute force must tell
+    # apart
     source = inspect.getsource(divcalc.enumerate_factorizations_ex)
-    assert "    words.sort(key=len)\n" in source
+    extend = "for q, nxt in successors(p) if nxt in live_states"
+    assert source.count(extend) == 1
     namespace = dict(vars(divcalc))
-    exec(source.replace("    words.sort(key=len)\n", ""), namespace)
-    unsorted = namespace["enumerate_factorizations_ex"]
-    assert any(unsorted(cs, D, max_len) != (words, truncated)
+    exec(source.replace(extend, extend.replace("successors(p)", "successors(p)[::-1]")),
+         namespace)
+    reversed_listing = namespace["enumerate_factorizations_ex"]
+    assert any(reversed_listing(cs, D, max_len) != (words, truncated)
                for cs, D, max_len, words, truncated in brute_force_cases())
 
 
@@ -423,6 +426,32 @@ def test_render_windings():
         assert p.get("d").count("M") == int(p.get("data-winding")) + 1
 
 
+def test_render_strand_geometry():
+    # every strand is winding + 1 straight pieces across its panel, from its
+    # source mark on the left edge to its target mark on the right; each
+    # wrap leaves over the bottom edge and re-enters at the top, at the same x
+    for l in range(1, 6):
+        cs = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, l + 1)))
+        for D in all_divisors(cs, 4):
+            root = ET.fromstring(render_svg(cs, D))
+            frame = root.find(f".//{SVG_NS}rect")
+            left, top = float(frame.get("x")), float(frame.get("y"))
+            right, bottom = left + float(frame.get("width")), top + float(frame.get("height"))
+            marks = [float(c.get("cy")) for c in root.findall(f"{SVG_NS}circle")[:l]]
+            for path in root.findall(f".//{SVG_NS}path"):
+                d = path.get("d").split()
+                assert d[::3] == ["M", "L"] * (len(d) // 6)
+                points = list(zip(map(float, d[1::3]), map(float, d[2::3])))
+                assert len(points) == 2 * int(path.get("data-winding")) + 2, (D, d)
+                xs = [x for x, _ in points]
+                assert xs == sorted(xs) and (xs[0], xs[-1]) == (left, right)
+                assert points[0][1] == marks[cs.index(path.get("data-source"))]
+                assert points[-1][1] == marks[cs.index(path.get("data-target"))]
+                # the end of each piece and the start of the next
+                for (xb, yb), (xa, ya) in zip(points[1:-1:2], points[2::2]):
+                    assert (xb, yb, ya) == (xa, bottom, top)
+
+
 def test_render_word_panels():
     svg = render_svg(CS3, word=["Q1", "Q2", "Q3"])
     root = ET.fromstring(svg)
@@ -436,6 +465,24 @@ def test_render_drawing_cap(monkeypatch):
     assert render_svg(CS3, div("2Q1+3Q3")).startswith("<svg")
     with pytest.raises(CapExceeded, match="total count 6 exceeds the drawing cap 5$"):
         render_svg(CS3, div("3Q1+3Q3"))
+    # a word draws one strand per label of the drawn cycle in each panel,
+    # and is refused before any panel is built
+    cs = CycleStructure.from_text("Q1>Q2>Q3;P")
+    built = []
+    indicator = cs.indicator
+    monkeypatch.setattr(cs, "indicator", lambda p: built.append(p) or indicator(p))
+    monkeypatch.setattr(divcalc, "DRAWING_CAP", 9)
+    assert len(strands(render_svg(cs, word=["Q1", "Q2", "Q3"], cycle=0))) == 9
+    assert len(strands(render_svg(cs, word=["P"] * 9, cycle=1))) == 9
+    monkeypatch.setattr(divcalc, "DRAWING_CAP", 8)
+    built.clear()
+    with pytest.raises(CapExceeded, match="^word of 3 letters over 3 labels exceeds the "
+                                          "drawing cap 8$"):
+        render_svg(cs, word=["Q1", "Q2", "Q3"], cycle=0)
+    with pytest.raises(CapExceeded, match="^word of 9 letters over 1 labels exceeds the "
+                                          "drawing cap 8$"):
+        render_svg(cs, word=["P"] * 9, cycle=1)
+    assert built == []
 
 
 def test_render_takes_exactly_one_of_divisor_or_word():

@@ -291,6 +291,8 @@ def test_parse_and_format():
     assert parse_quadint("-2+3*w") == QuadInt(-2, 3)
     assert parse_quadint("w") == QuadInt(0, 1)
     assert parse_quadint("-w") == QuadInt(0, -1)
+    assert parse_quadint("+w") == QuadInt(0, 1)
+    assert parse_quadint("3w") == QuadInt(0, 3)
     for x in [QuadInt(8, 0), QuadInt(-2, 3), QuadInt(0, -1), QuadInt(5, 7)]:
         assert parse_quadint(format_quadint(x)) == x
     with pytest.raises(ValueError):
@@ -299,8 +301,9 @@ def test_parse_and_format():
         parse_quadint("")
 
 
-@pytest.mark.parametrize("text", ["1++w", "1+-w", "w-", "1-", "+", "--"])
+@pytest.mark.parametrize("text", ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"])
 def test_parse_refuses_malformed_sign_runs(text):
-    # each was read as a nearby element while unmatched signs were skipped
+    # each was read as a nearby element while unmatched signs were skipped,
+    # or (the last three) while a `*` with no digits before it read as 1
     with pytest.raises(ValueError, match=r"^bad element syntax "):
         parse_quadint(text)
