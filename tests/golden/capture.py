@@ -36,12 +36,18 @@ DEMOS = ["divisor_diagrams", "zero_sum_sequences", "quadratic_order",
 # (3, 10) is the largest corpus below the pair budget, 284 ideals
 ORACLE_SIZES = [(3, 2), (2, 10), (4, 1), (3, 10)]
 # (name, oracle flags), each in human mode and with --json: two more
-# sizes, and a non-default seed with the most chain trials
+# sizes, a non-default seed with the most chain trials, and the edge
+# corpora: the ring alone (exponents <= 0), with no chain trials too, 132
+# ideals of T(5) and 299 of T(2)
 ORACLE_EXTRA = [
     ("3-3", ["--size", "3", "--max-exp", "3"]),
     ("3-4", ["--size", "3", "--max-exp", "4"]),
     ("2-10-seed1-trials100", ["--size", "2", "--max-exp", "10", "--seed", "1", "--trials", "100"]),
     ("4-1-seed1-trials100", ["--size", "4", "--max-exp", "1", "--seed", "1", "--trials", "100"]),
+    ("32-0", ["--size", "32", "--max-exp", "0"]),
+    ("2-0-trials0", ["--size", "2", "--max-exp", "0", "--trials", "0"]),
+    ("5-1", ["--size", "5", "--max-exp", "1"]),
+    ("2-50", ["--size", "2", "--max-exp", "50"]),
 ]
 # (ring size, number of maximal-ideal factors, word seed)
 DEEP_PRODUCTS = [(3, 90, 3), (4, 60, 4), (5, 40, 5)]

@@ -6,8 +6,10 @@ wrote.
 
 - `tring.json`: `tring oracle` at four sizes, the largest of them, T(3)
   with exponents up to 10, also in human mode; at T(3) with exponents up
-  to 3 and 4, and with `--seed 1 --trials 100` at T(2) up to 10 and T(4)
-  up to 1, each in human mode and with `--json`; the README `tring divisor`
+  to 3 and 4, with `--seed 1 --trials 100` at T(2) up to 10 and T(4) up
+  to 1, and at the edge corpora: the ring alone, T(32) up to 0 and T(2) up
+  to 0 with `--trials 0`, T(5) up to 1 (132 ideals) and T(2) up to 50 (299
+  ideals), each in human mode and with `--json`; the README `tring divisor`
   example and `tring divisor` on three deep products of maximal ideals.  The
   divisors in it were read off lexicographic chain walks, so they pin any
   other way of computing them.  T(3) up to 10 was captured from the older
@@ -15,7 +17,9 @@ wrote.
   replaced it.  The extra sizes and seeds were captured while each chain
   step still formed l full products and each corpus product was keyed by
   its matrix, so they pin the shared step product and the integer keys
-  that replaced them.
+  that replaced them.  The edge corpora were captured while each property
+  of the report was still a loop with its own break and guard, so they pin
+  the generators of counterexamples that replaced them.
 - `zs.json`: `zs atoms` and `zs davenport` on fifteen small groups, `zs
   davenport` on nine larger ones (up to order 32), `zs atoms` on ten larger
   ones (up to order 24) and on ground sets in Z/24 and Z/64, `zs factor` and
@@ -95,6 +99,8 @@ def test_golden_covers_every_command():
         "oracle-3-3-human", "oracle-3-3", "oracle-3-4-human", "oracle-3-4",
         "oracle-2-10-seed1-trials100-human", "oracle-2-10-seed1-trials100",
         "oracle-4-1-seed1-trials100-human", "oracle-4-1-seed1-trials100",
+        "oracle-32-0-human", "oracle-32-0", "oracle-2-0-trials0-human", "oracle-2-0-trials0",
+        "oracle-5-1-human", "oracle-5-1", "oracle-2-50-human", "oracle-2-50",
         "divisor-readme",
         "divisor-T3-product-90", "divisor-T4-product-60", "divisor-T5-product-40"]
     # 51 `zs atoms` and `zs davenport` cases before them, then 7 `zs factor`

@@ -294,11 +294,13 @@ def test_row_labels_are_the_diagonal_bumps(l):
     assert rows == tuple(l - k for k in range(1, l + 1))
 
 
+ORACLE_PROPERTIES = ["homomorphism", "injectivity", "realizability_image", "chain_independence"]
+
+
 def test_oracle_report_default_passes():
     report = oracle_report(l=3, max_exp=2, seed=1, chain_trials=10)
     assert report["all_pass"]
-    assert set(report["properties"]) == {
-        "homomorphism", "injectivity", "realizability_image", "chain_independence"}
+    assert list(report["properties"]) == ORACLE_PROPERTIES
 
 
 def test_oracle_report_l2_passes():
@@ -404,6 +406,99 @@ def test_oracle_reports_the_a_major_first_failing_pair(monkeypatch):
     assert calls == 7 * 44 + 21  # the loop stops at the first failing pair
     assert [name for name, p in report["properties"].items() if not p["pass"]] == [
         "homomorphism"]
+
+
+def assert_t3_report(report, corpus_size=44, **counterexamples):
+    """The whole report of oracle_report(3, 2), in key order: every property
+    passes except those given, each with its counterexample."""
+    expected = {"ring_size": 3, "max_exp": 2, "seed": 0, "corpus_size": corpus_size,
+                "properties": {name: {"pass": name not in counterexamples}
+                               for name in ORACLE_PROPERTIES}}
+    for name, counterexample in counterexamples.items():
+        expected["properties"][name]["counterexample"] = counterexample
+    expected["all_pass"] = not counterexamples
+    assert report == expected
+    assert list(report) == list(expected)
+    assert list(report["properties"]) == ORACLE_PROPERTIES
+
+
+def chain_wrong_on(monkeypatch, ideal):
+    """Patch the chain walk to add the number of walks so far to the first
+    count of the given ideal's divisor, so the counterexample names the
+    first trial that draws it."""
+    calls = 0
+
+    def wrong(A, rng):
+        nonlocal calls
+        calls += 1
+        got = _chain_divisor(A, rng)
+        return (got[0] + calls,) + got[1:] if A == ideal else got
+
+    monkeypatch.setattr(tring, "_chain_divisor", wrong)
+
+
+# The counterexamples below were captured before each property became a
+# generator of its counterexamples.  Corpus ideals 12 and 43 of T(3) with
+# exponents <= 2 are ((1,1,1),(1,1,1),(0,1,1)) and the ideal of all 2s.
+
+def test_oracle_injectivity_negative_control(monkeypatch):
+    corpus = enumerate_ideals(3, 2)
+    monkeypatch.setattr(tring, "divisor_of",
+                        lambda A: divisor_of(corpus[12] if A == corpus[43] else A))
+    # every ideal is a product, A * T(3), so the homomorphism breaks too
+    assert_t3_report(oracle_report(3, 2), homomorphism={
+        "A": ((0, 1, 1), (0, 0, 1), (0, 0, 1)),
+        "B": ((2, 2, 2), (2, 2, 2), (1, 1, 1)),
+        "divisor_of_product": "2Q1+2Q2+Q3",
+        "composed": "6Q1+5Q2+4Q3",
+    }, injectivity={"A": corpus[12], "B": corpus[43], "divisor": "2Q1+2Q2+Q3"})
+
+
+def test_oracle_realizability_negative_control_attained(monkeypatch):
+    monkeypatch.setattr(tring, "is_realizable",
+                        lambda cs, D: D != (1, 1, 1) and is_realizable(cs, D))
+    assert_t3_report(oracle_report(3, 2), realizability_image={
+        "A": ((1, 1, 1), (0, 1, 1), (0, 0, 1)), "divisor": "Q1+Q2+Q3"})
+
+
+def test_oracle_realizability_negative_control_missing(monkeypatch):
+    # drop the one ideal of divisor Q2+Q3; its counts are <= max_exp - 1
+    dropped = ((1, 1, 1), (0, 1, 1), (0, 0, 0))
+    assert divisor_of(dropped) == (0, 1, 1)
+    monkeypatch.setattr(tring, "enumerate_ideals",
+                        lambda l, max_exp: [A for A in enumerate_ideals(l, max_exp)
+                                            if A != dropped])
+    assert_t3_report(oracle_report(3, 2), corpus_size=43,
+                     realizability_image={"missing_divisor": "Q2+Q3"})
+
+
+def test_oracle_chain_independence_negative_control(monkeypatch):
+    # seed 0 first draws corpus ideal 12 in the 7th of 20 trials: 2 + 7 = 9
+    chain_wrong_on(monkeypatch, enumerate_ideals(3, 2)[12])
+    assert_t3_report(oracle_report(3, 2), chain_independence={
+        "A": ((1, 1, 1), (1, 1, 1), (0, 1, 1)), "expected": "2Q1+2Q2+Q3",
+        "got": "9Q1+2Q2+Q3"})
+
+
+def test_oracle_reports_every_failing_property(monkeypatch):
+    # one failed property does not stop the others
+    corpus = enumerate_ideals(3, 2)
+    divs = [divisor_of(A) for A in corpus]
+
+    def corrupted(cs, D, E):
+        good = compose(cs, D, E)
+        return (good[0], good[1] + 1) + good[2:] if (D, E) == (divs[7], divs[20]) else good
+
+    monkeypatch.setattr(tring, "compose", corrupted)
+    chain_wrong_on(monkeypatch, corpus[12])
+    assert_t3_report(oracle_report(3, 2), homomorphism={
+        "A": ((1, 1, 1), (0, 1, 1), (0, 0, 0)),
+        "B": ((1, 1, 2), (1, 1, 2), (0, 0, 1)),
+        "divisor_of_product": "Q1+3Q2+2Q3",
+        "composed": "Q1+4Q2+2Q3",
+    }, chain_independence={
+        "A": ((1, 1, 1), (1, 1, 1), (0, 1, 1)), "expected": "2Q1+2Q2+Q3",
+        "got": "9Q1+2Q2+Q3"})
 
 
 @pytest.mark.parametrize("l, max_exp, calls", [(2, 10, 177), (3, 3, 227), (3, 4, 317),
