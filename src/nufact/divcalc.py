@@ -11,7 +11,9 @@ cycle once per level.  Composing those lifted maps induces a
 ideal multiplication; it is computed here by a closed displacement formula
 and re-checked against the lifted maps on every call.
 
-Label text is validated where it enters: `parse_divisor`, `parse_word` and
+A label is a letter followed by letters, digits or underscores, as a
+divisor term names it; `CycleStructure` refuses any other label.  Label
+text is validated where it enters: `parse_divisor`, `parse_word` and
 `indicator`.  The functions that take a divisor (`compose`,
 `is_realizable`, `enumerate_factorizations_ex`, `render_svg`) refuse one of
 the wrong length.
@@ -32,10 +34,11 @@ LETTER_CAP = 2_000_000
 # search states (partial products, one per level they occur on) the word
 # search may visit; the letter cap then bounds the words built from them
 WORD_SEARCH_BUDGET = 200_000
-# total count of a divisor render_svg draws, as a strand draws one piece per
-# winding, and letters times labels of a word, as each letter's panel draws
-# one strand per label
+# panels times labels plus total count of a render_svg drawing: each panel
+# draws one strand per label, and a strand one more piece per winding
 DRAWING_CAP = 10_000
+# a label; also the label part of a divisor term
+_LABEL = r"[A-Za-z]\w*"
 
 
 class CycleStructure:
@@ -55,6 +58,9 @@ class CycleStructure:
         for cyc in self.cycles:
             first = len(succ)
             for pi, label in enumerate(cyc):
+                if not re.fullmatch(_LABEL, label):
+                    raise ValueError(f"bad label {label!r}: a label is a letter followed by "
+                                     f"letters, digits or underscores")
                 if label in self._index:
                     raise ValueError(f"duplicate label {label!r}")
                 self._index[label] = first + pi
@@ -103,7 +109,7 @@ class CycleStructure:
         if s == "0":
             return tuple(counts)
         for term in s.split("+"):
-            m = re.match(r"^(\d*)([A-Za-z]\w*)$", term)
+            m = re.match(rf"^(\d*)({_LABEL})$", term)
             if not m:
                 raise ValueError(f"bad divisor term {term!r} in {text!r}")
             counts[self.index(m.group(2))] += int(m.group(1)) if m.group(1) else 1
@@ -308,9 +314,10 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
     and right edges, and each strand moves forward by the divisor's count at
     its source, wrapping over the bottom edge once per winding.  Words render
     one panel per letter, glued left to right.  Only one cycle can be drawn;
-    for a multi-cycle structure the cycle index must be given.  A divisor
-    whose counts add up to more than DRAWING_CAP is refused, and so is a
-    word whose letters times the cycle's labels do.
+    for a multi-cycle structure the cycle index must be given.  A drawing
+    whose panels times the cycle's labels plus its total count exceed
+    DRAWING_CAP is refused: a divisor is one panel of its total count, and a
+    word one panel per letter, or one for the empty word, of one count each.
     """
     if (D is None) == (word is None):
         raise ValueError("give exactly one of a divisor or a word")
@@ -331,23 +338,21 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
         if stray:
             raise ValueError(
                 f"divisor has support outside the drawn cycle: {stray}")
-        if sum(D) > DRAWING_CAP:
-            raise CapExceeded(f"divisor of total count {sum(D)} exceeds the drawing cap "
-                              f"{DRAWING_CAP}")
-        panels = [D]
-        titles = [cs.format_divisor(D)]
+        n, count = 1, sum(D)
     else:
         word = list(word)
-        if len(word) * l > DRAWING_CAP:
-            raise CapExceeded(f"word of {len(word)} letters over {l} labels exceeds the "
-                              f"drawing cap {DRAWING_CAP}")
+        n, count = max(1, len(word)), len(word)
+    if n * l + count > DRAWING_CAP:
+        raise CapExceeded(f"drawing of {n} panels x {l} labels + total count {count} exceeds "
+                          f"the drawing cap {DRAWING_CAP}")
+    if word is None:
+        panels, titles = [D], [cs.format_divisor(D)]
+    else:
         for q in word:
             if q not in cyc:
                 raise ValueError(f"word letter {q!r} is not in the drawn cycle")
-        panels = [cs.indicator(q) for q in word] or [cs.zero()]
-        titles = word or ["0"]
+        panels, titles = [cs.indicator(q) for q in word] or [cs.zero()], word or ["0"]
 
-    n = len(panels)
     height = 2 * _MARGIN_Y + l * _ROW_H
     width = 2 * _MARGIN_X + n * _PANEL_W
     top = _MARGIN_Y

@@ -283,8 +283,11 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     trials and a corpus of more than ORACLE_PAIR_BUDGET pairs
     (enumerate_ideals stops past its square root) are refused.
 
-    The pairs are checked in A-major order, with one compose call each, and
-    the first failing pair is the counterexample.
+    Each property is a generator, named after it, of its counterexamples in
+    the order it checks its cases, and the report takes the first one: a
+    property stops at its first failure, and a failed property does not
+    stop the others.  The pairs are checked in A-major order, with one
+    compose call each.
 
     Returns a report dict with one pass/fail entry per property and a
     counterexample for every failure.
@@ -298,96 +301,69 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     corpus = enumerate_ideals(l, max_exp)  # refuses l < 2 before cycle_structure(l)
     cs = cycle_structure(l)
     divisors = [divisor_of(A) for A in corpus]
-    report: dict = {
-        "ring_size": l,
-        "max_exp": max_exp,
-        "seed": seed,
-        "corpus_size": len(corpus),
-        "properties": {},
-    }
 
-    def record(name, ok, counterexample=None):
-        entry = {"pass": bool(ok)}
-        if counterexample is not None:
-            entry["counterexample"] = counterexample
-        report["properties"][name] = entry
+    def homomorphism():
+        # the divisor of a product is the composition of the divisors.  Row
+        # i of A*B depends only on row i of A and on B, so each distinct
+        # corpus row is multiplied by each B once.  Each distinct product row
+        # gets a small int id, by_row[r][b] that of row r times corpus[b],
+        # and the ids of A's rows, zipped across the B's, give the key of
+        # every A*B at once.  The corpus is enumerated, so its products skip
+        # input validation; each distinct product is rebuilt from its key
+        # and validated once, by divisor_of.
+        rows: dict = {}
+        row_ids = [tuple(rows.setdefault(r, len(rows)) for r in A) for A in corpus]
+        distinct_rows = tuple(rows)
+        products: dict = {}
+        by_row = list(zip(*([products.setdefault(p, len(products)) for p in _mul(distinct_rows, B)]
+                            for B in corpus)))
+        product_rows = tuple(products)
+        product_divisors: dict = {}
+        for A, ids, DA in zip(corpus, row_ids, divisors):
+            for B, key, DB in zip(corpus, zip(*map(by_row.__getitem__, ids)), divisors):
+                got = product_divisors.get(key)
+                if got is None:
+                    got = product_divisors[key] = divisor_of(
+                        tuple(map(product_rows.__getitem__, key)))
+                want = compose(cs, DA, DB)
+                if got != want:
+                    yield {"A": A, "B": B, "divisor_of_product": cs.format_divisor(got),
+                           "composed": cs.format_divisor(want)}
 
-    # homomorphism: divisor of a product = composition of divisors.  Row i
-    # of A*B depends only on row i of A and on B, so each distinct corpus row
-    # is multiplied by each B once.  Each distinct product row gets a small
-    # int id, by_row[r][b] that of row r times corpus[b], and the ids of A's
-    # rows, zipped across the B's, give the key of every A*B at once.  The
-    # corpus is enumerated, so its products skip input validation; each
-    # distinct product is rebuilt from its key and validated once, by
-    # divisor_of.
-    rows: dict = {}
-    row_ids = [tuple(rows.setdefault(r, len(rows)) for r in A) for A in corpus]
-    distinct_rows = tuple(rows)
-    products: dict = {}
-    by_row = list(zip(*([products.setdefault(p, len(products)) for p in _mul(distinct_rows, B)]
-                        for B in corpus)))
-    product_rows = tuple(products)
-    bad = None
-    product_divisors: dict = {}
-    for A, ids, DA in zip(corpus, row_ids, divisors):
-        for B, key, DB in zip(corpus, zip(*map(by_row.__getitem__, ids)), divisors):
-            got = product_divisors.get(key)
-            if got is None:
-                got = product_divisors[key] = divisor_of(
-                    tuple(map(product_rows.__getitem__, key)))
-            want = compose(cs, DA, DB)
-            if got != want:
-                bad = {
-                    "A": A, "B": B,
-                    "divisor_of_product": cs.format_divisor(got),
-                    "composed": cs.format_divisor(want),
-                }
-                break
-        if bad:
-            break
-    record("homomorphism", bad is None, bad)
+    def injectivity():
+        seen: dict = {}
+        for A, DA in zip(corpus, divisors):
+            if seen.setdefault(DA, A) != A:
+                yield {"A": seen[DA], "B": A, "divisor": cs.format_divisor(DA)}
 
-    # injectivity of divisor_of on the corpus
-    seen: dict = {}
-    bad = None
-    for A, DA in zip(corpus, divisors):
-        if DA in seen and seen[DA] != A:
-            bad = {"A": seen[DA], "B": A, "divisor": cs.format_divisor(DA)}
-            break
-        seen[DA] = A
-    record("injectivity", bad is None, bad)
-
-    # realizability: attained divisors satisfy the tau inequality, and every
-    # realizable divisor with small counts is attained
-    bad = None
-    for A, DA in zip(corpus, divisors):
-        if not is_realizable(cs, DA):
-            bad = {"A": A, "divisor": cs.format_divisor(DA)}
-            break
-    attained = set(divisors)
-    if bad is None and max_exp >= 1:
-        bound = max_exp - 1
-        for combo in itertools.product(range(bound + 1), repeat=l):
+    def realizability_image():
+        # attained divisors satisfy the tau inequality, and every realizable
+        # divisor with counts <= max_exp - 1 is attained
+        for A, DA in zip(corpus, divisors):
+            if not is_realizable(cs, DA):
+                yield {"A": A, "divisor": cs.format_divisor(DA)}
+        attained = set(divisors)
+        for combo in itertools.product(range(max_exp), repeat=l):
             if is_realizable(cs, combo) and combo not in attained:
-                bad = {"missing_divisor": cs.format_divisor(combo)}
-                break
-    record("realizability_image", bad is None, bad)
+                yield {"missing_divisor": cs.format_divisor(combo)}
 
-    # chain independence: random maximal chains give the divisor_of value
-    rng = random.Random(seed)
-    bad = None
-    for _ in range(chain_trials):
-        idx = rng.randrange(len(corpus))
-        A, base = corpus[idx], divisors[idx]
-        alt = _chain_divisor(A, rng)
-        if alt != base:
-            bad = {"A": A, "expected": cs.format_divisor(base),
-                   "got": cs.format_divisor(alt)}
-            break
-    record("chain_independence", bad is None, bad)
+    def chain_independence():
+        # random maximal chains give the divisor_of value
+        rng = random.Random(seed)
+        for _ in range(chain_trials):
+            idx = rng.randrange(len(corpus))
+            A, base = corpus[idx], divisors[idx]
+            alt = _chain_divisor(A, rng)
+            if alt != base:
+                yield {"A": A, "expected": cs.format_divisor(base), "got": cs.format_divisor(alt)}
 
-    report["all_pass"] = all(p["pass"] for p in report["properties"].values())
-    return report
+    first = {prop.__name__: next(prop(), None)
+             for prop in (homomorphism, injectivity, realizability_image, chain_independence)}
+    return {"ring_size": l, "max_exp": max_exp, "seed": seed, "corpus_size": len(corpus),
+            "properties": {name: {"pass": True} if bad is None
+                           else {"pass": False, "counterexample": bad}
+                           for name, bad in first.items()},
+            "all_pass": all(bad is None for bad in first.values())}
 
 
 # ----------------------------------------------------------------------

@@ -374,10 +374,16 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"
      "the word search exceeds its budget: 1800000 label steps over 2000 labels, "
      "reached length 0"),
     (["div", "render", "--cycles", "Q1>Q2>Q3", "--divisor", HUGE + "Q1", "--out", "fig.svg"],
-     f"divisor of total count {HUGE} exceeds the drawing cap 10000"),
+     f"drawing of 1 panels x 3 labels + total count {HUGE} exceeds the drawing cap 10000"),
     (["div", "render", "--cycles", ">".join(f"Q{i}" for i in range(1, 51)),
       "--word", "*".join(["Q1"] * 2000), "--out", "word.svg"],
-     "word of 2000 letters over 50 labels exceeds the drawing cap 10000"),
+     "drawing of 2000 panels x 50 labels + total count 2000 exceeds the drawing cap 10000"),
+    (["div", "render", "--cycles", ">".join(f"Q{i}" for i in range(1, 10_002)),
+      "--divisor", "0", "--out", "fig.svg"],
+     "drawing of 1 panels x 10001 labels + total count 0 exceeds the drawing cap 10000"),
+    (["div", "render", "--cycles", ">".join(f"Q{i}" for i in range(1, 10_002)),
+      "--word", "", "--out", "word.svg"],
+     "drawing of 1 panels x 10001 labels + total count 0 exceeds the drawing cap 10000"),
     (["div", "render", "--cycles", "Q1>Q2>Q3", "--divisor", "Q1", "--out", "missing/fig.svg"],
      "No such file or directory: 'missing/fig.svg'"),
     (["div", "render", "--cycles", "Q1>Q2>Q3", "--word", "Q1", "--out", "."],
@@ -410,6 +416,7 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"
     (["zs", "hfwitness", "--group", "3", "--max-len", "-1"], "max_len must be >= 0"),
 ], ids=["div-factor-huge-count", "div-factor-huge-max-len", "div-factor-16-labels",
         "div-factor-2000-labels", "div-render-huge-count", "div-render-huge-word",
+        "div-render-10001-labels", "div-render-empty-word-10001-labels",
         "div-render-missing-dir", "div-render-onto-dir", "tring-oracle-huge-size",
         "tring-oracle-huge-trials", "tring-oracle-negative-trials",
         "tring-oracle-negative-max-exp", "tring-oracle-size-0", "tring-oracle-size-minus-1",
@@ -478,6 +485,19 @@ def test_div_render_writes_svg(tmp_path, capsys):
     assert code == 0
     root = ET.fromstring(out_file.read_text())
     assert root.tag.endswith("svg")
+
+
+@pytest.mark.parametrize("cycles, label", [('A>B"<&', 'B"<&'), ("2Q>Q3", "2Q"),
+                                           ("Q 1>Q2", "Q 1"), ("Q1*Q2>Q3", "Q1*Q2")])
+def test_div_refuses_labels_no_syntax_can_name(tmp_path, monkeypatch, capsys, cycles, label):
+    # `div render` wrote the first into an SVG attribute no XML parser reads
+    monkeypatch.chdir(tmp_path)
+    for argv in (["div", "render", "--cycles", cycles, "--divisor", "0", "--out", "x.svg"],
+                 ["div", "compose", "--cycles", cycles, "0", "0"]):
+        assert run(capsys, *argv) == (1, "", f"error: bad label {label!r}: a label is a "
+                                             "letter followed by letters, digits or "
+                                             "underscores\n")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_quad_commands(capsys):

@@ -36,7 +36,7 @@ QUATS = (["i+j", "-1-i-k", "1-2i+k", "(1/2)-i+((r3-2)/2)k", "r3", "ii"],
          ["1/0", "1/(r3-r3)", "i/j", HUGE + "i", "(", ")", "", "2^3",
           "(" * 5000 + "1" + ")" * 5000, "-" * 5000 + "1"])
 CYCLES = (["Q1>Q2>Q3", "Q1>Q2>Q3;P", "Q1>Q2", "Q1"],
-          ["P;Q", "", ">", ";", "Q1>Q1", "A>B;C>D>E", "Q1;;Q2"])
+          ["P;Q", "", ">", ";", "Q1>Q1", "A>B;C>D>E", "Q1;;Q2", 'A>B"<&', "2Q>Q3"])
 DIVISORS = (["Q1", "Q2", "2Q1+Q3", "Q1+Q2+Q3", "3Q1+2Q2+Q3", "2Q1", "P", "2P", "0"],
             ["", "-Q1", "-5Q2", "Q9", "Q1+", "++", HUGE + "Q1",
              f"{HUGE}Q1+{HUGE}Q2+{HUGE}Q3"])

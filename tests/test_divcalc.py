@@ -72,6 +72,28 @@ def test_cycle_structure_rejects_duplicates():
         CycleStructure.from_text("Q1>>Q2")
 
 
+# labels that no divisor term or word can name; the first also broke the
+# SVG attribute it was written into
+BAD_LABELS = ['B"<&', "2Q", "Q 1", "Q1*Q2"]
+
+
+@pytest.mark.parametrize("label", BAD_LABELS)
+def test_cycle_structure_refuses_labels_no_syntax_can_name(label):
+    message = (f"bad label {label!r}: a label is a letter followed by letters, digits or "
+               "underscores")
+    for make in (lambda: CycleStructure([["A", label]]),
+                 lambda: CycleStructure.from_text(f"A>{label}")):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
+
+def test_cycle_structure_accepts_every_label_a_divisor_term_names():
+    cs = CycleStructure.from_text("Q_1>x>Pq9;B")
+    assert cs.parse_divisor("2Q_1+x+3Pq9+B") == (2, 1, 3, 1)
+    assert cs.parse_word("Q_1*B") == ["Q_1", "B"]
+
+
 def test_apply_lifted_worked_values():
     # a point is (label index, level): Q1, Q2, Q3 are indices 0, 1, 2
     D = div("2Q1+Q3")
@@ -461,28 +483,43 @@ def test_render_word_panels():
 
 
 def test_render_drawing_cap(monkeypatch):
-    monkeypatch.setattr(divcalc, "DRAWING_CAP", 5)
-    assert render_svg(CS3, div("2Q1+3Q3")).startswith("<svg")
-    with pytest.raises(CapExceeded, match="total count 6 exceeds the drawing cap 5$"):
-        render_svg(CS3, div("3Q1+3Q3"))
-    # a word draws one strand per label of the drawn cycle in each panel,
-    # and is refused before any panel is built
+    # a drawing costs panels x labels + total count: each panel draws one
+    # strand per label, and a strand one more piece per winding.  A divisor
+    # is one panel, and a word one panel per letter, of one count each, or
+    # one empty panel.  Nothing is built before the cap is checked.
     cs = CycleStructure.from_text("Q1>Q2>Q3;P")
     built = []
     indicator = cs.indicator
     monkeypatch.setattr(cs, "indicator", lambda p: built.append(p) or indicator(p))
-    monkeypatch.setattr(divcalc, "DRAWING_CAP", 9)
-    assert len(strands(render_svg(cs, word=["Q1", "Q2", "Q3"], cycle=0))) == 9
-    assert len(strands(render_svg(cs, word=["P"] * 9, cycle=1))) == 9
     monkeypatch.setattr(divcalc, "DRAWING_CAP", 8)
+    assert render_svg(CS3, div("2Q1+3Q3")).startswith("<svg")
+    with pytest.raises(CapExceeded, match="^drawing of 1 panels x 3 labels \\+ total count 6 "
+                                          "exceeds the drawing cap 8$"):
+        render_svg(CS3, div("3Q1+3Q3"))
+    monkeypatch.setattr(divcalc, "DRAWING_CAP", 12)
+    assert len(strands(render_svg(cs, word=["Q1", "Q2", "Q3"], cycle=0))) == 9
+    monkeypatch.setattr(divcalc, "DRAWING_CAP", 18)
+    assert len(strands(render_svg(cs, word=["P"] * 9, cycle=1))) == 9
     built.clear()
-    with pytest.raises(CapExceeded, match="^word of 3 letters over 3 labels exceeds the "
-                                          "drawing cap 8$"):
+    monkeypatch.setattr(divcalc, "DRAWING_CAP", 11)
+    with pytest.raises(CapExceeded, match="^drawing of 3 panels x 3 labels \\+ total count 3 "
+                                          "exceeds the drawing cap 11$"):
         render_svg(cs, word=["Q1", "Q2", "Q3"], cycle=0)
-    with pytest.raises(CapExceeded, match="^word of 9 letters over 1 labels exceeds the "
-                                          "drawing cap 8$"):
+    monkeypatch.setattr(divcalc, "DRAWING_CAP", 17)
+    with pytest.raises(CapExceeded, match="^drawing of 9 panels x 1 labels \\+ total count 9 "
+                                          "exceeds the drawing cap 17$"):
         render_svg(cs, word=["P"] * 9, cycle=1)
     assert built == []
+    # at the real cap, labels alone count: the zero divisor and the empty
+    # word each draw one strand per label
+    monkeypatch.undo()
+    wide = CycleStructure([[f"Q{i}" for i in range(10_000)]])
+    assert len(strands(render_svg(wide, wide.zero()))) == 10_000
+    wider = CycleStructure([[f"Q{i}" for i in range(10_001)]])
+    for kwargs in ({"D": wider.zero()}, {"word": []}):
+        with pytest.raises(CapExceeded, match="^drawing of 1 panels x 10001 labels \\+ total "
+                                              "count 0 exceeds the drawing cap 10000$"):
+            render_svg(wider, **kwargs)
 
 
 def test_render_takes_exactly_one_of_divisor_or_word():
