@@ -88,7 +88,7 @@ def test_cycle_structure_refuses_labels_no_syntax_can_name(label):
         assert str(exc.value) == message
 
 
-def test_cycle_structure_accepts_every_label_a_divisor_term_names():
+def test_cycle_structure_accepts_the_labels_a_divisor_term_names():
     cs = CycleStructure.from_text("Q_1>x>Pq9;B")
     assert cs.parse_divisor("2Q_1+x+3Pq9+B") == (2, 1, 3, 1)
     assert cs.parse_word("Q_1*B") == ["Q_1", "B"]
