@@ -170,7 +170,8 @@ DIV_FACTOR_BOUNDED = [("Q1>Q2>Q3", "Q2", 6), ("Q1>Q2>Q3", "Q1+Q2", 5),
 # (name, `div render` flags): strands of windings 0 to 3 on a 4- and a
 # 5-cycle, some ending exactly where a level ends; a 1-label cycle; the
 # zero divisor; the second cycle of two; the empty word and a word that
-# repeats letters
+# repeats letters; then words, the empty word and divisors drawn from each
+# cycle of two that both hold more than one label
 DIV_RENDERS = [
     ("4-cycle-windings-0-3", ["--cycles", "Q1>Q2>Q3>Q4", "--divisor", "Q1+5Q2+9Q3+12Q4"]),
     ("4-cycle-level-ends", ["--cycles", "Q1>Q2>Q3>Q4", "--divisor", "4Q1+3Q2+2Q3+Q4"]),
@@ -186,13 +187,24 @@ DIV_RENDERS = [
     ("empty-word", ["--cycles", "Q1>Q2>Q3", "--word", ""]),
     ("word-repeats", ["--cycles", "Q1>Q2>Q3", "--word", "Q1*Q1*Q2*Q3*Q3"]),
     ("1-cycle-word", ["--cycles", "Q", "--word", "Q*Q"]),
+    ("2-cycles-word-cycle-1", ["--cycles", "Q1>Q2>Q3;P1>P2", "--word", "P1*P2*P2",
+                               "--cycle", "1"]),
+    ("2-cycles-word-cycle-0", ["--cycles", "Q1>Q2>Q3;P1>P2", "--word", "Q1*Q3*Q3",
+                               "--cycle", "0"]),
+    ("2-cycles-empty-word-cycle-1", ["--cycles", "Q1>Q2>Q3;P1>P2", "--word", "",
+                                     "--cycle", "1"]),
+    ("2-cycles-divisor-cycle-1", ["--cycles", "Q1>Q2>Q3;P1>P2", "--divisor", "2P1+P2",
+                                  "--cycle", "1"]),
+    ("2-cycles-divisor-cycle-0", ["--cycles", "Q1>Q2>Q3;P1>P2", "--divisor", "Q1+2Q3",
+                                  "--cycle", "0"]),
 ]
 
 
 def div_argvs():
     """(name, argv) of every pinned `div` command: `div factor`, human and
     --json, with the default and with an explicit length bound, then `div
-    render` in human mode, writing out.svg."""
+    render` in human mode, writing out.svg, and one `div render` of the
+    empty word with --json."""
     out = []
     for cycles, seed in DIV_FACTOR_SEEDS:
         argv = ["div", "factor", "--cycles", cycles, realizable_divisor_text(cycles, seed)]
@@ -204,6 +216,10 @@ def div_argvs():
         out += [(name, argv), (f"{name}-json", ["--json"] + argv)]
     out += [(f"render-{name}", ["div", "render", *flags, "--out", "out.svg"])
             for name, flags in DIV_RENDERS]
+    # the empty word has no letters to join, so its payload names its target
+    out.append(("render-2-cycles-empty-word-cycle-1-json",
+                ["--json", "div", "render", *dict(DIV_RENDERS)["2-cycles-empty-word-cycle-1"],
+                 "--out", "out.svg"]))
     return out
 
 

@@ -37,14 +37,19 @@ wrote.
   realizable divisors over a 3-cycle, a 4-cycle and a 3-cycle beside a
   1-cycle, and with an explicit bound on four divisors whose words repeat
   idempotent letters and span three or more lengths, three of them
-  truncated, in human mode and with `--json`; then the SVG files of twelve
-  `div render` commands: strands of windings 0 to 3 on a 4- and a 5-cycle,
-  a 1-label cycle, the zero divisor, the second cycle of two, the empty
-  word and words that repeat letters.  The bounded `div factor` and the
-  `div render` pins were captured while the word search was still a
-  depth-first walk sorted by length and each strand was still cut at its
-  wraps by a helper, so they pin the level-by-level listing and the
-  piece-per-winding drawing that replaced them.
+  truncated, in human mode and with `--json`; then the SVG files of
+  eighteen `div render` commands: strands of windings 0 to 3 on a 4- and a
+  5-cycle, a 1-label cycle, the zero divisor, the second cycle of two, the
+  empty word and words that repeat letters, and over the cycles
+  Q1>Q2>Q3;P1>P2 a word, a divisor and the empty word drawn from either
+  cycle, the empty word also with `--json`.  The bounded `div factor` and
+  the first twelve `div render` pins were captured while the word search
+  was still a depth-first walk sorted by length and each strand was still
+  cut at its wraps by a helper, so they pin the level-by-level listing and
+  the piece-per-winding drawing that replaced them.  The six renders over
+  two cycles were captured while each word panel was still a count tuple
+  over every label of every cycle, so they pin the panels of the drawn
+  cycle's counts alone that replaced them.
 - `quad.json`: `quad factor` on ten elements, among them elements with
   several factorizations and norms up to 10^6 (720, 840, 998, 1000), and
   `quad atoms --norm` on eight norms, in human mode and with `--json`.  They
@@ -113,9 +118,11 @@ def test_golden_covers_every_command():
     assert [c["name"] for c in README if "files" in c] == [
         "div-render-1", "div-render-1-json", "div-render-2", "div-render-2-json"]
     # 6 default-bound and 4 bounded `div factor` cases, each human and
-    # --json, then 12 `div render` cases, each writing one SVG file
+    # --json, then 17 `div render` cases in human mode and one with --json,
+    # each writing one SVG file
     assert [("files" in c, c["name"].startswith("render-")) for c in DIV] == (
-        [(False, False)] * 20 + [(True, True)] * 12)
+        [(False, False)] * 20 + [(True, True)] * 18)
+    assert DIV[-1]["name"] == "render-2-cycles-empty-word-cycle-1-json"
     # 10 `quad factor` and 8 `quad atoms --norm` cases, each human and --json
     assert len(QUAD) == 36
     assert [c["name"] for c in QUAD][-2:] == ["atoms-norm-72", "atoms-norm-72-json"]
