@@ -19,7 +19,7 @@ import itertools
 import os
 import sys
 
-from . import abelian, divcalc, quadring, quatcheck, tring, zerosum
+from . import CapExceeded, abelian, divcalc, quadring, quatcheck, tring, zerosum
 
 
 def _group(args) -> abelian.FinAbGroup:
@@ -165,6 +165,12 @@ def cmd_quat_verify(args):
 
 def cmd_div_compose(args):
     cs = _cycles(args)
+    # each divisor costs O(labels) to parse and to compose: charge the label
+    # steps of the word search's budget before parsing any
+    budget, n = 9 * divcalc.WORD_SEARCH_BUDGET, len(cs.labels())
+    if len(args.divisors) * n > budget:
+        raise CapExceeded(f"composing {len(args.divisors)} divisors over {n} labels exceeds "
+                          f"the budget of {budget} label steps")
     acc = cs.parse_divisor(args.divisors[0])
     for text in args.divisors[1:]:
         acc = divcalc.compose(cs, acc, cs.parse_divisor(text))
@@ -204,18 +210,13 @@ def cmd_div_render(args):
     cs = _cycles(args)
     if (args.divisor is None) == (args.word is None):
         raise ValueError("give exactly one of --divisor or --word")
-    if args.divisor is not None:
-        D = cs.parse_divisor(args.divisor)
-        shape = cs.format_divisor(D)
-        svg = divcalc.render_svg(cs, D, cycle=args.cycle)
-    else:
-        word = cs.parse_word(args.word)
-        shape = "*".join(word) or "(empty word)"
-        svg = divcalc.render_svg(cs, cycle=args.cycle, word=word)
+    D = None if args.divisor is None else cs.parse_divisor(args.divisor)
+    word = None if args.word is None else cs.parse_word(args.word)
+    svg = divcalc.render_svg(cs, D, cycle=args.cycle, word=word)
+    shape = cs.format_divisor(D) if word is None else "*".join(word) or "(empty word)"
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    payload = {"cycles": args.cycles, "target": shape, "out": args.out}
-    return payload, f"wrote {args.out}"
+    return {"cycles": args.cycles, "target": shape, "out": args.out}, f"wrote {args.out}"
 
 
 # ----------------------------------------------------------------------

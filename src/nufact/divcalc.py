@@ -285,10 +285,14 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
     # Extend every live prefix by its moves in letter order, one level at a
     # time: each length's words arrive in letter order, after all shorter
     # words.  A word's list is its frontier entry's, never changed after.
+    # Each prefix is popped, and so released, as it is extended: the
+    # frontier is reversed so the pops keep letter order.
     frontier = [([], zero)]
     words = [[]] if zero == D else []
     for live_states in live[1:]:
-        frontier = [(path + [labels[q]], nxt) for path, p in frontier
+        frontier.reverse()
+        frontier = [(path + [labels[q]], nxt)
+                    for path, p in (frontier.pop() for _ in range(len(frontier)))
                     for q, nxt in successors(p) if nxt in live_states]
         words += [path for path, p in frontier if p == D]
     return words, truncated
@@ -313,11 +317,14 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
     The cylinder is flattened to a rectangle: marked points sit on the left
     and right edges, and each strand moves forward by the divisor's count at
     its source, wrapping over the bottom edge once per winding.  Words render
-    one panel per letter, glued left to right.  Only one cycle can be drawn;
-    for a multi-cycle structure the cycle index must be given.  A drawing
-    whose panels times the cycle's labels plus its total count exceed
-    DRAWING_CAP is refused: a divisor is one panel of its total count, and a
-    word one panel per letter, or one for the empty word, of one count each.
+    one panel per letter, glued left to right; the empty word is drawn as
+    the zero divisor.  Only one cycle can be drawn; for a multi-cycle
+    structure the cycle index must be given.  A panel holds only the drawn
+    cycle's counts and its text, so a drawing's cost follows that cycle, not
+    the whole structure.  A drawing whose panels times the cycle's labels
+    plus its total count exceed DRAWING_CAP is refused: a divisor is one
+    panel of its total count, and a word one panel per letter of one count
+    each.
     """
     if (D is None) == (word is None):
         raise ValueError("give exactly one of a divisor or a word")
@@ -331,27 +338,30 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
     cyc = cs.cycles[cycle]
     l = len(cyc)
     first = cs.index(cyc[0])
+    drawn = set(cyc)
 
+    # each panel is a pair: the drawn cycle's counts and the panel's text.
+    # The empty word is drawn as the zero divisor, and a word's panels are
+    # a generator, built once the cap has passed.
+    if word is not None and not (word := list(word)):
+        D, word = cs.zero(), None
     if word is None:
         _check_length(cs, D)
-        stray = [p for p, c in zip(cs.labels(), D) if c and p not in cyc]
+        stray = [p for p, c in zip(cs.labels(), D) if c and p not in drawn]
         if stray:
             raise ValueError(
                 f"divisor has support outside the drawn cycle: {stray}")
         n, count = 1, sum(D)
+        panels = [(D[first:first + l], cs.format_divisor(D))]
     else:
-        word = list(word)
-        n, count = max(1, len(word)), len(word)
+        for q in word:
+            if q not in drawn:
+                raise ValueError(f"word letter {q!r} is not in the drawn cycle")
+        n = count = len(word)
+        panels = (([int(p == q) for p in cyc], q) for q in word)
     if n * l + count > DRAWING_CAP:
         raise CapExceeded(f"drawing of {n} panels x {l} labels + total count {count} exceeds "
                           f"the drawing cap {DRAWING_CAP}")
-    if word is None:
-        panels, titles = [D], [cs.format_divisor(D)]
-    else:
-        for q in word:
-            if q not in cyc:
-                raise ValueError(f"word letter {q!r} is not in the drawn cycle")
-        panels, titles = [cs.indicator(q) for q in word] or [cs.zero()], word or ["0"]
 
     height = 2 * _MARGIN_Y + l * _ROW_H
     width = 2 * _MARGIN_X + n * _PANEL_W
@@ -373,14 +383,13 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
         '.frame{fill:none;stroke:#444;stroke-width:1;}</style>'
     )
 
-    for t, P in enumerate(panels):
+    for t, (counts, text) in enumerate(panels):
         x0 = _MARGIN_X + t * _PANEL_W
         x1 = x0 + _PANEL_W
-        out.append(f'<g class="panel" data-panel="{t}" data-divisor="{cs.format_divisor(P)}">')
+        out.append(f'<g class="panel" data-panel="{t}" data-divisor="{text}">')
         out.append(f'<rect class="frame" x="{x0}" y="{top}" width="{_PANEL_W}" '
                    f'height="{l * _ROW_H}"/>')
-        for i, src in enumerate(cyc):
-            steps = P[first + i]
+        for i, (src, steps) in enumerate(zip(cyc, counts)):
             dest = cyc[(i + steps) % l]
             winding = (i + steps) // l
             if steps == 0:
@@ -402,7 +411,7 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
                 f'stroke="{color}" d="{path}"/>'
             )
         out.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{height - 3:.1f}" '
-                   f'text-anchor="middle">{titles[t]}</text>')
+                   f'text-anchor="middle">{text}</text>')
         out.append("</g>")
 
     # boundary marks; labels on the outer edges only

@@ -64,7 +64,8 @@ def elements_of_norm(n: int) -> list[QuadInt]:
     """All elements of norm n, complete and duplicate-free.
 
     4*norm = (2a + b)^2 + 23 b^2 bounds |b| by sqrt(4n/23); the remaining
-    square condition is checked exactly.
+    square condition is checked exactly.  A root s of 4n - 23 b^2 always
+    gives an integer a = (s - b)/2, since s^2 = b^2 (mod 2).
     """
     if n < 0:
         return []
@@ -75,8 +76,6 @@ def elements_of_norm(n: int) -> list[QuadInt]:
         m = 4 * n - 23 * b * b
         s = math.isqrt(m)
         if s * s != m:
-            continue
-        if (s - b) % 2 != 0:
             continue
         for sign in ({s, -s} if s else {0}):
             out.append(QuadInt((sign - b) // 2, b))

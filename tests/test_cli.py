@@ -178,6 +178,19 @@ def test_div_compose_worked_example(capsys):
     assert out.strip() == "2Q1+Q2"
 
 
+def test_div_compose_budget_boundary(monkeypatch, capsys):
+    # each divisor costs one label step per label, against nine times the
+    # word search's budget: at 18 steps, six divisors over three labels are
+    # composed, and seven are refused before any divisor is parsed
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 2)
+    word = ["Q1", "Q2", "Q3"] * 2
+    assert run(capsys, "div", "compose", "--cycles", "Q1>Q2>Q3", *word) == (
+        0, "6Q1+5Q2+4Q3\n", "")
+    assert run(capsys, "div", "compose", "--cycles", "Q1>Q2>Q3", *word, "R1") == (
+        1, "", "error: composing 7 divisors over 3 labels exceeds the budget of 18 "
+               "label steps\n")
+
+
 def test_div_realizable_and_factor(capsys):
     code, out, _ = run(capsys, "div", "realizable", "--cycles", "Q1>Q2>Q3", "2Q1")
     assert code == 0 and out.strip() == "not realizable"
@@ -373,6 +386,9 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"
       "--max-len", "2"],
      "the word search exceeds its budget: 1800000 label steps over 2000 labels, "
      "reached length 0"),
+    (["div", "compose", "--cycles", ">".join(f"Q{i}" for i in range(1, 15_001)),
+      *["Q1"] * 150_000],
+     "composing 150000 divisors over 15000 labels exceeds the budget of 1800000 label steps"),
     (["div", "render", "--cycles", "Q1>Q2>Q3", "--divisor", HUGE + "Q1", "--out", "fig.svg"],
      f"drawing of 1 panels x 3 labels + total count {HUGE} exceeds the drawing cap 10000"),
     (["div", "render", "--cycles", ">".join(f"Q{i}" for i in range(1, 51)),
@@ -415,8 +431,8 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"
      "bad multiplicity in '1^1^1'"),
     (["zs", "hfwitness", "--group", "3", "--max-len", "-1"], "max_len must be >= 0"),
 ], ids=["div-factor-huge-count", "div-factor-huge-max-len", "div-factor-16-labels",
-        "div-factor-2000-labels", "div-render-huge-count", "div-render-huge-word",
-        "div-render-10001-labels", "div-render-empty-word-10001-labels",
+        "div-factor-2000-labels", "div-compose-150000-divisors", "div-render-huge-count",
+        "div-render-huge-word", "div-render-10001-labels", "div-render-empty-word-10001-labels",
         "div-render-missing-dir", "div-render-onto-dir", "tring-oracle-huge-size",
         "tring-oracle-huge-trials", "tring-oracle-negative-trials",
         "tring-oracle-negative-max-exp", "tring-oracle-size-0", "tring-oracle-size-minus-1",

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import itertools
 import tracemalloc
@@ -371,10 +372,13 @@ def test_brute_force_catches_a_listing_out_of_letter_order():
 
 def test_word_search_memory_follows_its_output():
     # every realizable divisor of total 11 over CS3 has 3,003 words of 40,040
-    # letters within length 14; building them once held 3x their memory
+    # letters within length 14; building them once held 3x their memory.
+    # A full collection empties the free lists, so held counts the words
+    # alone, not freed tuples kept for reuse.
     tracemalloc.start()
     try:
         words, _ = enumerate_factorizations_ex(CS3, div("4Q1+4Q2+3Q3"), 14)
+        gc.collect()
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -485,12 +489,10 @@ def test_render_word_panels():
 def test_render_drawing_cap(monkeypatch):
     # a drawing costs panels x labels + total count: each panel draws one
     # strand per label, and a strand one more piece per winding.  A divisor
-    # is one panel, and a word one panel per letter, of one count each, or
-    # one empty panel.  Nothing is built before the cap is checked.
+    # is one panel, and a word one panel per letter, of one count each; the
+    # empty word is the zero divisor.  No word panel is built before the cap
+    # is checked.
     cs = CycleStructure.from_text("Q1>Q2>Q3;P")
-    built = []
-    indicator = cs.indicator
-    monkeypatch.setattr(cs, "indicator", lambda p: built.append(p) or indicator(p))
     monkeypatch.setattr(divcalc, "DRAWING_CAP", 8)
     assert render_svg(CS3, div("2Q1+3Q3")).startswith("<svg")
     with pytest.raises(CapExceeded, match="^drawing of 1 panels x 3 labels \\+ total count 6 "
@@ -500,7 +502,6 @@ def test_render_drawing_cap(monkeypatch):
     assert len(strands(render_svg(cs, word=["Q1", "Q2", "Q3"], cycle=0))) == 9
     monkeypatch.setattr(divcalc, "DRAWING_CAP", 18)
     assert len(strands(render_svg(cs, word=["P"] * 9, cycle=1))) == 9
-    built.clear()
     monkeypatch.setattr(divcalc, "DRAWING_CAP", 11)
     with pytest.raises(CapExceeded, match="^drawing of 3 panels x 3 labels \\+ total count 3 "
                                           "exceeds the drawing cap 11$"):
@@ -509,7 +510,6 @@ def test_render_drawing_cap(monkeypatch):
     with pytest.raises(CapExceeded, match="^drawing of 9 panels x 1 labels \\+ total count 9 "
                                           "exceeds the drawing cap 17$"):
         render_svg(cs, word=["P"] * 9, cycle=1)
-    assert built == []
     # at the real cap, labels alone count: the zero divisor and the empty
     # word each draw one strand per label
     monkeypatch.undo()
@@ -520,6 +520,36 @@ def test_render_drawing_cap(monkeypatch):
         with pytest.raises(CapExceeded, match="^drawing of 1 panels x 10001 labels \\+ total "
                                               "count 0 exceeds the drawing cap 10000$"):
             render_svg(wider, **kwargs)
+    # a refused word builds no panel: 2,000 panels of 500 counts each
+    # would take about 8 MB
+    cycle_500 = CycleStructure([[f"Q{i}" for i in range(500)]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="^drawing of 2000 panels x 500 labels \\+ total "
+                                              "count 2000 exceeds the drawing cap 10000$"):
+            render_svg(cycle_500, word=["Q1"] * 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
+
+
+def test_render_cost_follows_the_drawn_cycle():
+    # a panel holds the drawn cycle's counts alone: 1,000 letters beside a
+    # 5,000-label cycle draw the same SVG as over the drawn cycle alone, in
+    # memory that does not grow with the other cycle (about 40 MB while
+    # each panel counted every label of every cycle)
+    word = ["Q1"] * 1000
+    alone = render_svg(CycleStructure.from_text("Q1>Q2"), word=word, cycle=0)
+    wide = CycleStructure([["Q1", "Q2"], [f"P{i}" for i in range(1, 5001)]])
+    tracemalloc.start()
+    try:
+        svg = render_svg(wide, word=word, cycle=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svg == alone
+    assert peak < 4 * 2**20
 
 
 def test_render_takes_exactly_one_of_divisor_or_word():
