@@ -149,6 +149,13 @@ def cmd_quad_norm(args):
 # quat: identity verification over Q(sqrt(3))
 
 def cmd_quat_verify(args):
+    # a character may cost one quaternion product, a parenthesis only a
+    # frame: charge both against the budget before parsing any text
+    texts = [*args.factors, args.product]
+    cost = sum(10 * len(t) - 9 * (t.count("(") + t.count(")")) for t in texts)
+    if cost > quatcheck.VERIFY_BUDGET:
+        raise CapExceeded(f"verifying {len(texts)} texts costs {cost} steps, over the budget "
+                          f"of {quatcheck.VERIFY_BUDGET}: 10 per character, 1 per parenthesis")
     factors = [quatcheck.parse_quat(t) for t in args.factors]
     product = quatcheck.parse_quat(args.product)
     ok = quatcheck.verify_identity(factors, product)
@@ -223,10 +230,16 @@ def cmd_div_render(args):
 # tring: the triangular-order oracle
 
 def cmd_tring_mul(args):
-    A = tring.parse_matrix(args.matrices[0])
-    acc = A
-    for text in args.matrices[1:]:
-        acc = tring.mul(acc, tring.parse_matrix(text))
+    # every product computed is of two l x l matrices, l the first's size,
+    # since a size mismatch stops the products: charge l**3 steps for each
+    matrices = [tring.parse_matrix(text) for text in args.matrices]
+    n, l = len(matrices) - 1, len(matrices[0])
+    if n * l**3 > tring.MUL_BUDGET:
+        raise CapExceeded(f"multiplying {n + 1} matrices of size {l} costs {n * l**3} steps, "
+                          f"over the budget of {tring.MUL_BUDGET}")
+    acc = matrices[0]
+    for B in matrices[1:]:
+        acc = tring.mul(acc, B)
     return {"result": acc}, tring.format_matrix(acc)
 
 

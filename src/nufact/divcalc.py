@@ -9,7 +9,10 @@ divisor's count at its label, in the total order that runs through each
 cycle once per level.  Composing those lifted maps induces a
 (non-commutative) composition of divisors, which is the operation mirroring
 ideal multiplication; it is computed here by a closed displacement formula
-and re-checked against the lifted maps on every call.
+and `compose` re-checks it against the lifted maps on every call.  The word
+search composes only with single letters, so it applies the formula itself:
+one pass finds where each label's move lands, and each letter's step adds
+one at the labels landing on it.
 
 A label is a letter followed by letters, digits or underscores, as a
 divisor term names it; `CycleStructure` refuses any other label.  Label
@@ -26,7 +29,6 @@ renders the standard cylinder diagrams as SVG.
 from __future__ import annotations
 
 import re
-from operator import le
 
 from . import CapExceeded
 
@@ -210,6 +212,11 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
     partials would take more than 9 * WORD_SEARCH_BUDGET label steps, each
     new partial costing the number of labels squared.
 
+    A partial is expanded by one landing pass: the label each label's move
+    lands on.  The step by letter q adds one at every label landing on q,
+    which is `compose` with the indicator of q, and it stays below D unless
+    one of those labels is already full.
+
     The states are the partial products by number of letters; a pass from
     the last level up counts the words and letters of each, and keeps the
     live states, those with a word.  The words are then listed level by
@@ -221,7 +228,6 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
     if not is_realizable(cs, D):
         raise ValueError("divisor is not realizable; it has no factorization")
     labels = cs.labels()
-    indicators: list = []
     zero = cs.zero()
     moves: dict = {}
 
@@ -229,19 +235,20 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
         """(letter index, next partial) for each letter that keeps
         partial <= D."""
         if partial not in moves:
-            steps = ((q, compose(cs, partial, E)) for q, E in enumerate(indicators))
-            moves[partial] = [(q, nxt) for q, nxt in steps if all(map(le, nxt, D))]
+            lands = [apply_lifted(cs, partial, (i, 0))[0] for i in range(len(labels))]
+            full = {j for c, d, j in zip(partial, D, lands) if c == d}
+            moves[partial] = [(q, tuple(c + (j == q) for c, j in zip(partial, lands)))
+                              for q in range(len(labels)) if q not in full]
         return moves[partial]
 
     # levels[k]: the partial products reachable with k letters, that is the
     # search states (partial, max_len - k).  The passes below run level by
     # level from the last one up, without recursion.  Past an empty level
     # every level is empty, so the levels stop there.
-    # Expanding a new partial costs one compose per label, each over every
-    # label: it is charged len(labels)**2 steps before its moves are built,
-    # against the budget at 3 labels, 9 steps per state.  The indicators,
-    # len(labels)**2 counts, are built on the first expansion, once its
-    # charge has passed.
+    # Expanding a new partial takes one landing pass over its labels, then
+    # one step over every label per letter: it is charged len(labels)**2
+    # steps before its moves are built, against the budget at 3 labels,
+    # 9 steps per state.
     levels = [{zero}]
     visited = 1
     steps = 0
@@ -251,7 +258,6 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
             raise CapExceeded(
                 f"the word search exceeds its budget: {9 * WORD_SEARCH_BUDGET} label "
                 f"steps over {len(labels)} labels, reached length {len(levels) - 1}")
-        indicators = indicators or [cs.indicator(p) for p in labels]
         levels.append({nxt for p in levels[-1] for _, nxt in successors(p)})
         visited += len(levels[-1])
         if visited > WORD_SEARCH_BUDGET:

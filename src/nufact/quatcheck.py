@@ -18,6 +18,12 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
+# steps `quat verify` may charge its texts before parsing them: ten per
+# character, which may cost a product, and one per parenthesis, which only
+# opens or closes a frame.  The largest admitted, 1,499 one-letter factors
+# and a one-letter product, take 0.5 to 0.7 s end to end.
+VERIFY_BUDGET = 15_000
+
 
 class SqrtRat(namedtuple("SqrtRat", "u v")):
     """u + v*sqrt(3) with exact rational u, v."""

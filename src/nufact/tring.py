@@ -34,6 +34,9 @@ CHAIN_TRIAL_CAP = 100
 # corpus pairs of the homomorphism check: enumeration stops past 300 ideals,
 # and the largest admitted, T(3) with exponents <= 10 (284), takes about 1 s
 ORACLE_PAIR_BUDGET = 90_000
+# min-plus steps `tring mul` may take, l**3 per product of l x l matrices;
+# one product of two 215 x 215 matrices takes 0.7 to 0.9 s end to end
+MUL_BUDGET = 10_000_000
 
 Matrix = tuple[tuple[int, ...], ...]
 

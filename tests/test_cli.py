@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nufact
-from nufact import abelian, divcalc, tring, zerosum
+from nufact import abelian, divcalc, quatcheck, tring, zerosum
 from nufact.cli import main
 
 SRC = Path(nufact.__file__).resolve().parent.parent
@@ -368,6 +368,7 @@ def test_zs_whole_group_checks_the_order_cap_first(argv, message, capsys):
 
 
 HUGE = "99999999999999999999"
+ZEROS_250 = "[" + ",".join(["[" + ",".join("0" * 250) + "]"] * 250) + "]"
 # each was read as a nearby element while unmatched signs were skipped, or
 # (the last three) while a `*` with no digits before it read as 1
 MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"]
@@ -411,6 +412,8 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"
     (["tring", "oracle", "--size", "0"], "triangular order needs size l >= 2"),
     (["tring", "oracle", "--size", "-1"], "triangular order needs size l >= 2"),
     (["tring", "mul", "[" * 100_000], "expected a JSON array of integer rows"),
+    (["tring", "mul", *[ZEROS_250] * 8],
+     "multiplying 8 matrices of size 250 costs 109375000 steps, over the budget of 10000000"),
     (["quad", "atoms", "1000024+1*w"], "norm 1000049000606 exceeds cap 1000000"),
     (["quad", "atoms", "2", "3", "--norm", "4"], "give elements or --norm N, not both"),
     (["quad", "atoms"], "give elements or --norm N"),
@@ -418,6 +421,12 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"
       for text in MALFORMED_QUADINTS],
     (["quat", "verify", "--product", "1", "--", "1/(r3-r3)"],
      "zero has no inverse in Q(sqrt(3))"),
+    (["quat", "verify", "--product", "1", "--", *["1+i"] * 8000],
+     "verifying 8001 texts costs 240010 steps, over the budget of 15000"),
+    (["quat", "verify", "--product", "1", "--", *["i"] * 4000],
+     "verifying 4001 texts costs 40010 steps, over the budget of 15000"),
+    (["quat", "verify", "--product", "1", "--", *["9" * 2000] * 300],
+     "verifying 301 texts costs 6000010 steps, over the budget of 15000"),
     (["zs", "lengths", "--group", "3", "--seq", f"1^{HUGE}"],
      f"sequence length {HUGE} exceeds cap 24"),
     (["zs", "lengths", "--group", "64", "--seq",
@@ -436,10 +445,11 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"
         "div-render-missing-dir", "div-render-onto-dir", "tring-oracle-huge-size",
         "tring-oracle-huge-trials", "tring-oracle-negative-trials",
         "tring-oracle-negative-max-exp", "tring-oracle-size-0", "tring-oracle-size-minus-1",
-        "tring-mul-deep-json", "quad-atoms-huge-norm",
+        "tring-mul-deep-json", "tring-mul-eight-250", "quad-atoms-huge-norm",
         "quad-atoms-elements-and-norm", "quad-atoms-neither",
         *[f"quad-norm-malformed-{i}" for i in range(len(MALFORMED_QUADINTS))],
-        "quat-zero-divisor",
+        "quat-zero-divisor", "quat-verify-8000-factors", "quat-verify-4000-letters",
+        "quat-verify-300-numerals",
         "zs-lengths-huge-multiplicity", "zs-lengths-z64-walk", "zs-lengths-bad-multiplicity",
         "zs-factor-empty-multiplicity", "zs-atoms-bare-caret", "zs-hfwitness-two-carets",
         "zs-hfwitness-negative-max-len"])
@@ -540,6 +550,41 @@ def test_quat_verify_deep_parentheses(capsys):
     code, out, err = run(capsys, "quat", "verify", "--product", "1",
                          "(" * 5000 + "1" + ")" * 5000)
     assert (code, out, err) == (0, "verified\n", "")
+
+
+def test_quat_verify_budget_boundary(monkeypatch, capsys):
+    # ten steps per character and one per parenthesis, charged before any
+    # text is parsed: the README factors cost 150 steps, and "(i)" 12
+    args = ["--product", "1-2i+k", "--", "i+j", "-1-i-k"]
+    monkeypatch.setattr(quatcheck, "VERIFY_BUDGET", 150)
+    assert run(capsys, "quat", "verify", *args) == (0, "verified\n", "")
+    monkeypatch.setattr(quatcheck, "VERIFY_BUDGET", 149)
+    assert run(capsys, "quat", "verify", *args) == (
+        1, "", "error: verifying 3 texts costs 150 steps, over the budget of 149: "
+               "10 per character, 1 per parenthesis\n")
+    monkeypatch.setattr(quatcheck, "VERIFY_BUDGET", 22)
+    assert run(capsys, "quat", "verify", "--product", "i", "--", "(i)") == (
+        0, "verified\n", "")
+    monkeypatch.setattr(quatcheck, "VERIFY_BUDGET", 21)
+    assert run(capsys, "quat", "verify", "--product", "i", "--", "(?)") == (
+        1, "", "error: verifying 2 texts costs 22 steps, over the budget of 21: "
+               "10 per character, 1 per parenthesis\n")
+
+
+def test_tring_mul_budget_boundary(monkeypatch, capsys):
+    # l**3 steps per product of l x l matrices, charged once all are parsed
+    # and before any product: three 3x3 matrices cost 54 steps
+    A, B = "[[0,1,1],[0,0,1],[0,0,1]]", "[[0,1,1],[0,1,1],[0,0,0]]"
+    monkeypatch.setattr(tring, "MUL_BUDGET", 54)
+    assert run_json(capsys, "tring", "mul", A, B, A)["result"] == [
+        [0, 1, 1], [0, 1, 1], [0, 1, 1]]
+    monkeypatch.setattr(tring, "MUL_BUDGET", 53)
+    assert run(capsys, "tring", "mul", A, B, A) == (
+        1, "", "error: multiplying 3 matrices of size 3 costs 54 steps, over the budget "
+               "of 53\n")
+    # a single matrix takes no product
+    monkeypatch.setattr(tring, "MUL_BUDGET", 0)
+    assert run_json(capsys, "tring", "mul", A)["result"] == [[0, 1, 1], [0, 0, 1], [0, 0, 1]]
 
 
 def test_tring_commands(capsys):

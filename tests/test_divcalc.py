@@ -297,26 +297,40 @@ def test_word_search_charges_labels_squared_per_new_partial(monkeypatch):
         enumerate_factorizations_ex(cs, Q1, 2)
 
 
-def test_word_search_builds_its_indicators_after_the_first_charge(monkeypatch):
-    # a search with no expansion, or refused at its first, builds none of
-    # the 2,000 indicators of 2,000 counts each
-    cs = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 2001)))
-    Q1 = cs.indicator("Q1")
-    built = []
-    monkeypatch.setattr(cs, "indicator", built.append)
-    assert enumerate_factorizations_ex(cs, Q1, 0) == ([], True)
+def test_word_search_calls_neither_indicator_nor_compose(monkeypatch):
+    # each partial is stepped by its landing map, so no search, whether
+    # empty, refused or expanding, builds an indicator or composes
+    wide = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 2001)))
+    cs12 = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 13)))
+    wide_Q1, Q1, D = wide.indicator("Q1"), cs12.indicator("Q1"), div("3Q1+2Q2+Q3")
+    called = []
+    for cs in (wide, cs12, CS3):
+        monkeypatch.setattr(cs, "indicator", lambda p: called.append(("indicator", p)))
+    monkeypatch.setattr(divcalc, "compose", lambda *a: called.append(("compose", a)))
+    assert enumerate_factorizations_ex(wide, wide_Q1, 0) == ([], True)
     with pytest.raises(CapExceeded, match="^the word search exceeds its budget: 1800000 "
                                           "label steps over 2000 labels, reached length 0$"):
-        enumerate_factorizations_ex(cs, Q1, 2)
-    assert built == []
-    # a search that expands builds each indicator once
-    cs = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 13)))
-    indicator = cs.indicator
-    assert [indicator(p) for p in cs.labels()] == [
-        tuple(int(j == i) for j in range(12)) for i in range(12)]
-    monkeypatch.setattr(cs, "indicator", lambda p: built.append(p) or indicator(p))
-    assert enumerate_factorizations_ex(cs, indicator("Q1"), 3)[0][0] == ["Q1"]
-    assert built == cs.labels()
+        enumerate_factorizations_ex(wide, wide_Q1, 2)
+    assert enumerate_factorizations_ex(cs12, Q1, 3) == (
+        [["Q1"], ["Q1", "Q1"], ["Q1", "Q1", "Q1"]], False)
+    words, truncated = enumerate_factorizations_ex(CS3, D, 5)
+    assert words[0] == ["Q1", "Q2", "Q3"] and len(words) == 37 and truncated
+    assert called == []
+
+
+def test_word_search_over_a_wide_cycle_follows_the_partial():
+    # Q1 over 1,000 labels is one letter: the landing pass leaves every
+    # other letter full, so no l x l table is built
+    cs = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 1001)))
+    Q1 = cs.indicator("Q1")
+    tracemalloc.start()
+    try:
+        result = enumerate_factorizations_ex(cs, Q1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == ([["Q1"]], False)
+    assert peak < 2**20
 
 
 BRUTE_MAX_LEN = 6
@@ -367,6 +381,20 @@ def test_brute_force_catches_a_listing_out_of_letter_order():
          namespace)
     reversed_listing = namespace["enumerate_factorizations_ex"]
     assert any(reversed_listing(cs, D, max_len) != (words, truncated)
+               for cs, D, max_len, words, truncated in brute_force_cases())
+
+
+def test_brute_force_catches_a_commutative_step():
+    # negative control: stepping each partial by the plain sum with the
+    # letter, as if divisors composed commutatively, must disagree with
+    # the composed words
+    source = inspect.getsource(divcalc.enumerate_factorizations_ex)
+    step = "c + (j == q) for c, j in zip(partial, lands)"
+    assert source.count(step) == 1
+    namespace = dict(vars(divcalc))
+    exec(source.replace(step, "c + (j == q) for j, c in enumerate(partial)"), namespace)
+    summed = namespace["enumerate_factorizations_ex"]
+    assert any(summed(cs, D, max_len) != (words, truncated)
                for cs, D, max_len, words, truncated in brute_force_cases())
 
 
