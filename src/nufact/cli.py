@@ -403,11 +403,6 @@ def _parser(words) -> argparse.ArgumentParser:
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The whole command tree: every family with its leaves."""
-    return _parser(_FAMILIES)
-
-
 def main(argv=None) -> int:
     args = _parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     try:

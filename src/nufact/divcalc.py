@@ -8,16 +8,18 @@ label's position in ``cs.labels()``: the point moves forward by the
 divisor's count at its label, in the total order that runs through each
 cycle once per level.  Composing those lifted maps induces a
 (non-commutative) composition of divisors, which is the operation mirroring
-ideal multiplication; it is computed here by a closed displacement formula
-and `compose` re-checks it against the lifted maps on every call.  The word
-search composes only with single letters, so it applies the formula itself:
-one pass finds where each label's move lands, and each letter's step adds
-one at the labels landing on it.
+ideal multiplication.  It has a closed displacement formula: `landing`
+finds the label where each label's move under D lands, and D composed with
+E adds E's count there to D's count at each label.  `compose` applies the
+formula and re-checks it against the lifted maps on every call.  The word
+search and `tring oracle` take one landing pass per left factor and apply
+the formula themselves: the word search composes only with single letters,
+and the oracle checks `compose` once per case rather than once per pair.
 
 A label is a letter followed by letters, digits or underscores, as a
 divisor term names it; `CycleStructure` refuses any other label.  Label
 text is validated where it enters: `parse_divisor`, `parse_word` and
-`indicator`.  The functions that take a divisor (`compose`,
+`indicator`.  The functions that take a divisor (`landing`, `compose`,
 `is_realizable`, `enumerate_factorizations_ex`, `render_svg`) refuse one of
 the wrong length.
 
@@ -158,6 +160,13 @@ def apply_lifted(cs: CycleStructure, D, p: tuple[int, int]) -> tuple[int, int]:
     return first + n % l, level + n // l
 
 
+def landing(cs: CycleStructure, D) -> list[int]:
+    """For each label index i, the index of the label where D's move of the
+    point (i, 0) lands."""
+    _check_length(cs, D)
+    return [apply_lifted(cs, D, (i, 0))[0] for i in range(len(D))]
+
+
 def compose(cs: CycleStructure, D, E) -> tuple[int, ...]:
     """The divisor whose lifted map is (lift of E) after (lift of D).
 
@@ -167,7 +176,7 @@ def compose(cs: CycleStructure, D, E) -> tuple[int, ...]:
     assumed.
     """
     _check_length(cs, D, E)
-    out = tuple(c + E[apply_lifted(cs, D, (i, 0))[0]] for i, c in enumerate(D))
+    out = tuple(c + E[j] for c, j in zip(D, landing(cs, D)))
     for i in range(len(D)):
         p = (i, 0)
         if apply_lifted(cs, out, p) != apply_lifted(cs, E, apply_lifted(cs, D, p)):
@@ -235,7 +244,7 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
         """(letter index, next partial) for each letter that keeps
         partial <= D."""
         if partial not in moves:
-            lands = [apply_lifted(cs, partial, (i, 0))[0] for i in range(len(labels))]
+            lands = landing(cs, partial)
             full = {j for c, d, j in zip(partial, D, lands) if c == d}
             moves[partial] = [(q, tuple(c + (j == q) for c, j in zip(partial, lands)))
                               for q in range(len(labels)) if q not in full]

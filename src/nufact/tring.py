@@ -22,17 +22,18 @@ import functools
 import itertools
 import math
 import random
-from operator import add, ge, sub
+from operator import add, ge, itemgetter, sub
 
 from . import CapExceeded
-from .divcalc import CycleStructure, compose, is_realizable
+from .divcalc import CycleStructure, compose, is_realizable, landing
 
 # the oracle's largest ring (T(32) with exponents <= 0 takes about 0.3 s)
 # and most chain walks (100 add at most about 0.4 s to an admitted corpus)
 ORACLE_SIZE_CAP = 32
 CHAIN_TRIAL_CAP = 100
 # corpus pairs of the homomorphism check: enumeration stops past 300 ideals,
-# and the largest admitted, T(3) with exponents <= 10 (284), takes about 1 s
+# and the slowest admitted, T(2) with exponents <= 50 (299), takes about
+# 0.6 s end to end (T(3) with exponents <= 10, 284 ideals, about 0.35 s)
 ORACLE_PAIR_BUDGET = 90_000
 # min-plus steps `tring mul` may take, l**3 per product of l x l matrices;
 # one product of two 215 x 215 matrices takes 0.7 to 0.9 s end to end
@@ -289,8 +290,11 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     Each property is a generator, named after it, of its counterexamples in
     the order it checks its cases, and the report takes the first one: a
     property stops at its first failure, and a failed property does not
-    stop the others.  The pairs are checked in A-major order, with one
-    compose call each.
+    stop the others.  The pairs are checked in A-major order by the
+    composition formula, with one landing pass per left factor, and compose
+    runs its lifted-map self-check on one pair per case the pairs reach: a
+    label, A's count at it, and B's count at the label where A's move from
+    it lands.
 
     Returns a report dict with one pass/fail entry per property and a
     counterexample for every failure.
@@ -322,16 +326,40 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
                             for B in corpus)))
         product_rows = tuple(products)
         product_divisors: dict = {}
+        # Each pair is composed by the formula, from one landing pass per A:
+        # A o B counts DA[i] + DB[j] at label i, with j where A's move at i
+        # lands (l >= 2, so at_lands gives a tuple).  compose's self-check at
+        # label i depends only on the case (i, DA[i], DB[j]), so it runs once
+        # per case the pairs reach: todo[i, c] holds the counts at c's
+        # landing label not checked yet, and A composes with each B, in
+        # corpus order, that checks one of its cases left, until none is
+        # left.  A pair whose compose value differs from the formula fails
+        # like one whose product does.
+        values = [set(counts) for counts in zip(*divisors)]
+        todo: dict = {}
         for A, ids, DA in zip(corpus, row_ids, divisors):
+            lands = landing(cs, DA)
+            left = [todo.setdefault((i, c), set(values[j]))
+                    for i, (c, j) in enumerate(zip(DA, lands))]
+            checked = {}
+            for DB in divisors:
+                if not any(left):
+                    break
+                if any(DB[j] in counts for j, counts in zip(lands, left)):
+                    checked[DB] = compose(cs, DA, DB)
+                    for j, counts in zip(lands, left):
+                        counts.discard(DB[j])
+            at_lands = itemgetter(*lands)
             for B, key, DB in zip(corpus, zip(*map(by_row.__getitem__, ids)), divisors):
                 got = product_divisors.get(key)
                 if got is None:
                     got = product_divisors[key] = divisor_of(
                         tuple(map(product_rows.__getitem__, key)))
-                want = compose(cs, DA, DB)
-                if got != want:
+                want = tuple(map(add, DA, at_lands(DB)))
+                composed = checked.get(DB, want) if got == want else want
+                if composed != got:
                     yield {"A": A, "B": B, "divisor_of_product": cs.format_divisor(got),
-                           "composed": cs.format_divisor(want)}
+                           "composed": cs.format_divisor(composed)}
 
     def injectivity():
         seen: dict = {}

@@ -17,6 +17,7 @@ from nufact.divcalc import (
     default_max_len,
     enumerate_factorizations_ex,
     is_realizable,
+    landing,
     render_svg,
 )
 
@@ -51,6 +52,7 @@ def test_divisor_is_a_count_tuple_in_label_order():
     lambda D: is_realizable(CS3, D),
     lambda D: enumerate_factorizations_ex(CS3, D, 3),
     lambda D: render_svg(CS3, D),
+    lambda D: landing(CS3, D),
 ])
 def test_divisor_of_wrong_length_is_refused(call):
     for D in [(1, 0), (1, 0, 0, 0), ()]:
@@ -150,6 +152,17 @@ def test_compose_matches_lifted_maps():
                     p = (i, level)
                     assert apply_lifted(CS3, C, p) == \
                         apply_lifted(CS3, E, apply_lifted(CS3, D, p))
+
+
+def test_landing_is_where_each_labels_move_lands():
+    # counts up to 7 wind the 3-cycle twice; P is a 1-cycle, which every
+    # count winds in place
+    for cs in (CS3, MIXED):
+        for D in all_divisors(cs, 7):
+            assert landing(cs, D) == [apply_lifted(cs, D, (i, 0))[0] for i in range(len(D))]
+    assert landing(CS3, div("7Q1+Q2")) == [1, 2, 2]
+    assert landing(MIXED, MIXED.parse_divisor("6Q3+9P")) == [0, 1, 2, 3]
+    assert landing(MIXED, MIXED.parse_divisor("4Q1+6Q2+8Q3")) == [1, 1, 1, 3]
 
 
 def test_compose_associative_exhaustively():

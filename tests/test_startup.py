@@ -39,7 +39,7 @@ def fresh(code: str, report: str = REPORT):
 
 
 def test_import_runs_no_submodule():
-    report = fresh("import nufact.cli\nassert nufact.cli.build_parser()")
+    report = fresh("import nufact.cli\nassert nufact.cli._parser(nufact.cli._FAMILIES)")
     assert report == {"executed": [], "dataclasses": False}
 
 

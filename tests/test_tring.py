@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from nufact import tring
-from nufact.divcalc import compose, is_realizable
+from nufact.divcalc import apply_lifted, compose, is_realizable, landing
 from nufact.tring import (
     CapExceeded,
     _as_matrix,
@@ -352,62 +352,6 @@ def test_tau_orbit_general_size(l):
         assert tau_ideal(Q) == Qs[(idx + 1) % l]
 
 
-def test_oracle_report_negative_control(monkeypatch):
-    def corrupted(cs, D, E):
-        good = compose(cs, D, E)
-        return (good[0] + 1,) + good[1:]
-
-    monkeypatch.setattr(tring, "compose", corrupted)
-    report = oracle_report(l=3, max_exp=1)
-    assert not report["all_pass"]
-    assert not report["properties"]["homomorphism"]["pass"]
-    assert "counterexample" in report["properties"]["homomorphism"]
-
-
-def test_oracle_composes_once_per_pair_in_a_major_order(monkeypatch):
-    corpus = enumerate_ideals(3, 2)
-    divs = [divisor_of(A) for A in corpus]
-    calls = []
-
-    def counting(cs, D, E):
-        calls.append((D, E))
-        return compose(cs, D, E)
-
-    monkeypatch.setattr(tring, "compose", counting)
-    report = oracle_report(l=3, max_exp=2)
-    assert report["all_pass"]
-    assert len(calls) == report["corpus_size"] ** 2 == 44 ** 2
-    assert calls == list(itertools.product(divs, repeat=2))
-
-
-def test_oracle_reports_the_a_major_first_failing_pair(monkeypatch):
-    # (7, 20) comes first in A-major order and (12, 3) in B-major order; the
-    # expected counterexample was captured before the products were
-    # row-factored
-    corpus = enumerate_ideals(3, 2)
-    divs = [divisor_of(A) for A in corpus]
-    corrupt = {(divs[7], divs[20]), (divs[12], divs[3])}
-    calls = 0
-
-    def corrupted(cs, D, E):
-        nonlocal calls
-        calls += 1
-        good = compose(cs, D, E)
-        return (good[0], good[1] + 1) + good[2:] if (D, E) in corrupt else good
-
-    monkeypatch.setattr(tring, "compose", corrupted)
-    report = oracle_report(l=3, max_exp=2)
-    assert report["properties"]["homomorphism"] == {"pass": False, "counterexample": {
-        "A": ((1, 1, 1), (0, 1, 1), (0, 0, 0)),
-        "B": ((1, 1, 2), (1, 1, 2), (0, 0, 1)),
-        "divisor_of_product": "Q1+3Q2+2Q3",
-        "composed": "Q1+4Q2+2Q3",
-    }}
-    assert calls == 7 * 44 + 21  # the loop stops at the first failing pair
-    assert [name for name, p in report["properties"].items() if not p["pass"]] == [
-        "homomorphism"]
-
-
 def assert_t3_report(report, corpus_size=44, **counterexamples):
     """The whole report of oracle_report(3, 2), in key order: every property
     passes except those given, each with its counterexample."""
@@ -480,25 +424,186 @@ def test_oracle_chain_independence_negative_control(monkeypatch):
         "got": "9Q1+2Q2+Q3"})
 
 
+def checked_cases(cs, D, E):
+    """The cases whose lifted-map checks compose(cs, D, E) runs: at each
+    label i, (i, D[i], E[j]) with j the label where D's move of (i, 0)
+    lands."""
+    return {(i, c, E[apply_lifted(cs, D, (i, 0))[0]]) for i, c in enumerate(D)}
+
+
+def first_reaching_pairs(cs, divs):
+    """The pairs of divs, in A-major order, whose compose checks reach a
+    case that no earlier pair of the list reaches, and every case reached."""
+    pairs, reached = [], set()
+    for D, E in itertools.product(divs, repeat=2):
+        cases = checked_cases(cs, D, E)
+        if not cases <= reached:
+            pairs.append((D, E))
+            reached |= cases
+    return pairs, reached
+
+
+def compose_spy(calls, corrupt=lambda out: out):
+    """A compose that records its (D, E) in calls and returns corrupt of its
+    value."""
+
+    def spy(cs, D, E):
+        calls.append((D, E))
+        return corrupt(compose(cs, D, E))
+
+    return spy
+
+
+def landing_spy(monkeypatch, *wrong):
+    """Patch the oracle's landing pass to record its divisors and, for the
+    given ideals, to land Q2's move where Q3's lands; compose keeps its own
+    landing pass.  Returns the recorded divisors."""
+    wrong = set(map(divisor_of, wrong))
+    calls = []
+
+    def spy(cs, D):
+        calls.append(D)
+        lands = landing(cs, D)
+        return [lands[0], lands[2], *lands[2:]] if D in wrong else lands
+
+    monkeypatch.setattr(tring, "landing", spy)
+    return calls
+
+
+def divisor_of_spy(monkeypatch):
+    """Patch the oracle's divisor_of to record its ideals; returns them."""
+    calls = []
+
+    def spy(A):
+        calls.append(A)
+        return divisor_of(A)
+
+    monkeypatch.setattr(tring, "divisor_of", spy)
+    return calls
+
+
+def wrong_landing_failures(corpus, wrong):
+    """(a, b, counterexample) for each pair of corpus indices, in A-major
+    order, with a in wrong, where the formula with corpus[a]'s Q2 landing
+    where its Q3 lands differs from the divisor of the product, by mul and
+    divisor_of."""
+    cs = cycle_structure(3)
+    for (a, A), (b, B) in itertools.product(enumerate(corpus), repeat=2):
+        if a in wrong:
+            DA, DB, got = divisor_of(A), divisor_of(B), divisor_of(mul(A, B))
+            lands = [apply_lifted(cs, DA, (i, 0))[0] for i in range(3)]
+            composed = tuple(c + DB[j] for c, j in zip(DA, [lands[0], lands[2], lands[2]]))
+            if composed != got:
+                yield a, b, {"A": A, "B": B, "divisor_of_product": cs.format_divisor(got),
+                             "composed": cs.format_divisor(composed)}
+
+
+def test_oracle_lands_once_per_corpus_divisor_in_corpus_order(monkeypatch):
+    divs = [divisor_of(A) for A in enumerate_ideals(3, 2)]
+    landed = landing_spy(monkeypatch)
+    assert_t3_report(oracle_report(3, 2))
+    assert landed == divs
+
+
+def test_oracle_composes_each_pair_that_first_reaches_a_case(monkeypatch):
+    # compose runs, in A-major order, on exactly the pairs whose checks
+    # reach a case that no pair composed before reached: 107 of the 1,936
+    # pairs, for the 109 cases the pairs reach
+    divs = [divisor_of(A) for A in enumerate_ideals(3, 2)]
+    pairs, reached = first_reaching_pairs(CS3, divs)
+    calls = []
+    monkeypatch.setattr(tring, "compose", compose_spy(calls))
+    assert_t3_report(oracle_report(3, 2))
+    assert calls == pairs
+    assert len(calls) == 107 and len(reached) == 109
+
+
+def unchecked_cases(l, max_exp, calls):
+    """The cases the pairs of the corpus reach, by brute force over the
+    pairs, that no compose call in calls checks; no pair may be composed
+    twice."""
+    cs = cycle_structure(l)
+    divs = [divisor_of(A) for A in enumerate_ideals(l, max_exp)]
+    assert len(set(calls)) == len(calls) <= len(divs) ** 2
+    reached = set().union(*(checked_cases(cs, D, E) for D, E in itertools.product(divs, repeat=2)))
+    return reached - set().union(*(checked_cases(cs, D, E) for D, E in calls))
+
+
+@pytest.mark.parametrize("l, max_exp", [(3, 2), (2, 4)])
+def test_oracle_compose_checks_every_case_the_pairs_reach(monkeypatch, l, max_exp):
+    calls = []
+    monkeypatch.setattr(tring, "compose", compose_spy(calls))
+    assert oracle_report(l, max_exp, chain_trials=0)["all_pass"]
+    assert unchecked_cases(l, max_exp, calls) == set()
+
+
+@pytest.mark.parametrize("l, max_exp", [(3, 2), (2, 4)])
+def test_coverage_catches_a_cover_that_skips_a_case(l, max_exp):
+    # negative control: a cover that composes no pair reaching (0, 0, 0),
+    # the first label's case of the ring times itself, still passes, and
+    # leaves exactly that case unchecked
+    source = inspect.getsource(tring.oracle_report)
+    pick = "if any(DB[j] in counts for j, counts in zip(lands, left)):"
+    assert source.count(pick) == 1
+    calls = []
+    namespace = dict(vars(tring), compose=compose_spy(calls))
+    exec(source.replace(pick, pick[:-1] + " and (0, DA[0], DB[lands[0]]) != (0, 0, 0):"),
+         namespace)
+    assert namespace["oracle_report"](l, max_exp, chain_trials=0)["all_pass"]
+    assert unchecked_cases(l, max_exp, calls) == {(0, 0, 0)}
+
+
+def test_oracle_report_negative_control(monkeypatch):
+    # a compose wrong at every pair fails at the first pair it checks, the
+    # ring times itself: the first left factor's compose calls run before
+    # its pairs, and the loop stops there
+    corpus = enumerate_ideals(3, 2)
+    divs = [divisor_of(A) for A in corpus]
+    calls = []
+    monkeypatch.setattr(tring, "compose",
+                        compose_spy(calls, lambda out: (out[0] + 1,) + out[1:]))
+    landed = landing_spy(monkeypatch)
+    assert_t3_report(oracle_report(3, 2), homomorphism={
+        "A": T3, "B": T3, "divisor_of_product": "0", "composed": "Q1"})
+    assert landed == divs[:1]
+    assert calls == [(D, E) for D, E in first_reaching_pairs(CS3, divs)[0] if D == divs[0]]
+
+
+def test_oracle_reports_the_a_major_first_failing_pair(monkeypatch):
+    # Q2 landing where Q3 lands first fails at (0, 2) for corpus ideal 0,
+    # the ring, and at (5, 1) for ideal 5: (0, 2) comes first in A-major
+    # order and (5, 1) in B-major order
+    corpus = enumerate_ideals(3, 2)
+    failures = list(wrong_landing_failures(corpus, {0, 5}))
+    assert failures[0][:2] == (0, 2)
+    assert min(failures, key=lambda f: (f[1], f[0]))[:2] == (5, 1)
+    landed = landing_spy(monkeypatch, corpus[0], corpus[5])
+    validated = divisor_of_spy(monkeypatch)
+    assert_t3_report(oracle_report(3, 2), homomorphism=failures[0][2])
+    # the loop stops at the first failing pair: the landing pass ran for
+    # ideal 0 alone, and divisor_of validated the corpus and the products
+    # of (0, 0), (0, 1) and (0, 2), while (0, 3) gives a new product
+    pairs = [(corpus[0], B) for B in corpus[:4]]
+    assert len({mul(A, B) for A, B in pairs}) == 4
+    assert landed == [divisor_of(corpus[0])]
+    assert validated == corpus + [mul(A, B) for A, B in pairs[:3]]
+
+
 def test_oracle_reports_every_failing_property(monkeypatch):
     # one failed property does not stop the others
     corpus = enumerate_ideals(3, 2)
-    divs = [divisor_of(A) for A in corpus]
-
-    def corrupted(cs, D, E):
-        good = compose(cs, D, E)
-        return (good[0], good[1] + 1) + good[2:] if (D, E) == (divs[7], divs[20]) else good
-
-    monkeypatch.setattr(tring, "compose", corrupted)
+    a, b, counterexample = next(wrong_landing_failures(corpus, {7}))
+    landed = landing_spy(monkeypatch, corpus[7])
+    validated = divisor_of_spy(monkeypatch)
     chain_wrong_on(monkeypatch, corpus[12])
-    assert_t3_report(oracle_report(3, 2), homomorphism={
-        "A": ((1, 1, 1), (0, 1, 1), (0, 0, 0)),
-        "B": ((1, 1, 2), (1, 1, 2), (0, 0, 1)),
-        "divisor_of_product": "Q1+3Q2+2Q3",
-        "composed": "Q1+4Q2+2Q3",
-    }, chain_independence={
+    assert_t3_report(oracle_report(3, 2), homomorphism=counterexample, chain_independence={
         "A": ((1, 1, 1), (1, 1, 1), (0, 1, 1)), "expected": "2Q1+2Q2+Q3",
         "got": "9Q1+2Q2+Q3"})
+    # the homomorphism stops at its first failing pair, (7, 1)
+    assert (a, b) == (7, 1)
+    assert landed == [divisor_of(A) for A in corpus[:8]]
+    pairs = itertools.islice(itertools.product(corpus, repeat=2), a * len(corpus) + b + 1)
+    assert validated == corpus + list(dict.fromkeys(itertools.starmap(mul, pairs)))
 
 
 @pytest.mark.parametrize("l, max_exp, calls", [(2, 10, 177), (3, 3, 227), (3, 4, 317),
@@ -507,13 +612,7 @@ def test_oracle_validates_each_corpus_ideal_and_distinct_product_once(
         monkeypatch, l, max_exp, calls):
     corpus = enumerate_ideals(l, max_exp)
     distinct = set(map(mul, *zip(*itertools.product(corpus, repeat=2))))
-    seen = []
-
-    def counting(A):
-        seen.append(A)
-        return divisor_of(A)
-
-    monkeypatch.setattr(tring, "divisor_of", counting)
+    seen = divisor_of_spy(monkeypatch)
     assert oracle_report(l=l, max_exp=max_exp, chain_trials=0)["all_pass"]
     assert len(seen) == len(corpus) + len(distinct) == calls
     assert seen[:len(corpus)] == corpus
