@@ -11,7 +11,8 @@ Importing the package is cheap: each submodule is registered in sys.modules
 by a LazyLoader and its body runs on first attribute access, so a command
 runs only the modules it uses.  The package's one error type,
 `CapExceeded`, is defined here, so raising it runs no other module, and so
-is `factorization_walk`, the one factorization search that the zero-sum
+are `Meter`, the one counter every budget of work is charged on, and
+`factorization_walk`, the one factorization search that the zero-sum
 sequences and Z[w] share, with its budget FACTORIZATION_BUDGET.
 """
 
@@ -24,6 +25,26 @@ __version__ = "0.1.0"
 
 class CapExceeded(ValueError):
     """An enumeration would exceed a size cap or a budget of work."""
+
+
+class Meter:
+    """A budget of work, charged where the work is done.
+
+    `charge(units)` adds to `used`; once `used` passes `budget` it raises
+    CapExceeded with `refusal(meter)`.  The refusal is a closure, so it
+    reads the search's progress at the moment of refusal.  A search opens
+    its meter when it is called, so it reads its budget constant then.
+    """
+
+    __slots__ = ("budget", "used", "refusal")
+
+    def __init__(self, budget: int, refusal):
+        self.budget, self.used, self.refusal = budget, 0, refusal
+
+    def charge(self, units: int = 1) -> None:
+        self.used += units
+        if self.used > self.budget:
+            raise CapExceeded(self.refusal(self))
 
 
 # candidate atoms one factorization walk may test: twelve non-zero elements
@@ -43,8 +64,10 @@ def factorization_walk(root, moves, atoms, what: str) -> list[tuple]:
     limit.  Each state charges its candidates to FACTORIZATION_BUDGET; past it
     the walk stops with CapExceeded, naming `what` (e.g. "length 24").
     """
-    budget = FACTORIZATION_BUDGET
-    results, tested = [], 0  # each factorization as its non-decreasing atom indices
+    results = []  # each factorization as its non-decreasing atom indices
+    meter = Meter(FACTORIZATION_BUDGET,
+                  lambda m: f"factorization search of {what} exceeds its budget: "
+                            f"{m.budget} candidate atoms, found {len(results)} factorizations")
     stack = [(root, 0, ())]
     while stack:
         rest, first, parts = stack.pop()
@@ -52,10 +75,7 @@ def factorization_walk(root, moves, atoms, what: str) -> list[tuple]:
         if step is None:
             results.append(parts)
             continue
-        tested += step[0]
-        if tested > budget:
-            raise CapExceeded(f"factorization search of {what} exceeds its budget: "
-                              f"{budget} candidate atoms, found {len(results)} factorizations")
+        meter.charge(step[0])
         for idx, nxt in step[1]:
             stack.append((nxt, idx, parts + (idx,)))
 

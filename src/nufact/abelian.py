@@ -17,10 +17,6 @@ from __future__ import annotations
 import itertools
 from math import prod
 
-from . import CapExceeded
-
-ELEMENT_CAP = 10**6
-
 
 def _ints(values, what: str) -> tuple[int, ...]:
     """The values as a tuple, each of type int (bool, float and str are refused)."""
@@ -96,12 +92,7 @@ class FinAbGroup:
 
 
 def enumerate_elements(G: FinAbGroup) -> list[tuple[int, ...]]:
-    """All |G| elements in lexicographic order.
-
-    Raises :class:`CapExceeded` when |G| exceeds ELEMENT_CAP.
-    """
-    if G.order > ELEMENT_CAP:
-        raise CapExceeded(f"group order {G.order} exceeds enumeration cap {ELEMENT_CAP}")
+    """All |G| elements in lexicographic order."""
     return list(itertools.product(*map(range, G.moduli)))
 
 

@@ -10,6 +10,10 @@ the output was all written), 2 usage error.
 Start-up is kept to what the command needs.  The top-level parser
 registers all five families, but only the family named in argv gets its
 leaf parsers, and `json` is imported only to write JSON.
+
+Every cap and budget of work lives in the library, next to the work it
+bounds, so a handler reads no cap and prices no input: a refusal reaches
+it as the library's CapExceeded, a ValueError like any other bad input.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import itertools
 import os
 import sys
 
-from . import CapExceeded, abelian, divcalc, quadring, quatcheck, tring, zerosum
+from . import abelian, divcalc, quadring, quatcheck, tring, zerosum
 
 
 def _group(args) -> abelian.FinAbGroup:
@@ -149,16 +153,7 @@ def cmd_quad_norm(args):
 # quat: identity verification over Q(sqrt(3))
 
 def cmd_quat_verify(args):
-    # a character may cost one quaternion product, a parenthesis only a
-    # frame: charge both against the budget before parsing any text
-    texts = [*args.factors, args.product]
-    cost = sum(10 * len(t) - 9 * (t.count("(") + t.count(")")) for t in texts)
-    if cost > quatcheck.VERIFY_BUDGET:
-        raise CapExceeded(f"verifying {len(texts)} texts costs {cost} steps, over the budget "
-                          f"of {quatcheck.VERIFY_BUDGET}: 10 per character, 1 per parenthesis")
-    factors = [quatcheck.parse_quat(t) for t in args.factors]
-    product = quatcheck.parse_quat(args.product)
-    ok = quatcheck.verify_identity(factors, product)
+    factors, product, ok = quatcheck.verify_texts(args.factors, args.product)
     payload = {
         "factors": [quatcheck.format_quat(f) for f in factors],
         "product": quatcheck.format_quat(product),
@@ -172,16 +167,7 @@ def cmd_quat_verify(args):
 
 def cmd_div_compose(args):
     cs = _cycles(args)
-    # each divisor costs O(labels) to parse and to compose: charge the label
-    # steps of the word search's budget before parsing any
-    budget, n = 9 * divcalc.WORD_SEARCH_BUDGET, len(cs.labels())
-    if len(args.divisors) * n > budget:
-        raise CapExceeded(f"composing {len(args.divisors)} divisors over {n} labels exceeds "
-                          f"the budget of {budget} label steps")
-    acc = cs.parse_divisor(args.divisors[0])
-    for text in args.divisors[1:]:
-        acc = divcalc.compose(cs, acc, cs.parse_divisor(text))
-    out = cs.format_divisor(acc)
+    out = cs.format_divisor(divcalc.compose_texts(cs, args.divisors))
     return {"cycles": args.cycles, "result": out}, out
 
 
@@ -230,16 +216,7 @@ def cmd_div_render(args):
 # tring: the triangular-order oracle
 
 def cmd_tring_mul(args):
-    # every product computed is of two l x l matrices, l the first's size,
-    # since a size mismatch stops the products: charge l**3 steps for each
-    matrices = [tring.parse_matrix(text) for text in args.matrices]
-    n, l = len(matrices) - 1, len(matrices[0])
-    if n * l**3 > tring.MUL_BUDGET:
-        raise CapExceeded(f"multiplying {n + 1} matrices of size {l} costs {n * l**3} steps, "
-                          f"over the budget of {tring.MUL_BUDGET}")
-    acc = matrices[0]
-    for B in matrices[1:]:
-        acc = tring.mul(acc, B)
+    acc = tring.mul_all([tring.parse_matrix(text) for text in args.matrices])
     return {"result": acc}, tring.format_matrix(acc)
 
 

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import re
 
-from . import CapExceeded
+from . import CapExceeded, Meter
 
 LETTER_CAP = 2_000_000
 # search states (partial products, one per level they occur on) the word
-# search may visit; the letter cap then bounds the words built from them
+# search may visit; the letter cap then bounds the words built from them.
+# Nine times it bounds label steps: the word search's and `compose_texts`'s
 WORD_SEARCH_BUDGET = 200_000
 # panels times labels plus total count of a render_svg drawing: each panel
 # draws one strand per label, and a strand one more piece per winding
@@ -185,6 +186,23 @@ def compose(cs: CycleStructure, D, E) -> tuple[int, ...]:
     return out
 
 
+def compose_texts(cs: CycleStructure, texts) -> tuple[int, ...]:
+    """Left-to-right composition of the divisors the texts name.
+
+    Each divisor costs O(labels) to parse and to compose, so every text is
+    charged one label step per label, against 9 * WORD_SEARCH_BUDGET,
+    before any is parsed.
+    """
+    n = len(cs._succ)
+    Meter(9 * WORD_SEARCH_BUDGET,
+          lambda m: f"composing {len(texts)} divisors over {n} labels exceeds "
+                    f"the budget of {m.budget} label steps").charge(len(texts) * n)
+    acc = cs.parse_divisor(texts[0])
+    for text in texts[1:]:
+        acc = compose(cs, acc, cs.parse_divisor(text))
+    return acc
+
+
 def compose_word(cs: CycleStructure, word) -> tuple[int, ...]:
     """Left-to-right composition of single-label divisors."""
     acc = cs.zero()
@@ -218,8 +236,9 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
     repeat, so the enumeration aborts with :class:`CapExceeded` when the
     words would hold more than LETTER_CAP letters in all, when the search
     would visit more than WORD_SEARCH_BUDGET states, and when expanding its
-    partials would take more than 9 * WORD_SEARCH_BUDGET label steps, each
-    new partial costing the number of labels squared.
+    partials would take more than 9 * WORD_SEARCH_BUDGET label steps: each
+    new partial costs one step per label for its landing pass and as many
+    again for each letter it admits.
 
     A partial is expanded by one landing pass: the label each label's move
     lands on.  The step by letter q adds one at every label landing on q,
@@ -239,6 +258,17 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
     labels = cs.labels()
     zero = cs.zero()
     moves: dict = {}
+    # levels[k]: the partial products reachable with k letters, that is the
+    # search states (partial, max_len - k).  The passes below run level by
+    # level from the last one up, without recursion.  Past an empty level
+    # every level is empty, so the levels stop there.
+    levels = [{zero}]
+    states = Meter(WORD_SEARCH_BUDGET,
+                   lambda m: f"the word search exceeds its budget: visited {m.budget} "
+                             f"states, reached length {len(levels) - 1}")
+    steps = Meter(9 * WORD_SEARCH_BUDGET,
+                  lambda m: f"the word search exceeds its budget: {m.budget} label "
+                            f"steps over {len(labels)} labels, reached length {len(levels) - 1}")
 
     def successors(partial):
         """(letter index, next partial) for each letter that keeps
@@ -246,33 +276,19 @@ def enumerate_factorizations_ex(cs: CycleStructure, D, max_len: int):
         if partial not in moves:
             lands = landing(cs, partial)
             full = {j for c, d, j in zip(partial, D, lands) if c == d}
+            steps.charge(len(labels) * (1 + len(labels) - len(full)))
             moves[partial] = [(q, tuple(c + (j == q) for c, j in zip(partial, lands)))
                               for q in range(len(labels)) if q not in full]
         return moves[partial]
 
-    # levels[k]: the partial products reachable with k letters, that is the
-    # search states (partial, max_len - k).  The passes below run level by
-    # level from the last one up, without recursion.  Past an empty level
-    # every level is empty, so the levels stop there.
     # Expanding a new partial takes one landing pass over its labels, then
-    # one step over every label per letter: it is charged len(labels)**2
-    # steps before its moves are built, against the budget at 3 labels,
-    # 9 steps per state.
-    levels = [{zero}]
-    visited = 1
-    steps = 0
+    # one step over every label per letter it admits: successors charges
+    # that before it builds the moves, against nine label steps per state
+    # of the state budget.  Each state is charged as its level is built.
+    states.charge()
     while len(levels) <= max_len and levels[-1]:
-        steps += len(labels) ** 2 * sum(p not in moves for p in levels[-1])
-        if steps > 9 * WORD_SEARCH_BUDGET:
-            raise CapExceeded(
-                f"the word search exceeds its budget: {9 * WORD_SEARCH_BUDGET} label "
-                f"steps over {len(labels)} labels, reached length {len(levels) - 1}")
         levels.append({nxt for p in levels[-1] for _, nxt in successors(p)})
-        visited += len(levels[-1])
-        if visited > WORD_SEARCH_BUDGET:
-            raise CapExceeded(
-                f"the word search exceeds its budget: visited {WORD_SEARCH_BUDGET} "
-                f"states, reached length {len(levels) - 1}")
+        states.charge(len(levels[-1]))
     truncated = any(p != D for p in levels[-1])
 
     # Every word of a state extends to a word of the root, so the root has

@@ -18,7 +18,9 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-# steps `quat verify` may charge its texts before parsing them: ten per
+from . import Meter
+
+# steps `verify_texts` may charge its texts before parsing them: ten per
 # character, which may cost a product, and one per parenthesis, which only
 # opens or closes a frame.  The largest admitted, 1,499 one-letter factors
 # and a one-letter product, take 0.5 to 0.7 s end to end.
@@ -144,6 +146,19 @@ def verify_identity(factors: list[QuatQ3], product: QuatQ3) -> bool:
     if acc != product:
         return False
     return all(in_order(f) for f in factors) and in_order(product)
+
+
+def verify_texts(factor_texts, product_text: str) -> tuple[list[QuatQ3], QuatQ3, bool]:
+    """The factors and the product the texts name, and `verify_identity` of
+    them.  The texts are charged against VERIFY_BUDGET before any is parsed:
+    ten steps per character and one per parenthesis."""
+    texts = [*factor_texts, product_text]
+    Meter(VERIFY_BUDGET,
+          lambda m: f"verifying {len(texts)} texts costs {m.used} steps, over the budget "
+                    f"of {m.budget}: 10 per character, 1 per parenthesis"
+          ).charge(sum(10 * len(t) - 9 * (t.count("(") + t.count(")")) for t in texts))
+    *factors, product = map(parse_quat, texts)
+    return factors, product, verify_identity(factors, product)
 
 
 # ----------------------------------------------------------------------

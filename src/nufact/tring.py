@@ -24,7 +24,7 @@ import math
 import random
 from operator import add, ge, itemgetter, sub
 
-from . import CapExceeded
+from . import CapExceeded, Meter
 from .divcalc import CycleStructure, compose, is_realizable, landing
 
 # the oracle's largest ring (T(32) with exponents <= 0 takes about 0.3 s)
@@ -35,9 +35,15 @@ CHAIN_TRIAL_CAP = 100
 # and the slowest admitted, T(2) with exponents <= 50 (299), takes about
 # 0.6 s end to end (T(3) with exponents <= 10, 284 ideals, about 0.35 s)
 ORACLE_PAIR_BUDGET = 90_000
-# min-plus steps `tring mul` may take, l**3 per product of l x l matrices;
-# one product of two 215 x 215 matrices takes 0.7 to 0.9 s end to end
+# min-plus steps `mul_all` may take, l**3 per product of l x l matrices;
+# one product of two 215 x 215 matrices takes 0.6 to 0.9 s end to end
 MUL_BUDGET = 10_000_000
+# the least a product is charged.  A step costs more the smaller the
+# matrices: at l**3 alone, the budget's chains of 30 x 30 matrices took
+# 1.0 s end to end, 9,000 of 10 x 10 1.7 to 1.8 s and 80,000 of 2 x 2
+# 1.9 to 2.0 s.  At 30**3, at most 370 products of any size up to 30 are
+# taken, the 30 x 30 chain the slowest
+MUL_FLOOR = 30**3
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -93,6 +99,21 @@ def _mul(A: Matrix, B: Matrix) -> Matrix:
 def mul(A, B) -> Matrix:
     """Min-plus product: c[i][k] = min_j (a[i][j] + b[j][k])."""
     return _mul(*_pair(A, B))
+
+
+def mul_all(matrices) -> Matrix:
+    """The min-plus product of the matrices, left to right.
+
+    Every product taken is of two l x l matrices, l the first's size, since
+    a size mismatch stops the products.  Each is charged max(l**3,
+    MUL_FLOOR) steps against MUL_BUDGET before any is taken.
+    """
+    acc = _as_matrix(matrices[0])
+    n, l = len(matrices) - 1, len(acc)
+    Meter(MUL_BUDGET, lambda m: f"multiplying {n + 1} matrices of size {l} costs {m.used} "
+                                f"steps, over the budget of {m.budget}"
+          ).charge(n * max(l**3, MUL_FLOOR))
+    return functools.reduce(mul, matrices[1:], acc)
 
 
 def intersect(A, B) -> Matrix:

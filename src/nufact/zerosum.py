@@ -40,7 +40,7 @@ import itertools
 from math import prod
 from operator import le, sub
 
-from . import CapExceeded, factorization_walk
+from . import CapExceeded, Meter, factorization_walk
 from .abelian import FinAbGroup, enumerate_elements, format_element
 
 SEQ_CAP = 24
@@ -120,24 +120,25 @@ def davenport(G: FinAbGroup) -> int:
 
     Every subset-sum state built, duplicates included, counts against
     DAVENPORT_BUDGET; past it the search stops with CapExceeded and its
-    progress.  The order cap keeps length 1 within the budget.
+    progress.  The order cap keeps length 1 within the budget.  A set M
+    builds one state per g with -g not in M: the moves cover every non-zero
+    g, g -> -g permutes them, and M never holds 0, so that is
+    len(moves) - |M|, charged before M is expanded.
     """
     _check_order(G)
     order = G.order
     moves = _translations(G.moduli, enumerate_elements(G)[1:])
-    searched, length, level = 0, 0, {0}
+    length, level = 0, {0}
+    meter = Meter(DAVENPORT_BUDGET,
+                  lambda m: f"Davenport search over order {order} exceeds its budget: "
+                            f"searched {m.budget} subset-sum states, reached length {length + 1}")
     while True:
         nxt = set()
         for M in level:
+            meter.charge(len(moves) - M.bit_count())
             for bit, neg_bit, steps in moves:
                 if M & neg_bit:
                     continue
-                searched += 1
-                if searched > DAVENPORT_BUDGET:
-                    raise CapExceeded(
-                        f"Davenport search over order {order} exceeds its budget: "
-                        f"searched {DAVENPORT_BUDGET} subset-sum states, "
-                        f"reached length {length + 1}")
                 T = M
                 for up, above, down, below in steps:
                     T = (T << up) & above | (T >> down) & below
@@ -146,18 +147,6 @@ def davenport(G: FinAbGroup) -> int:
             return length + 1
         level = nxt
         length += 1
-
-
-def _atom_budget(order: int, first_level: int) -> int:
-    """Subset-sum states an atom search over this order may build:
-    ATOM_BUDGET up to order 64, and ATOM_BUDGET * 64 / order beyond, where
-    each state is a wider mask.  A search whose length 1 alone is over
-    budget is refused before any work."""
-    budget = ATOM_BUDGET * 64 // max(order, 64)
-    if first_level > budget:
-        raise CapExceeded(f"atom search over order {order} exceeds its budget: "
-                          f"length 1 alone needs {first_level} of {budget} subset-sum states")
-    return budget
 
 
 def _translations(moduli: tuple, coords) -> list:
@@ -213,17 +202,24 @@ def _atoms(moduli: tuple, coords: tuple, bounds=None) -> tuple:
     in Sigma(S), and a minimal zero-sum sequence if -g is the total of S.  A
     bound (None for none) is checked before each move.  An explicit stack of
     (first allowed index, S, bit of its total, Sigma(S)) keeps the depth free
-    of the recursion limit.  Each state built counts against ATOM_BUDGET (see
-    _atom_budget); past it CapExceeded gives the progress.
+    of the recursion limit.  Each state built counts against the budget of
+    ATOM_BUDGET states up to order 64, and ATOM_BUDGET * 64 / order beyond,
+    where each state is a wider mask; past it CapExceeded gives the
+    progress.  A search whose length 1 alone is over budget is refused
+    before any work.
     """
     order = prod(moduli)
     out = []  # each atom as its sorted coordinate tuples
     if coords and not any(coords[0]):
         out.append(coords[:1])
         coords, bounds = coords[1:], bounds and bounds[1:]
-    budget = _atom_budget(order, len(coords))
+    budget = ATOM_BUDGET * 64 // max(order, 64)
+    Meter(budget, lambda m: f"atom search over order {order} exceeds its budget: length 1 "
+                            f"alone needs {m.used} of {m.budget} subset-sum states"
+          ).charge(len(coords))
+    meter = Meter(budget, lambda m: f"atom search over order {order} exceeds its budget: "
+                                    f"searched {m.budget} subset-sum states, found {len(out)} atoms")
     moves = _translations(moduli, coords)
-    searched = 0
     stack = [(0, (), 1, 0)]
     while stack:
         start, chosen, total, M = stack.pop()
@@ -235,10 +231,7 @@ def _atoms(moduli: tuple, coords: tuple, bounds=None) -> tuple:
                 if neg_bit == total:
                     out.append(chosen + (coords[i],))
                 continue
-            searched += 1
-            if searched > budget:
-                raise CapExceeded(f"atom search over order {order} exceeds its budget: "
-                                  f"searched {budget} subset-sum states, found {len(out)} atoms")
+            meter.charge()
             T, t = M, total
             for up, above, down, below in steps:
                 T = (T << up) & above | (T >> down) & below
@@ -311,13 +304,12 @@ def half_factorial_witness(G: FinAbGroup, max_len: int, coords=None) -> tuple | 
         raise CapExceeded(f"max_len {max_len} exceeds sequence cap {SEQ_CAP}")
     _check_order(G)
     coords = _ground_set(G, coords)
-    scanned = 0
+    meter = Meter(WITNESS_BUDGET,
+                  lambda m: f"witness search over order {G.order} exceeds its budget: "
+                            f"scanned {m.budget} candidates, reached length {L}")
     for L in range(1, max_len + 1):
         for combo in itertools.combinations_with_replacement(coords, L):
-            scanned += 1
-            if scanned > WITNESS_BUDGET:
-                raise CapExceeded(f"witness search over order {G.order} exceeds its budget: "
-                                  f"scanned {WITNESS_BUDGET} candidates, reached length {L}")
+            meter.charge()
             if any(sum(column) % n for column, n in zip(zip(*combo), G.moduli)):
                 continue
             S = _pairs(combo)

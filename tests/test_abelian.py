@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nufact import abelian
+from nufact import CapExceeded
 from nufact.abelian import (
-    CapExceeded,
     FinAbGroup,
     enumerate_elements,
     format_element,
@@ -61,20 +60,12 @@ def test_enumerate_elements():
     assert els == sorted(els)
 
 
-def test_enumerate_cap(monkeypatch):
-    with pytest.raises(CapExceeded):
-        enumerate_elements(FinAbGroup([1001, 1000]))
-    monkeypatch.setattr(abelian, "ELEMENT_CAP", 5000)
-    with pytest.raises(CapExceeded, match="^group order 10000 exceeds enumeration cap 5000$"):
-        enumerate_elements(FinAbGroup([100, 100]))
-
-
 def test_one_cap_error_type():
     import nufact
-    from nufact import abelian, divcalc, quadring, tring, zerosum
+    from nufact import divcalc, quadring, tring, zerosum
 
-    assert nufact.CapExceeded is abelian.CapExceeded is divcalc.CapExceeded \
-        is quadring.CapExceeded is tring.CapExceeded is zerosum.CapExceeded
+    assert nufact.CapExceeded is divcalc.CapExceeded is quadring.CapExceeded \
+        is tring.CapExceeded is zerosum.CapExceeded
     assert issubclass(CapExceeded, ValueError)
 
 

@@ -383,9 +383,9 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"
       "+".join(f"2Q{i}" for i in range(1, 17))],
      "the word search exceeds its budget: 1800000 label steps over 16 labels, "
      "reached length 5"),
-    (["div", "factor", "--cycles", ">".join(f"Q{i}" for i in range(1, 2001)), "Q1",
-      "--max-len", "2"],
-     "the word search exceeds its budget: 1800000 label steps over 2000 labels, "
+    (["div", "factor", "--cycles", ">".join(f"Q{i}" for i in range(1, 1343)),
+      "+".join(f"Q{i}" for i in range(1, 1343)), "--max-len", "1"],
+     "the word search exceeds its budget: 1800000 label steps over 1342 labels, "
      "reached length 0"),
     (["div", "compose", "--cycles", ">".join(f"Q{i}" for i in range(1, 15_001)),
       *["Q1"] * 150_000],
@@ -414,6 +414,8 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"
     (["tring", "mul", "[" * 100_000], "expected a JSON array of integer rows"),
     (["tring", "mul", *[ZEROS_250] * 8],
      "multiplying 8 matrices of size 250 costs 109375000 steps, over the budget of 10000000"),
+    (["tring", "mul", *["[[0,0],[0,0]]"] * 80_000],
+     "multiplying 80000 matrices of size 2 costs 2159973000 steps, over the budget of 10000000"),
     (["quad", "atoms", "1000024+1*w"], "norm 1000049000606 exceeds cap 1000000"),
     (["quad", "atoms", "2", "3", "--norm", "4"], "give elements or --norm N, not both"),
     (["quad", "atoms"], "give elements or --norm N"),
@@ -440,12 +442,13 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"
      "bad multiplicity in '1^1^1'"),
     (["zs", "hfwitness", "--group", "3", "--max-len", "-1"], "max_len must be >= 0"),
 ], ids=["div-factor-huge-count", "div-factor-huge-max-len", "div-factor-16-labels",
-        "div-factor-2000-labels", "div-compose-150000-divisors", "div-render-huge-count",
+        "div-factor-1342-labels", "div-compose-150000-divisors", "div-render-huge-count",
         "div-render-huge-word", "div-render-10001-labels", "div-render-empty-word-10001-labels",
         "div-render-missing-dir", "div-render-onto-dir", "tring-oracle-huge-size",
         "tring-oracle-huge-trials", "tring-oracle-negative-trials",
         "tring-oracle-negative-max-exp", "tring-oracle-size-0", "tring-oracle-size-minus-1",
-        "tring-mul-deep-json", "tring-mul-eight-250", "quad-atoms-huge-norm",
+        "tring-mul-deep-json", "tring-mul-eight-250", "tring-mul-80000-small",
+        "quad-atoms-huge-norm",
         "quad-atoms-elements-and-norm", "quad-atoms-neither",
         *[f"quad-norm-malformed-{i}" for i in range(len(MALFORMED_QUADINTS))],
         "quat-zero-divisor", "quat-verify-8000-factors", "quat-verify-4000-letters",
@@ -572,16 +575,17 @@ def test_quat_verify_budget_boundary(monkeypatch, capsys):
 
 
 def test_tring_mul_budget_boundary(monkeypatch, capsys):
-    # l**3 steps per product of l x l matrices, charged once all are parsed
-    # and before any product: three 3x3 matrices cost 54 steps
+    # max(l**3, MUL_FLOOR) steps per product of l x l matrices, charged
+    # once all are parsed and before any product: three 3x3 matrices cost
+    # twice the floor, 54,000 steps
     A, B = "[[0,1,1],[0,0,1],[0,0,1]]", "[[0,1,1],[0,1,1],[0,0,0]]"
-    monkeypatch.setattr(tring, "MUL_BUDGET", 54)
+    monkeypatch.setattr(tring, "MUL_BUDGET", 54_000)
     assert run_json(capsys, "tring", "mul", A, B, A)["result"] == [
         [0, 1, 1], [0, 1, 1], [0, 1, 1]]
-    monkeypatch.setattr(tring, "MUL_BUDGET", 53)
+    monkeypatch.setattr(tring, "MUL_BUDGET", 53_999)
     assert run(capsys, "tring", "mul", A, B, A) == (
-        1, "", "error: multiplying 3 matrices of size 3 costs 54 steps, over the budget "
-               "of 53\n")
+        1, "", "error: multiplying 3 matrices of size 3 costs 54000 steps, over the budget "
+               "of 53999\n")
     # a single matrix takes no product
     monkeypatch.setattr(tring, "MUL_BUDGET", 0)
     assert run_json(capsys, "tring", "mul", A)["result"] == [[0, 1, 1], [0, 0, 1], [0, 0, 1]]

@@ -13,6 +13,7 @@ from nufact.divcalc import (
     CycleStructure,
     apply_lifted,
     compose,
+    compose_texts,
     compose_word,
     default_max_len,
     enumerate_factorizations_ex,
@@ -165,6 +166,25 @@ def test_landing_is_where_each_labels_move_lands():
     assert landing(MIXED, MIXED.parse_divisor("4Q1+6Q2+8Q3")) == [1, 1, 1, 3]
 
 
+def test_compose_texts_budget_boundary(monkeypatch):
+    # one label step per label for each divisor, against nine times the
+    # word search's budget, charged before any divisor is parsed: at 18
+    # steps six divisors over three labels compose, and seven are refused
+    # though the seventh names an unknown label
+    parsed, want = [], div("6Q1+5Q2+4Q3")
+    parse = CS3.parse_divisor
+    monkeypatch.setattr(CS3, "parse_divisor", lambda t: parsed.append(t) or parse(t))
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 2)
+    word = ["Q1", "Q2", "Q3"] * 2
+    assert compose_texts(CS3, word) == want
+    assert parsed == word
+    parsed.clear()
+    with pytest.raises(CapExceeded, match="^composing 7 divisors over 3 labels exceeds "
+                                          "the budget of 18 label steps$"):
+        compose_texts(CS3, [*word, "R1"])
+    assert parsed == []
+
+
 def test_compose_associative_exhaustively():
     for text in ("A", "A>B", "Q1>Q2>Q3"):
         cs = CycleStructure.from_text(text)
@@ -288,42 +308,67 @@ def test_word_search_budget(monkeypatch):
         enumerate_factorizations_ex(CS3, div("Q2"), 10**20)
 
 
-def test_word_search_charges_labels_squared_per_new_partial(monkeypatch):
-    # over 12 labels each newly expanded partial costs 144 label steps,
-    # against 9 steps per state of the budget
-    cs = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 13)))
-    Q1 = cs.indicator("Q1")
-    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 16)
+def test_word_search_charges_each_landing_pass_and_admitted_letter(monkeypatch):
+    # over 9 labels a new partial costs 9 label steps for its landing pass
+    # and 9 for each letter it admits, against 9 steps per state of the
+    # budget.  Q1 admits only itself at every partial: 18 steps each
+    cs = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 10)))
+    Q1, ones = cs.indicator("Q1"), (1,) * 9
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 2)
     assert enumerate_factorizations_ex(cs, Q1, 1) == ([["Q1"]], False)
-    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 15)
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 1)
     with pytest.raises(CapExceeded, match=r"^the word search exceeds its budget: "
-                                          r"135 label steps over 12 labels, reached length 0$"):
+                                          r"9 label steps over 9 labels, reached length 0$"):
         enumerate_factorizations_ex(cs, Q1, 1)
-    # a second level expands Q1 too: 288 steps.  Q1 is idempotent, so a
+    # a second level expands Q1 too: 36 steps.  Q1 is idempotent, so a
     # third level holds Q1 again, which is not charged twice
-    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 32)
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 4)
     assert enumerate_factorizations_ex(cs, Q1, 3) == (
         [["Q1"], ["Q1", "Q1"], ["Q1", "Q1", "Q1"]], False)
-    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 31)
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 3)
     with pytest.raises(CapExceeded, match="^the word search exceeds its budget: "
-                                          "279 label steps over 12 labels, reached length 1$"):
+                                          "27 label steps over 9 labels, reached length 1$"):
         enumerate_factorizations_ex(cs, Q1, 2)
+    # every count 1: the empty partial admits all 9 letters, 90 steps, and
+    # its 9 successors are 9 more states
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 10)
+    assert enumerate_factorizations_ex(cs, ones, 1) == ([], True)
+    monkeypatch.setattr(divcalc, "WORD_SEARCH_BUDGET", 9)
+    with pytest.raises(CapExceeded, match="^the word search exceeds its budget: "
+                                          "81 label steps over 9 labels, reached length 0$"):
+        enumerate_factorizations_ex(cs, ones, 1)
+
+
+def test_word_search_label_steps_at_the_real_budget():
+    # every count 1 admits every letter at the empty partial: l * (l + 1)
+    # steps, 1,799,622 over 1,341 labels and 1,802,306 over 1,342, against
+    # 1.8 million.  Q1 admits one letter at each partial, 2 * l steps, so
+    # over 2,000 labels it is answered at length 2
+    wide = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 1342)))
+    assert enumerate_factorizations_ex(wide, (1,) * 1341, 1) == ([], True)
+    wider = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 1343)))
+    with pytest.raises(CapExceeded, match="^the word search exceeds its budget: 1800000 "
+                                          "label steps over 1342 labels, reached length 0$"):
+        enumerate_factorizations_ex(wider, (1,) * 1342, 1)
+    widest = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 2001)))
+    assert enumerate_factorizations_ex(widest, widest.indicator("Q1"), 2) == (
+        [["Q1"], ["Q1", "Q1"]], False)
 
 
 def test_word_search_calls_neither_indicator_nor_compose(monkeypatch):
     # each partial is stepped by its landing map, so no search, whether
     # empty, refused or expanding, builds an indicator or composes
-    wide = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 2001)))
+    wide = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 1343)))
     cs12 = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 13)))
-    wide_Q1, Q1, D = wide.indicator("Q1"), cs12.indicator("Q1"), div("3Q1+2Q2+Q3")
+    ones, Q1, D = (1,) * 1342, cs12.indicator("Q1"), div("3Q1+2Q2+Q3")
     called = []
     for cs in (wide, cs12, CS3):
         monkeypatch.setattr(cs, "indicator", lambda p: called.append(("indicator", p)))
     monkeypatch.setattr(divcalc, "compose", lambda *a: called.append(("compose", a)))
-    assert enumerate_factorizations_ex(wide, wide_Q1, 0) == ([], True)
+    assert enumerate_factorizations_ex(wide, ones, 0) == ([], True)
     with pytest.raises(CapExceeded, match="^the word search exceeds its budget: 1800000 "
-                                          "label steps over 2000 labels, reached length 0$"):
-        enumerate_factorizations_ex(wide, wide_Q1, 2)
+                                          "label steps over 1342 labels, reached length 0$"):
+        enumerate_factorizations_ex(wide, ones, 1)
     assert enumerate_factorizations_ex(cs12, Q1, 3) == (
         [["Q1"], ["Q1", "Q1"], ["Q1", "Q1", "Q1"]], False)
     words, truncated = enumerate_factorizations_ex(CS3, D, 5)

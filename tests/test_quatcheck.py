@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nufact import quatcheck
+from nufact import CapExceeded, quatcheck
 from nufact.quatcheck import (
     Q_I,
     Q_J,
@@ -99,6 +99,32 @@ def test_values_are_tuples_with_exact_repr():
 def test_verify_identity_needs_factors():
     with pytest.raises(ValueError):
         verify_identity([], Q_ONE)
+
+
+def test_verify_texts_budget_boundary(monkeypatch):
+    # ten steps per character and one per parenthesis, charged before any
+    # text is parsed: the README factors and product cost 150 steps, and
+    # the factor "(i)" with the product "i" 22
+    parsed = []
+    monkeypatch.setattr(quatcheck, "parse_quat", lambda t: parsed.append(t) or parse_quat(t))
+    factors = ["i+j", "-1-i-k"]
+    monkeypatch.setattr(quatcheck, "VERIFY_BUDGET", 150)
+    assert quatcheck.verify_texts(factors, "1-2i+k") == (
+        [parse_quat("i+j"), parse_quat("-1-i-k")], TARGET, True)
+    assert parsed == [*factors, "1-2i+k"]
+    parsed.clear()
+    monkeypatch.setattr(quatcheck, "VERIFY_BUDGET", 149)
+    with pytest.raises(CapExceeded, match=r"^verifying 3 texts costs 150 steps, over the "
+                                          r"budget of 149: 10 per character, 1 per parenthesis$"):
+        quatcheck.verify_texts(factors, "1-2i+k")
+    monkeypatch.setattr(quatcheck, "VERIFY_BUDGET", 22)
+    assert quatcheck.verify_texts(["(i)"], "i") == ([Q_I], Q_I, True)
+    parsed.clear()
+    monkeypatch.setattr(quatcheck, "VERIFY_BUDGET", 21)
+    with pytest.raises(CapExceeded, match=r"^verifying 2 texts costs 22 steps, over the "
+                                          r"budget of 21: 10 per character, 1 per parenthesis$"):
+        quatcheck.verify_texts(["(?)"], "i")
+    assert parsed == []
 
 
 def test_non_commutativity_witness():

@@ -27,6 +27,7 @@ from nufact.tring import (
     left_dual,
     maximal_ideals,
     mul,
+    mul_all,
     oracle_report,
     parse_matrix,
     ring_matrix,
@@ -190,6 +191,37 @@ def test_mul_associative_and_identity_on_corpus():
     for _ in range(2000):
         A, B, C = (corpus3[rng.randrange(len(corpus3))] for _ in range(3))
         assert mul(mul(A, B), C) == mul(A, mul(B, C))
+
+
+def test_mul_all_budget_boundary(monkeypatch):
+    # each product is charged max(l**3, MUL_FLOOR) before any is taken: at
+    # the real constants 370 products of 2 x 2 matrices fit, and 371 are
+    # refused without a product
+    Z = ((0, 0), (0, 0))
+    products = []
+    monkeypatch.setattr(tring, "mul", lambda A, B: products.append(A) or mul(A, B))
+    assert mul_all([Z] * 371) == Z and len(products) == 370
+    products.clear()
+    with pytest.raises(CapExceeded, match="^multiplying 372 matrices of size 2 costs 10017000 "
+                                          "steps, over the budget of 10000000$"):
+        mul_all([Z] * 372)
+    assert products == []
+    # above the floor a product costs l**3: three 3 x 3 matrices cost 54
+    # at a floor of 10, and three 2 x 2 ones 20
+    A, B = ((0, 1, 1), (0, 0, 1), (0, 0, 1)), ((0, 1, 1), (0, 1, 1), (0, 0, 0))
+    monkeypatch.setattr(tring, "MUL_FLOOR", 10)
+    for matrices, cost in ([A, B, A], 54), ([Z, Z, Z], 20):
+        monkeypatch.setattr(tring, "MUL_BUDGET", cost)
+        assert mul_all(matrices) == mul(mul(*matrices[:2]), matrices[2])
+        monkeypatch.setattr(tring, "MUL_BUDGET", cost - 1)
+        with pytest.raises(CapExceeded, match=f"^multiplying 3 matrices of size "
+                                              f"{len(matrices[0])} costs {cost} steps"):
+            mul_all(matrices)
+    # a single matrix takes no product, and is validated
+    monkeypatch.setattr(tring, "MUL_BUDGET", 0)
+    assert mul_all([[[0, 1], [0, 0]]]) == ((0, 1), (0, 0))
+    with pytest.raises(ValueError, match="must be square"):
+        mul_all([[[0, 1]]])
 
 
 def test_products_of_ideals_are_ideals():

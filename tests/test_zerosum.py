@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import math
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 import nufact
 from nufact import zerosum
-from nufact.abelian import CapExceeded, FinAbGroup, enumerate_elements
+from nufact import CapExceeded
+from nufact.abelian import FinAbGroup, enumerate_elements
 from nufact.zerosum import (
     _atoms,
     atoms,
@@ -178,6 +180,78 @@ def test_davenport_equals_d_star(moduli):
     assert davenport(FinAbGroup(moduli)) == 1 + sum(n - 1 for n in moduli)
 
 
+@functools.cache
+def davenport_states(moduli: tuple) -> tuple[int, int | None, int]:
+    """Brute force, on sets of elements rather than bitmasks: the states
+    the Davenport search builds, one per set Sigma of a level and non-zero
+    g with -g not in Sigma, duplicates included; the length it reports
+    while building the last of them; and D(G), one more than the last
+    non-empty level."""
+    elements = enumerate_elements(FinAbGroup(moduli))[1:]
+
+    def add(a, b):
+        return tuple((x + y) % n for x, y, n in zip(a, b, moduli))
+
+    built, last, length, level = 0, None, 0, {frozenset()}
+    while level:
+        nxt = set()
+        for sigma in level:
+            for g in elements:
+                if tuple(-x % n for x, n in zip(g, moduli)) in sigma:
+                    continue
+                built, last = built + 1, length + 1
+                nxt.add(sigma | {g} | {add(s, g) for s in sigma})
+        level, length = nxt, length + 1
+    return built, last, length
+
+
+def davenport_pin_failures(search, set_budget, moduli) -> list:
+    """How search departs from the brute force's charge on the group: it
+    must answer D(G) at a budget of exactly the states built, and at one
+    less be refused while building the last of them."""
+    built, last, d = davenport_states(tuple(moduli))
+    G = FinAbGroup(moduli)
+    failures = []
+    set_budget(built)
+    try:
+        if search(G) != d:
+            failures.append("wrong value")
+    except CapExceeded as exc:
+        failures.append(f"refused at {built}: {exc}")
+    if built:
+        set_budget(built - 1)
+        want = (f"Davenport search over order {G.order} exceeds its budget: "
+                f"searched {built - 1} subset-sum states, reached length {last}")
+        try:
+            search(G)
+            failures.append(f"answered at {built - 1}")
+        except CapExceeded as exc:
+            if str(exc) != want:
+                failures.append(f"refused with {exc}")
+    return failures
+
+
+@pytest.mark.parametrize("moduli", GROUPS_UP_TO_16, ids=lambda m: "x".join(map(str, m)))
+def test_davenport_charges_exactly_the_states_it_builds(moduli, monkeypatch):
+    # the search charges len(moves) - |Sigma| per set before expanding it
+    set_budget = lambda b: monkeypatch.setattr(zerosum, "DAVENPORT_BUDGET", b)
+    assert davenport_pin_failures(davenport, set_budget, moduli) == []
+
+
+@pytest.mark.parametrize("off", ["+ 1", "- 1"])
+def test_davenport_pin_catches_an_off_by_one_charge(off):
+    # negative control: a copy whose charge per set is one off fails the
+    # pin on every group with a state to build
+    source = inspect.getsource(zerosum.davenport)
+    charge = "meter.charge(len(moves) - M.bit_count())"
+    assert source.count(charge) == 1
+    namespace = dict(vars(zerosum))
+    exec(source.replace(charge, f"meter.charge(len(moves) - M.bit_count() {off})"), namespace)
+    set_budget = lambda b: namespace.__setitem__("DAVENPORT_BUDGET", b)
+    assert all(davenport_pin_failures(namespace["davenport"], set_budget, moduli)
+               for moduli in GROUPS_UP_TO_16[1:])
+
+
 def test_davenport_state_budget(monkeypatch):
     # Z/16 has more than 2000 distinct subset-sum states; Z/8 has fewer
     monkeypatch.setattr(zerosum, "DAVENPORT_BUDGET", 2000)
@@ -289,6 +363,15 @@ def test_atoms_cap(monkeypatch):
     monkeypatch.setattr(zerosum, "GROUP_CAP", 5)
     with pytest.raises(CapExceeded, match="^group of order 10 exceeds cap 5$"):
         atoms(FinAbGroup([10]))
+
+
+@pytest.mark.parametrize("search", [atoms, davenport,
+                                    lambda G: half_factorial_witness(G, 24)],
+                         ids=["atoms", "davenport", "half_factorial_witness"])
+def test_a_group_of_order_a_million_is_refused_by_the_order_cap(search):
+    # the order cap is the one bound on a group's element list
+    with pytest.raises(CapExceeded, match="^group of order 1000000 exceeds cap 64$"):
+        search(FinAbGroup([10**6]))
 
 
 def test_ground_set_passes_through_element(monkeypatch):
