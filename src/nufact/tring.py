@@ -39,10 +39,10 @@ ORACLE_PAIR_BUDGET = 90_000
 # one product of two 215 x 215 matrices takes 0.6 to 0.9 s end to end
 MUL_BUDGET = 10_000_000
 # the least a product is charged.  A step costs more the smaller the
-# matrices: at l**3 alone, the budget's chains of 30 x 30 matrices took
-# 1.0 s end to end, 9,000 of 10 x 10 1.7 to 1.8 s and 80,000 of 2 x 2
-# 1.9 to 2.0 s.  At 30**3, at most 370 products of any size up to 30 are
-# taken, the 30 x 30 chain the slowest
+# matrices: at l**3 alone, on a shared 2-core Xeon, the budget's chains of
+# 30 x 30 matrices took 1.0 s end to end, 9,000 of 10 x 10 1.7 to 1.8 s
+# and 80,000 of 2 x 2 1.9 to 2.0 s.  At 30**3, at most 370 products of
+# any size up to 30 are taken, the 30 x 30 chain the slowest
 MUL_FLOOR = 30**3
 
 Matrix = tuple[tuple[int, ...], ...]

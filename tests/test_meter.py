@@ -24,15 +24,7 @@ def test_meter_refuses_past_its_budget_with_progress_read_at_refusal():
     assert meter.used == 5
     found.append("b")
     with pytest.raises(CapExceeded, match="^used 6 of 5, found 2$"):
-        meter.charge()
-    assert issubclass(CapExceeded, ValueError)
-
-
-def test_meter_charges_one_unit_by_default():
-    meter = Meter(1, lambda m: "refused")
-    meter.charge()
-    with pytest.raises(CapExceeded, match="^refused$"):
-        meter.charge()
+        meter.charge()  # one unit by default
 
 
 def cli_budget_sites(source: str) -> list[str]:
