@@ -51,6 +51,14 @@ ORACLE_EXTRA = [
 ]
 # (ring size, number of maximal-ideal factors, word seed)
 DEEP_PRODUCTS = [(3, 90, 3), (4, 60, 4), (5, 40, 5)]
+# ring sizes of the deep ideals, each reached by a walk seeded by its size
+DEEP_WALKS = range(8, 13)
+# (name, argv) of the non-ideals `tring divisor` and `tring tau` refuse; the
+# second breaks only the two bounds across the wrap
+TRING_REFUSALS = [
+    ("divisor-non-ideal", ["tring", "divisor", "[[0,1,1],[0,0,1],[1,0,0]]"]),
+    ("tau-non-ideal", ["tring", "tau", "[[0,1,2],[0,0,1],[0,0,0]]"]),
+]
 
 ZS_GROUPS = ["1", "2", "3", "4", "5", "6", "7", "8", "10", "12",
              "2x2", "2x4", "3x3", "2x2x2", "2x2x2x2"]
@@ -90,6 +98,43 @@ def tring_argvs():
         text = json.dumps([list(row) for row in A], separators=(",", ":"))
         out.append((f"divisor-T{l}-product-{k}", ["--json", "tring", "divisor", text]))
     return out
+
+
+def matrix_text(A) -> str:
+    return json.dumps([list(row) for row in A], separators=(",", ":"))
+
+
+def deep_walk(l: int):
+    """An ideal of T(l) with every entry at least 3: from the ring, raise a
+    random entry by one whenever the raised matrix is still an ideal."""
+    rng = random.Random(l)
+    A = [list(row) for row in tring.ring_matrix(l)]
+    while min(map(min, A)) < 3:
+        i, j = rng.randrange(l), rng.randrange(l)
+        A[i][j] += 1
+        if not tring.is_ideal(A):
+            A[i][j] -= 1
+    return A
+
+
+def tau_argvs():
+    """(name, argv) of every pinned `tring tau` and deep `tring divisor`
+    command: tau of the products of DEEP_PRODUCTS, and tau and divisor of
+    each deep walk, human and --json."""
+    out = []
+    for l, k, seed in DEEP_PRODUCTS:
+        rng = random.Random(seed)
+        maxi = tring.maximal_ideals(l)
+        A = tring.ring_matrix(l)
+        for _ in range(k):
+            A = tring.mul(A, maxi[rng.randrange(l)])
+        out.append((f"tau-T{l}-product-{k}", ["tring", "tau", matrix_text(A)]))
+    for l in DEEP_WALKS:
+        text = matrix_text(deep_walk(l))
+        out += [(f"tau-T{l}-deep", ["tring", "tau", text]),
+                (f"divisor-T{l}-deep", ["tring", "divisor", text])]
+    return [case for name, argv in out
+            for case in ((name, argv), (f"{name}-json", ["--json"] + argv))]
 
 
 def zero_sum_text(group: str, length: int, seed: int) -> str:
@@ -306,6 +351,16 @@ def run_case(name, argv) -> dict:
     return case
 
 
+def run_refusal_case(name, argv) -> dict:
+    """argv's exit code 1, empty stdout and one-line error on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if main(argv) != 1:
+            sys.exit(f"capture failed, not refused: {argv}")
+    return {"name": name, "argv": argv, "exit": 1,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def run_usage_case(name, argv) -> dict:
     """argv's exit code and exact stdout and stderr; argparse ends each of
     these cases by raising SystemExit."""
@@ -333,6 +388,9 @@ def demo_stdout(name: str) -> str:
 def capture():
     for filename, argvs in GOLDEN_FILES.items():
         cases = [run_case(name, argv) for name, argv in argvs()]
+        if filename == "tring.json":
+            cases += [run_case(name, argv) for name, argv in tau_argvs()]
+            cases += [run_refusal_case(name, argv) for name, argv in TRING_REFUSALS]
         (HERE / filename).write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
     os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
     cases = [run_usage_case(name, argv) for name, argv in usage_argvs()]

@@ -10,9 +10,16 @@ wrote.
   to 1, and at the edge corpora: the ring alone, T(32) up to 0 and T(2) up
   to 0 with `--trials 0`, T(5) up to 1 (132 ideals) and T(2) up to 50 (299
   ideals), each in human mode and with `--json`; the README `tring divisor`
-  example and `tring divisor` on three deep products of maximal ideals.  The
-  divisors in it were read off lexicographic chain walks, so they pin any
-  other way of computing them.  T(3) up to 10 was captured from the older
+  example and `tring divisor` on three deep products of maximal ideals;
+  `tring tau` on those products, and `tring tau` and `tring divisor` on an
+  ideal of each of T(8) to T(12) with every entry at least 3, human and
+  with `--json`; and the refusal of a non-ideal by `tring divisor` and by
+  `tring tau`, with its exit code and stderr.  The divisors in it were
+  read off lexicographic chain walks, so they pin any other way of
+  computing them.  The `tau` pins and the refusals were captured while
+  the ideal check and tau still took min-plus products, the double left
+  dual for tau, so they pin the closure rule and the index rotation that
+  replaced them.  T(3) up to 10 was captured from the older
   enumeration over a box of candidate matrices, so it pins the one that
   replaced it.  The extra sizes and seeds were captured while each chain
   step still formed l full products and each corpus product was keyed by
@@ -107,7 +114,14 @@ def test_golden_covers_every_command():
         "oracle-32-0-human", "oracle-32-0", "oracle-2-0-trials0-human", "oracle-2-0-trials0",
         "oracle-5-1-human", "oracle-5-1", "oracle-2-50-human", "oracle-2-50",
         "divisor-readme",
-        "divisor-T3-product-90", "divisor-T4-product-60", "divisor-T5-product-40"]
+        "divisor-T3-product-90", "divisor-T4-product-60", "divisor-T5-product-40",
+        *[f"{name}{mode}" for name in ("tau-T3-product-90", "tau-T4-product-60",
+                                       "tau-T5-product-40")
+          for mode in ("", "-json")],
+        *[f"{cmd}-T{l}-deep{mode}" for l in range(8, 13) for cmd in ("tau", "divisor")
+          for mode in ("", "-json")],
+        "divisor-non-ideal", "tau-non-ideal"]
+    assert [c.get("exit", 0) for c in TRING] == [0] * 51 + [1, 1]
     # 51 `zs atoms` and `zs davenport` cases before them, then 7 `zs factor`
     # and 7 `zs lengths` cases with --json, the same 7 `zs factor` cases in
     # human mode, and the two below
@@ -132,8 +146,8 @@ def test_golden_covers_every_command():
 
 @pytest.mark.parametrize("case", TRING, ids=lambda c: c["name"])
 def test_tring_json_output_matches_golden(case, capsys):
-    assert main(case["argv"]) == 0
-    assert capsys.readouterr().out == case["stdout"]
+    assert main(case["argv"]) == case.get("exit", 0)
+    assert capsys.readouterr() == (case["stdout"], case.get("stderr", ""))
 
 
 @pytest.mark.parametrize("case", ZS, ids=lambda c: c["name"])
