@@ -216,7 +216,7 @@ def cmd_div_render(args):
 # tring: the triangular-order oracle
 
 def cmd_tring_mul(args):
-    acc = tring.mul_all([tring.parse_matrix(text) for text in args.matrices])
+    acc = tring.mul_texts(args.matrices)
     return {"result": acc}, tring.format_matrix(acc)
 
 

@@ -9,11 +9,15 @@ is the entrywise maximum.  The valuation picture is independent of the chosen
 DVR, so the uniformizer stays symbolic throughout.  Matrices are tuples of
 rows of Python ints, so the arithmetic is exact at any size.
 
-Divisors of ideals count the steps of maximal chains of two-sided ideals by
-maximal ideal, which comes down to row sums of the exponent matrix; they
-are tuples of counts in the label order of the cycle structure of the
-maximal ideals, whose successor map is the double left dual.  Everything
-here is desk scale and exhaustively checkable against :mod:`nufact.divcalc`.
+A matrix A above the ring's is a two-sided ideal iff each entry is at most
+the entry above it and at most the entry to its right, indices cyclic with
++1 across the wrap: one closure rule, O(l**2) to check and O(1) per entry
+to keep.  Divisors of ideals count the steps of maximal chains of
+two-sided ideals by maximal ideal, which comes down to row sums of the
+exponent matrix; they are tuples of counts in the label order of the cycle
+structure of the maximal ideals, whose successor map is tau, the double
+left dual: on ideals, a rotation of both indices by one.  Everything here
+is desk scale and exhaustively checkable against :mod:`nufact.divcalc`.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ CHAIN_TRIAL_CAP = 100
 # and the slowest admitted, T(2) with exponents <= 50 (299), takes about
 # 0.6 s end to end (T(3) with exponents <= 10, 284 ideals, about 0.35 s)
 ORACLE_PAIR_BUDGET = 90_000
-# min-plus steps `mul_all` may take, l**3 per product of l x l matrices;
+# min-plus steps `mul_texts` may take, l**3 per product of l x l matrices;
 # one product of two 215 x 215 matrices takes 0.6 to 0.9 s end to end
 MUL_BUDGET = 10_000_000
 # the least a product is charged.  A step costs more the smaller the
@@ -101,19 +105,23 @@ def mul(A, B) -> Matrix:
     return _mul(*_pair(A, B))
 
 
-def mul_all(matrices) -> Matrix:
-    """The min-plus product of the matrices, left to right.
+def mul_texts(texts) -> Matrix:
+    """The min-plus product of the matrices the JSON texts name, left to
+    right.
 
     Every product taken is of two l x l matrices, l the first's size, since
     a size mismatch stops the products.  Each is charged max(l**3,
-    MUL_FLOOR) steps against MUL_BUDGET before any is taken.
+    MUL_FLOOR) steps against MUL_BUDGET before any is taken: MUL_FLOOR
+    before any text is parsed, and the excess once the first one is.
     """
-    acc = _as_matrix(matrices[0])
-    n, l = len(matrices) - 1, len(acc)
-    Meter(MUL_BUDGET, lambda m: f"multiplying {n + 1} matrices of size {l} costs {m.used} "
-                                f"steps, over the budget of {m.budget}"
-          ).charge(n * max(l**3, MUL_FLOOR))
-    return functools.reduce(mul, matrices[1:], acc)
+    what = f"{len(texts)} matrices costs at least"  # the refusal reads it when it is made
+    meter = Meter(MUL_BUDGET, lambda m: f"multiplying {what} {m.used} steps, over the "
+                                        f"budget of {m.budget}")
+    meter.charge((len(texts) - 1) * MUL_FLOOR)
+    acc = parse_matrix(texts[0])
+    what = f"{len(texts)} matrices of size {len(acc)} costs"
+    meter.charge((len(texts) - 1) * max(len(acc)**3 - MUL_FLOOR, 0))
+    return functools.reduce(mul, map(parse_matrix, texts[1:]), acc)
 
 
 def intersect(A, B) -> Matrix:
@@ -128,9 +136,26 @@ def is_ideal(A) -> bool:
     return _is_ideal(_as_matrix(A))
 
 
+def _bound(A: Matrix, i: int, j: int) -> int:
+    """The closure bound on entry (i, j): the least of the entry above it and
+    the entry to its right, indices mod l, each +1 across the wrap.
+
+    Row i of the ring matrix t is 0 up to column i and 1 after it, so t * A
+    >= A says that no entry exceeds the entries above it, nor, plus one, the
+    entries below it: by chaining, that A[i][j] <= A[i-1][j] for i > 0 and
+    A[0][j] <= A[l-1][j] + 1.  A * t >= A says the same of each row, read
+    rightward.  So a matrix A >= t is an ideal iff no entry exceeds its
+    bound, and raising entry (i, j) of an ideal keeps an ideal iff it stays
+    within this bound: the raise only loosens the bounds of its neighbours.
+    """
+    l = len(A)
+    return min(A[i - 1][j] + (i == 0), A[i][(j + 1) % l] + (j == l - 1))
+
+
 def _is_ideal(A: Matrix) -> bool:
-    t = ring_matrix(len(A))
-    return _geq(A, t) and _geq(_mul(t, A), A) and _geq(_mul(A, t), A)
+    """A >= t and every entry within its closure bound: O(l**2), no product."""
+    r = range(len(A))
+    return _geq(A, ring_matrix(len(A))) and all(A[i][j] <= _bound(A, i, j) for i in r for j in r)
 
 
 def left_dual(A) -> Matrix:
@@ -141,23 +166,17 @@ def left_dual(A) -> Matrix:
     return tuple(tuple(max(map(sub, trow, arow)) for arow in A) for trow in t)
 
 
-def double_dual(A) -> Matrix:
-    """The double left dual; a bijection on nonzero ideals whose restriction
-    to maximal ideals is the cycle successor."""
-    return left_dual(left_dual(A))
-
-
 @functools.lru_cache(maxsize=16)
 def maximal_ideals(l: int) -> tuple[Matrix, ...]:
     """The l maximal ideals, ordered so that the double dual steps through
     them cyclically.
 
     Each maximal ideal raises exactly one diagonal entry of the ring matrix
-    to 1, and the double dual takes the bump of entry d to the bump of entry
-    d - 1 (cyclically).  So label Q_k, at index k - 1, raises entry l - k:
-    the tuple starts at the bump of the last diagonal entry, matching the
-    usual presentation for l = 3.  The tests walk the double-dual orbit as
-    the oracle for this.
+    to 1, and tau, the double left dual, takes the bump of entry d to the
+    bump of entry d - 1 (cyclically).  So label Q_k, at index k - 1, raises
+    entry l - k: the tuple starts at the bump of the last diagonal entry,
+    matching the usual presentation for l = 3.  The tests walk the orbit of
+    the double left dual, `left_dual` taken twice, as the oracle for this.
     """
     t = ring_matrix(l)
     return tuple(_bump(t, d, d) for d in reversed(range(l)))
@@ -169,10 +188,22 @@ def cycle_structure(l: int) -> CycleStructure:
 
 
 def tau_ideal(A) -> Matrix:
-    """Double dual restricted to (and validated on) ideals."""
-    if not is_ideal(A):
+    """tau, the double left dual, on (and validated on) ideals.
+
+    The radical of T(l) is J = Pi * T(l) = T(l) * Pi, with Pi holding units
+    below the diagonal and pi in the top-right corner, and on ideals tau is
+    the conjugation A -> Pi^-1 * A * Pi.  In exponents that rotates both
+    indices by one:
+
+        tau(A)[i][j] = A[i+1][j+1] + [j = l-1] - [i = l-1], indices mod l.
+
+    The tests compare it with `left_dual` taken twice.
+    """
+    A = _as_matrix(A)
+    if not _is_ideal(A):
         raise ValueError("not an integral ideal")
-    return double_dual(A)
+    rows = [row[1:] + (row[0] + 1,) for row in A]
+    return tuple(rows[1:]) + (tuple(v - 1 for v in rows[0]),)
 
 
 def _bump_candidates(e: Matrix, a: Matrix) -> list[tuple[int, int]]:
@@ -180,18 +211,12 @@ def _bump_candidates(e: Matrix, a: Matrix) -> list[tuple[int, int]]:
     the box toward a.  These are exactly the covers of e above a: all maximal
     chains of ideals step one valuation unit at a time.
 
-    Only the closure inequalities through entry (i, j) can break, so raising
-    e[i][j] keeps an ideal iff t[i][k] + e[k][j] > e[i][j] for every k != i
-    and e[i][k] + t[k][j] > e[i][j] for every k != j; the brute-force closure
-    check of each bumped matrix is the test oracle for this.
+    Raising e[i][j] can break only its own closure bound, so it keeps an
+    ideal iff e[i][j] < _bound(e, i, j): O(1) per entry.  The brute-force
+    closure check of each bumped matrix is the test oracle for this.
     """
-    l = len(e)
-    t = ring_matrix(l)
-    cols = tuple(zip(*e))
-    return [(i, j) for i in range(l) for j in range(l)
-            if e[i][j] < a[i][j]
-            and all(t[i][k] + cols[j][k] > e[i][j] for k in range(l) if k != i)
-            and all(e[i][k] + t[k][j] > e[i][j] for k in range(l) if k != j)]
+    r = range(len(e))
+    return [(i, j) for i in r for j in r if e[i][j] < min(a[i][j], _bound(e, i, j))]
 
 
 def _chain_divisor(A: Matrix, rng: random.Random | None) -> tuple[int, ...]:

@@ -90,18 +90,23 @@ def tring_argvs():
     out.append(("divisor-readme",
                 ["--json", "tring", "divisor", "[[1,1,1],[0,1,1],[0,0,1]]"]))
     for l, k, seed in DEEP_PRODUCTS:
-        rng = random.Random(seed)
-        maxi = tring.maximal_ideals(l)
-        A = tring.ring_matrix(l)
-        for _ in range(k):
-            A = tring.mul(A, maxi[rng.randrange(l)])
-        text = json.dumps([list(row) for row in A], separators=(",", ":"))
+        text = matrix_text(deep_product(l, k, seed))
         out.append((f"divisor-T{l}-product-{k}", ["--json", "tring", "divisor", text]))
     return out
 
 
 def matrix_text(A) -> str:
     return json.dumps([list(row) for row in A], separators=(",", ":"))
+
+
+def deep_product(l: int, k: int, seed: int):
+    """The product of k seeded random maximal ideals of T(l)."""
+    rng = random.Random(seed)
+    maxi = tring.maximal_ideals(l)
+    A = tring.ring_matrix(l)
+    for _ in range(k):
+        A = tring.mul(A, maxi[rng.randrange(l)])
+    return A
 
 
 def deep_walk(l: int):
@@ -121,14 +126,8 @@ def tau_argvs():
     """(name, argv) of every pinned `tring tau` and deep `tring divisor`
     command: tau of the products of DEEP_PRODUCTS, and tau and divisor of
     each deep walk, human and --json."""
-    out = []
-    for l, k, seed in DEEP_PRODUCTS:
-        rng = random.Random(seed)
-        maxi = tring.maximal_ideals(l)
-        A = tring.ring_matrix(l)
-        for _ in range(k):
-            A = tring.mul(A, maxi[rng.randrange(l)])
-        out.append((f"tau-T{l}-product-{k}", ["tring", "tau", matrix_text(A)]))
+    out = [(f"tau-T{l}-product-{k}", ["tring", "tau", matrix_text(deep_product(l, k, seed))])
+           for l, k, seed in DEEP_PRODUCTS]
     for l in DEEP_WALKS:
         text = matrix_text(deep_walk(l))
         out += [(f"tau-T{l}-deep", ["tring", "tau", text]),

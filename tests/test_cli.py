@@ -415,7 +415,7 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"
     (["tring", "mul", *[ZEROS_250] * 8],
      "multiplying 8 matrices of size 250 costs 109375000 steps, over the budget of 10000000"),
     (["tring", "mul", *["[[0,0],[0,0]]"] * 80_000],
-     "multiplying 80000 matrices of size 2 costs 2159973000 steps, over the budget of 10000000"),
+     "multiplying 80000 matrices costs at least 2159973000 steps, over the budget of 10000000"),
     (["quad", "atoms", "1000024+1*w"], "norm 1000049000606 exceeds cap 1000000"),
     (["quad", "atoms", "2", "3", "--norm", "4"], "give elements or --norm N, not both"),
     (["quad", "atoms"], "give elements or --norm N"),
@@ -576,16 +576,20 @@ def test_quat_verify_budget_boundary(monkeypatch, capsys):
 
 def test_tring_mul_budget_boundary(monkeypatch, capsys):
     # max(l**3, MUL_FLOOR) steps per product of l x l matrices, charged
-    # once all are parsed and before any product: three 3x3 matrices cost
-    # twice the floor, 54,000 steps
+    # before any product: the floors before any text is parsed, the excess
+    # over them once the first is.  Three 3x3 matrices cost twice the
+    # floor, 54,000 steps, and at a floor of 10 twice 27, 54 steps
     A, B = "[[0,1,1],[0,0,1],[0,0,1]]", "[[0,1,1],[0,1,1],[0,0,0]]"
-    monkeypatch.setattr(tring, "MUL_BUDGET", 54_000)
-    assert run_json(capsys, "tring", "mul", A, B, A)["result"] == [
-        [0, 1, 1], [0, 1, 1], [0, 1, 1]]
-    monkeypatch.setattr(tring, "MUL_BUDGET", 53_999)
-    assert run(capsys, "tring", "mul", A, B, A) == (
-        1, "", "error: multiplying 3 matrices of size 3 costs 54000 steps, over the budget "
-               "of 53999\n")
+    for floor, cost, size in (27_000, 54_000, ""), (10, 54, " of size 3"):
+        monkeypatch.setattr(tring, "MUL_FLOOR", floor)
+        monkeypatch.setattr(tring, "MUL_BUDGET", cost)
+        assert run_json(capsys, "tring", "mul", A, B, A)["result"] == [
+            [0, 1, 1], [0, 1, 1], [0, 1, 1]]
+        monkeypatch.setattr(tring, "MUL_BUDGET", cost - 1)
+        costs = "costs" if size else "costs at least"
+        assert run(capsys, "tring", "mul", A, B, A) == (
+            1, "", f"error: multiplying 3 matrices{size} {costs} {cost} steps, over the "
+                   f"budget of {cost - 1}\n")
     # a single matrix takes no product
     monkeypatch.setattr(tring, "MUL_BUDGET", 0)
     assert run_json(capsys, "tring", "mul", A)["result"] == [[0, 1, 1], [0, 0, 1], [0, 0, 1]]

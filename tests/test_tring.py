@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import math
@@ -19,7 +20,6 @@ from nufact.tring import (
     _chain_divisor,
     cycle_structure,
     divisor_of,
-    double_dual,
     enumerate_ideals,
     format_matrix,
     intersect,
@@ -27,7 +27,7 @@ from nufact.tring import (
     left_dual,
     maximal_ideals,
     mul,
-    mul_all,
+    mul_texts,
     oracle_report,
     parse_matrix,
     ring_matrix,
@@ -78,6 +78,84 @@ def test_is_ideal_matches_naive_oracle():
         assert is_ideal(A) == naive_is_ideal(A)
 
 
+def every_matrix(l, lo, hi):
+    """Every l x l matrix with entries in lo..hi."""
+    for flat in itertools.product(range(lo, hi + 1), repeat=l * l):
+        yield tuple(flat[r * l:(r + 1) * l] for r in range(l))
+
+
+# (l, lo, hi): every 3 x 3 matrix with entries -1..2 (262,144), every
+# 2 x 2 one with entries -1..4 (1,296)
+SMALL_BOXES = [(3, -1, 2), (2, -1, 4)]
+
+
+def rule_disagreements(check, l, lo, hi):
+    """The matrices of the box on which check differs from naive_is_ideal."""
+    return [A for A in every_matrix(l, lo, hi) if check(A) != naive_is_ideal(A)]
+
+
+@pytest.mark.parametrize("l, lo, hi", SMALL_BOXES)
+def test_closure_rule_matches_naive_on_every_small_matrix(l, lo, hi):
+    assert rule_disagreements(tring._is_ideal, l, lo, hi) == []
+
+
+def without_wrap_term(term):
+    """_is_ideal of a copy of the module whose closure rule drops one of its
+    two +1 terms across the wrap."""
+    src = inspect.getsource(tring._bound)
+    assert src.count(term) == 1
+    namespace = dict(vars(tring))
+    exec(src.replace(term, ""), namespace)
+    exec(inspect.getsource(tring._is_ideal), namespace)
+    return namespace["_is_ideal"]
+
+
+@pytest.mark.parametrize("term", [" + (i == 0)", " + (j == l - 1)"])
+def test_closure_rule_negative_control(term):
+    # the rule without either wrap term refuses ideals of T(2) and of T(3)
+    check = without_wrap_term(term)
+    for box in (2, -1, 4), (3, 0, 2):
+        missed = rule_disagreements(check, *box)
+        assert missed and all(naive_is_ideal(A) and not check(A) for A in missed)
+
+
+def deep_product(l, seed):
+    """The product of 40 * l seeded random maximal ideals of T(l): every
+    entry at least 3 for l = 6 to 12."""
+    rng = random.Random(seed)
+    A = ring_matrix(l)
+    for _ in range(40 * l):
+        A = mul(A, maximal_ideals(l)[rng.randrange(l)])
+    return A
+
+
+@pytest.mark.parametrize("l", range(6, 13))
+def test_closure_rule_on_deep_ideals_and_their_neighbours(l):
+    A = deep_product(l, l)
+    assert min(map(min, A)) >= 3 and is_ideal(A)
+    for i, j, d in itertools.product(range(l), range(l), (-1, 1)):
+        B = [list(row) for row in A]
+        B[i][j] += d
+        assert is_ideal(B) == naive_is_ideal(B)
+
+
+def test_ideal_check_divisor_and_tau_take_no_product(monkeypatch):
+    calls, product = [], tring._mul
+    monkeypatch.setattr(tring, "_mul", lambda A, B: calls.append(A) or product(A, B))
+    ideals = enumerate_ideals(3, 2) + [deep_product(8, 8)]
+    assert calls  # the spy sees the products that built the deep ideal
+    calls.clear()
+    for A in ideals:
+        assert is_ideal(A)
+        divisor_of(A), tau_ideal(A)
+    non_ideal = ((0, 1, 1), (0, 0, 1), (1, 0, 0))
+    assert not is_ideal(non_ideal)
+    for f in divisor_of, tau_ideal:
+        with pytest.raises(ValueError, match="^not an integral ideal$"):
+            f(non_ideal)
+    assert calls == []
+
+
 def test_mul_displayed_products():
     assert mul(Q1, Q2) == ((0, 1, 1), (0, 1, 1), (0, 1, 1))
     assert mul(Q2, Q1) == ((0, 1, 1), (0, 1, 1), (0, 0, 1))
@@ -112,7 +190,7 @@ def test_left_dual_examples():
     assert all(x <= y for dr, tr in zip(dj, T3) for x, y in zip(dr, tr)) and dj != T3
     frac = left_dual(Q1)
     assert not is_ideal(frac)  # genuinely fractional
-    assert is_ideal(double_dual(Q1))
+    assert is_ideal(left_dual(left_dual(Q1)))
 
 
 def test_tau_cycle_on_maximal_ideals():
@@ -122,6 +200,67 @@ def test_tau_cycle_on_maximal_ideals():
     assert tau_ideal(J3) == J3
     with pytest.raises(ValueError):
         tau_ideal([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
+# (l, max_exp) of the corpora tau is checked on
+TAU_CORPORA = [(2, 10), (3, 4), (4, 2), (5, 1)]
+
+
+def rotate_back(A):
+    """The rotation the other way: tau's inverse."""
+    l = len(A)
+    return tuple(tuple(A[i - 1][j - 1] - (j == 0) + (i == 0) for j in range(l))
+                 for i in range(l))
+
+
+def conjugate(A):
+    """Pi^-1 * A * Pi by min-plus products, Pi the generator of the radical:
+    units below the diagonal and pi in the top-right corner.  A zero entry
+    of Pi or Pi^-1 gets an exponent past every sum that involves A."""
+    l = len(A)
+    far = 2 * max(map(max, A)) + 4 * l + 4
+    pi = tuple(tuple(0 if i == j + 1 else 1 if (i, j) == (0, l - 1) else far
+                     for j in range(l)) for i in range(l))
+    pi_inv = tuple(tuple(0 if j == i + 1 else -1 if (i, j) == (l - 1, 0) else far
+                         for j in range(l)) for i in range(l))
+    t = ring_matrix(l)
+    assert mul(pi, t) == mul(t, pi) == functools.reduce(intersect, maximal_ideals(l))  # J
+    return mul(mul(pi_inv, A), pi)
+
+
+def tau_samples():
+    """Every ideal of TAU_CORPORA, and seeded products of maximal ideals at
+    l = 6 to 32."""
+    for l, max_exp in TAU_CORPORA:
+        yield from enumerate_ideals(l, max_exp)
+    for l in (6, 7, 9, 12, 16, 24, 32):
+        rng = random.Random(l)
+        A = ring_matrix(l)
+        for _ in range(3):
+            for _ in range(2 * l):
+                A = mul(A, maximal_ideals(l)[rng.randrange(l)])
+            yield A
+
+
+def test_tau_is_the_double_left_dual_and_the_conjugation_by_pi():
+    for A in tau_samples():
+        assert tau_ideal(A) == left_dual(left_dual(A)) == conjugate(A)
+
+
+def test_tau_negative_control():
+    # the rotation the other way agrees with the double left dual exactly
+    # on the ideals that tau**2 fixes: on all of T(2), since tau**l is the
+    # identity on ideals, and on some but not all of each larger corpus.
+    # It disagrees on every sampled product
+    for l, max_exp in TAU_CORPORA:
+        corpus = enumerate_ideals(l, max_exp)
+        agree = [rotate_back(A) == left_dual(left_dual(A)) for A in corpus]
+        assert agree == [left_dual(left_dual(left_dual(left_dual(A)))) == A for A in corpus]
+        assert all(agree) == (l == 2)
+    for A in itertools.islice(tau_samples(), sum(len(enumerate_ideals(*c))
+                                                 for c in TAU_CORPORA), None):
+        assert rotate_back(A) != left_dual(left_dual(A))
+        assert rotate_back(tau_ideal(A)) == A
 
 
 def test_tau_matches_cycle_structure_successor():
@@ -193,35 +332,55 @@ def test_mul_associative_and_identity_on_corpus():
         assert mul(mul(A, B), C) == mul(A, mul(B, C))
 
 
-def test_mul_all_budget_boundary(monkeypatch):
+def test_mul_texts_budget_boundary(monkeypatch):
     # each product is charged max(l**3, MUL_FLOOR) before any is taken: at
     # the real constants 370 products of 2 x 2 matrices fit, and 371 are
-    # refused without a product
-    Z = ((0, 0), (0, 0))
-    products = []
+    # refused by their floors before any text is parsed
+    Z = "[[0,0],[0,0]]"
+    parsed, products = [], []
+    monkeypatch.setattr(tring, "parse_matrix", lambda text: parsed.append(text) or
+                        parse_matrix(text))
     monkeypatch.setattr(tring, "mul", lambda A, B: products.append(A) or mul(A, B))
-    assert mul_all([Z] * 371) == Z and len(products) == 370
-    products.clear()
-    with pytest.raises(CapExceeded, match="^multiplying 372 matrices of size 2 costs 10017000 "
+    assert mul_texts([Z] * 371) == ((0, 0), (0, 0))
+    assert len(parsed) == 371 and len(products) == 370
+    parsed.clear(), products.clear()
+    with pytest.raises(CapExceeded, match="^multiplying 372 matrices costs at least 10017000 "
                                           "steps, over the budget of 10000000$"):
-        mul_all([Z] * 372)
-    assert products == []
-    # above the floor a product costs l**3: three 3 x 3 matrices cost 54
-    # at a floor of 10, and three 2 x 2 ones 20
-    A, B = ((0, 1, 1), (0, 0, 1), (0, 0, 1)), ((0, 1, 1), (0, 1, 1), (0, 0, 0))
+        mul_texts([Z] * 372)
+    assert parsed == products == []
+    # a refusal by the floors reads no text, not even a malformed one
+    with pytest.raises(CapExceeded, match="^multiplying 372 matrices costs at least"):
+        mul_texts(["not json"] * 372)
+    # above the floor a product costs l**3, the excess charged once the
+    # first text is parsed: three 3 x 3 matrices cost 54 at a floor of 10
+    A, B = "[[0,1,1],[0,0,1],[0,0,1]]", "[[0,1,1],[0,1,1],[0,0,0]]"
+    Q1Q2 = ((0, 1, 1), (0, 1, 1), (0, 1, 1))
     monkeypatch.setattr(tring, "MUL_FLOOR", 10)
-    for matrices, cost in ([A, B, A], 54), ([Z, Z, Z], 20):
-        monkeypatch.setattr(tring, "MUL_BUDGET", cost)
-        assert mul_all(matrices) == mul(mul(*matrices[:2]), matrices[2])
-        monkeypatch.setattr(tring, "MUL_BUDGET", cost - 1)
-        with pytest.raises(CapExceeded, match=f"^multiplying 3 matrices of size "
-                                              f"{len(matrices[0])} costs {cost} steps"):
-            mul_all(matrices)
+    monkeypatch.setattr(tring, "MUL_BUDGET", 54)
+    assert mul_texts([A, B, A]) == Q1Q2
+    parsed.clear(), products.clear()
+    monkeypatch.setattr(tring, "MUL_BUDGET", 53)
+    with pytest.raises(CapExceeded, match="^multiplying 3 matrices of size 3 costs 54 steps, "
+                                          "over the budget of 53$"):
+        mul_texts([A, B, A])
+    assert parsed == [A] and products == []
+    # below the floor the floors are the whole cost: three 2 x 2 matrices
+    # cost 20, and so do three 3 x 3 ones at a budget of 19, both refused
+    # before any text is parsed
+    monkeypatch.setattr(tring, "MUL_BUDGET", 20)
+    assert mul_texts([Z] * 3) == ((0, 0), (0, 0))
+    parsed.clear()
+    monkeypatch.setattr(tring, "MUL_BUDGET", 19)
+    for texts in [Z] * 3, [A, B, A]:
+        with pytest.raises(CapExceeded, match="^multiplying 3 matrices costs at least 20 "
+                                              "steps, over the budget of 19$"):
+            mul_texts(texts)
+    assert parsed == []
     # a single matrix takes no product, and is validated
     monkeypatch.setattr(tring, "MUL_BUDGET", 0)
-    assert mul_all([[[0, 1], [0, 0]]]) == ((0, 1), (0, 0))
+    assert mul_texts(["[[0,1],[0,0]]"]) == ((0, 1), (0, 0))
     with pytest.raises(ValueError, match="must be square"):
-        mul_all([[[0, 1]]])
+        mul_texts(["[[0,1]]"])
 
 
 def test_products_of_ideals_are_ideals():
@@ -374,14 +533,15 @@ def test_parse_matrix_refuses_deep_nesting():
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 8, 16, 32])
 def test_tau_orbit_general_size(l):
-    # the double dual walks the diagonal bumps from last to first; this is
-    # the oracle for the closed form of maximal_ideals, up to ORACLE_SIZE_CAP
+    # the double left dual walks the diagonal bumps from last to first; this
+    # is the oracle for the closed form of maximal_ideals, up to
+    # ORACLE_SIZE_CAP, and the rotation walks them alike
     t = ring_matrix(l)
     Qs = maximal_ideals(l)
     for idx, Q in enumerate(Qs):
         bump = [(r, c) for r in range(l) for c in range(l) if Q[r][c] != t[r][c]]
         assert bump == [(l - 1 - idx, l - 1 - idx)]
-        assert tau_ideal(Q) == Qs[(idx + 1) % l]
+        assert left_dual(left_dual(Q)) == tau_ideal(Q) == Qs[(idx + 1) % l]
 
 
 def assert_t3_report(report, corpus_size=44, **counterexamples):
@@ -688,18 +848,20 @@ def test_local_cover_test_matches_brute_force(l, max_exp):
 
 
 def weak_cover_namespace():
-    """A copy of the module whose cover test has its two strict
-    inequalities made weak."""
+    """A copy of the module whose cover test lets an entry reach one past
+    its closure bound, as if the closure inequalities were weak."""
     src = inspect.getsource(_bump_candidates)
-    assert src.count(" > e[i][j] for k in") == 2
+    assert src.count("_bound(e, i, j))") == 1
     namespace = dict(vars(tring))
-    exec(src.replace(" > e[i][j] for k in", " >= e[i][j] for k in"), namespace)
+    exec(src.replace("_bound(e, i, j))", "_bound(e, i, j) + 1)"), namespace)
     return namespace
 
 
 def test_local_cover_test_negative_control():
+    # the weak cover test disagrees with brute force on every size
     weak = weak_cover_namespace()["_bump_candidates"]
-    assert all(cover_disagreements(weak, l, max_exp) > 0 for l, max_exp in COVER_SIZES)
+    for l, max_exp in COVER_SIZES:
+        assert cover_disagreements(weak, l, max_exp) > 0
 
 
 def test_matrix_io():

@@ -1,0 +1,46 @@
+"""Count the code lines of the package: the lines of `src/nufact/*.py`
+that hold a token other than a comment or a docstring.  Blank lines,
+comment lines and docstrings are not counted; every line of any other
+multi-line token or statement is.  Prints one line per file and the total:
+
+    python tools/code_lines.py [file.py ...]
+"""
+
+import pathlib
+import sys
+import tokenize
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "nufact"
+# tokens that hold no code
+SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING, tokenize.ENDMARKER}
+# tokens that end a statement, or begin a block
+BOUNDARIES = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+
+
+def code_lines(path) -> int:
+    """The number of lines of path that hold code."""
+    with open(path, "rb") as f:
+        tokens = [t for t in tokenize.tokenize(f.readline) if t.type not in SKIPPED]
+    lines = set()
+    for before, tok, after in zip([None] + tokens, tokens, tokens[1:] + [None]):
+        # a string that is a whole statement is a docstring
+        docstring = (tok.type == tokenize.STRING
+                     and (before is None or before.type in BOUNDARIES)
+                     and (after is None or after.type == tokenize.NEWLINE))
+        if tok.type not in BOUNDARIES and not docstring:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def main(argv) -> int:
+    paths = [pathlib.Path(p) for p in argv] or sorted(PACKAGE.glob("*.py"))
+    counts = [(path.name, code_lines(path)) for path in paths]
+    width = max(len(name) for name, _ in counts)
+    for name, n in counts:
+        print(f"{name:<{width}}  {n:>5}")
+    print(f"{'total':<{width}}  {sum(n for _, n in counts):>5}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
