@@ -1,0 +1,81 @@
+"""The `div` commands: the abstract divisor calculus on cycles of maximal
+ideals.  `nufact.cli` imports this module only when argv names `div`."""
+
+from __future__ import annotations
+
+from . import divcalc
+
+
+def _cycles(args) -> divcalc.CycleStructure:
+    return divcalc.CycleStructure.from_text(args.cycles)
+
+
+def cmd_div_compose(args):
+    cs = _cycles(args)
+    out = cs.format_divisor(divcalc.compose_texts(cs, args.divisors))
+    return {"cycles": args.cycles, "result": out}, out
+
+
+def cmd_div_realizable(args):
+    cs = _cycles(args)
+    D = cs.parse_divisor(args.divisor)
+    ok = divcalc.is_realizable(cs, D)
+    payload = {"cycles": args.cycles, "divisor": cs.format_divisor(D), "realizable": ok}
+    return payload, "realizable" if ok else "not realizable"
+
+
+def cmd_div_factor(args):
+    cs = _cycles(args)
+    D = cs.parse_divisor(args.divisor)
+    max_len = args.max_len if args.max_len is not None else divcalc.default_max_len(cs, D)
+    words, truncated = divcalc.enumerate_factorizations_ex(cs, D, max_len)
+    payload = {
+        "cycles": args.cycles,
+        "divisor": cs.format_divisor(D),
+        "max_len": max_len,
+        "words": words,
+        "truncated": truncated,
+    }
+    if args.json:  # no human text: for a long word list it is as large as the words
+        return payload, None
+    lines = ["*".join(w) or "(empty word)" for w in words]
+    if truncated:
+        lines.append(f"(search truncated at length {max_len}; more words may exist)")
+    return payload, "\n".join(lines) or "(no words)"
+
+
+def cmd_div_render(args):
+    cs = _cycles(args)
+    if (args.divisor is None) == (args.word is None):
+        raise ValueError("give exactly one of --divisor or --word")
+    D = None if args.divisor is None else cs.parse_divisor(args.divisor)
+    word = None if args.word is None else cs.parse_word(args.word)
+    svg = divcalc.render_svg(cs, D, cycle=args.cycle, word=word)
+    shape = cs.format_divisor(D) if word is None else "*".join(word) or "(empty word)"
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(svg)
+    return {"cycles": args.cycles, "target": shape, "out": args.out}, f"wrote {args.out}"
+
+
+def add_leaves(leaves, common):
+    p = leaves.add_parser("compose", parents=[common], help="compose divisors left to right")
+    p.add_argument("--cycles", required=True, help="e.g. 'Q1>Q2>Q3;P'")
+    p.add_argument("divisors", nargs="+", help="e.g. 2Q1+Q3")
+    p.set_defaults(handler=cmd_div_compose)
+    p = leaves.add_parser("realizable", parents=[common], help="does some ideal have this divisor?")
+    p.add_argument("--cycles", required=True)
+    p.add_argument("divisor")
+    p.set_defaults(handler=cmd_div_realizable)
+    p = leaves.add_parser("factor", parents=[common], help="words of maximal ideals composing to the divisor")
+    p.add_argument("--cycles", required=True)
+    p.add_argument("divisor")
+    p.add_argument("--max-len", type=int, default=None,
+                   help="word length bound (default: total count + cycle sizes)")
+    p.set_defaults(handler=cmd_div_factor)
+    p = leaves.add_parser("render", parents=[common], help="draw the cylinder diagram as SVG")
+    p.add_argument("--cycles", required=True)
+    p.add_argument("--divisor", default=None)
+    p.add_argument("--word", default=None, help="e.g. 'Q1*Q2*Q3'")
+    p.add_argument("--cycle", type=int, default=None, help="cycle index to draw")
+    p.add_argument("--out", required=True, help="output SVG path")
+    p.set_defaults(handler=cmd_div_render)

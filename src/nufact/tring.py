@@ -26,6 +26,7 @@ import functools
 import itertools
 import math
 import random
+from bisect import insort
 from operator import add, ge, itemgetter, sub
 
 from . import CapExceeded, Meter
@@ -226,30 +227,33 @@ def _chain_divisor(A: Matrix, rng: random.Random | None) -> tuple[int, ...]:
     takes the lexicographically least cover; an rng picks uniformly among
     the covers.  The test oracle for divisor_of; its cost grows with A.
 
-    Row r of a product depends only on row r of its left factor, and each
-    maximal ideal differs from the ring matrix t in one row.  So a step forms
-    t * e once and each P * e from it, with the rows where P differs from t
-    recomputed: exact products, one full product per step instead of l."""
+    Row r of a product depends only on row r of its left factor, each
+    maximal ideal differs from the ring matrix t in one row, and t * e = e
+    for every ideal e.  So a step forms each P * e from e itself, with the
+    rows where P differs from t recomputed: exact products, l rows per step
+    instead of l full products.  Raising entry (i, j) moves only the closure
+    bounds that read it, so a step re-tests the cover candidacy of (i, j),
+    the entry below it and the entry to its left, indices mod l, and keeps
+    the candidates in lexicographic order."""
     l = len(A)
     t = ring_matrix(l)
     maxi = maximal_ideals(l)
     changed = [[r for r in range(l) if Q[r] != t[r]] for Q in maxi]
     counts = [0] * l
     e = t
+    candidates = _bump_candidates(e, A)
     while e != A:
-        candidates = _bump_candidates(e, A)
         if not candidates:
             raise RuntimeError("no maximal ideal step found; chain search is broken")
         if rng is None:
-            i, j = candidates[0]  # positions enumerated in lex order
+            i, j = candidates[0]  # candidates are kept in lex order
         else:
             i, j = candidates[rng.randrange(len(candidates))]
         f = _bump(e, i, j)
-        te = _mul(t, e)
         cols = tuple(zip(*e))
         hits = []
         for idx, (Q, rows) in enumerate(zip(maxi, changed)):
-            Qe = list(te)
+            Qe = list(e)
             for r in rows:
                 Qe[r] = tuple(min(map(add, Q[r], col)) for col in cols)
             if _geq(Qe, f):
@@ -259,6 +263,11 @@ def _chain_divisor(A: Matrix, rng: random.Random | None) -> tuple[int, ...]:
                 f"chain step admits {len(hits)} maximal ideals; expected exactly one")
         counts[hits[0]] += 1
         e = f
+        for r, c in {(i, j), ((i + 1) % l, j), (i, (j - 1) % l)}:
+            if (r, c) in candidates:
+                candidates.remove((r, c))
+            if e[r][c] < min(A[r][c], _bound(e, r, c)):
+                insort(candidates, (r, c))
     return tuple(counts)
 
 

@@ -12,7 +12,8 @@ import pytest
 import nufact
 from nufact import CapExceeded, Meter
 
-CLI = Path(nufact.__file__).resolve().parent / "cli.py"
+# the dispatcher and every family's handlers
+CLI_FILES = sorted(Path(nufact.__file__).resolve().parent.glob("cli*.py"))
 
 
 def test_meter_refuses_past_its_budget_with_progress_read_at_refusal():
@@ -43,7 +44,10 @@ def cli_budget_sites(source: str) -> list[str]:
 
 
 def test_cli_holds_no_cost_model():
-    assert cli_budget_sites(CLI.read_text(encoding="utf-8")) == []
+    assert [p.name for p in CLI_FILES] == [
+        "cli.py", "cli_div.py", "cli_quad.py", "cli_quat.py", "cli_tring.py", "cli_zs.py"]
+    for path in CLI_FILES:
+        assert cli_budget_sites(path.read_text(encoding="utf-8")) == [], path.name
 
 
 def test_cli_budget_sites_finds_a_cost_model():

@@ -448,15 +448,61 @@ def test_shared_step_product_matches_l_products(l, max_exp):
 
 
 def test_shared_step_product_negative_control():
-    # a copy that takes every row of P * e from t * e finds no label
+    # a copy that takes every row of P * e from e unchanged finds no label
     src = inspect.getsource(_chain_divisor)
     line = "Qe[r] = tuple(min(map(add, Q[r], col)) for col in cols)"
     assert src.count(line) == 1
     namespace = dict(vars(tring))
-    exec(src.replace(line, "Qe[r] = te[r]"), namespace)
+    exec(src.replace(line, "Qe[r] = e[r]"), namespace)
     for l, max_exp in CHAIN_CORPORA:
         with pytest.raises(RuntimeError, match="^chain step admits 0 maximal ideals"):
             namespace["_chain_divisor"](enumerate_ideals(l, max_exp)[-1], None)
+
+
+# the entries whose cover candidacy a raise of (i, j) can change
+RETESTED = ["(i, j)", "((i + 1) % l, j)", "(i, (j - 1) % l)"]
+
+
+def checked_chain_divisor(retested=RETESTED):
+    """A copy of _chain_divisor that re-tests the given entries after each
+    raise and asserts, before each step, that its covers are those the
+    fresh cover test lists, in the same order."""
+    src = inspect.getsource(_chain_divisor)
+    update = "{" + ", ".join(RETESTED) + "}"
+    check = "        if not candidates:\n"
+    assert src.count(update) == 1 and src.count(check) == 1
+    src = src.replace(update, "{" + ", ".join(retested) + "}")
+    src = src.replace(check, "        assert candidates == _bump_candidates(e, A)\n" + check)
+    namespace = dict(vars(tring))
+    exec(src, namespace)
+    return namespace["_chain_divisor"]
+
+
+def stale_walks(walk, l, max_exp):
+    """The number of walks, lexicographic and seeded, over the corpus whose
+    covers drift from the fresh cover test's."""
+    stale = 0
+    for A in enumerate_ideals(l, max_exp):
+        for seed in (None, 3, 11):
+            try:
+                walk(A, seed and random.Random(seed))
+            except AssertionError:
+                stale += 1
+    return stale
+
+
+@pytest.mark.parametrize("l, max_exp", CHAIN_CORPORA)
+def test_incremental_covers_are_the_fresh_covers(l, max_exp):
+    assert stale_walks(checked_chain_divisor(), l, max_exp) == 0
+
+
+@pytest.mark.parametrize("neighbour", RETESTED)
+def test_incremental_covers_negative_control(neighbour):
+    # a copy that does not re-test one of the three entries a raise moves
+    # drifts from the fresh cover test on every corpus
+    walk = checked_chain_divisor([n for n in RETESTED if n != neighbour])
+    for l, max_exp in CHAIN_CORPORA:
+        assert stale_walks(walk, l, max_exp) > 0, (l, max_exp)
 
 
 @pytest.mark.parametrize("A", [
