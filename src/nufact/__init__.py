@@ -1,15 +1,15 @@
 """nufact: a workbench for non-unique factorization at desk scale.
 
-Subpackages cover exact arithmetic in finite abelian groups, the monoid of
-zero-sum sequences with atom/length-set enumeration, brute-force
-factorization in the quadratic order Z[(1+sqrt(-23))/2], quaternion identity
-checking over Q(sqrt(3)), an abstract divisor calculus on cycles of maximal
-ideals with SVG diagrams, and an exact triangular-order oracle that
-cross-validates the calculus.
+The submodules in __all__ cover exact arithmetic in finite abelian groups,
+the monoid of zero-sum sequences with atom/length-set enumeration,
+brute-force factorization in the quadratic order Z[(1+sqrt(-23))/2],
+quaternion identity checking over Q(sqrt(3)), an abstract divisor calculus
+on cycles of maximal ideals with its word search and SVG diagrams, and an
+exact triangular-order oracle that cross-validates the calculus.
 
 Importing the package is cheap: each submodule is registered in sys.modules
 by a LazyLoader and its body runs on first attribute access, so a command
-runs only the modules it uses.  The package's one error type,
+runs, and compiles, only the modules it uses.  The package's one error type,
 `CapExceeded`, is defined here, so raising it runs no other module, and so
 are `Meter`, the one counter every budget of work is charged on, and
 `factorization_walk`, the one factorization search that the zero-sum
@@ -19,7 +19,8 @@ sequences and Z[w] share, with its budget FACTORIZATION_BUDGET.
 import importlib.util
 import sys
 
-__all__ = ["abelian", "divcalc", "quadring", "quatcheck", "tring", "zerosum"]
+__all__ = ["abelian", "divcalc", "divdraw", "divwords", "quadring", "quatcheck", "toracle",
+           "tring", "zerosum"]
 __version__ = "0.1.0"
 
 
@@ -83,6 +84,23 @@ def factorization_walk(root, moves, atoms, what: str) -> list[tuple]:
     for k, F in enumerate(results):  # in place, so the index tuples go as the atoms come
         results[k] = tuple(atoms[i] for i in F)
     return results
+
+
+def _forward(namespace: dict, homes: dict):
+    """A module `__getattr__` for the names, the keys of homes, that live in
+    another submodule, homes[name]: the first read imports that module and
+    binds the name in namespace, the module's globals, so later reads are
+    plain lookups and anything that patches the binding finds it.  Any
+    other name raises AttributeError."""
+
+    def __getattr__(name: str):
+        if name not in homes:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        home = importlib.import_module(f"{__name__}.{homes[name]}")
+        value = namespace[name] = getattr(home, name)
+        return value
+
+    return __getattr__
 
 
 def _lazy(name: str):

@@ -1,9 +1,10 @@
 """The `div` commands: the abstract divisor calculus on cycles of maximal
-ideals.  `nufact.cli` imports this module only when argv names `div`."""
+ideals.  `nufact.cli` imports this module only when argv names `div`, and
+`div factor` and `div render` alone run the word search and the drawing."""
 
 from __future__ import annotations
 
-from . import divcalc
+from . import divcalc, divdraw, divwords
 
 
 def _cycles(args) -> divcalc.CycleStructure:
@@ -28,7 +29,7 @@ def cmd_div_factor(args):
     cs = _cycles(args)
     D = cs.parse_divisor(args.divisor)
     max_len = args.max_len if args.max_len is not None else divcalc.default_max_len(cs, D)
-    words, truncated = divcalc.enumerate_factorizations_ex(cs, D, max_len)
+    words, truncated = divwords.enumerate_factorizations_ex(cs, D, max_len)
     payload = {
         "cycles": args.cycles,
         "divisor": cs.format_divisor(D),
@@ -50,7 +51,7 @@ def cmd_div_render(args):
         raise ValueError("give exactly one of --divisor or --word")
     D = None if args.divisor is None else cs.parse_divisor(args.divisor)
     word = None if args.word is None else cs.parse_word(args.word)
-    svg = divcalc.render_svg(cs, D, cycle=args.cycle, word=word)
+    svg = divdraw.render_svg(cs, D, cycle=args.cycle, word=word)
     shape = cs.format_divisor(D) if word is None else "*".join(word) or "(empty word)"
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)

@@ -1,7 +1,8 @@
 """The `tring` commands: the triangular-order oracle.  `nufact.cli`
-imports this module only when argv names `tring`."""
+imports this module only when argv names `tring`, and `tring oracle` alone
+runs the oracle module."""
 
-from . import tring
+from . import toracle, tring
 
 
 def cmd_tring_mul(args):
@@ -24,8 +25,8 @@ def cmd_tring_tau(args):
 
 
 def cmd_tring_oracle(args):
-    report = tring.oracle_report(l=args.size, max_exp=args.max_exp,
-                                 seed=args.seed, chain_trials=args.trials)
+    report = toracle.oracle_report(l=args.size, max_exp=args.max_exp,
+                                   seed=args.seed, chain_trials=args.trials)
     lines = [f"corpus: {report['corpus_size']} ideals of T({args.size}), "
              f"exponents <= {args.max_exp}"]
     for name, entry in report["properties"].items():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nufact
-from nufact import abelian, divcalc, quatcheck, tring, zerosum
+from nufact import abelian, divcalc, divwords, quatcheck, toracle, tring, zerosum
 from nufact.cli import main
 
 SRC = Path(nufact.__file__).resolve().parent.parent
@@ -221,11 +221,11 @@ def test_div_factor_cap_counts_letters(capsys, monkeypatch):
     assert err == ("error: more than 2000000 letters in the words that compose to the "
                    "divisor within length 2000; lower max_len\n")
     # n = 20: 210 letters, the exact boundary of the letter cap
-    monkeypatch.setattr(divcalc, "LETTER_CAP", 209)
+    monkeypatch.setattr(divwords, "LETTER_CAP", 209)
     code, _, err = run(capsys, "div", "factor", "--cycles", "Q1>Q2>Q3", "Q2",
                        "--max-len", "20")
     assert code == 1 and err.startswith("error: more than 209 letters")
-    monkeypatch.setattr(divcalc, "LETTER_CAP", 210)
+    monkeypatch.setattr(divwords, "LETTER_CAP", 210)
     payload = run_json(capsys, "div", "factor", "--cycles", "Q1>Q2>Q3", "Q2",
                        "--max-len", "20")
     assert payload["words"] == [["Q2"] * k for k in range(1, 21)]
@@ -473,7 +473,7 @@ def test_tring_oracle_prints_a_counterexample(monkeypatch, capsys):
     report = {"corpus_size": 2, "all_pass": False, "properties": {
         "closure": {"pass": True},
         "homomorphism": {"pass": False, "counterexample": {"A": [[0, 1]], "D": [1]}}}}
-    monkeypatch.setattr(tring, "oracle_report", lambda **kwargs: report)
+    monkeypatch.setattr(toracle, "oracle_report", lambda **kwargs: report)
     code, out, _ = run(capsys, "tring", "oracle", "--size", "2")
     assert code == 0
     assert out == ("corpus: 2 ideals of T(2), exponents <= 2\nclosure: pass\n"

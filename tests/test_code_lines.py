@@ -37,7 +37,13 @@ def test_counts_code_not_comments_blanks_or_docstrings(tmp_path):
 
 
 def test_prints_each_file_and_the_total(tmp_path, capsys):
+    # code lines, then source bytes: the sample's 242 bytes, docstrings,
+    # comments and blank lines included
     path = tmp_path / "sample.py"
-    path.write_text(SAMPLE)
+    path.write_bytes(SAMPLE.encode())
+    assert len(SAMPLE.encode()) == 242
     assert code_lines.main([str(path), str(path)]) == 0
-    assert capsys.readouterr().out.split() == ["sample.py", "7", "sample.py", "7", "total", "14"]
+    assert capsys.readouterr().out.splitlines() == [
+        "sample.py      7      242",
+        "sample.py      7      242",
+        "total         14      484"]

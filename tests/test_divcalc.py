@@ -7,20 +7,19 @@ from operator import le
 
 import pytest
 
-from nufact import divcalc
+from nufact import CapExceeded, divcalc, divdraw, divwords
 from nufact.divcalc import (
-    CapExceeded,
     CycleStructure,
     apply_lifted,
     compose,
     compose_texts,
     compose_word,
     default_max_len,
-    enumerate_factorizations_ex,
     is_realizable,
     landing,
-    render_svg,
 )
+from nufact.divdraw import render_svg
+from nufact.divwords import enumerate_factorizations_ex
 
 CS3 = CycleStructure.from_text("Q1>Q2>Q3")
 MIXED = CycleStructure.from_text("Q1>Q2>Q3;P")
@@ -284,10 +283,10 @@ def test_enumerate_factorizations_truncation_flag():
 def test_enumerate_factorizations_word_cap(monkeypatch):
     # word counts explode with the budget once idempotents can repeat; the
     # cap bounds the letters of all words together: 2754 words, 23132 letters
-    monkeypatch.setattr(divcalc, "LETTER_CAP", 23131)
+    monkeypatch.setattr(divwords, "LETTER_CAP", 23131)
     with pytest.raises(CapExceeded, match="more than 23131 letters"):
         enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 9)
-    monkeypatch.setattr(divcalc, "LETTER_CAP", 23132)
+    monkeypatch.setattr(divwords, "LETTER_CAP", 23132)
     words, _ = enumerate_factorizations_ex(CS3, div("3Q1+2Q2+Q3"), 9)
     assert len(words) == 2754
     assert sum(map(len, words)) == 23132
@@ -355,25 +354,61 @@ def test_word_search_label_steps_at_the_real_budget():
         [["Q1"], ["Q1", "Q1"]], False)
 
 
-def test_word_search_calls_neither_indicator_nor_compose(monkeypatch):
-    # each partial is stepped by its landing map, so no search, whether
-    # empty, refused or expanding, builds an indicator or composes
+def search_calls(monkeypatch, make_search):
+    """The indicator and compose calls of four searches through the search
+    that make_search returns once the spies are in place: an empty one, a
+    refused one and two that expand.  The spies record each call and return
+    its value, so a search that composes still finds its words.  compose is
+    patched wherever a search could reach it: in divcalc, and as a name in
+    the word search's own module."""
     wide = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 1343)))
     cs12 = CycleStructure.from_text(">".join(f"Q{i}" for i in range(1, 13)))
     ones, Q1, D = (1,) * 1342, cs12.indicator("Q1"), div("3Q1+2Q2+Q3")
     called = []
     for cs in (wide, cs12, CS3):
-        monkeypatch.setattr(cs, "indicator", lambda p: called.append(("indicator", p)))
-    monkeypatch.setattr(divcalc, "compose", lambda *a: called.append(("compose", a)))
-    assert enumerate_factorizations_ex(wide, ones, 0) == ([], True)
+        monkeypatch.setattr(cs, "indicator",
+                            lambda p, real=cs.indicator: called.append(("indicator", p)) or real(p))
+
+    def spy(*args):
+        called.append(("compose", args))
+        return compose(*args)
+
+    monkeypatch.setattr(divcalc, "compose", spy)
+    monkeypatch.setattr(divwords, "compose", spy, raising=False)
+    search = make_search()
+    assert search(wide, ones, 0) == ([], True)
     with pytest.raises(CapExceeded, match="^the word search exceeds its budget: 1800000 "
                                           "label steps over 1342 labels, reached length 0$"):
-        enumerate_factorizations_ex(wide, ones, 1)
-    assert enumerate_factorizations_ex(cs12, Q1, 3) == (
-        [["Q1"], ["Q1", "Q1"], ["Q1", "Q1", "Q1"]], False)
-    words, truncated = enumerate_factorizations_ex(CS3, D, 5)
+        search(wide, ones, 1)
+    assert search(cs12, Q1, 3) == ([["Q1"], ["Q1", "Q1"], ["Q1", "Q1", "Q1"]], False)
+    words, truncated = search(CS3, D, 5)
     assert words[0] == ["Q1", "Q2", "Q3"] and len(words) == 37 and truncated
-    assert called == []
+    return called
+
+
+def test_word_search_calls_neither_indicator_nor_compose(monkeypatch):
+    # each partial is stepped by its landing map, so no search, whether
+    # empty, refused or expanding, builds an indicator or composes
+    assert search_calls(monkeypatch, lambda: enumerate_factorizations_ex) == []
+
+
+@pytest.mark.parametrize("composer", ["compose", "divcalc.compose"])
+def test_search_calls_catch_a_search_that_composes(monkeypatch, composer):
+    # negative control: a copy of the search that steps each partial by
+    # composing it with the letter's indicator, through either name, finds
+    # the same words, and the spies see both calls
+    source = inspect.getsource(enumerate_factorizations_ex)
+    step = "tuple(c + (j == q) for c, j in zip(partial, lands))"
+    assert source.count(step) == 1
+    source = source.replace(step, f"{composer}(cs, partial, cs.indicator(labels[q]))")
+
+    def composing_copy():
+        namespace = dict(vars(divwords))
+        exec(source, namespace)
+        return namespace["enumerate_factorizations_ex"]
+
+    called = search_calls(monkeypatch, composing_copy)
+    assert {name for name, _ in called} == {"indicator", "compose"}
 
 
 def test_word_search_over_a_wide_cycle_follows_the_partial():
@@ -431,10 +466,10 @@ def test_brute_force_catches_a_listing_out_of_letter_order():
     # negative control: a listing that extends each level in reverse letter
     # order still finds every word, in an order the brute force must tell
     # apart
-    source = inspect.getsource(divcalc.enumerate_factorizations_ex)
+    source = inspect.getsource(enumerate_factorizations_ex)
     extend = "for q, nxt in successors(p) if nxt in live_states"
     assert source.count(extend) == 1
-    namespace = dict(vars(divcalc))
+    namespace = dict(vars(divwords))
     exec(source.replace(extend, extend.replace("successors(p)", "successors(p)[::-1]")),
          namespace)
     reversed_listing = namespace["enumerate_factorizations_ex"]
@@ -446,10 +481,10 @@ def test_brute_force_catches_a_commutative_step():
     # negative control: stepping each partial by the plain sum with the
     # letter, as if divisors composed commutatively, must disagree with
     # the composed words
-    source = inspect.getsource(divcalc.enumerate_factorizations_ex)
+    source = inspect.getsource(enumerate_factorizations_ex)
     step = "c + (j == q) for c, j in zip(partial, lands)"
     assert source.count(step) == 1
-    namespace = dict(vars(divcalc))
+    namespace = dict(vars(divwords))
     exec(source.replace(step, "c + (j == q) for j, c in enumerate(partial)"), namespace)
     summed = namespace["enumerate_factorizations_ex"]
     assert any(summed(cs, D, max_len) != (words, truncated)
@@ -579,20 +614,20 @@ def test_render_drawing_cap(monkeypatch):
     # empty word is the zero divisor.  No word panel is built before the cap
     # is checked.
     cs = CycleStructure.from_text("Q1>Q2>Q3;P")
-    monkeypatch.setattr(divcalc, "DRAWING_CAP", 8)
+    monkeypatch.setattr(divdraw, "DRAWING_CAP", 8)
     assert render_svg(CS3, div("2Q1+3Q3")).startswith("<svg")
     with pytest.raises(CapExceeded, match="^drawing of 1 panels x 3 labels \\+ total count 6 "
                                           "exceeds the drawing cap 8$"):
         render_svg(CS3, div("3Q1+3Q3"))
-    monkeypatch.setattr(divcalc, "DRAWING_CAP", 12)
+    monkeypatch.setattr(divdraw, "DRAWING_CAP", 12)
     assert len(strands(render_svg(cs, word=["Q1", "Q2", "Q3"], cycle=0))) == 9
-    monkeypatch.setattr(divcalc, "DRAWING_CAP", 18)
+    monkeypatch.setattr(divdraw, "DRAWING_CAP", 18)
     assert len(strands(render_svg(cs, word=["P"] * 9, cycle=1))) == 9
-    monkeypatch.setattr(divcalc, "DRAWING_CAP", 11)
+    monkeypatch.setattr(divdraw, "DRAWING_CAP", 11)
     with pytest.raises(CapExceeded, match="^drawing of 3 panels x 3 labels \\+ total count 3 "
                                           "exceeds the drawing cap 11$"):
         render_svg(cs, word=["Q1", "Q2", "Q3"], cycle=0)
-    monkeypatch.setattr(divcalc, "DRAWING_CAP", 17)
+    monkeypatch.setattr(divdraw, "DRAWING_CAP", 17)
     with pytest.raises(CapExceeded, match="^drawing of 9 panels x 1 labels \\+ total count 9 "
                                           "exceeds the drawing cap 17$"):
         render_svg(cs, word=["P"] * 9, cycle=1)

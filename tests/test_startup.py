@@ -1,7 +1,8 @@
 """Start-up: `import nufact` runs no submodule, `import nufact.cli` loads
 the dispatcher alone, and a command loads only its family's CLI module,
-runs only the library modules of its family, builds only its family's
-parsers and imports `json` only to write JSON.
+runs only the library modules it uses, builds only its family's parsers
+and imports `json` only to write JSON.  A module that a command does not
+run is not compiled either, which sets a command's peak memory.
 
 Each case runs in a fresh interpreter, since this test process has long
 since loaded every module.  A submodule that has not run yet is still the
@@ -12,6 +13,7 @@ a placeholder, so each is a plain module once it is loaded.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import nufact
+from nufact import divcalc, divdraw, divwords, toracle, tring
 
 SRC = Path(nufact.__file__).resolve().parent.parent
 README = json.loads((Path(__file__).resolve().parent / "golden" / "readme.json")
@@ -34,9 +37,22 @@ print(json.dumps({
 }))
 """
 ALL_CLI = ["cli", "cli_div", "cli_quad", "cli_quat", "cli_tring", "cli_zs"]
-# each family's library modules, the ones its commands run
-FAMILY_MODULES = {"zs": ["abelian", "zerosum"], "quad": ["quadring"], "quat": ["quatcheck"],
-                  "div": ["divcalc"], "tring": ["divcalc", "tring"]}
+# the library modules each README command runs: the word search, the
+# drawing and the oracle only for the commands that use them
+ZS = ["abelian", "zerosum"]
+DIV = ["divcalc"]
+TRING = ["divcalc", "tring"]
+COMMAND_MODULES = {
+    ("zs", "atoms"): ZS, ("zs", "factor"): ZS, ("zs", "lengths"): ZS, ("zs", "davenport"): ZS,
+    ("zs", "hfwitness"): ZS,
+    ("quad", "factor"): ["quadring"], ("quad", "atoms"): ["quadring"],
+    ("quad", "norm"): ["quadring"],
+    ("quat", "verify"): ["quatcheck"],
+    ("div", "compose"): DIV, ("div", "realizable"): DIV,
+    ("div", "factor"): DIV + ["divwords"], ("div", "render"): DIV + ["divdraw"],
+    ("tring", "mul"): TRING, ("tring", "divisor"): TRING, ("tring", "tau"): TRING,
+    ("tring", "oracle"): TRING + ["toracle"],
+}
 
 
 def fresh(code: str, report: str = REPORT, cwd=SRC):
@@ -49,12 +65,26 @@ def fresh(code: str, report: str = REPORT, cwd=SRC):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def readme_runs(family: str, main: str = "nufact.cli.main") -> str:
-    """Code that runs every README example of the family through main."""
-    argvs = [c["argv"] for c in README
-             if next(a for a in c["argv"] if not a.startswith("-")) == family]
+def command_of(argv) -> tuple[str, str]:
+    """The (family, leaf) an argv names: its first two words that are not
+    flags."""
+    family, leaf = [a for a in argv if not a.startswith("-")][:2]
+    return family, leaf
+
+
+def readme_runs(command, main: str = "nufact.cli.main") -> str:
+    """Code that runs every README example of the command, a (family,
+    leaf) pair or a family alone, through main."""
+    argvs = [c["argv"] for c in README if command in (command_of(c["argv"]),
+                                                     command_of(c["argv"])[0])]
     assert argvs
     return "".join(f"assert {main}({argv!r}) == 0\n" for argv in argvs)
+
+
+def expected(command) -> dict:
+    family, _ = command
+    return {"executed": sorted(["cli", f"cli_{family}", *COMMAND_MODULES[command]]),
+            "dataclasses": False}
 
 
 def test_import_runs_no_submodule():
@@ -66,13 +96,18 @@ def test_import_runs_no_submodule():
     assert report == {"executed": ALL_CLI, "dataclasses": False}
 
 
-@pytest.mark.parametrize("family", FAMILY_MODULES)
+def test_every_readme_command_is_pinned():
+    assert {command_of(c["argv"]) for c in README} == set(COMMAND_MODULES)
+
+
+@pytest.mark.parametrize("family", ["zs", "quad", "quat", "div", "tring"])
 def test_command_runs_only_its_family(tmp_path, family):
-    # every README example of the family, one after another in one
-    # interpreter: the dispatcher, the family's CLI module and its library
-    report = fresh("import nufact.cli\n" + readme_runs(family), cwd=tmp_path)
-    assert report == {"executed": sorted(["cli", f"cli_{family}", *FAMILY_MODULES[family]]),
-                      "dataclasses": False}
+    # each README command of the family in an interpreter of its own, its
+    # human and --json examples one after another: the dispatcher, the
+    # family's CLI module and the library modules that command uses
+    for command in (c for c in COMMAND_MODULES if c[0] == family):
+        report = fresh("import nufact.cli\n" + readme_runs(command), cwd=tmp_path)
+        assert report == expected(command), command
 
 
 # a copy of cli.py, run as nufact.cli, that imports every family's module
@@ -93,7 +128,30 @@ def test_eager_dispatcher_negative_control(tmp_path):
     # the same README examples through a dispatcher that imports every
     # family: its commands succeed, and the report above fails
     report = fresh(EAGER_DISPATCHER + readme_runs("zs", "eager.main"), cwd=tmp_path)
-    assert report == {"executed": sorted(ALL_CLI + FAMILY_MODULES["zs"]), "dataclasses": False}
+    assert report == {"executed": sorted(ALL_CLI + ZS), "dataclasses": False}
+
+
+# a copy of tring.py, run as nufact.tring, that imports the oracle's
+# functions at top level
+EAGER_TRING = r"""
+import sys, types
+import nufact
+source = open(nufact.__path__[0] + "/tring.py", encoding="utf-8").read()
+eager = sys.modules["nufact.tring"] = nufact.tring = types.ModuleType("nufact.tring")
+eager.__package__ = "nufact"
+exec(compile(source + "\nfrom .toracle import enumerate_ideals, oracle_report\n", "tring.py",
+             "exec"), vars(eager))
+"""
+
+
+def test_eager_tring_negative_control(tmp_path):
+    # `tring divisor` through that copy succeeds, and runs the oracle
+    # module, which its case above refuses
+    command = ("tring", "divisor")
+    report = fresh(EAGER_TRING + "import nufact.cli\n" + readme_runs(command), cwd=tmp_path)
+    assert report != expected(command)
+    assert report == {"executed": sorted(expected(command)["executed"] + ["toracle"]),
+                      "dataclasses": False}
 
 
 def test_submodule_attribute_runs_on_first_use():
@@ -110,6 +168,48 @@ def test_import_statement_loads_only_that_submodule():
     report = fresh("import nufact.tring\n"
                    "assert nufact.tring.divisor_of(((1, 1, 1), (0, 1, 1), (0, 0, 1))) == (1, 1, 1)")
     assert report == {"executed": ["divcalc", "tring"], "dataclasses": False}
+
+
+# the names that moved out of divcalc and tring, which still resolve them
+MOVED = [(divcalc, "enumerate_factorizations_ex", divwords), (divcalc, "render_svg", divdraw),
+         (tring, "enumerate_ideals", toracle), (tring, "oracle_report", toracle)]
+
+
+@pytest.mark.parametrize("old, name, home", MOVED, ids=[n for _, n, _ in MOVED])
+def test_moved_name_is_its_modules_function(old, name, home):
+    assert getattr(old, name) is getattr(home, name)
+    assert vars(old)[name] is vars(home)[name]  # bound on first read
+    assert getattr(home, name).__module__ == home.__name__
+
+
+@pytest.mark.parametrize("module", [divcalc, tring], ids=["divcalc", "tring"])
+def test_unknown_attribute_still_raises(module):
+    with pytest.raises(AttributeError, match=f"^module '{module.__name__}' has no attribute "
+                                             f"'no_such_name'$"):
+        module.no_such_name
+    assert not hasattr(module, "LETTER_CAP") and not hasattr(module, "_chain_divisor")
+
+
+def test_divcalc_compose_runs_neither_search_nor_drawing():
+    report = fresh("import nufact.divcalc\n"
+                   "cs = nufact.divcalc.CycleStructure.from_text('Q1>Q2>Q3')\n"
+                   "assert nufact.divcalc.compose(cs, (1, 0, 0), (0, 1, 0)) == (2, 1, 0)")
+    assert report == {"executed": ["divcalc"], "dataclasses": False}
+    # the first read of a moved name runs its module, and that one alone
+    report = fresh("import nufact.divcalc\nnufact.divcalc.render_svg")
+    assert report == {"executed": ["divcalc", "divdraw"], "dataclasses": False}
+
+
+def test_each_function_is_defined_in_one_module():
+    # the top-level functions and classes of the package's modules, the CLI
+    # modules' add_leaves aside, each have one definition
+    homes: dict = {}
+    for path in sorted(SRC.joinpath("nufact").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name != "add_leaves":
+                homes.setdefault(node.name, []).append(path.name)
+    assert {name: files for name, files in homes.items() if len(files) > 1} == {}
+    assert homes["enumerate_ideals"] == ["toracle.py"] and homes["compose"] == ["divcalc.py"]
 
 
 ZS_LENGTHS = ["zs", "lengths", "--group", "3", "--seq", "1^3 2^3"]

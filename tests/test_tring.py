@@ -10,17 +10,14 @@ import sys
 
 import pytest
 
-from nufact import tring
+from nufact import CapExceeded, toracle, tring
 from nufact.divcalc import apply_lifted, compose, is_realizable, landing
+from nufact.toracle import _bump_candidates, _chain_divisor, enumerate_ideals, oracle_report
 from nufact.tring import (
-    CapExceeded,
     _as_matrix,
     _bump,
-    _bump_candidates,
-    _chain_divisor,
     cycle_structure,
     divisor_of,
-    enumerate_ideals,
     format_matrix,
     intersect,
     is_ideal,
@@ -28,7 +25,6 @@ from nufact.tring import (
     maximal_ideals,
     mul,
     mul_texts,
-    oracle_report,
     parse_matrix,
     ring_matrix,
     tau_ideal,
@@ -308,9 +304,9 @@ def test_enumerate_ideals_cap(monkeypatch):
                                           "at most 300$"):
         enumerate_ideals(4, 5)
     # T(4) with exponents <= 1 has 42 ideals: admitted while 42 * 42 pairs fit
-    monkeypatch.setattr(tring, "ORACLE_PAIR_BUDGET", 1764)
+    monkeypatch.setattr(toracle, "ORACLE_PAIR_BUDGET", 1764)
     assert len(enumerate_ideals(4, 1)) == 42
-    monkeypatch.setattr(tring, "ORACLE_PAIR_BUDGET", 1763)
+    monkeypatch.setattr(toracle, "ORACLE_PAIR_BUDGET", 1763)
     with pytest.raises(CapExceeded, match="^T\\(4\\) with exponents <= 1 has more than 41 "
                                           "ideals; the oracle's pair budget 1763 admits "
                                           "at most 41$"):
@@ -452,7 +448,7 @@ def test_shared_step_product_negative_control():
     src = inspect.getsource(_chain_divisor)
     line = "Qe[r] = tuple(min(map(add, Q[r], col)) for col in cols)"
     assert src.count(line) == 1
-    namespace = dict(vars(tring))
+    namespace = dict(vars(toracle))
     exec(src.replace(line, "Qe[r] = e[r]"), namespace)
     for l, max_exp in CHAIN_CORPORA:
         with pytest.raises(RuntimeError, match="^chain step admits 0 maximal ideals"):
@@ -473,7 +469,7 @@ def checked_chain_divisor(retested=RETESTED):
     assert src.count(update) == 1 and src.count(check) == 1
     src = src.replace(update, "{" + ", ".join(retested) + "}")
     src = src.replace(check, "        assert candidates == _bump_candidates(e, A)\n" + check)
-    namespace = dict(vars(tring))
+    namespace = dict(vars(toracle))
     exec(src, namespace)
     return namespace["_chain_divisor"]
 
@@ -563,9 +559,9 @@ def test_oracle_report_size_and_trial_caps():
 def test_oracle_report_pair_budget(monkeypatch):
     # T(4) with exponents <= 1 has 42 ideals, so 1764 pairs; enumerate_ideals
     # refuses the 42nd ideal when the budget admits at most 41
-    monkeypatch.setattr(tring, "ORACLE_PAIR_BUDGET", 1764)
+    monkeypatch.setattr(toracle, "ORACLE_PAIR_BUDGET", 1764)
     assert oracle_report(l=4, max_exp=1, chain_trials=0)["corpus_size"] == 42
-    monkeypatch.setattr(tring, "ORACLE_PAIR_BUDGET", 1763)
+    monkeypatch.setattr(toracle, "ORACLE_PAIR_BUDGET", 1763)
     with pytest.raises(CapExceeded, match="^T\\(4\\) with exponents <= 1 has more than 41 "
                                           "ideals; the oracle's pair budget 1763 admits "
                                           "at most 41$"):
@@ -616,7 +612,7 @@ def chain_wrong_on(monkeypatch, ideal):
         got = _chain_divisor(A, rng)
         return (got[0] + calls,) + got[1:] if A == ideal else got
 
-    monkeypatch.setattr(tring, "_chain_divisor", wrong)
+    monkeypatch.setattr(toracle, "_chain_divisor", wrong)
 
 
 # The counterexamples below were captured before each property became a
@@ -625,7 +621,7 @@ def chain_wrong_on(monkeypatch, ideal):
 
 def test_oracle_injectivity_negative_control(monkeypatch):
     corpus = enumerate_ideals(3, 2)
-    monkeypatch.setattr(tring, "divisor_of",
+    monkeypatch.setattr(toracle, "divisor_of",
                         lambda A: divisor_of(corpus[12] if A == corpus[43] else A))
     # every ideal is a product, A * T(3), so the homomorphism breaks too
     assert_t3_report(oracle_report(3, 2), homomorphism={
@@ -637,7 +633,7 @@ def test_oracle_injectivity_negative_control(monkeypatch):
 
 
 def test_oracle_realizability_negative_control_attained(monkeypatch):
-    monkeypatch.setattr(tring, "is_realizable",
+    monkeypatch.setattr(toracle, "is_realizable",
                         lambda cs, D: D != (1, 1, 1) and is_realizable(cs, D))
     assert_t3_report(oracle_report(3, 2), realizability_image={
         "A": ((1, 1, 1), (0, 1, 1), (0, 0, 1)), "divisor": "Q1+Q2+Q3"})
@@ -647,7 +643,7 @@ def test_oracle_realizability_negative_control_missing(monkeypatch):
     # drop the one ideal of divisor Q2+Q3; its counts are <= max_exp - 1
     dropped = ((1, 1, 1), (0, 1, 1), (0, 0, 0))
     assert divisor_of(dropped) == (0, 1, 1)
-    monkeypatch.setattr(tring, "enumerate_ideals",
+    monkeypatch.setattr(toracle, "enumerate_ideals",
                         lambda l, max_exp: [A for A in enumerate_ideals(l, max_exp)
                                             if A != dropped])
     assert_t3_report(oracle_report(3, 2), corpus_size=43,
@@ -704,7 +700,7 @@ def landing_spy(monkeypatch, *wrong):
         lands = landing(cs, D)
         return [lands[0], lands[2], *lands[2:]] if D in wrong else lands
 
-    monkeypatch.setattr(tring, "landing", spy)
+    monkeypatch.setattr(toracle, "landing", spy)
     return calls
 
 
@@ -716,7 +712,7 @@ def divisor_of_spy(monkeypatch):
         calls.append(A)
         return divisor_of(A)
 
-    monkeypatch.setattr(tring, "divisor_of", spy)
+    monkeypatch.setattr(toracle, "divisor_of", spy)
     return calls
 
 
@@ -750,7 +746,7 @@ def test_oracle_composes_each_pair_that_first_reaches_a_case(monkeypatch):
     divs = [divisor_of(A) for A in enumerate_ideals(3, 2)]
     pairs, reached = first_reaching_pairs(CS3, divs)
     calls = []
-    monkeypatch.setattr(tring, "compose", compose_spy(calls))
+    monkeypatch.setattr(toracle, "compose", compose_spy(calls))
     assert_t3_report(oracle_report(3, 2))
     assert calls == pairs
     assert len(calls) == 107 and len(reached) == 109
@@ -770,7 +766,7 @@ def unchecked_cases(l, max_exp, calls):
 @pytest.mark.parametrize("l, max_exp", [(3, 2), (2, 4)])
 def test_oracle_compose_checks_every_case_the_pairs_reach(monkeypatch, l, max_exp):
     calls = []
-    monkeypatch.setattr(tring, "compose", compose_spy(calls))
+    monkeypatch.setattr(toracle, "compose", compose_spy(calls))
     assert oracle_report(l, max_exp, chain_trials=0)["all_pass"]
     assert unchecked_cases(l, max_exp, calls) == set()
 
@@ -780,11 +776,11 @@ def test_coverage_catches_a_cover_that_skips_a_case(l, max_exp):
     # negative control: a cover that composes no pair reaching (0, 0, 0),
     # the first label's case of the ring times itself, still passes, and
     # leaves exactly that case unchecked
-    source = inspect.getsource(tring.oracle_report)
+    source = inspect.getsource(oracle_report)
     pick = "if any(DB[j] in counts for j, counts in zip(lands, left)):"
     assert source.count(pick) == 1
     calls = []
-    namespace = dict(vars(tring), compose=compose_spy(calls))
+    namespace = dict(vars(toracle), compose=compose_spy(calls))
     exec(source.replace(pick, pick[:-1] + " and (0, DA[0], DB[lands[0]]) != (0, 0, 0):"),
          namespace)
     assert namespace["oracle_report"](l, max_exp, chain_trials=0)["all_pass"]
@@ -798,7 +794,7 @@ def test_oracle_report_negative_control(monkeypatch):
     corpus = enumerate_ideals(3, 2)
     divs = [divisor_of(A) for A in corpus]
     calls = []
-    monkeypatch.setattr(tring, "compose",
+    monkeypatch.setattr(toracle, "compose",
                         compose_spy(calls, lambda out: (out[0] + 1,) + out[1:]))
     landed = landing_spy(monkeypatch)
     assert_t3_report(oracle_report(3, 2), homomorphism={
@@ -863,7 +859,7 @@ def test_product_key_negative_control(l, max_exp):
     # product's divisor for another
     src = inspect.getsource(oracle_report)
     assert src.count("product_divisors.get(key)") == src.count("product_divisors[key]") == 1
-    namespace = dict(vars(tring))
+    namespace = dict(vars(toracle))
     exec(src.replace("product_divisors.get(key)", "product_divisors.get(key[:-1])")
          .replace("product_divisors[key]", "product_divisors[key[:-1]]"), namespace)
     report = namespace["oracle_report"](l=l, max_exp=max_exp, chain_trials=0)
@@ -898,7 +894,7 @@ def weak_cover_namespace():
     its closure bound, as if the closure inequalities were weak."""
     src = inspect.getsource(_bump_candidates)
     assert src.count("_bound(e, i, j))") == 1
-    namespace = dict(vars(tring))
+    namespace = dict(vars(toracle))
     exec(src.replace("_bound(e, i, j))", "_bound(e, i, j) + 1)"), namespace)
     return namespace
 
@@ -973,7 +969,7 @@ def fill_enumerate_ideals(l, max_exp):
     completed matrix is an ideal, in lexicographic order.  It refuses the
     301st ideal with enumerate_ideals' message."""
     t = ring_matrix(l)
-    limit = math.isqrt(tring.ORACLE_PAIR_BUDGET)
+    limit = math.isqrt(toracle.ORACLE_PAIR_BUDGET)
     a = [[0] * l for _ in range(l)]
 
     def values(pos):
@@ -999,7 +995,7 @@ def fill_enumerate_ideals(l, max_exp):
         if pos + 1 == l * l:
             if len(out) == limit:
                 raise CapExceeded(f"T({l}) with exponents <= {max_exp} has more than {limit} "
-                                  f"ideals; the oracle's pair budget {tring.ORACLE_PAIR_BUDGET} "
+                                  f"ideals; the oracle's pair budget {toracle.ORACLE_PAIR_BUDGET} "
                                   f"admits at most {limit}")
             out.append(tuple(map(tuple, a)))
         else:

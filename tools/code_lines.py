@@ -1,9 +1,14 @@
 """Count the code lines of the package: the lines of `src/nufact/*.py`
 that hold a token other than a comment or a docstring.  Blank lines,
 comment lines and docstrings are not counted; every line of any other
-multi-line token or statement is.  Prints one line per file and the total:
+multi-line token or statement is.  Prints one line per file, its code
+lines and its source bytes, then the totals:
 
     python tools/code_lines.py [file.py ...]
+
+Bytes are printed because compiling a module, which a command does for
+every module it imports when there is no bytecode cache, costs memory in
+proportion to its whole source, docstrings and comments included.
 """
 
 import pathlib
@@ -34,11 +39,11 @@ def code_lines(path) -> int:
 
 def main(argv) -> int:
     paths = [pathlib.Path(p) for p in argv] or sorted(PACKAGE.glob("*.py"))
-    counts = [(path.name, code_lines(path)) for path in paths]
-    width = max(len(name) for name, _ in counts)
-    for name, n in counts:
-        print(f"{name:<{width}}  {n:>5}")
-    print(f"{'total':<{width}}  {sum(n for _, n in counts):>5}")
+    rows = [(path.name, code_lines(path), path.stat().st_size) for path in paths]
+    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    width = max(len(name) for name, _, _ in rows)
+    for name, n, size in rows:
+        print(f"{name:<{width}}  {n:>5}  {size:>7}")
     return 0
 
 
