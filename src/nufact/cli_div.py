@@ -58,25 +58,21 @@ def cmd_div_render(args):
     return {"cycles": args.cycles, "target": shape, "out": args.out}, f"wrote {args.out}"
 
 
-def add_leaves(leaves, common):
-    p = leaves.add_parser("compose", parents=[common], help="compose divisors left to right")
-    p.add_argument("--cycles", required=True, help="e.g. 'Q1>Q2>Q3;P'")
-    p.add_argument("divisors", nargs="+", help="e.g. 2Q1+Q3")
-    p.set_defaults(handler=cmd_div_compose)
-    p = leaves.add_parser("realizable", parents=[common], help="does some ideal have this divisor?")
-    p.add_argument("--cycles", required=True)
-    p.add_argument("divisor")
-    p.set_defaults(handler=cmd_div_realizable)
-    p = leaves.add_parser("factor", parents=[common], help="words of maximal ideals composing to the divisor")
-    p.add_argument("--cycles", required=True)
-    p.add_argument("divisor")
-    p.add_argument("--max-len", type=int, default=None,
-                   help="word length bound (default: total count + cycle sizes)")
-    p.set_defaults(handler=cmd_div_factor)
-    p = leaves.add_parser("render", parents=[common], help="draw the cylinder diagram as SVG")
-    p.add_argument("--cycles", required=True)
-    p.add_argument("--divisor", default=None)
-    p.add_argument("--word", default=None, help="e.g. 'Q1*Q2*Q3'")
-    p.add_argument("--cycle", type=int, default=None, help="cycle index to draw")
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.set_defaults(handler=cmd_div_render)
+# each leaf: its help, its handler and its arguments, as the name and the
+# add_argument keywords of each, in help order
+LEAVES = {
+    "compose": ("compose divisors left to right", cmd_div_compose, [
+        ("--cycles", {"required": True, "help": "e.g. 'Q1>Q2>Q3;P'"}),
+        ("divisors", {"nargs": "+", "help": "e.g. 2Q1+Q3"})]),
+    "realizable": ("does some ideal have this divisor?", cmd_div_realizable, [
+        ("--cycles", {"required": True}), ("divisor", {})]),
+    "factor": ("words of maximal ideals composing to the divisor", cmd_div_factor, [
+        ("--cycles", {"required": True}), ("divisor", {}),
+        ("--max-len", {"type": int,
+                       "help": "word length bound (default: total count + cycle sizes)"})]),
+    "render": ("draw the cylinder diagram as SVG", cmd_div_render, [
+        ("--cycles", {"required": True}), ("--divisor", {}),
+        ("--word", {"help": "e.g. 'Q1*Q2*Q3'"}),
+        ("--cycle", {"type": int, "help": "cycle index to draw"}),
+        ("--out", {"required": True, "help": "output SVG path"})]),
+}

@@ -52,14 +52,12 @@ def cmd_quad_norm(args):
     return {"results": results}, human
 
 
-def add_leaves(leaves, common):
-    p = leaves.add_parser("factor", parents=[common], help="factorizations into atoms, up to associates")
-    p.add_argument("element", help="e.g. 8 or 1+1*w")
-    p.set_defaults(handler=cmd_quad_factor)
-    p = leaves.add_parser("atoms", parents=[common], help="atom tests, or all elements of a given norm")
-    p.add_argument("elements", nargs="*")
-    p.add_argument("--norm", type=int, default=None)
-    p.set_defaults(handler=cmd_quad_atoms)
-    p = leaves.add_parser("norm", parents=[common], help="norm form a^2+ab+6b^2")
-    p.add_argument("elements", nargs="+")
-    p.set_defaults(handler=cmd_quad_norm)
+# each leaf: its help, its handler and its arguments, as the name and the
+# add_argument keywords of each, in help order
+LEAVES = {
+    "factor": ("factorizations into atoms, up to associates", cmd_quad_factor, [
+        ("element", {"help": "e.g. 8 or 1+1*w"})]),
+    "atoms": ("atom tests, or all elements of a given norm", cmd_quad_atoms, [
+        ("elements", {"nargs": "*"}), ("--norm", {"type": int})]),
+    "norm": ("norm form a^2+ab+6b^2", cmd_quad_norm, [("elements", {"nargs": "+"})]),
+}

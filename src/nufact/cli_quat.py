@@ -14,8 +14,10 @@ def cmd_quat_verify(args):
     return payload, "verified" if ok else "FAILED"
 
 
-def add_leaves(leaves, common):
-    p = leaves.add_parser("verify", parents=[common], help="check product and order membership")
-    p.add_argument("factors", nargs="+", help="e.g. 'i+j' '-1-i-k'")
-    p.add_argument("--product", required=True, help="e.g. '1-2i+k'")
-    p.set_defaults(handler=cmd_quat_verify)
+# the leaf: its help, its handler and its arguments, as the name and the
+# add_argument keywords of each, in help order
+LEAVES = {
+    "verify": ("check product and order membership", cmd_quat_verify, [
+        ("factors", {"nargs": "+", "help": "e.g. 'i+j' '-1-i-k'"}),
+        ("--product", {"required": True, "help": "e.g. '1-2i+k'"})]),
+}

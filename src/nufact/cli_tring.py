@@ -38,18 +38,15 @@ def cmd_tring_oracle(args):
     return report, "\n".join(lines)
 
 
-def add_leaves(leaves, common):
-    p = leaves.add_parser("mul", parents=[common], help="min-plus product of exponent matrices")
-    p.add_argument("matrices", nargs="+", help="JSON rows, e.g. '[[0,1,1],[0,0,1],[0,0,1]]'")
-    p.set_defaults(handler=cmd_tring_mul)
-    p = leaves.add_parser("divisor", parents=[common], help="divisor of an ideal (row sums of its exponent matrix)")
-    p.add_argument("matrix")
-    p.set_defaults(handler=cmd_tring_divisor)
-    p = leaves.add_parser("tau", parents=[common], help="double left dual of an ideal")
-    p.add_argument("matrix")
-    p.set_defaults(handler=cmd_tring_tau)
-    p = leaves.add_parser("oracle", parents=[common], help="cross-validate the divisor calculus")
-    p.add_argument("--size", type=int, default=3)
-    p.add_argument("--max-exp", type=int, default=2)
-    p.add_argument("--trials", type=int, default=20)
-    p.set_defaults(handler=cmd_tring_oracle)
+# each leaf: its help, its handler and its arguments, as the name and the
+# add_argument keywords of each, in help order
+LEAVES = {
+    "mul": ("min-plus product of exponent matrices", cmd_tring_mul, [
+        ("matrices", {"nargs": "+", "help": "JSON rows, e.g. '[[0,1,1],[0,0,1],[0,0,1]]'"})]),
+    "divisor": ("divisor of an ideal (row sums of its exponent matrix)", cmd_tring_divisor, [
+        ("matrix", {})]),
+    "tau": ("double left dual of an ideal", cmd_tring_tau, [("matrix", {})]),
+    "oracle": ("cross-validate the divisor calculus", cmd_tring_oracle, [
+        ("--size", {"type": int, "default": 3}), ("--max-exp", {"type": int, "default": 2}),
+        ("--trials", {"type": int, "default": 20})]),
+}

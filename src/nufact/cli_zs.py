@@ -71,24 +71,19 @@ def cmd_zs_hfwitness(args):
     return payload, f"{zerosum.format_seq(W)}  lengths {_lengths_text(ls)}"
 
 
-def add_leaves(leaves, common):
-    p = leaves.add_parser("atoms", parents=[common], help="all minimal zero-sum sequences")
-    p.add_argument("--group", required=True, help="e.g. 3 or 2x4")
-    p.add_argument("--elements", help="restrict the ground set, e.g. '1 2' (default: whole group)")
-    p.set_defaults(handler=cmd_zs_atoms)
-    p = leaves.add_parser("factor", parents=[common], help="all factorizations into minimal zero-sum sequences")
-    p.add_argument("--group", required=True)
-    p.add_argument("--seq", required=True, help="e.g. '1^3 2^3'")
-    p.set_defaults(handler=cmd_zs_factor)
-    p = leaves.add_parser("lengths", parents=[common], help="the set of factorization lengths")
-    p.add_argument("--group", required=True)
-    p.add_argument("--seq", required=True)
-    p.set_defaults(handler=cmd_zs_lengths)
-    p = leaves.add_parser("davenport", parents=[common], help="longest minimal zero-sum sequence")
-    p.add_argument("--group", required=True)
-    p.set_defaults(handler=cmd_zs_davenport)
-    p = leaves.add_parser("hfwitness", parents=[common], help="search for a sequence with two factorization lengths")
-    p.add_argument("--group", required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--elements", help="restrict the ground set (default: whole group)")
-    p.set_defaults(handler=cmd_zs_hfwitness)
+# each leaf: its help, its handler and its arguments, as the name and the
+# add_argument keywords of each, in help order
+LEAVES = {
+    "atoms": ("all minimal zero-sum sequences", cmd_zs_atoms, [
+        ("--group", {"required": True, "help": "e.g. 3 or 2x4"}),
+        ("--elements", {"help": "restrict the ground set, e.g. '1 2' (default: whole group)"})]),
+    "factor": ("all factorizations into minimal zero-sum sequences", cmd_zs_factor, [
+        ("--group", {"required": True}), ("--seq", {"required": True, "help": "e.g. '1^3 2^3'"})]),
+    "lengths": ("the set of factorization lengths", cmd_zs_lengths, [
+        ("--group", {"required": True}), ("--seq", {"required": True})]),
+    "davenport": ("longest minimal zero-sum sequence", cmd_zs_davenport, [
+        ("--group", {"required": True})]),
+    "hfwitness": ("search for a sequence with two factorization lengths", cmd_zs_hfwitness, [
+        ("--group", {"required": True}), ("--max-len", {"type": int, "required": True}),
+        ("--elements", {"help": "restrict the ground set (default: whole group)"})]),
+}

@@ -157,14 +157,6 @@ def _is_ideal(A: Matrix) -> bool:
     return _geq(A, ring_matrix(len(A))) and all(A[i][j] <= _bound(A, i, j) for i in r for j in r)
 
 
-def left_dual(A) -> Matrix:
-    """Largest fractional matrix X with X*A inside the ring:
-    x[i][j] = max_k (t[i][k] - a[j][k])."""
-    A = _as_matrix(A)
-    t = ring_matrix(len(A))
-    return tuple(tuple(max(map(sub, trow, arow)) for arow in A) for trow in t)
-
-
 @functools.lru_cache(maxsize=16)
 def maximal_ideals(l: int) -> tuple[Matrix, ...]:
     """The l maximal ideals, ordered so that the double dual steps through
@@ -175,7 +167,8 @@ def maximal_ideals(l: int) -> tuple[Matrix, ...]:
     bump of entry d - 1 (cyclically).  So label Q_k, at index k - 1, raises
     entry l - k: the tuple starts at the bump of the last diagonal entry,
     matching the usual presentation for l = 3.  The tests walk the orbit of
-    the double left dual, `left_dual` taken twice, as the oracle for this.
+    the double left dual, their helper `left_dual` taken twice, as the
+    oracle for this.
     """
     t = ring_matrix(l)
     return tuple(_bump(t, d, d) for d in reversed(range(l)))
@@ -196,7 +189,7 @@ def tau_ideal(A) -> Matrix:
 
         tau(A)[i][j] = A[i+1][j+1] + [j = l-1] - [i = l-1], indices mod l.
 
-    The tests compare it with `left_dual` taken twice.
+    The tests compare it with their helper `left_dual` taken twice.
     """
     A = _as_matrix(A)
     if not _is_ideal(A):

@@ -5,9 +5,10 @@ this file:
 each command's name, argv and exact stdout, and the text of every file the
 command writes into its working directory.  Writes usage.json: the help
 texts and usage errors, each with its exit code, stdout and stderr, at a
-terminal width of 80 columns.  Also writes the stdout of each script in
-DEMOS to <name>.out, e.g. divisor_diagrams.out.  Recapture only for an
-intended output change:
+terminal width of 80 columns, and spellings.json likewise for spellings of
+options that argparse reads but the plain-shape parser leaves to it.  Also
+writes the stdout of each script in DEMOS to <name>.out, e.g.
+divisor_diagrams.out.  Recapture only for an intended output change:
 
     PYTHONPATH=src python tests/golden/capture.py
 """
@@ -307,6 +308,17 @@ BAD_ARGUMENTS = [
 ]
 
 
+# (name, argv) of spellings only argparse reads: an `=` form, an
+# abbreviation, and --json between two positionals
+SPELLINGS = [
+    ("zs-davenport-group-equals", ["zs", "davenport", "--group=2x2"]),
+    ("zs-davenport-group-abbreviated", ["zs", "davenport", "--gro", "2x2"]),
+    ("tring-oracle-max-exp-equals", ["tring", "oracle", "--size", "2", "--max-exp=1"]),
+    ("tring-mul-json-between-matrices",
+     ["tring", "mul", "[[0,1,1],[0,0,1],[0,0,1]]", "--json", "[[0,1,1],[0,1,1],[0,0,0]]"]),
+]
+
+
 def usage_argvs():
     """(name, argv) of every pinned help text and usage error: the top-level,
     family and leaf helps, a missing or unknown family, and per family a
@@ -375,6 +387,19 @@ def run_usage_case(name, argv) -> dict:
             "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def run_spelling_case(name, argv) -> dict:
+    """argv's exit code, whether main returns it or argparse raises it, and
+    its exact stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"name": name, "argv": argv, "exit": code,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def demo_stdout(name: str) -> str:
     """The stdout of a copy of demos/<name>.py; the diagram demo writes its
     SVG files next to itself."""
@@ -394,6 +419,8 @@ def capture():
     os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
     cases = [run_usage_case(name, argv) for name, argv in usage_argvs()]
     (HERE / "usage.json").write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
+    cases = [run_spelling_case(name, argv) for name, argv in SPELLINGS]
+    (HERE / "spellings.json").write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
     for name in DEMOS:
         (HERE / f"{name}.out").write_text(demo_stdout(name), encoding="utf-8")
 

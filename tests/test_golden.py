@@ -68,6 +68,11 @@ wrote.
   one.  Each has its exit code, stdout and stderr, at 80 columns.  They were
   captured while every command still built the parsers of all five
   families, so they pin the per-family parsers that replaced them.
+- `spellings.json`: spellings that argparse reads and the plain-shape
+  parser leaves to it, `--group=2x2`, the abbreviation `--gro 2x2`,
+  `--max-exp=1` and `--json` between two `tring mul` matrices, each with
+  its exit code, stdout and stderr.  They were captured while argparse
+  still read every command line, so they pin the fallback to it.
 - `divisor_diagrams.out`: the stdout of `demos/divisor_diagrams.py`, and
   `zero_sum_sequences.out`, `quadratic_order.out`,
   `quaternion_identities.out` and `triangular_oracle.out` likewise for the
@@ -91,6 +96,7 @@ import shutil
 
 import pytest
 
+from nufact import cli
 from nufact.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -101,8 +107,9 @@ def load(name):
     return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
 
 
-TRING, ZS, README, DIV, QUAD, USAGE = map(load, ("tring.json", "zs.json", "readme.json",
-                                                "div.json", "quad.json", "usage.json"))
+TRING, ZS, README, DIV, QUAD, USAGE, SPELLINGS = map(load, (
+    "tring.json", "zs.json", "readme.json", "div.json", "quad.json", "usage.json",
+    "spellings.json"))
 
 
 def test_golden_covers_every_command():
@@ -142,6 +149,8 @@ def test_golden_covers_every_command():
     assert [c["name"] for c in QUAD][-2:] == ["atoms-norm-72", "atoms-norm-72-json"]
     # 23 helps, exit 0, and 21 usage errors, exit 2
     assert [c["exit"] for c in USAGE] == [0] * 23 + [2] * 21
+    # three spellings argparse reads, and one it refuses
+    assert [c["exit"] for c in SPELLINGS] == [0, 0, 0, 2]
 
 
 @pytest.mark.parametrize("case", TRING, ids=lambda c: c["name"])
@@ -188,6 +197,18 @@ def test_help_and_usage_errors_match_golden(case, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(case["argv"])
     assert exc.value.code == case["exit"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("case", SPELLINGS, ids=lambda c: c["name"])
+def test_spellings_only_argparse_reads_match_golden(case, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._plain(case["argv"]) is None
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == case["exit"]
     assert capsys.readouterr() == (case["stdout"], case["stderr"])
 
 

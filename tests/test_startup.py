@@ -1,8 +1,11 @@
 """Start-up: `import nufact` runs no submodule, `import nufact.cli` loads
 the dispatcher alone, and a command loads only its family's CLI module,
-runs only the library modules it uses, builds only its family's parsers
-and imports `json` only to write JSON.  A module that a command does not
-run is not compiled either, which sets a command's peak memory.
+runs only the library modules it uses and imports `json` only to write
+JSON.  Every README example is read by the plain-shape parser, so it
+never imports argparse or builds a parser; a help text or a usage error
+goes to argparse, which builds only that family's parsers.  A module that
+a command does not run is not compiled either, which sets a command's
+peak memory.
 
 Each case runs in a fresh interpreter, since this test process has long
 since loaded every module.  A submodule that has not run yet is still the
@@ -37,6 +40,7 @@ print(json.dumps({
 }))
 """
 ALL_CLI = ["cli", "cli_div", "cli_quad", "cli_quat", "cli_tring", "cli_zs"]
+FAMILIES = ["zs", "quad", "quat", "div", "tring"]
 # the library modules each README command runs: the word search, the
 # drawing and the oracle only for the commands that use them
 ZS = ["abelian", "zerosum"]
@@ -100,7 +104,7 @@ def test_every_readme_command_is_pinned():
     assert {command_of(c["argv"]) for c in README} == set(COMMAND_MODULES)
 
 
-@pytest.mark.parametrize("family", ["zs", "quad", "quat", "div", "tring"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_command_runs_only_its_family(tmp_path, family):
     # each README command of the family in an interpreter of its own, its
     # human and --json examples one after another: the dispatcher, the
@@ -110,24 +114,30 @@ def test_command_runs_only_its_family(tmp_path, family):
         assert report == expected(command), command
 
 
-# a copy of cli.py, run as nufact.cli, that imports every family's module
-EAGER_DISPATCHER = r"""
+def cli_copy(old: str, new: str) -> str:
+    """Code that runs a copy of cli.py with old replaced by new as
+    nufact.cli, bound to the name `copy`."""
+    return f"""
 import sys, types
 import nufact
 source = open(nufact.__path__[0] + "/cli.py", encoding="utf-8").read()
-assert source.count("\nimport sys\n") == 1
-source = source.replace("\nimport sys\n", "\nimport sys\n\n"
-                        "from . import cli_div, cli_quad, cli_quat, cli_tring, cli_zs\n")
-eager = sys.modules["nufact.cli"] = types.ModuleType("nufact.cli")
-eager.__package__ = "nufact"
-exec(compile(source, "cli.py", "exec"), vars(eager))
+assert source.count({old!r}) == 1
+copy = sys.modules["nufact.cli"] = types.ModuleType("nufact.cli")
+copy.__package__ = "nufact"
+exec(compile(source.replace({old!r}, {new!r}), "cli.py", "exec"), vars(copy))
 """
+
+
+# a copy of cli.py that imports every family's module
+EAGER_DISPATCHER = cli_copy(
+    "\nimport sys\n",
+    "\nimport sys\n\nfrom . import cli_div, cli_quad, cli_quat, cli_tring, cli_zs\n")
 
 
 def test_eager_dispatcher_negative_control(tmp_path):
     # the same README examples through a dispatcher that imports every
     # family: its commands succeed, and the report above fails
-    report = fresh(EAGER_DISPATCHER + readme_runs("zs", "eager.main"), cwd=tmp_path)
+    report = fresh(EAGER_DISPATCHER + readme_runs("zs", "copy.main"), cwd=tmp_path)
     assert report == {"executed": sorted(ALL_CLI + ZS), "dataclasses": False}
 
 
@@ -201,12 +211,12 @@ def test_divcalc_compose_runs_neither_search_nor_drawing():
 
 
 def test_each_function_is_defined_in_one_module():
-    # the top-level functions and classes of the package's modules, the CLI
-    # modules' add_leaves aside, each have one definition
+    # the top-level functions and classes of the package's modules each
+    # have one definition
     homes: dict = {}
     for path in sorted(SRC.joinpath("nufact").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name != "add_leaves":
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 homes.setdefault(node.name, []).append(path.name)
     assert {name: files for name, files in homes.items() if len(files) > 1} == {}
     assert homes["enumerate_ideals"] == ["toracle.py"] and homes["compose"] == ["divcalc.py"]
@@ -227,14 +237,30 @@ def test_json_is_imported_only_to_write_json(argv, loaded):
                  "\nimport sys\nprint(str('json' in sys.modules).lower())") is loaded
 
 
-# (argv, the number of leaves of its family)
-COMMANDS = [
-    (ZS_LENGTHS, 5),
-    (["quad", "factor", "8"], 3),
-    (["quat", "verify", "--product", "1-2i+k", "--", "i+j", "-1-i-k"], 1),
-    (["div", "compose", "--cycles", "Q1>Q2>Q3", "Q1", "Q2"], 4),
-    (["tring", "divisor", "[[1,1,1],[0,1,1],[0,0,1]]"], 4),
-]
+ARGPARSE_LOADED = "\nimport sys\nprint(str('argparse' in sys.modules).lower())"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_command_builds_only_its_familys_parsers(tmp_path, family):
+    # every README example of the family, the quaternion examples with '--'
+    # too, is read without argparse: it is never imported, and with it
+    # loaded beforehand no parser is built
+    assert fresh("import nufact.cli\n" + readme_runs(family), ARGPARSE_LOADED,
+                 cwd=tmp_path) is False
+    assert fresh(COUNT_PARSERS + "import nufact.cli\n" + readme_runs(family),
+                 "\nprint(built)", cwd=tmp_path) == 0
+
+
+# a copy of cli.py that gives every argv to argparse
+ARGPARSE_DISPATCHER = cli_copy("_plain(argv) or _parser(argv)", "_parser(argv)")
+
+
+def test_argparse_dispatcher_negative_control(tmp_path):
+    # the quaternion examples through that copy succeed, and load argparse
+    assert fresh(ARGPARSE_DISPATCHER + readme_runs("quat", "copy.main"), ARGPARSE_LOADED,
+                 cwd=tmp_path) is True
+
+
 COUNT_PARSERS = """
 import argparse
 built = 0
@@ -249,12 +275,21 @@ def counting_init(self, *args, **kwargs):
 
 argparse.ArgumentParser.__init__ = counting_init
 """
+# (family, the number of its leaves, a usage error of one of them)
+FALLBACKS = [("zs", 5, ["zs", "atoms"]), ("quad", 3, ["quad", "norm"]),
+             ("quat", 1, ["quat", "verify", "i"]), ("div", 4, ["div", "compose", "Q1"]),
+             ("tring", 4, ["tring", "oracle", "--size", "x"])]
 
 
-@pytest.mark.parametrize("argv, leaves", COMMANDS, ids=[a[0] for a, _ in COMMANDS])
-def test_command_builds_only_its_familys_parsers(argv, leaves):
-    # the top level, its two common-flag parents, the five families and the
-    # leaves of this family; building every family's leaves made 25
-    built = fresh(COUNT_PARSERS + f"import nufact.cli\nassert nufact.cli.main({argv!r}) == 0",
-                  "\nprint(built)")
-    assert built <= 1 + 2 + 5 + leaves
+@pytest.mark.parametrize("family, leaves, error", FALLBACKS, ids=[f for f, _, _ in FALLBACKS])
+@pytest.mark.parametrize("kind", ["help", "usage-error"])
+def test_help_and_usage_errors_build_only_their_familys_parsers(family, leaves, error, kind):
+    # argparse prints them: the top level, its two common-flag parents, the
+    # five families and the leaves of this family; building every family's
+    # leaves made 25
+    argv, code = ([family, "--help"], 0) if kind == "help" else (error, 2)
+    built = fresh(COUNT_PARSERS + "import nufact.cli\n"
+                  f"try:\n    nufact.cli.main({argv!r})\n"
+                  f"except SystemExit as exc:\n    assert exc.code == {code}\n"
+                  "else:\n    raise AssertionError('no exit')\n", "\nprint(built)")
+    assert 1 + 2 + 5 < built <= 1 + 2 + 5 + leaves

@@ -2,6 +2,7 @@ import functools
 import inspect
 import itertools
 import math
+import operator
 import os
 import pathlib
 import random
@@ -21,7 +22,6 @@ from nufact.tring import (
     format_matrix,
     intersect,
     is_ideal,
-    left_dual,
     maximal_ideals,
     mul,
     mul_texts,
@@ -34,6 +34,15 @@ T3 = ring_matrix(3)
 Q1, Q2, Q3 = maximal_ideals(3)
 J3 = intersect(intersect(Q1, Q2), Q3)
 CS3 = cycle_structure(3)
+
+
+def left_dual(A):
+    """Largest fractional matrix X with X*A inside the ring:
+    x[i][j] = max_k (t[i][k] - a[j][k]).  Taken twice it is tau on ideals,
+    the oracle for `tau_ideal` and for the order of `maximal_ideals`."""
+    A = _as_matrix(A)
+    t = ring_matrix(len(A))
+    return tuple(tuple(max(map(operator.sub, trow, arow)) for arow in A) for trow in t)
 
 
 def naive_is_ideal(A):
