@@ -16,10 +16,10 @@ from nufact.divcalc import (
     apply_lifted,
     compose,
     compose_word,
-    enumerate_factorizations_ex,
     is_realizable,
-    render_svg,
 )
+from nufact.divdraw import render_svg
+from nufact.divwords import enumerate_factorizations_ex
 
 OUT = pathlib.Path(__file__).resolve().parent
 

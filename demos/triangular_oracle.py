@@ -11,15 +11,14 @@ checks confirm that divisor composition tracks ideal multiplication exactly.
 import json
 
 from nufact.divcalc import compose
+from nufact.toracle import enumerate_ideals, oracle_report
 from nufact.tring import (
     cycle_structure,
     divisor_of,
-    enumerate_ideals,
     format_matrix,
     intersect,
     maximal_ideals,
     mul,
-    oracle_report,
     ring_matrix,
     tau_ideal,
 )

@@ -20,27 +20,18 @@ def cmd_quad_atoms(args):
     if args.elements and args.norm is not None:
         raise ValueError("give elements or --norm N, not both")
     if args.norm is not None:
-        elems = quadring.elements_of_norm(args.norm)
-        results = [{
-            "element": quadring.format_quadint(y),
-            "is_atom": quadring.norm(y) > 1 and quadring.is_atom(y),
-        } for y in elems]
-        payload = {"norm": args.norm, "results": results}
+        payload = {"norm": args.norm}
+        tested = ((y, quadring.norm(y) > 1 and quadring.is_atom(y))
+                  for y in quadring.elements_of_norm(args.norm))
+    elif args.elements:
+        payload = {}
+        tested = ((y, quadring.is_atom(y)) for y in map(quadring.parse_quadint, args.elements))
     else:
-        if not args.elements:
-            raise ValueError("give elements or --norm N")
-        results = []
-        for text in args.elements:
-            y = quadring.parse_quadint(text)
-            results.append({
-                "element": quadring.format_quadint(y),
-                "is_atom": quadring.is_atom(y),
-            })
-        payload = {"results": results}
-    human = "\n".join(
-        f"{r['element']}: {'atom' if r['is_atom'] else 'not an atom'}" for r in results
-    ) or "(no elements)"
-    return payload, human
+        raise ValueError("give elements or --norm N")
+    results = payload["results"] = [{"element": quadring.format_quadint(y), "is_atom": atom}
+                                    for y, atom in tested]
+    return payload, "\n".join(f"{r['element']}: {'atom' if r['is_atom'] else 'not an atom'}"
+                              for r in results) or "(no elements)"
 
 
 def cmd_quad_norm(args):

@@ -42,12 +42,12 @@ def _bump_candidates(e: Matrix, a: Matrix) -> list[tuple[int, int]]:
     return [(i, j) for i in r for j in r if e[i][j] < min(a[i][j], _bound(e, i, j))]
 
 
-def _chain_divisor(A: Matrix, rng: random.Random | None) -> tuple[int, ...]:
+def _chain_divisor(A: Matrix, rng: random.Random) -> tuple[int, ...]:
     """Walk a maximal chain of ideals from the ring down to the ideal A, which
     is not validated, and record, for each step, the unique maximal ideal P
-    with P * (previous link) inside the next link.  With rng=None every step
-    takes the lexicographically least cover; an rng picks uniformly among
-    the covers.  The test oracle for divisor_of; its cost grows with A.
+    with P * (previous link) inside the next link.  Each step draws its
+    cover uniformly from rng.  The test oracle for divisor_of; its cost
+    grows with A.
 
     Row r of a product depends only on row r of its left factor, each
     maximal ideal differs from the ring matrix t in one row, and t * e = e
@@ -56,7 +56,8 @@ def _chain_divisor(A: Matrix, rng: random.Random | None) -> tuple[int, ...]:
     instead of l full products.  Raising entry (i, j) moves only the closure
     bounds that read it, so a step re-tests the cover candidacy of (i, j),
     the entry below it and the entry to its left, indices mod l, and keeps
-    the candidates in lexicographic order."""
+    the candidates in lexicographic order, the order of _bump_candidates, so
+    a seed draws the same covers from either."""
     l = len(A)
     t = ring_matrix(l)
     maxi = maximal_ideals(l)
@@ -67,10 +68,7 @@ def _chain_divisor(A: Matrix, rng: random.Random | None) -> tuple[int, ...]:
     while e != A:
         if not candidates:
             raise RuntimeError("no maximal ideal step found; chain search is broken")
-        if rng is None:
-            i, j = candidates[0]  # candidates are kept in lex order
-        else:
-            i, j = candidates[rng.randrange(len(candidates))]
+        i, j = candidates[rng.randrange(len(candidates))]
         f = _bump(e, i, j)
         cols = tuple(zip(*e))
         hits = []
@@ -142,9 +140,10 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     Each property is a generator, named after it, of its counterexamples in
     the order it checks its cases, and the report takes the first one: a
     property stops at its first failure, and a failed property does not
-    stop the others.  The pairs are checked in A-major order by the
-    composition formula, with one landing pass per left factor, and compose
-    runs its lifted-map self-check on one pair per case the pairs reach: a
+    stop the others.  The pairs are checked in A-major order, in one loop
+    over B per left factor A, by the composition formula from one landing
+    pass per A.  The same loop runs compose's lifted-map self-check on one
+    pair per case the pairs reach, the first that reaches it: a case is a
     label, A's count at it, and B's count at the label where A's move from
     it lands.
 
@@ -164,18 +163,16 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     def homomorphism():
         # the divisor of a product is the composition of the divisors.  Row
         # i of A*B depends only on row i of A and on B, so each distinct
-        # corpus row is multiplied by each B once.  Each distinct product row
-        # gets a small int id, by_row[r][b] that of row r times corpus[b],
-        # and the ids of A's rows, zipped across the B's, give the key of
-        # every A*B at once.  The corpus is enumerated, so its products skip
-        # input validation; each distinct product is rebuilt from its key
-        # and validated once, by divisor_of.
-        rows: dict = {}
-        row_ids = [tuple(rows.setdefault(r, len(rows)) for r in A) for A in corpus]
-        distinct_rows = tuple(rows)
+        # corpus row is multiplied by each B once: by_row maps it to the
+        # small int ids of its product rows, one per B in corpus order, and
+        # the ids of A's rows, zipped across the B's, give the key of every
+        # A*B at once.  The corpus is enumerated, so its products skip input
+        # validation; each distinct product is rebuilt from its key and
+        # validated once, by divisor_of.
+        distinct = tuple(dict.fromkeys(r for A in corpus for r in A))
         products: dict = {}
-        by_row = list(zip(*([products.setdefault(p, len(products)) for p in _mul(distinct_rows, B)]
-                            for B in corpus)))
+        by_row = dict(zip(distinct, zip(*([products.setdefault(p, len(products))
+                                           for p in _mul(distinct, B)] for B in corpus))))
         product_rows = tuple(products)
         product_divisors: dict = {}
         # Each pair is composed by the formula, from one landing pass per A:
@@ -183,35 +180,32 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
         # lands (l >= 2, so at_lands gives a tuple).  compose's self-check at
         # label i depends only on the case (i, DA[i], DB[j]), so it runs once
         # per case the pairs reach: todo[i, c] holds the counts at c's
-        # landing label not checked yet, and A composes with each B, in
-        # corpus order, that checks one of its cases left, until none is
-        # left.  A pair whose compose value differs from the formula fails
-        # like one whose product does.
+        # landing label not checked yet, and while A has one left, A composes
+        # with each B that checks one of them.  A pair whose compose value
+        # differs from the formula fails like one whose product does.
         values = [set(counts) for counts in zip(*divisors)]
         todo: dict = {}
-        for A, ids, DA in zip(corpus, row_ids, divisors):
+        for A, DA in zip(corpus, divisors):
             lands = landing(cs, DA)
             left = [todo.setdefault((i, c), set(values[j]))
                     for i, (c, j) in enumerate(zip(DA, lands))]
-            checked = {}
-            for DB in divisors:
-                if not any(left):
-                    break
-                if any(DB[j] in counts for j, counts in zip(lands, left)):
-                    checked[DB] = compose(cs, DA, DB)
-                    for j, counts in zip(lands, left):
-                        counts.discard(DB[j])
+            pending = any(left)
             at_lands = itemgetter(*lands)
-            for B, key, DB in zip(corpus, zip(*map(by_row.__getitem__, ids)), divisors):
+            for B, key, DB in zip(corpus, zip(*map(by_row.__getitem__, A)), divisors):
                 got = product_divisors.get(key)
                 if got is None:
                     got = product_divisors[key] = divisor_of(
                         tuple(map(product_rows.__getitem__, key)))
                 want = tuple(map(add, DA, at_lands(DB)))
-                composed = checked.get(DB, want) if got == want else want
-                if composed != got:
+                if pending and any(DB[j] in counts for j, counts in zip(lands, left)):
+                    composed = compose(cs, DA, DB)
+                    want = composed if want == got else want
+                    for j, counts in zip(lands, left):
+                        counts.discard(DB[j])
+                    pending = any(left)
+                if want != got:
                     yield {"A": A, "B": B, "divisor_of_product": cs.format_divisor(got),
-                           "composed": cs.format_divisor(composed)}
+                           "composed": cs.format_divisor(want)}
 
     def injectivity():
         seen: dict = {}

@@ -35,7 +35,6 @@ admits in seconds.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from math import prod
 from operator import le, sub
@@ -157,12 +156,11 @@ def _translations(moduli: tuple, coords) -> list:
     one coordinate i by x_i != 0 within every block: positions with
     coordinate >= x_i (the mask `above`) take the bits from x_i * s_i lower,
     the others (`below`) wrap around from (n_i - x_i) * s_i higher.  Steps
-    are built only for coordinate values that occur, once each.
+    are built only for coordinate values that occur.
     """
     order = prod(moduli)
     strides = [prod(moduli[i + 1:]) for i in range(len(moduli))]
 
-    @functools.cache
     def step(i, x):  # translates coordinate i by x
         n, s = moduli[i], strides[i]
         below = ((1 << x * s) - 1) * sum(1 << q for q in range(0, order, n * s))

@@ -47,3 +47,12 @@ def test_prints_each_file_and_the_total(tmp_path, capsys):
         "sample.py      7      242",
         "sample.py      7      242",
         "total         14      484"]
+
+
+def test_refuses_an_option_or_a_missing_file(tmp_path, capsys):
+    # the usage line, or one error line, and exit status 2: no traceback
+    assert code_lines.main(["--help"]) == 2
+    assert capsys.readouterr() == ("", code_lines.USAGE + "\n")
+    missing = str(tmp_path / "nosuchfile")
+    assert code_lines.main([missing]) == 2
+    assert capsys.readouterr() == ("", f"error: no such file: {missing}\n")

@@ -30,6 +30,17 @@ def test_refuses_an_unknown_example(capsys):
     assert "no such example: zs-atoms-9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_refuses_a_run_count_below_one(monkeypatch, capsys, runs):
+    # refused before any interpreter starts
+    monkeypatch.setattr(startup_phases.subprocess, "run", None)
+    with pytest.raises(SystemExit) as exit_info:
+        startup_phases.main(["--runs", runs, "zs-atoms-1"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f": error: --runs must be at least 1, not {runs}")
+
+
 def test_imports_nothing_of_perfbench():
     tree = ast.parse(TOOL.read_text(encoding="utf-8"))
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)

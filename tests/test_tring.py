@@ -416,9 +416,10 @@ def test_chain_independence_randomized():
 
 
 @pytest.mark.parametrize("l, max_exp", [(2, 12), (3, 4), (4, 2)])
-def test_row_sum_divisor_matches_lex_chain_walk(l, max_exp):
+def test_row_sum_divisor_matches_a_seeded_chain_walk(l, max_exp):
+    rng = random.Random(0)
     for A in enumerate_ideals(l, max_exp):
-        assert _chain_divisor(A, None) == divisor_of(A)
+        assert _chain_divisor(A, rng) == divisor_of(A)
 
 
 def l_products_chain_divisor(A, rng):
@@ -430,7 +431,7 @@ def l_products_chain_divisor(A, rng):
     e = ring_matrix(l)
     while e != A:
         candidates = _bump_candidates(e, A)
-        i, j = candidates[0] if rng is None else candidates[rng.randrange(len(candidates))]
+        i, j = candidates[rng.randrange(len(candidates))]
         f = _bump(e, i, j)
         hits = [idx for idx, Q in enumerate(maxi)
                 if all(x >= y for rq, rf in zip(mul(Q, e), f) for x, y in zip(rq, rf))]
@@ -447,9 +448,9 @@ CHAIN_CORPORA = [(2, 6), (3, 3), (4, 1)]
 def test_shared_step_product_matches_l_products(l, max_exp):
     # the same covers, hence the same rng draws, on both sides
     for A in enumerate_ideals(l, max_exp):
-        for seed in (None, 3, 11):
-            assert _chain_divisor(A, seed and random.Random(seed)) == \
-                l_products_chain_divisor(A, seed and random.Random(seed))
+        for seed in (0, 3, 11):
+            assert _chain_divisor(A, random.Random(seed)) == \
+                l_products_chain_divisor(A, random.Random(seed))
 
 
 def test_shared_step_product_negative_control():
@@ -461,7 +462,7 @@ def test_shared_step_product_negative_control():
     exec(src.replace(line, "Qe[r] = e[r]"), namespace)
     for l, max_exp in CHAIN_CORPORA:
         with pytest.raises(RuntimeError, match="^chain step admits 0 maximal ideals"):
-            namespace["_chain_divisor"](enumerate_ideals(l, max_exp)[-1], None)
+            namespace["_chain_divisor"](enumerate_ideals(l, max_exp)[-1], random.Random(0))
 
 
 # the entries whose cover candidacy a raise of (i, j) can change
@@ -484,13 +485,13 @@ def checked_chain_divisor(retested=RETESTED):
 
 
 def stale_walks(walk, l, max_exp):
-    """The number of walks, lexicographic and seeded, over the corpus whose
-    covers drift from the fresh cover test's."""
+    """The number of seeded walks over the corpus whose covers drift from
+    the fresh cover test's."""
     stale = 0
     for A in enumerate_ideals(l, max_exp):
-        for seed in (None, 3, 11):
+        for seed in (0, 3, 11):
             try:
-                walk(A, seed and random.Random(seed))
+                walk(A, random.Random(seed))
             except AssertionError:
                 stale += 1
     return stale
@@ -517,7 +518,7 @@ def test_incremental_covers_negative_control(neighbour):
 ])
 def test_chain_divisor_accepts_lists(A):
     # divisor_of validates list input; the walk takes a validated matrix
-    for rng in (None, random.Random(7)):
+    for rng in (random.Random(0), random.Random(7)):
         assert _chain_divisor(_as_matrix(A), rng) == divisor_of(A)
 
 
@@ -786,7 +787,7 @@ def test_coverage_catches_a_cover_that_skips_a_case(l, max_exp):
     # the first label's case of the ring times itself, still passes, and
     # leaves exactly that case unchecked
     source = inspect.getsource(oracle_report)
-    pick = "if any(DB[j] in counts for j, counts in zip(lands, left)):"
+    pick = "if pending and any(DB[j] in counts for j, counts in zip(lands, left)):"
     assert source.count(pick) == 1
     calls = []
     namespace = dict(vars(toracle), compose=compose_spy(calls))
@@ -797,9 +798,9 @@ def test_coverage_catches_a_cover_that_skips_a_case(l, max_exp):
 
 
 def test_oracle_report_negative_control(monkeypatch):
-    # a compose wrong at every pair fails at the first pair it checks, the
-    # ring times itself: the first left factor's compose calls run before
-    # its pairs, and the loop stops there
+    # a compose wrong at every pair fails at the first pair, the ring times
+    # itself, which reaches a case first: compose runs on that pair alone,
+    # since the loop stops there
     corpus = enumerate_ideals(3, 2)
     divs = [divisor_of(A) for A in corpus]
     calls = []
@@ -809,7 +810,7 @@ def test_oracle_report_negative_control(monkeypatch):
     assert_t3_report(oracle_report(3, 2), homomorphism={
         "A": T3, "B": T3, "divisor_of_product": "0", "composed": "Q1"})
     assert landed == divs[:1]
-    assert calls == [(D, E) for D, E in first_reaching_pairs(CS3, divs)[0] if D == divs[0]]
+    assert calls == first_reaching_pairs(CS3, divs)[0][:1] == [(divs[0], divs[0])]
 
 
 def test_oracle_reports_the_a_major_first_failing_pair(monkeypatch):

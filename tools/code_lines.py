@@ -6,6 +6,9 @@ lines and its source bytes, then the totals:
 
     python tools/code_lines.py [file.py ...]
 
+An option, such as --help, prints the usage line, and a path that is not a
+file prints one error line; either exits with status 2.
+
 Bytes are printed because compiling a module, which a command does for
 every module it imports when there is no bytecode cache, costs memory in
 proportion to its whole source, docstrings and comments included.
@@ -16,6 +19,7 @@ import sys
 import tokenize
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "nufact"
+USAGE = "usage: python tools/code_lines.py [file.py ...]"
 # tokens that hold no code
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING, tokenize.ENDMARKER}
 # tokens that end a statement, or begin a block
@@ -38,7 +42,14 @@ def code_lines(path) -> int:
 
 
 def main(argv) -> int:
+    if any(arg.startswith("-") for arg in argv):
+        print(USAGE, file=sys.stderr)
+        return 2
     paths = [pathlib.Path(p) for p in argv] or sorted(PACKAGE.glob("*.py"))
+    missing = [path for path in paths if not path.is_file()]
+    if missing:
+        print(f"error: no such file: {missing[0]}", file=sys.stderr)
+        return 2
     rows = [(path.name, code_lines(path), path.stat().st_size) for path in paths]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     width = max(len(name) for name, _, _ in rows)

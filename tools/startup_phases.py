@@ -75,6 +75,8 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=15, help="fresh interpreters per example")
     parser.add_argument("names", nargs="*", help="examples to time (default: all)")
     args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error(f"--runs must be at least 1, not {args.runs}")
     cases = json.loads(README.read_text(encoding="utf-8"))
     unknown = set(args.names) - {case["name"] for case in cases}
     if unknown:
