@@ -30,7 +30,7 @@ def _ints(values, what: str) -> tuple[int, ...]:
 class FinAbGroup:
     """A finite abelian group Z/n1 x ... x Z/nk, each ni >= 1.
 
-    Immutable; two groups compare equal iff their moduli agree.
+    Immutable.
     """
 
     __slots__ = ("moduli",)
@@ -58,14 +58,6 @@ class FinAbGroup:
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.moduli)
-
-    def __eq__(self, other):
-        if not isinstance(other, FinAbGroup):
-            return NotImplemented
-        return self.moduli == other.moduli
-
-    def __hash__(self):
-        return hash(self.moduli)
 
     def __repr__(self):
         return f"FinAbGroup({format_group(self)!r})"

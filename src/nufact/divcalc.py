@@ -180,7 +180,7 @@ def compose(cs: CycleStructure, D, E) -> tuple[int, ...]:
     verified against the two-step lifted map on every label rather than
     assumed.
     """
-    _check_length(cs, D, E)
+    _check_length(cs, E)
     out = tuple(c + E[j] for c, j in zip(D, landing(cs, D)))
     for i in range(len(D)):
         p = (i, 0)

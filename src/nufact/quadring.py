@@ -51,10 +51,6 @@ def norm(x: QuadInt) -> int:
     return x.a * x.a + x.a * x.b + 6 * x.b * x.b
 
 
-def is_unit(x: QuadInt) -> bool:
-    return norm(x) == 1
-
-
 def _check_norm(n: int) -> None:
     if n > NORM_CAP:
         raise CapExceeded(f"norm {n} exceeds cap {NORM_CAP}")
@@ -77,9 +73,9 @@ def elements_of_norm(n: int) -> list[QuadInt]:
         s = math.isqrt(m)
         if s * s != m:
             continue
-        for sign in ({s, -s} if s else {0}):
+        for sign in {s, -s}:
             out.append(QuadInt((sign - b) // 2, b))
-    return sorted(set(out))
+    return sorted(out)
 
 
 def divides(y: QuadInt, x: QuadInt) -> QuadInt | None:
@@ -150,7 +146,7 @@ def element_factorizations(x: QuadInt) -> list[tuple[QuadInt, ...]]:
                    key=lambda y: (norm(y), y.a, y.b))
 
     def moves(rest, first):
-        if is_unit(rest):
+        if norm(rest) == 1:
             return None
         return len(atoms) - first, [(idx, q) for idx in range(first, len(atoms))
                                     if (q := divides(atoms[idx], rest)) is not None]

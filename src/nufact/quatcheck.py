@@ -231,16 +231,13 @@ def parse_quat(text: str) -> QuatQ3:
 
 
 def format_sqrtrat(s: SqrtRat) -> str:
-    def frac(f: Fraction) -> str:
-        return str(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
     if s.v == 0:
-        return frac(s.u)
-    vpart = "r3" if s.v == 1 else ("-r3" if s.v == -1 else f"{frac(s.v)}*r3")
+        return str(s.u)
+    vpart = "r3" if s.v == 1 else ("-r3" if s.v == -1 else f"{s.v}*r3")
     if s.u == 0:
         return vpart
     sign = "+" if s.v > 0 else ""
-    return f"{frac(s.u)}{sign}{vpart}"
+    return f"{s.u}{sign}{vpart}"
 
 
 def format_quat(q: QuatQ3) -> str:

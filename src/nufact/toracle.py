@@ -23,10 +23,10 @@ from .tring import (Matrix, _bound, _bump, _geq, _mul, cycle_structure, divisor_
 # and most chain walks (100 add at most about 0.4 s to an admitted corpus)
 ORACLE_SIZE_CAP = 32
 CHAIN_TRIAL_CAP = 100
-# corpus pairs of the homomorphism check: enumeration stops past 300 ideals,
-# and the slowest admitted, T(2) with exponents <= 50 (299), takes about
-# 0.6 s end to end (T(3) with exponents <= 10, 284 ideals, about 0.35 s)
-ORACLE_PAIR_BUDGET = 90_000
+# corpus pairs of the homomorphism check: enumeration stops past 447 ideals,
+# and the slowest admitted, T(2) with exponents <= 74 (443), takes about
+# 0.6 s end to end (T(6) with exponents <= 1, 429 ideals, about 0.3 s)
+ORACLE_PAIR_BUDGET = 200_000
 
 
 def _bump_candidates(e: Matrix, a: Matrix) -> list[tuple[int, int]]:

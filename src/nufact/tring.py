@@ -32,8 +32,8 @@ import itertools
 from operator import add, ge, sub
 
 from . import Meter, _forward
-# compose is the composition the oracle checks ideal products against, and
-# `tring.compose` names it
+# kept only for perfbench's tests, which patch `nufact.tring.compose`;
+# toracle imports its own
 from .divcalc import CycleStructure, compose
 
 # min-plus steps `mul_texts` may take, l**3 per product of l x l matrices;

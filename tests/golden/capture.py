@@ -34,7 +34,7 @@ ROOT = HERE.parents[1]
 DEMOS = ["divisor_diagrams", "zero_sum_sequences", "quadratic_order",
          "quaternion_identities", "triangular_oracle"]
 
-# (3, 10) is the largest corpus below the pair budget, 284 ideals
+# (3, 10) is the largest of them, 284 ideals
 ORACLE_SIZES = [(3, 2), (2, 10), (4, 1), (3, 10)]
 # (name, oracle flags), each in human mode and with --json: two more
 # sizes, a non-default seed with the most chain trials, and the edge

@@ -482,14 +482,15 @@ def test_tring_oracle_prints_a_counterexample(monkeypatch, capsys):
 
 
 def test_tring_oracle_refuses_by_pairs(capsys):
-    # T(6) with exponents <= 1 has 429 ideals, 184,041 pairs; the enumeration
-    # stops at the 301st, since 300 ideals give the budget's 90,000 pairs
+    # T(7) with exponents <= 1 has 1,430 ideals, 2,044,900 pairs; the
+    # enumeration stops at the 448th, since 447 ideals give 199,809 of the
+    # budget's 200,000 pairs
     start = time.perf_counter()
-    code, out, err = run(capsys, "tring", "oracle", "--size", "6", "--max-exp", "1")
+    code, out, err = run(capsys, "tring", "oracle", "--size", "7", "--max-exp", "1")
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
-    assert err == ("error: T(6) with exponents <= 1 has more than 300 ideals; "
-                   "the oracle's pair budget 90000 admits at most 300\n")
+    assert err == ("error: T(7) with exponents <= 1 has more than 447 ideals; "
+                   "the oracle's pair budget 200000 admits at most 447\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -498,13 +499,13 @@ def test_tring_oracle_refuses_by_pairs(capsys):
     ["--size", "3", "--max-exp", str(10**20)],
 ], ids=["9-2", "32-5", "3-huge-exponent"])
 def test_tring_oracle_refuses_large_corpora_in_under_a_second(capsys, argv):
-    # (9, 2) has 226,184 ideals; the enumeration stops at the 301st
+    # (9, 2) has 226,184 ideals; the enumeration stops at the 448th
     start = time.perf_counter()
     code, out, err = run(capsys, "tring", "oracle", *argv)
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
-    assert err == (f"error: T({argv[1]}) with exponents <= {argv[3]} has more than 300 "
-                   "ideals; the oracle's pair budget 90000 admits at most 300\n")
+    assert err == (f"error: T({argv[1]}) with exponents <= {argv[3]} has more than 447 "
+                   "ideals; the oracle's pair budget 200000 admits at most 447\n")
 
 
 def test_div_render_writes_svg(tmp_path, capsys):

@@ -22,8 +22,8 @@ from nufact.cli import main
 HUGE = "99999999999999999999"
 # each pool: (well-formed values, malformed or out-of-range ones)
 INTS = (["0", "1", "2", "3"], ["-1", "-7", HUGE, "-" + HUGE, "1e3", "x", ""])
-# exponent bounds of tring oracle; with 10, T(3) has 284 ideals, the largest
-# corpus the pair budget admits
+# exponent bounds of tring oracle; with 10, T(3) has 284 ideals, a corpus
+# the pair budget admits
 EXPS = (INTS[0] + ["10"], INTS[1])
 GROUPS = (["1", "2", "3", "4", "2x2", "6"],
           ["0", "-3", "2x", "x", "2x0", "2x-2", HUGE, "2x" + HUGE, "a", ""])

@@ -4,6 +4,8 @@ blank lines or docstrings."""
 import importlib.util
 import pathlib
 
+import pytest
+
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 spec = importlib.util.spec_from_file_location("code_lines", TOOL)
 code_lines = importlib.util.module_from_spec(spec)
@@ -56,3 +58,20 @@ def test_refuses_an_option_or_a_missing_file(tmp_path, capsys):
     missing = str(tmp_path / "nosuchfile")
     assert code_lines.main([missing]) == 2
     assert capsys.readouterr() == ("", f"error: no such file: {missing}\n")
+
+
+@pytest.mark.parametrize("source", [
+    b"x = (1,\n",
+    b"if x:\n        a = 1\n    b = 2\n",
+    b"x = 1\ny = '\xff'\n",
+    b"\xff = 1\n",
+], ids=["unclosed-bracket", "bad-dedent", "undecodable-line", "undecodable-first-line"])
+def test_refuses_a_file_that_does_not_tokenize(tmp_path, capsys, source):
+    # one error line naming the file, and exit status 2: no traceback, and
+    # no row for the file before it
+    good = tmp_path / "good.py"
+    good.write_text("X = 1\n")
+    bad = tmp_path / "bad.py"
+    bad.write_bytes(source)
+    assert code_lines.main([str(good), str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot tokenize: {bad}\n")

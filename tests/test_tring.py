@@ -308,9 +308,9 @@ def test_enumerate_ideals_small():
 
 
 def test_enumerate_ideals_cap(monkeypatch):
-    with pytest.raises(CapExceeded, match="^T\\(4\\) with exponents <= 5 has more than 300 "
-                                          "ideals; the oracle's pair budget 90000 admits "
-                                          "at most 300$"):
+    with pytest.raises(CapExceeded, match="^T\\(4\\) with exponents <= 5 has more than 447 "
+                                          "ideals; the oracle's pair budget 200000 admits "
+                                          "at most 447$"):
         enumerate_ideals(4, 5)
     # T(4) with exponents <= 1 has 42 ideals: admitted while 42 * 42 pairs fit
     monkeypatch.setattr(toracle, "ORACLE_PAIR_BUDGET", 1764)
@@ -958,7 +958,7 @@ def test_enumerate_ideals_matches_brute_force(l, max_exp):
 
 def test_cover_walk_negative_control():
     # the walk over the weak cover test admits non-ideals in every box
-    # larger than the ring alone; past 300 of them it refuses, which
+    # larger than the ring alone; past 447 of them it refuses, which
     # disagrees too, since no brute-force box holds that many ideals
     namespace = weak_cover_namespace()
     exec(inspect.getsource(enumerate_ideals), namespace)
@@ -977,7 +977,7 @@ def fill_enumerate_ideals(l, max_exp):
     fill in row-major order, each cell ranging over the values that the
     closure inequalities against the cells already filled allow, so every
     completed matrix is an ideal, in lexicographic order.  It refuses the
-    301st ideal with enumerate_ideals' message."""
+    448th ideal with enumerate_ideals' message."""
     t = ring_matrix(l)
     limit = math.isqrt(toracle.ORACLE_PAIR_BUDGET)
     a = [[0] * l for _ in range(l)]
@@ -1013,13 +1013,13 @@ def fill_enumerate_ideals(l, max_exp):
     return out
 
 
-@pytest.mark.parametrize("l, max_exp", [(2, 50), (3, 10), (4, 2), (5, 1), (32, 0)])
+@pytest.mark.parametrize("l, max_exp", [(2, 50), (3, 10), (4, 2), (5, 1), (6, 1), (32, 0)])
 def test_cover_walk_matches_the_fill(l, max_exp):
     # shapes out of brute force's reach: (3, 10) alone has 11**6 * 10**3 candidates
     assert enumerate_ideals(l, max_exp) == fill_enumerate_ideals(l, max_exp)
 
 
-@pytest.mark.parametrize("l, max_exp", [(6, 1), (9, 2), (32, 1)])
+@pytest.mark.parametrize("l, max_exp", [(7, 1), (9, 2), (32, 1)])
 def test_cover_walk_and_fill_refuse_alike(l, max_exp):
     with pytest.raises(CapExceeded) as walk:
         enumerate_ideals(l, max_exp)

@@ -7,7 +7,8 @@ lines and its source bytes, then the totals:
     python tools/code_lines.py [file.py ...]
 
 An option, such as --help, prints the usage line, and a path that is not a
-file prints one error line; either exits with status 2.
+file, or a file that does not tokenize, prints one error line; each exits
+with status 2.
 
 Bytes are printed because compiling a module, which a command does for
 every module it imports when there is no bytecode cache, costs memory in
@@ -50,7 +51,13 @@ def main(argv) -> int:
     if missing:
         print(f"error: no such file: {missing[0]}", file=sys.stderr)
         return 2
-    rows = [(path.name, code_lines(path), path.stat().st_size) for path in paths]
+    rows = []
+    for path in paths:
+        try:
+            rows.append((path.name, code_lines(path), path.stat().st_size))
+        except (tokenize.TokenError, SyntaxError, UnicodeDecodeError):
+            print(f"error: cannot tokenize: {path}", file=sys.stderr)
+            return 2
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     width = max(len(name) for name, _, _ in rows)
     for name, n, size in rows:
