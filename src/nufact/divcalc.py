@@ -145,11 +145,10 @@ class CycleStructure:
         return f"CycleStructure({body!r})"
 
 
-def _check_length(cs: CycleStructure, *divisors):
-    for D in divisors:
-        if len(D) != len(cs._succ):
-            raise ValueError(f"divisor has {len(D)} counts, "
-                             f"but the cycle structure has {len(cs._succ)} labels")
+def _check_length(cs: CycleStructure, D):
+    if len(D) != len(cs._succ):
+        raise ValueError(f"divisor has {len(D)} counts, "
+                         f"but the cycle structure has {len(cs._succ)} labels")
 
 
 def apply_lifted(cs: CycleStructure, D, p: tuple[int, int]) -> tuple[int, int]:
@@ -191,7 +190,8 @@ def compose(cs: CycleStructure, D, E) -> tuple[int, ...]:
 
 
 def compose_texts(cs: CycleStructure, texts) -> tuple[int, ...]:
-    """Left-to-right composition of the divisors the texts name.
+    """Left-to-right composition of the divisors the texts name; zero for
+    none.
 
     Each divisor costs O(labels) to parse and to compose, so every text is
     charged one label step per label, against 9 * WORD_SEARCH_BUDGET,
@@ -201,7 +201,7 @@ def compose_texts(cs: CycleStructure, texts) -> tuple[int, ...]:
     Meter(9 * WORD_SEARCH_BUDGET,
           lambda m: f"composing {len(texts)} divisors over {n} labels exceeds "
                     f"the budget of {m.budget} label steps").charge(len(texts) * n)
-    acc = cs.parse_divisor(texts[0])
+    acc = cs.parse_divisor(texts[0]) if texts else cs.zero()
     for text in texts[1:]:
         acc = compose(cs, acc, cs.parse_divisor(text))
     return acc
@@ -216,10 +216,10 @@ def compose_word(cs: CycleStructure, word) -> tuple[int, ...]:
 
 
 def is_realizable(cs: CycleStructure, D) -> bool:
-    """Whether some ideal has divisor D: the count may drop by at most one
-    along each tau step."""
+    """Whether some ideal has divisor D: no count is negative, and the count
+    may drop by at most one along each tau step."""
     _check_length(cs, D)
-    return all(D[s] >= c - 1 for s, c in zip(cs._succ, D))
+    return all(D[s] >= c - 1 >= -1 for s, c in zip(cs._succ, D))
 
 
 def default_max_len(cs: CycleStructure, D) -> int:

@@ -36,7 +36,7 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
     the whole structure.  A drawing whose panels times the cycle's labels
     plus its total count exceed DRAWING_CAP is refused: a divisor is one
     panel of its total count, and a word one panel per letter of one count
-    each.
+    each.  A divisor with a negative count is refused.
     """
     if (D is None) == (word is None):
         raise ValueError("give exactly one of a divisor or a word")
@@ -59,6 +59,8 @@ def render_svg(cs: CycleStructure, D=None, cycle: int | None = None, *,
         D, word = cs.zero(), None
     if word is None:
         _check_length(cs, D)
+        if any(c < 0 for c in D):
+            raise ValueError(f"divisor has a negative count: {cs.format_divisor(D)}")
         stray = [p for p, c in zip(cs.labels(), D) if c and p not in drawn]
         if stray:
             raise ValueError(

@@ -92,9 +92,7 @@ def divides(y: QuadInt, x: QuadInt) -> QuadInt | None:
 def canonical_associate(x: QuadInt) -> QuadInt:
     """Pick one representative of {x, -x}: the one with positive leading
     coordinate (a > 0, or a == 0 and b >= 0)."""
-    if (x.a, x.b) >= (-x.a, -x.b):
-        return x
-    return qneg(x)
+    return max(x, qneg(x))
 
 
 def _divisor_pairs(x: QuadInt):

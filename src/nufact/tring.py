@@ -113,6 +113,8 @@ def mul_texts(texts) -> Matrix:
     MUL_FLOOR) steps against MUL_BUDGET before any is taken: MUL_FLOOR
     before any text is parsed, and the excess once the first one is.
     """
+    if not texts:
+        raise ValueError("need at least one matrix")
     what = f"{len(texts)} matrices costs at least"  # the refusal reads it when it is made
     meter = Meter(MUL_BUDGET, lambda m: f"multiplying {what} {m.used} steps, over the "
                                         f"budget of {m.budget}")

@@ -53,12 +53,6 @@ ATOM_BUDGET = 300_000
 WITNESS_BUDGET = 50_000
 
 
-def _expanded(S) -> tuple:
-    """The coordinate tuples of S, each repeated by its multiplicity; the
-    canonical sort key of sequences."""
-    return tuple(c for c, m in S for _ in range(m))
-
-
 def _pairs(coords) -> tuple:
     """The sequence of a sorted tuple of coordinate tuples."""
     return tuple((c, len(list(run))) for c, run in itertools.groupby(coords))
@@ -184,16 +178,17 @@ def _ground_set(G: FinAbGroup, coords) -> tuple:
 
 def atoms(G: FinAbGroup, coords=None) -> list[tuple]:
     """All minimal zero-sum sequences over the elements given by coords
-    (coordinate tuples; None for all of G), in canonical order.
+    (coordinate tuples; None for all of G), shortest first, then in
+    canonical order.
 
     The order cap is checked before any element is built."""
     _check_order(G)
-    return list(_atoms(G.moduli, _ground_set(G, coords)))
+    return sorted(_atoms(G.moduli, _ground_set(G, coords)), key=lambda A: sum(m for _, m in A))
 
 
 def _atoms(moduli: tuple, coords: tuple, bounds=None) -> tuple:
     """All minimal zero-sum multisets over the sorted coordinate tuples with at
-    most bounds[i] copies of coords[i], shortest first, then in canonical order.
+    most bounds[i] copies of coords[i], in canonical order.
 
     Depth-first search, on davenport's bitmasks, over non-decreasing zero-sum
     free sequences S of non-zero elements: S*g is zero-sum free iff -g is not
@@ -235,7 +230,7 @@ def _atoms(moduli: tuple, coords: tuple, bounds=None) -> tuple:
                 T = (T << up) & above | (T >> down) & below
                 t = (t << up) & above | (t >> down) & below
             stack.append((i, chosen + (coords[i],), t, M | bit | T))
-    return tuple(_pairs(A) for A in sorted(out, key=lambda A: (len(A), A)))
+    return tuple(map(_pairs, sorted(out)))
 
 
 def factorizations(G: FinAbGroup, S) -> list[tuple]:
@@ -264,7 +259,7 @@ def factorizations(G: FinAbGroup, S) -> list[tuple]:
     support = tuple(sorted(counts))
     have = tuple(counts[c] for c in support)
     # in canonical order, so the walk's order of atom indices is canonical
-    candidates = sorted(_atoms(G.moduli, support, have), key=_expanded)
+    candidates = _atoms(G.moduli, support, have)
     vectors = [tuple(dict(A).get(c, 0) for c in support) for A in candidates]
     # the atoms whose least element is support[g] are vectors[runs[g]:runs[g + 1]]
     runs = [sum(any(A[:g]) for A in vectors) for g in range(len(support) + 1)]

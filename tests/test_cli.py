@@ -372,6 +372,19 @@ ZEROS_250 = "[" + ",".join(["[" + ",".join("0" * 250) + "]"] * 250) + "]"
 # each was read as a nearby element while unmatched signs were skipped, or
 # (the last three) while a `*` with no digits before it read as 1
 MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"]
+# `div render` refusals made before the drawing is opened, so no file is written
+REFUSED_RENDERS = [
+    (["div", "render", "--cycles", "Q1;P", "--cycle", "0", "--word", "P", "--out", "w.svg"],
+     "word letter 'P' is not in the drawn cycle"),
+    (["div", "render", "--cycles", "Q1;P", "--cycle", "5", "--divisor", "Q1", "--out", "f.svg"],
+     "no cycle with index 5"),
+    (["div", "render", "--cycles", "Q1", "--out", "f.svg"],
+     "give exactly one of --divisor or --word"),
+    (["div", "render", "--cycles", "Q1", "--divisor", "Q1", "--word", "Q1", "--out", "f.svg"],
+     "give exactly one of --divisor or --word"),
+]
+REFUSED_RENDER_IDS = ["div-render-word-off-the-cycle", "div-render-no-such-cycle",
+                      "div-render-neither-divisor-nor-word", "div-render-divisor-and-word"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -441,6 +454,11 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"
     (["zs", "hfwitness", "--group", "3", "--max-len", "6", "--elements", "1^1^1"],
      "bad multiplicity in '1^1^1'"),
     (["zs", "hfwitness", "--group", "3", "--max-len", "-1"], "max_len must be >= 0"),
+    (["quad", "norm", "w+2w"], "duplicate w term in 'w+2w'"),
+    (["zs", "lengths", "--group", "3", "--seq", "1^-1"], "negative multiplicity in '1^-1'"),
+    (["zs", "atoms", "--group", "3", "--elements", "x"],
+     "bad element syntax 'x'; expected e.g. '1' or '1,0'"),
+    *REFUSED_RENDERS,
 ], ids=["div-factor-huge-count", "div-factor-huge-max-len", "div-factor-16-labels",
         "div-factor-1342-labels", "div-compose-150000-divisors", "div-render-huge-count",
         "div-render-huge-word", "div-render-10001-labels", "div-render-empty-word-10001-labels",
@@ -455,7 +473,8 @@ MALFORMED_QUADINTS = ["1++w", "1+-w", "w-", "1-", "+", "--", "*w", "1+*w", "-*w"
         "quat-verify-300-numerals",
         "zs-lengths-huge-multiplicity", "zs-lengths-z64-walk", "zs-lengths-bad-multiplicity",
         "zs-factor-empty-multiplicity", "zs-atoms-bare-caret", "zs-hfwitness-two-carets",
-        "zs-hfwitness-negative-max-len"])
+        "zs-hfwitness-negative-max-len", "quad-norm-duplicate-w-term",
+        "zs-lengths-negative-multiplicity", "zs-atoms-bad-element", *REFUSED_RENDER_IDS])
 def test_huge_or_malformed_input_is_refused_in_seconds(tmp_path, monkeypatch, capsys,
                                                        argv, message):
     # each of these hung or ended in a traceback before it was bounded
@@ -466,6 +485,18 @@ def test_huge_or_malformed_input_is_refused_in_seconds(tmp_path, monkeypatch, ca
     assert code == 1 and out == "" and "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_RENDERS, ids=REFUSED_RENDER_IDS)
+def test_refused_render_writes_no_file(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_quad_atoms_of_a_negative_norm_finds_none(capsys):
+    assert run(capsys, "quad", "atoms", "--norm", "-5") == (0, "(no elements)\n", "")
+    assert run_json(capsys, "quad", "atoms", "--norm", "-5")["results"] == []
 
 
 def test_tring_oracle_prints_a_counterexample(monkeypatch, capsys):

@@ -60,6 +60,22 @@ def test_divisor_of_wrong_length_is_refused(call):
             call(D)
 
 
+def test_negative_count_is_not_realizable_and_is_refused():
+    # no ideal has a negative count, though the tau inequality alone holds
+    Q1Q2 = CycleStructure.from_text("Q1>Q2")
+    for D in [(-1, 0), (0, -1), (-3, 0), (-1, -1)]:
+        assert not is_realizable(Q1Q2, D)
+        with pytest.raises(ValueError, match="^divisor is not realizable; it has no "
+                                             "factorization$"):
+            enumerate_factorizations_ex(Q1Q2, D, 3)
+        with pytest.raises(ValueError, match="^divisor has a negative count: "):
+            render_svg(Q1Q2, D)
+    assert is_realizable(Q1Q2, (0, 0)) and is_realizable(Q1Q2, (1, 0))
+    # compose keeps any integer counts: the lifted maps are defined for
+    # every displacement
+    assert compose(Q1Q2, (-1, 0), (0, 0)) == (-1, 0)
+
+
 def test_tau_examples():
     assert CS3.successor("Q1") == "Q2"
     assert MIXED.successor("P") == "P"
@@ -73,6 +89,11 @@ def test_cycle_structure_rejects_duplicates():
         CycleStructure([["Q1", "Q2"], ["Q1"]])
     with pytest.raises(ValueError):
         CycleStructure.from_text("Q1>>Q2")
+
+
+def test_cycle_structure_refuses_an_empty_cycle():
+    with pytest.raises(ValueError, match="^empty cycle$"):
+        CycleStructure([[]])
 
 
 # labels that no divisor term or word can name; the first also broke the
@@ -182,6 +203,18 @@ def test_compose_texts_budget_boundary(monkeypatch):
                                           "the budget of 18 label steps$"):
         compose_texts(CS3, [*word, "R1"])
     assert parsed == []
+
+
+def test_compose_texts_of_no_texts_is_the_zero_divisor(monkeypatch):
+    # the empty composition, as compose_word gives for the empty word, and
+    # no compose call is made
+    calls = []
+    monkeypatch.setattr(divcalc, "compose", lambda *a: calls.append(a) or compose(*a))
+    assert compose_texts(CS3, []) == CS3.zero() == compose_word(CS3, [])
+    assert compose_texts(MIXED, []) == MIXED.zero()
+    assert calls == []
+    assert compose_texts(CS3, ["Q1", "Q2", "Q3"]) == div("3Q1+2Q2+Q3")
+    assert len(calls) == 2
 
 
 def test_compose_associative_exhaustively():

@@ -62,6 +62,8 @@ def test_elements_of_norm_examples():
     assert elements_of_norm(2) == []
     assert set(elements_of_norm(1)) == {QuadInt(1, 0), QuadInt(-1, 0)}
     assert set(elements_of_norm(4)) == {QuadInt(2, 0), QuadInt(-2, 0)}
+    # no element has a negative norm
+    assert elements_of_norm(-5) == elements_of_norm(-1) == []
 
 
 @pytest.mark.parametrize("n", list(range(0, 40)) + [64, 100, 529])

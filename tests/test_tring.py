@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from nufact import CapExceeded, toracle, tring
+from nufact import CapExceeded, Meter, toracle, tring
 from nufact.divcalc import apply_lifted, compose, is_realizable, landing
 from nufact.toracle import _bump_candidates, _chain_divisor, enumerate_ideals, oracle_report
 from nufact.tring import (
@@ -386,6 +386,17 @@ def test_mul_texts_budget_boundary(monkeypatch):
     assert mul_texts(["[[0,1],[0,0]]"]) == ((0, 1), (0, 0))
     with pytest.raises(ValueError, match="must be square"):
         mul_texts(["[[0,1]]"])
+
+
+def test_mul_texts_refuses_no_texts_before_any_charge(monkeypatch):
+    # with no matrix there is no size, so no identity to return; the
+    # refusal comes before the budget is built or charged
+    meters = []
+    monkeypatch.setattr(tring, "Meter", lambda *a: meters.append(a) or Meter(*a))
+    with pytest.raises(ValueError, match="^need at least one matrix$"):
+        mul_texts([])
+    assert meters == []
+    assert mul_texts(["[[0,1],[0,0]]"]) == ((0, 1), (0, 0)) and len(meters) == 1
 
 
 def test_products_of_ideals_are_ideals():
