@@ -34,12 +34,13 @@ ROOT = HERE.parents[1]
 DEMOS = ["divisor_diagrams", "zero_sum_sequences", "quadratic_order",
          "quaternion_identities", "triangular_oracle"]
 
-# (3, 10) is the largest of them, 284 ideals
+# (3, 10), 284 ideals, is the largest of them; ORACLE_EXTRA holds larger ones
 ORACLE_SIZES = [(3, 2), (2, 10), (4, 1), (3, 10)]
 # (name, oracle flags), each in human mode and with --json: two more
 # sizes, a non-default seed with the most chain trials, and the edge
 # corpora: the ring alone (exponents <= 0), with no chain trials too, 132
-# ideals of T(5) and 299 of T(2)
+# ideals of T(5), 299 of T(2), and the largest corpora the pair budget
+# admits: 443 ideals of T(2), the slowest, 434 of T(3) and 429 of T(6)
 ORACLE_EXTRA = [
     ("3-3", ["--size", "3", "--max-exp", "3"]),
     ("3-4", ["--size", "3", "--max-exp", "4"]),
@@ -49,6 +50,9 @@ ORACLE_EXTRA = [
     ("2-0-trials0", ["--size", "2", "--max-exp", "0", "--trials", "0"]),
     ("5-1", ["--size", "5", "--max-exp", "1"]),
     ("2-50", ["--size", "2", "--max-exp", "50"]),
+    ("2-74", ["--size", "2", "--max-exp", "74"]),
+    ("3-15", ["--size", "3", "--max-exp", "15"]),
+    ("6-1", ["--size", "6", "--max-exp", "1"]),
 ]
 # (ring size, number of maximal-ideal factors, word seed)
 DEEP_PRODUCTS = [(3, 90, 3), (4, 60, 4), (5, 40, 5)]

@@ -9,7 +9,9 @@ wrote.
   to 3 and 4, with `--seed 1 --trials 100` at T(2) up to 10 and T(4) up
   to 1, and at the edge corpora: the ring alone, T(32) up to 0 and T(2) up
   to 0 with `--trials 0`, T(5) up to 1 (132 ideals) and T(2) up to 50 (299
-  ideals), each in human mode and with `--json`; the README `tring divisor`
+  ideals), and the largest corpora the pair budget admits, T(2) up to 74
+  (443 ideals), T(3) up to 15 (434) and T(6) up to 1 (429), each in human
+  mode and with `--json`; the README `tring divisor`
   example and `tring divisor` on three deep products of maximal ideals;
   `tring tau` on those products, and `tring tau` and `tring divisor` on an
   ideal of each of T(8) to T(12) with every entry at least 3, human and
@@ -26,7 +28,10 @@ wrote.
   its matrix, so they pin the shared step product and the integer keys
   that replaced them.  The edge corpora were captured while each property
   of the report was still a loop with its own break and guard, so they pin
-  the generators of counterexamples that replaced them.
+  the generators of counterexamples that replaced them.  The largest
+  corpora were captured while the homomorphism loop still wrote its own
+  copy of the composition formula, so they pin `divcalc.composer`, which
+  replaced it.
 - `zs.json`: `zs atoms` and `zs davenport` on fifteen small groups, `zs
   davenport` on nine larger ones (up to order 32), `zs atoms` on ten larger
   ones (up to order 24) and on ground sets in Z/24 and Z/64, `zs factor` and
@@ -120,6 +125,8 @@ def test_golden_covers_every_command():
         "oracle-4-1-seed1-trials100-human", "oracle-4-1-seed1-trials100",
         "oracle-32-0-human", "oracle-32-0", "oracle-2-0-trials0-human", "oracle-2-0-trials0",
         "oracle-5-1-human", "oracle-5-1", "oracle-2-50-human", "oracle-2-50",
+        "oracle-2-74-human", "oracle-2-74", "oracle-3-15-human", "oracle-3-15",
+        "oracle-6-1-human", "oracle-6-1",
         "divisor-readme",
         "divisor-T3-product-90", "divisor-T4-product-60", "divisor-T5-product-40",
         *[f"{name}{mode}" for name in ("tau-T3-product-90", "tau-T4-product-60",
@@ -128,7 +135,7 @@ def test_golden_covers_every_command():
         *[f"{cmd}-T{l}-deep{mode}" for l in range(8, 13) for cmd in ("tau", "divisor")
           for mode in ("", "-json")],
         "divisor-non-ideal", "tau-non-ideal"]
-    assert [c.get("exit", 0) for c in TRING] == [0] * 51 + [1, 1]
+    assert [c.get("exit", 0) for c in TRING] == [0] * 57 + [1, 1]
     # 51 `zs atoms` and `zs davenport` cases before them, then 7 `zs factor`
     # and 7 `zs lengths` cases with --json, the same 7 `zs factor` cases in
     # human mode, and the two below
