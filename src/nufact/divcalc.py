@@ -10,18 +10,19 @@ cycle once per level.  Composing those lifted maps induces a
 (non-commutative) composition of divisors, which is the operation mirroring
 ideal multiplication.  It has a closed displacement formula: `landing`
 finds the label where each label's move under D lands, and D composed with
-E adds E's count there to D's count at each label.  `compose` applies the
-formula and re-checks it against the lifted maps on every call.  The word
-search and `tring oracle` take one landing pass per left factor and apply
-the formula themselves: the word search composes only with single letters,
-and the oracle checks `compose` once per case rather than once per pair.
+E adds E's count there to D's count at each label.  `composer` writes the
+formula, as the map E -> D o E from one landing pass over D.  `compose`
+applies it and re-checks it against the lifted maps on every call, and
+`tring oracle` applies it to every pair of its corpus.  The word search
+takes one landing pass per partial product and applies the formula
+itself: it composes only with single letters and builds no indicator.
 
 A label is a letter followed by letters, digits or underscores, as a
 divisor term names it; `CycleStructure` refuses any other label.  Label
 text is validated where it enters: `parse_divisor`, `parse_word` and
-`indicator`.  The functions that take a divisor (`landing`, `compose`,
-`is_realizable`, and the word search and the drawing) refuse one of the
-wrong length.
+`indicator`.  The functions that take a divisor (`landing`, `composer`,
+`compose`, `is_realizable`, and the word search and the drawing) refuse one
+of the wrong length.
 
 The module also decides realizability (which divisors arise from ideals).
 The word search, which lists the factorizations of a divisor into
@@ -34,6 +35,7 @@ realizable` compile neither.  `divcalc.enumerate_factorizations_ex` and
 from __future__ import annotations
 
 import re
+from operator import add, itemgetter
 
 from . import Meter, _forward
 
@@ -171,16 +173,28 @@ def landing(cs: CycleStructure, D) -> list[int]:
     return [apply_lifted(cs, D, (i, 0))[0] for i in range(len(D))]
 
 
+def composer(cs: CycleStructure, D):
+    """The map E -> D o E, from one landing pass over D.
+
+    Displacements add along the path, so the composite moves a point at P by
+    D(P) + E(Q), with Q the label where the first move lands: D o E counts
+    D[i] + E[j] at label i, with j where D's move at i lands.  The map does
+    not check E's length.
+    """
+    lands = landing(cs, D)
+    # itemgetter of one index gives the item, so one label takes E[:1]
+    at_lands = itemgetter(*lands) if len(lands) > 1 else itemgetter(slice(1))
+    return lambda E: tuple(map(add, D, at_lands(E)))
+
+
 def compose(cs: CycleStructure, D, E) -> tuple[int, ...]:
     """The divisor whose lifted map is (lift of E) after (lift of D).
 
-    Displacements add along the path, so the composite moves a point at P by
-    D(P) + E(Q), with Q the label where the first move lands.  The result is
-    verified against the two-step lifted map on every label rather than
-    assumed.
+    The value of `composer` is verified against the two-step lifted map on
+    every label rather than assumed.
     """
     _check_length(cs, E)
-    out = tuple(c + E[j] for c, j in zip(D, landing(cs, D)))
+    out = composer(cs, D)(E)
     for i in range(len(D)):
         p = (i, 0)
         if apply_lifted(cs, out, p) != apply_lifted(cs, E, apply_lifted(cs, D, p)):

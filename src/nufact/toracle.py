@@ -12,10 +12,10 @@ import itertools
 import math
 import random
 from bisect import insort
-from operator import add, itemgetter
+from operator import add
 
 from . import CapExceeded
-from .divcalc import compose, is_realizable, landing
+from .divcalc import composer, is_realizable
 from .tring import (Matrix, _bound, _bump, _geq, _mul, cycle_structure, divisor_of,
                     maximal_ideals, ring_matrix)
 
@@ -24,8 +24,8 @@ from .tring import (Matrix, _bound, _bump, _geq, _mul, cycle_structure, divisor_
 ORACLE_SIZE_CAP = 32
 CHAIN_TRIAL_CAP = 100
 # corpus pairs of the homomorphism check: enumeration stops past 447 ideals,
-# and the slowest admitted, T(2) with exponents <= 74 (443), takes about
-# 0.6 s end to end (T(6) with exponents <= 1, 429 ideals, about 0.3 s)
+# and the largest admitted, T(2) with exponents <= 74 (443) and T(6) with
+# exponents <= 1 (429), take about 0.3 s end to end
 ORACLE_PAIR_BUDGET = 200_000
 
 
@@ -141,11 +141,8 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
     the order it checks its cases, and the report takes the first one: a
     property stops at its first failure, and a failed property does not
     stop the others.  The pairs are checked in A-major order, in one loop
-    over B per left factor A, by the composition formula from one landing
-    pass per A.  The same loop runs compose's lifted-map self-check on one
-    pair per case the pairs reach, the first that reaches it: a case is a
-    label, A's count at it, and B's count at the label where A's move from
-    it lands.
+    over B per left factor A, by `divcalc.composer`'s map for A, the
+    function `compose` applies too.
 
     Returns a report dict with one pass/fail entry per property and a
     counterexample for every failure.
@@ -175,34 +172,15 @@ def oracle_report(l: int = 3, max_exp: int = 2, seed: int = 0,
                                            for p in _mul(distinct, B)] for B in corpus))))
         product_rows = tuple(products)
         product_divisors: dict = {}
-        # Each pair is composed by the formula, from one landing pass per A:
-        # A o B counts DA[i] + DB[j] at label i, with j where A's move at i
-        # lands (l >= 2, so at_lands gives a tuple).  compose's self-check at
-        # label i depends only on the case (i, DA[i], DB[j]), so it runs once
-        # per case the pairs reach: todo[i, c] holds the counts at c's
-        # landing label not checked yet, and while A has one left, A composes
-        # with each B that checks one of them.  A pair whose compose value
-        # differs from the formula fails like one whose product does.
-        values = [set(counts) for counts in zip(*divisors)]
-        todo: dict = {}
+        # each pair is composed by one map per A, from one landing pass
         for A, DA in zip(corpus, divisors):
-            lands = landing(cs, DA)
-            left = [todo.setdefault((i, c), set(values[j]))
-                    for i, (c, j) in enumerate(zip(DA, lands))]
-            pending = any(left)
-            at_lands = itemgetter(*lands)
+            after = composer(cs, DA)
             for B, key, DB in zip(corpus, zip(*map(by_row.__getitem__, A)), divisors):
                 got = product_divisors.get(key)
                 if got is None:
                     got = product_divisors[key] = divisor_of(
                         tuple(map(product_rows.__getitem__, key)))
-                want = tuple(map(add, DA, at_lands(DB)))
-                if pending and any(DB[j] in counts for j, counts in zip(lands, left)):
-                    composed = compose(cs, DA, DB)
-                    want = composed if want == got else want
-                    for j, counts in zip(lands, left):
-                        counts.discard(DB[j])
-                    pending = any(left)
+                want = after(DB)
                 if want != got:
                     yield {"A": A, "B": B, "divisor_of_product": cs.format_divisor(got),
                            "composed": cs.format_divisor(want)}

@@ -33,7 +33,7 @@ from operator import add, ge, sub
 
 from . import Meter, _forward
 # kept only for perfbench's tests, which patch `nufact.tring.compose`;
-# toracle imports its own
+# no module calls it through tring
 from .divcalc import CycleStructure, compose
 
 # min-plus steps `mul_texts` may take, l**3 per product of l x l matrices;

@@ -40,7 +40,7 @@ ORACLE_SIZES = [(3, 2), (2, 10), (4, 1), (3, 10)]
 # sizes, a non-default seed with the most chain trials, and the edge
 # corpora: the ring alone (exponents <= 0), with no chain trials too, 132
 # ideals of T(5), 299 of T(2), and the largest corpora the pair budget
-# admits: 443 ideals of T(2), the slowest, 434 of T(3) and 429 of T(6)
+# admits: 443 ideals of T(2), 434 of T(3) and 429 of T(6)
 ORACLE_EXTRA = [
     ("3-3", ["--size", "3", "--max-exp", "3"]),
     ("3-4", ["--size", "3", "--max-exp", "4"]),

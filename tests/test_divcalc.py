@@ -1,6 +1,9 @@
+import functools
 import gc
 import inspect
 import itertools
+import json
+import pathlib
 import tracemalloc
 import xml.etree.ElementTree as ET
 from operator import le
@@ -20,10 +23,13 @@ from nufact.divcalc import (
 )
 from nufact.divdraw import render_svg
 from nufact.divwords import enumerate_factorizations_ex
+from nufact.toracle import enumerate_ideals
+from nufact.tring import divisor_of
 
 CS3 = CycleStructure.from_text("Q1>Q2>Q3")
 MIXED = CycleStructure.from_text("Q1>Q2>Q3;P")
 CS4 = CycleStructure.from_text("Q1>Q2>Q3>Q4")
+GOLDEN_TRING = pathlib.Path(__file__).resolve().parent / "golden" / "tring.json"
 
 
 def div(text, cs=CS3):
@@ -162,6 +168,8 @@ def test_compose_worked_values():
     D = div("2Q1+Q3")
     assert compose(CS3, D, CS3.zero()) == D
     assert compose(CS3, CS3.zero(), D) == D
+    # one label: `div compose --cycles Q1 Q1 Q1` prints 2Q1
+    assert compose_texts(CycleStructure.from_text("Q1"), ["Q1", "Q1"]) == (2,)
 
 
 def test_compose_matches_lifted_maps():
@@ -173,6 +181,73 @@ def test_compose_matches_lifted_maps():
                     p = (i, level)
                     assert apply_lifted(CS3, C, p) == \
                         apply_lifted(CS3, E, apply_lifted(CS3, D, p))
+
+
+# one cycle of each length 1 to 6, then a 3-cycle and a 1-cycle
+SWEEP_STRUCTURES = [CycleStructure([[f"Q{k}" for k in range(1, n + 1)]])
+                    for n in range(1, 7)] + [MIXED]
+
+
+def oracle_count_bounds():
+    """{ring size l: the largest count a divisor reaches on the corpora of
+    T(l) that the `tring oracle` runs in golden/tring.json enumerate}."""
+    shapes = set()
+    for case in json.loads(GOLDEN_TRING.read_text(encoding="utf-8")):
+        argv = case["argv"]
+        if "oracle" in argv:
+            shapes.add(tuple(int(argv[argv.index(flag) + 1]) for flag in ("--size", "--max-exp")))
+    bounds = {}
+    for l, max_exp in shapes:
+        top = max(max(map(divisor_of, enumerate_ideals(l, max_exp))))
+        bounds[l] = max(bounds.get(l, 0), top)
+    return bounds
+
+
+def lifted_disagreements(make):
+    """The cases (cycles, i, c, d), in sweep order, where make(cs, D)(E) at
+    label i disagrees with the two-step lifted map at levels -2 to 2: D has
+    count c at label i, E count d at the label where D's move at i lands.
+
+    A compose value at i depends only on the case, so this is every case
+    the oracle corpora reach: c and d run up to the largest count a corpus
+    of the ring of i's cycle length reaches, and up to the largest of any
+    corpus on the 1-cycle, which no ring has."""
+    bounds = oracle_count_bounds()
+    for cs in SWEEP_STRUCTURES:
+        labels = cs.labels()
+        for i, label in enumerate(labels):
+            top = bounds.get(cs._len[i], max(bounds.values()))
+            for c in range(top + 1):
+                D = tuple(c * x for x in cs.indicator(label))
+                j = landing(cs, D)[i]
+                after = make(cs, D)
+                for d in range(top + 1):
+                    E = tuple(d * x for x in cs.indicator(labels[j]))
+                    C = after(E)
+                    if any(apply_lifted(cs, C, (i, level)) !=
+                           apply_lifted(cs, E, apply_lifted(cs, D, (i, level)))
+                           for level in range(-2, 3)):
+                        yield repr(cs), i, c, d
+
+
+def test_compose_matches_lifted_maps_on_every_case_the_oracle_reaches():
+    assert next(lifted_disagreements(lambda cs, D: functools.partial(compose, cs, D)),
+                None) is None
+
+
+def test_lifted_sweep_catches_a_composer_that_ignores_the_wrap():
+    # negative control: a copy of composer that reads E at i instead of at
+    # the landing label once D's move wraps first fails on the 2-cycle at
+    # Q1 with c = 3, which lands on Q2 one level up, and d = 1
+    source = inspect.getsource(divcalc.composer)
+    lands = "lands = landing(cs, D)"
+    assert source.count(lands) == 1
+    namespace = dict(vars(divcalc))
+    exec(source.replace(lands, "lands = [j if i - cs._start[i] + c < cs._len[i] else i "
+                               "for i, (c, j) in enumerate(zip(D, landing(cs, D)))]"),
+         namespace)
+    assert next(lifted_disagreements(namespace["composer"])) == (
+        "CycleStructure('Q1>Q2')", 0, 3, 1)
 
 
 def test_landing_is_where_each_labels_move_lands():

@@ -11,8 +11,8 @@ import sys
 
 import pytest
 
-from nufact import CapExceeded, Meter, toracle, tring
-from nufact.divcalc import apply_lifted, compose, is_realizable, landing
+from nufact import CapExceeded, Meter, divcalc, toracle, tring
+from nufact.divcalc import apply_lifted, compose, composer, is_realizable, landing
 from nufact.toracle import _bump_candidates, _chain_divisor, enumerate_ideals, oracle_report
 from nufact.tring import (
     _as_matrix,
@@ -679,40 +679,25 @@ def test_oracle_chain_independence_negative_control(monkeypatch):
         "got": "9Q1+2Q2+Q3"})
 
 
-def checked_cases(cs, D, E):
-    """The cases whose lifted-map checks compose(cs, D, E) runs: at each
-    label i, (i, D[i], E[j]) with j the label where D's move of (i, 0)
-    lands."""
-    return {(i, c, E[apply_lifted(cs, D, (i, 0))[0]]) for i, c in enumerate(D)}
+def composer_spy(monkeypatch, corrupt=lambda out: out):
+    """Patch the oracle's composer to record the divisor of each map it
+    builds, and each (D, E) a map is applied to, and to return corrupt of
+    the map's value.  Returns the two records."""
+    built, applied = [], []
 
+    def spy(cs, D):
+        built.append(D)
+        after = composer(cs, D)
+        return lambda E: applied.append((D, E)) or corrupt(after(E))
 
-def first_reaching_pairs(cs, divs):
-    """The pairs of divs, in A-major order, whose compose checks reach a
-    case that no earlier pair of the list reaches, and every case reached."""
-    pairs, reached = [], set()
-    for D, E in itertools.product(divs, repeat=2):
-        cases = checked_cases(cs, D, E)
-        if not cases <= reached:
-            pairs.append((D, E))
-            reached |= cases
-    return pairs, reached
-
-
-def compose_spy(calls, corrupt=lambda out: out):
-    """A compose that records its (D, E) in calls and returns corrupt of its
-    value."""
-
-    def spy(cs, D, E):
-        calls.append((D, E))
-        return corrupt(compose(cs, D, E))
-
-    return spy
+    monkeypatch.setattr(toracle, "composer", spy)
+    return built, applied
 
 
 def landing_spy(monkeypatch, *wrong):
-    """Patch the oracle's landing pass to record its divisors and, for the
-    given ideals, to land Q2's move where Q3's lands; compose keeps its own
-    landing pass.  Returns the recorded divisors."""
+    """Patch divcalc's landing pass, which composer takes, to record its
+    divisors and, for the given ideals, to land Q2's move where Q3's lands.
+    Returns the recorded divisors."""
     wrong = set(map(divisor_of, wrong))
     calls = []
 
@@ -721,7 +706,7 @@ def landing_spy(monkeypatch, *wrong):
         lands = landing(cs, D)
         return [lands[0], lands[2], *lands[2:]] if D in wrong else lands
 
-    monkeypatch.setattr(toracle, "landing", spy)
+    monkeypatch.setattr(divcalc, "landing", spy)
     return calls
 
 
@@ -760,68 +745,38 @@ def test_oracle_lands_once_per_corpus_divisor_in_corpus_order(monkeypatch):
     assert landed == divs
 
 
-def test_oracle_composes_each_pair_that_first_reaches_a_case(monkeypatch):
-    # compose runs, in A-major order, on exactly the pairs whose checks
-    # reach a case that no pair composed before reached: 107 of the 1,936
-    # pairs, for the 109 cases the pairs reach
+def test_oracle_composes_every_pair_by_one_map_per_corpus_divisor(monkeypatch):
+    # one map per corpus divisor, in corpus order, applied to all 1,936
+    # pairs in A-major order, and no compose call
     divs = [divisor_of(A) for A in enumerate_ideals(3, 2)]
-    pairs, reached = first_reaching_pairs(CS3, divs)
-    calls = []
-    monkeypatch.setattr(toracle, "compose", compose_spy(calls))
+    built, applied = composer_spy(monkeypatch)
+    composed = []
+
+    def spy(cs, D, E):
+        composed.append((D, E))
+        return compose(cs, D, E)
+
+    monkeypatch.setattr(divcalc, "compose", spy)
+    monkeypatch.setattr(tring, "compose", spy)
+    assert "compose" not in vars(toracle)
     assert_t3_report(oracle_report(3, 2))
-    assert calls == pairs
-    assert len(calls) == 107 and len(reached) == 109
-
-
-def unchecked_cases(l, max_exp, calls):
-    """The cases the pairs of the corpus reach, by brute force over the
-    pairs, that no compose call in calls checks; no pair may be composed
-    twice."""
-    cs = cycle_structure(l)
-    divs = [divisor_of(A) for A in enumerate_ideals(l, max_exp)]
-    assert len(set(calls)) == len(calls) <= len(divs) ** 2
-    reached = set().union(*(checked_cases(cs, D, E) for D, E in itertools.product(divs, repeat=2)))
-    return reached - set().union(*(checked_cases(cs, D, E) for D, E in calls))
-
-
-@pytest.mark.parametrize("l, max_exp", [(3, 2), (2, 4)])
-def test_oracle_compose_checks_every_case_the_pairs_reach(monkeypatch, l, max_exp):
-    calls = []
-    monkeypatch.setattr(toracle, "compose", compose_spy(calls))
-    assert oracle_report(l, max_exp, chain_trials=0)["all_pass"]
-    assert unchecked_cases(l, max_exp, calls) == set()
-
-
-@pytest.mark.parametrize("l, max_exp", [(3, 2), (2, 4)])
-def test_coverage_catches_a_cover_that_skips_a_case(l, max_exp):
-    # negative control: a cover that composes no pair reaching (0, 0, 0),
-    # the first label's case of the ring times itself, still passes, and
-    # leaves exactly that case unchecked
-    source = inspect.getsource(oracle_report)
-    pick = "if pending and any(DB[j] in counts for j, counts in zip(lands, left)):"
-    assert source.count(pick) == 1
-    calls = []
-    namespace = dict(vars(toracle), compose=compose_spy(calls))
-    exec(source.replace(pick, pick[:-1] + " and (0, DA[0], DB[lands[0]]) != (0, 0, 0):"),
-         namespace)
-    assert namespace["oracle_report"](l, max_exp, chain_trials=0)["all_pass"]
-    assert unchecked_cases(l, max_exp, calls) == {(0, 0, 0)}
+    assert built == divs
+    assert applied == list(itertools.product(divs, repeat=2))
+    assert len(applied) == 1936
+    assert composed == []
 
 
 def test_oracle_report_negative_control(monkeypatch):
-    # a compose wrong at every pair fails at the first pair, the ring times
-    # itself, which reaches a case first: compose runs on that pair alone,
-    # since the loop stops there
+    # a composer wrong at every pair fails at the first pair, the ring times
+    # itself: one map is built, and applied to that pair alone, since the
+    # loop stops there
     corpus = enumerate_ideals(3, 2)
-    divs = [divisor_of(A) for A in corpus]
-    calls = []
-    monkeypatch.setattr(toracle, "compose",
-                        compose_spy(calls, lambda out: (out[0] + 1,) + out[1:]))
+    built, applied = composer_spy(monkeypatch, lambda out: (out[0] + 1,) + out[1:])
     landed = landing_spy(monkeypatch)
     assert_t3_report(oracle_report(3, 2), homomorphism={
         "A": T3, "B": T3, "divisor_of_product": "0", "composed": "Q1"})
-    assert landed == divs[:1]
-    assert calls == first_reaching_pairs(CS3, divs)[0][:1] == [(divs[0], divs[0])]
+    assert built == landed == [divisor_of(corpus[0])]
+    assert applied == [(divisor_of(T3), divisor_of(T3))]
 
 
 def test_oracle_reports_the_a_major_first_failing_pair(monkeypatch):
