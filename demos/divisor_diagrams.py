@@ -15,7 +15,7 @@ from nufact.divcalc import (
     CycleStructure,
     apply_lifted,
     compose,
-    compose_word,
+    compose_texts,
     is_realizable,
 )
 from nufact.divdraw import render_svg
@@ -29,7 +29,7 @@ Q1, Q2, Q3 = (cs.indicator(p) for p in ("Q1", "Q2", "Q3"))
 # Composition is not addition: the order matters.
 print("Q1 o Q2 =", cs.format_divisor(compose(cs, Q1, Q2)))
 print("Q2 o Q1 =", cs.format_divisor(compose(cs, Q2, Q1)))
-print("Q1 o Q2 o Q1 =", cs.format_divisor(compose_word(cs, ["Q1", "Q2", "Q1"])),
+print("Q1 o Q2 o Q1 =", cs.format_divisor(compose_texts(cs, ["Q1", "Q2", "Q1"])),
       " (absorbing: equals Q1 o Q2)")
 
 # The lifted map of 2Q1+Q3 moves each point forward by its count; Q3 wraps

@@ -221,14 +221,6 @@ def compose_texts(cs: CycleStructure, texts) -> tuple[int, ...]:
     return acc
 
 
-def compose_word(cs: CycleStructure, word) -> tuple[int, ...]:
-    """Left-to-right composition of single-label divisors."""
-    acc = cs.zero()
-    for label in word:
-        acc = compose(cs, acc, cs.indicator(label))
-    return acc
-
-
 def is_realizable(cs: CycleStructure, D) -> bool:
     """Whether some ideal has divisor D: no count is negative, and the count
     may drop by at most one along each tau step."""

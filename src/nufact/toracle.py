@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import insort
 from operator import add
 
 from . import CapExceeded
@@ -20,7 +19,8 @@ from .tring import (Matrix, _bound, _bump, _geq, _mul, cycle_structure, divisor_
                     maximal_ideals, ring_matrix)
 
 # the oracle's largest ring (T(32) with exponents <= 0 takes about 0.3 s)
-# and most chain walks (100 add at most about 0.4 s to an admitted corpus)
+# and most chain walks (100 add at most about 0.2 s to an admitted corpus,
+# the most to T(2) with exponents <= 74)
 ORACLE_SIZE_CAP = 32
 CHAIN_TRIAL_CAP = 100
 # corpus pairs of the homomorphism check: enumeration stops past 447 ideals,
@@ -53,19 +53,15 @@ def _chain_divisor(A: Matrix, rng: random.Random) -> tuple[int, ...]:
     maximal ideal differs from the ring matrix t in one row, and t * e = e
     for every ideal e.  So a step forms each P * e from e itself, with the
     rows where P differs from t recomputed: exact products, l rows per step
-    instead of l full products.  Raising entry (i, j) moves only the closure
-    bounds that read it, so a step re-tests the cover candidacy of (i, j),
-    the entry below it and the entry to its left, indices mod l, and keeps
-    the candidates in lexicographic order, the order of _bump_candidates, so
-    a seed draws the same covers from either."""
+    instead of l full products."""
     l = len(A)
     t = ring_matrix(l)
     maxi = maximal_ideals(l)
     changed = [[r for r in range(l) if Q[r] != t[r]] for Q in maxi]
     counts = [0] * l
     e = t
-    candidates = _bump_candidates(e, A)
     while e != A:
+        candidates = _bump_candidates(e, A)
         if not candidates:
             raise RuntimeError("no maximal ideal step found; chain search is broken")
         i, j = candidates[rng.randrange(len(candidates))]
@@ -83,11 +79,6 @@ def _chain_divisor(A: Matrix, rng: random.Random) -> tuple[int, ...]:
                 f"chain step admits {len(hits)} maximal ideals; expected exactly one")
         counts[hits[0]] += 1
         e = f
-        for r, c in {(i, j), ((i + 1) % l, j), (i, (j - 1) % l)}:
-            if (r, c) in candidates:
-                candidates.remove((r, c))
-            if e[r][c] < min(A[r][c], _bound(e, r, c)):
-                insort(candidates, (r, c))
     return tuple(counts)
 
 

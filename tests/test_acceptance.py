@@ -91,8 +91,8 @@ def test_criterion_5_divisor_calculus():
     Q1, Q2, Q3 = (cs.indicator(p) for p in ("Q1", "Q2", "Q3"))
     assert divcalc.compose(cs, Q1, Q2) == cs.parse_divisor("2Q1+Q2")
     assert divcalc.compose(cs, Q2, Q1) == cs.parse_divisor("Q1+Q2")
-    assert divcalc.compose_word(cs, ["Q1", "Q2", "Q1"]) == divcalc.compose(cs, Q1, Q2)
-    assert divcalc.compose_word(cs, ["Q1", "Q2", "Q3"]) == cs.parse_divisor("3Q1+2Q2+Q3")
+    assert divcalc.compose_texts(cs, ["Q1", "Q2", "Q1"]) == divcalc.compose(cs, Q1, Q2)
+    assert divcalc.compose_texts(cs, ["Q1", "Q2", "Q3"]) == cs.parse_divisor("3Q1+2Q2+Q3")
 
     words, _ = divwords.enumerate_factorizations_ex(cs, cs.parse_divisor("3Q1+2Q2+Q3"), 5)
     assert ["Q1", "Q2", "Q3"] in words

@@ -16,7 +16,6 @@ from nufact.divcalc import (
     apply_lifted,
     compose,
     compose_texts,
-    compose_word,
     default_max_len,
     is_realizable,
     landing,
@@ -163,13 +162,19 @@ def test_compose_worked_values():
     Q1, Q2, Q3 = (CS3.indicator(p) for p in ("Q1", "Q2", "Q3"))
     assert compose(CS3, Q1, Q2) == div("2Q1+Q2")
     assert compose(CS3, Q2, Q1) == div("Q1+Q2")
-    assert compose_word(CS3, ["Q1", "Q2", "Q3"]) == div("3Q1+2Q2+Q3")
-    assert compose_word(CS3, ["Q1", "Q2", "Q1"]) == compose(CS3, Q1, Q2)
+    assert compose_texts(CS3, ["Q1", "Q2", "Q3"]) == div("3Q1+2Q2+Q3")
+    assert compose_texts(CS3, ["Q1", "Q2", "Q1"]) == compose(CS3, Q1, Q2)
     D = div("2Q1+Q3")
     assert compose(CS3, D, CS3.zero()) == D
     assert compose(CS3, CS3.zero(), D) == D
     # one label: `div compose --cycles Q1 Q1 Q1` prints 2Q1
     assert compose_texts(CycleStructure.from_text("Q1"), ["Q1", "Q1"]) == (2,)
+    # a word of labels is the left fold of compose over their indicators
+    for cs in (CS3, MIXED):
+        for n in range(4):
+            for word in itertools.product(cs.labels(), repeat=n):
+                assert compose_texts(cs, word) == functools.reduce(
+                    lambda acc, label: compose(cs, acc, cs.indicator(label)), word, cs.zero())
 
 
 def test_compose_matches_lifted_maps():
@@ -281,11 +286,10 @@ def test_compose_texts_budget_boundary(monkeypatch):
 
 
 def test_compose_texts_of_no_texts_is_the_zero_divisor(monkeypatch):
-    # the empty composition, as compose_word gives for the empty word, and
-    # no compose call is made
+    # the empty composition, and no compose call is made
     calls = []
     monkeypatch.setattr(divcalc, "compose", lambda *a: calls.append(a) or compose(*a))
-    assert compose_texts(CS3, []) == CS3.zero() == compose_word(CS3, [])
+    assert compose_texts(CS3, []) == CS3.zero()
     assert compose_texts(MIXED, []) == MIXED.zero()
     assert calls == []
     assert compose_texts(CS3, ["Q1", "Q2", "Q3"]) == div("3Q1+2Q2+Q3")
@@ -361,7 +365,7 @@ def test_enumerate_factorizations_fig2():
     assert ["Q1", "Q2", "Q3"] in words
     assert ["Q2", "Q1", "Q3", "Q2", "Q3"] in words
     for w in words:
-        assert compose_word(CS3, w) == div("3Q1+2Q2+Q3")
+        assert compose_texts(CS3, w) == div("3Q1+2Q2+Q3")
     assert len({tuple(w) for w in words}) == len(words)
 
 
@@ -544,7 +548,7 @@ def brute_force_cases():
     realizable divisors with counts <= 2 over CS3 and MIXED and <= 1 over
     CS4."""
     for cs, max_count in ((CS3, 2), (MIXED, 2), (CS4, 1)):
-        products = {n: [(w, compose_word(cs, w))
+        products = {n: [(w, compose_texts(cs, w))
                         for w in itertools.product(cs.labels(), repeat=n)]
                     for n in range(BRUTE_MAX_LEN + 1)}
         for D in all_divisors(cs, max_count):
@@ -633,7 +637,7 @@ def test_multi_cycle_factorization_words():
     words, _ = enumerate_factorizations_ex(MIXED, target, 2)
     assert ["Q1", "P"] in words and ["P", "Q1"] in words
     for w in words:
-        assert compose_word(MIXED, w) == target
+        assert compose_texts(MIXED, w) == target
 
 
 def test_divisor_text_round_trip():

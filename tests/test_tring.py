@@ -476,50 +476,29 @@ def test_shared_step_product_negative_control():
             namespace["_chain_divisor"](enumerate_ideals(l, max_exp)[-1], random.Random(0))
 
 
-# the entries whose cover candidacy a raise of (i, j) can change
-RETESTED = ["(i, j)", "((i + 1) % l, j)", "(i, (j - 1) % l)"]
+@pytest.mark.parametrize("l, max_exp", CHAIN_CORPORA)
+def test_chain_walk_takes_its_covers_from_the_cover_test_at_each_step(l, max_exp, monkeypatch):
+    # one cover test per step, of the current link toward A: replaying the
+    # seed over the recorded covers retraces the walk link by link to A
+    calls = []
 
+    def recorder(e, a):
+        covers = _bump_candidates(e, a)
+        calls.append((e, a, covers))
+        return covers
 
-def checked_chain_divisor(retested=RETESTED):
-    """A copy of _chain_divisor that re-tests the given entries after each
-    raise and asserts, before each step, that its covers are those the
-    fresh cover test lists, in the same order."""
-    src = inspect.getsource(_chain_divisor)
-    update = "{" + ", ".join(RETESTED) + "}"
-    check = "        if not candidates:\n"
-    assert src.count(update) == 1 and src.count(check) == 1
-    src = src.replace(update, "{" + ", ".join(retested) + "}")
-    src = src.replace(check, "        assert candidates == _bump_candidates(e, A)\n" + check)
-    namespace = dict(vars(toracle))
-    exec(src, namespace)
-    return namespace["_chain_divisor"]
-
-
-def stale_walks(walk, l, max_exp):
-    """The number of seeded walks over the corpus whose covers drift from
-    the fresh cover test's."""
-    stale = 0
+    monkeypatch.setattr(toracle, "_bump_candidates", recorder)
     for A in enumerate_ideals(l, max_exp):
         for seed in (0, 3, 11):
-            try:
-                walk(A, random.Random(seed))
-            except AssertionError:
-                stale += 1
-    return stale
-
-
-@pytest.mark.parametrize("l, max_exp", CHAIN_CORPORA)
-def test_incremental_covers_are_the_fresh_covers(l, max_exp):
-    assert stale_walks(checked_chain_divisor(), l, max_exp) == 0
-
-
-@pytest.mark.parametrize("neighbour", RETESTED)
-def test_incremental_covers_negative_control(neighbour):
-    # a copy that does not re-test one of the three entries a raise moves
-    # drifts from the fresh cover test on every corpus
-    walk = checked_chain_divisor([n for n in RETESTED if n != neighbour])
-    for l, max_exp in CHAIN_CORPORA:
-        assert stale_walks(walk, l, max_exp) > 0, (l, max_exp)
+            calls.clear()
+            steps = sum(_chain_divisor(A, random.Random(seed)))
+            assert len(calls) == steps
+            replay = random.Random(seed)
+            e = ring_matrix(l)
+            for link, target, covers in calls:
+                assert link == e and target is A
+                e = _bump(e, *covers[replay.randrange(len(covers))])
+            assert e == A
 
 
 @pytest.mark.parametrize("A", [
